@@ -297,10 +297,12 @@ impl EvenController {
 
 impl Controller for EvenController {
     fn on_cycle(&mut self, gpu: &mut Gpu) {
-        let ids = gpu.kernel_ids();
+        // The kernel list is built only in the branches that use it: this
+        // runs every simulated cycle, and `kernel_ids` allocates.
         if !self.configured {
             self.configured = true;
             let cfg = gpu.config().clone();
+            let ids = gpu.kernel_ids();
             for sm in 0..gpu.num_sms() {
                 for (i, &k) in ids.iter().enumerate() {
                     gpu.set_window(sm, k, Some(even_window(&cfg, i, ids.len())));
@@ -311,6 +313,7 @@ impl Controller for EvenController {
         // Once any kernel finishes its work, survivors may use everything.
         if !self.released && gpu.halted_kernels() > 0 {
             self.released = true;
+            let ids = gpu.kernel_ids();
             for sm in 0..gpu.num_sms() {
                 for &k in &ids {
                     gpu.set_window(sm, k, None);
@@ -319,6 +322,7 @@ impl Controller for EvenController {
             self.tracker.invalidate();
         }
         if self.tracker.changed(gpu) {
+            let ids = gpu.kernel_ids();
             sweep_launch(gpu, &ids, |_, _| true);
         }
     }
@@ -399,10 +403,11 @@ impl QuotaController {
 
 impl Controller for QuotaController {
     fn on_cycle(&mut self, gpu: &mut Gpu) {
-        let ids = gpu.kernel_ids();
+        // As in `EvenController`: no per-cycle `kernel_ids` allocation.
         if !self.configured {
             self.configured = true;
             let cfg = gpu.config().clone();
+            let ids = gpu.kernel_ids();
             let descs: Vec<KernelDesc> = ids.iter().map(|&k| gpu.kernel_desc(k).clone()).collect();
             let desc_refs: Vec<&KernelDesc> = descs.iter().collect();
             let windows = quota_windows(&cfg, &desc_refs, &self.quotas);
@@ -415,6 +420,7 @@ impl Controller for QuotaController {
         }
         if !self.released && gpu.halted_kernels() > 0 {
             self.released = true;
+            let ids = gpu.kernel_ids();
             for sm in 0..gpu.num_sms() {
                 for &k in &ids {
                     gpu.set_window(sm, k, None);
@@ -423,6 +429,7 @@ impl Controller for QuotaController {
             self.tracker.invalidate();
         }
         if self.tracker.changed(gpu) {
+            let ids = gpu.kernel_ids();
             sweep_launch(gpu, &ids, |_, _| true);
         }
     }

@@ -82,4 +82,4 @@ pub use sm::{CtaCompletion, Sm};
 pub use stats::{SmKernelStats, SmStats, StallBreakdown, StallReason};
 pub use trace::{TraceEvent, TraceSink};
 pub use verify::{occupancy_breakdown, KernelVerifyError, ResourceKind};
-pub use warp::{Warp, WarpTable, PENDING_LOAD};
+pub use warp::{IssueClasses, Warp, WarpTable, PENDING_LOAD};

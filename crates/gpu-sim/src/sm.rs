@@ -14,7 +14,7 @@ use crate::mshr::{MshrOutcome, MshrTable, MshrWaiter};
 use crate::program::OpClass;
 use crate::scheduler::{SchedulerKind, SchedulerState};
 use crate::stats::{SmStats, StallReason};
-use crate::warp::{Warp, WarpTable};
+use crate::warp::{IssueClasses, Warp, WarpTable};
 
 /// A CTA resident on an SM.
 #[derive(Debug, Clone)]
@@ -491,38 +491,38 @@ impl Sm {
         if self.fetch_idle_until > now {
             return false;
         }
+        // A failed `Warp::fetch` mutates nothing and fails exactly when
+        // `fetch_ready_at() > now`, so the due mask holds exactly the slots
+        // whose fetch succeeds; only those are walked.
+        let due = self.table.fetch_due(now);
+        if due == 0 {
+            self.fetch_idle_until = self.table.next_fetch();
+            return false;
+        }
         let fetch_latency = self.cfg.sm.fetch_latency;
         let miss_penalty = self.cfg.sm.icache_miss_penalty;
         let mut budget = self.cfg.sm.fetch_width;
         let mut fetched = false;
-        let mut min_next = u64::MAX;
         // Round-robin over warp slots so no warp starves the shared port.
-        // Finished warps are fully fetched (fetch_at == MAX), so iterating
-        // live() visits exactly the slots the dense scan could fetch from.
         let start = (self.fetch_ptr + n - 1) % n.max(1);
-        let mut m = self.table.live().rotate_right(start as u32);
-        while m != 0 {
-            if budget == 0 {
-                break;
-            }
+        let mut m = due.rotate_right(start as u32);
+        while m != 0 && budget != 0 {
             let slot = (start + m.trailing_zeros() as usize) & 63;
             m &= m - 1;
-            let at = self.table.fetch_at(slot);
-            if at > now {
-                min_next = min_next.min(at);
-                continue;
-            }
-            // Invariant: live() only covers occupied slots.
+            // Invariant: fetch_due() only covers occupied slots.
             // xtask-allow: no-unwrap
-            let warp = self.warps[slot].as_mut().expect("live slot occupied");
+            let warp = self.warps[slot].as_mut().expect("due slot occupied");
             if warp.fetch(now, &descs[warp.kernel.0], fetch_latency, miss_penalty) {
                 budget -= 1;
                 fetched = true;
                 self.refresh_warp(slot);
+            } else {
+                crate::strict_assert!(
+                    false,
+                    "SM {}: warp slot {slot} was fetch-due at {now} but could not fetch",
+                    self.id
+                );
             }
-        }
-        if !fetched {
-            self.fetch_idle_until = min_next;
         }
         fetched
     }
@@ -530,77 +530,32 @@ impl Sm {
     fn issue_stage(&mut self, now: u64, descs: &[KernelDesc], kernel_insts: &mut [u64]) -> bool {
         let mut any_issued = false;
         for sched_id in 0..self.schedulers.len() {
-            // Candidate universe: occupied, unfinished slots this scheduler
-            // owns. All classification below is mask intersection; only the
-            // decoded, operand-checkable slots need a per-slot walk.
-            let cand = self.table.live() & self.sched_masks[sched_id];
-            if cand == 0 {
-                self.stats.stalls.record(StallReason::Idle);
-                continue;
-            }
-            let barrier_set = cand & self.table.barrier_mask();
-            let rest = cand & !self.table.barrier_mask();
-            let fetch_set = rest & self.table.ib_empty_mask();
-            let decoded = rest & !self.table.ib_empty_mask();
-            let mem_set = decoded & self.table.mem_pending_mask();
-            let (alu_ok, sfu_ok, lsu_ok) = {
-                let unit = &self.units[sched_id];
-                (
-                    unit.alu_busy_until <= now,
-                    unit.sfu_busy_until <= now,
-                    unit.lsu.is_none(),
-                )
-            };
-            let mut n_raw = 0u32;
-            let mut n_exec = 0u32;
-            let mut issuable = 0u64;
-            let mut m = decoded & !mem_set;
-            while m != 0 {
-                let slot = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if self.table.head_ready(slot) > now {
-                    n_raw += 1;
-                    continue;
-                }
-                let available = match self.table.head_op(slot) {
-                    OpClass::Alu => alu_ok,
-                    OpClass::Sfu => sfu_ok,
-                    OpClass::Barrier => true,
-                    _ => lsu_ok,
-                };
-                if available {
-                    issuable |= 1u64 << slot;
-                } else {
-                    n_exec += 1;
-                }
-            }
-
-            if let Some(slot) = self.schedulers[sched_id].select(issuable, self.table.launch_seqs())
+            let classes = self.issue_classes(sched_id, now);
+            if let Some(slot) =
+                self.schedulers[sched_id].select(classes.issuable, self.table.launch_seqs())
             {
                 self.issue_to_unit(now, sched_id, slot, descs, kernel_insts);
                 self.schedulers[sched_id].note_issue(slot);
                 any_issued = true;
             } else {
-                // Attribute the lost cycle to the reason blocking the most
-                // warps (ties broken in the paper's Fig. 1 priority order);
-                // strict comparison keeps the *first* maximum on ties.
-                let counts = [
-                    (mem_set.count_ones(), StallReason::LongMemoryLatency),
-                    (n_raw, StallReason::ShortRawHazard),
-                    (n_exec, StallReason::ExecResource),
-                    (fetch_set.count_ones(), StallReason::IbufferEmpty),
-                    (barrier_set.count_ones(), StallReason::Barrier),
-                ];
-                let mut best = counts[0];
-                for &c in &counts[1..] {
-                    if c.0 > best.0 {
-                        best = c;
-                    }
-                }
-                self.stats.stalls.record(best.1);
+                self.stats.stalls.record(classes.stall_reason());
             }
         }
         any_issued
+    }
+
+    /// Scheduler `sched_id`'s candidates at cycle `now` — occupied,
+    /// unfinished slots it owns — split into the issuable set and the
+    /// Fig. 1 stall classes by mask arithmetic against its unit state.
+    fn issue_classes(&self, sched_id: usize, now: u64) -> IssueClasses {
+        let unit = &self.units[sched_id];
+        self.table.classify_issue(
+            self.table.live() & self.sched_masks[sched_id],
+            now,
+            unit.alu_busy_until <= now,
+            unit.sfu_busy_until <= now,
+            unit.lsu.is_none(),
+        )
     }
 
     fn issue_to_unit(
@@ -918,46 +873,33 @@ impl Sm {
         if self.table.resident_mask() == 0 {
             return u64::MAX;
         }
-        let num_sched = self.schedulers.len();
+        let mut best = self.table.next_fetch().max(from);
         // Slots with no issue event of their own: a parked warp un-parks
         // only when the last sibling issues its barrier (that sibling's
         // event); an empty i-buffer is covered by the fetch event; a
         // pending global load by the memory subsystem's horizon.
         let skip =
             self.table.barrier_mask() | self.table.ib_empty_mask() | self.table.mem_pending_mask();
-        let mut best = u64::MAX;
-        let mut m = self.table.live();
-        while m != 0 {
-            let slot = m.trailing_zeros() as usize;
-            let bit = m & m.wrapping_neg();
-            m &= m - 1;
-            let f = self.table.fetch_at(slot);
-            if f != u64::MAX {
-                best = best.min(f.max(from));
-            }
-            if skip & bit != 0 {
-                continue;
-            }
-            let ready = self.table.head_ready(slot);
-            let e = if ready > from {
-                // RAW horizon. Even if the unit is still busy at `ready`,
-                // the span must end there: the stall classification flips
-                // from ShortRawHazard to ExecResource.
-                ready
-            } else {
-                // Operands ready now: bounded by unit availability.
-                let unit = &self.units[slot % num_sched];
-                match self.table.head_op(slot) {
-                    OpClass::Alu => unit.alu_busy_until.max(from),
-                    OpClass::Sfu => unit.sfu_busy_until.max(from),
-                    // Barriers always issue; LSU-class ops issue whenever
-                    // the LSU is free, and no LSU op is in flight here.
-                    _ => from,
-                }
-            };
-            best = best.min(e);
-            if best <= from {
+        let checkable = self.table.live() & !skip;
+        for (unit, &owned) in self.units.iter().zip(&self.sched_masks) {
+            let cand = checkable & owned;
+            // RAW horizon. Even if the unit is still busy at `ready`, the
+            // span must end there: the stall classification flips from
+            // ShortRawHazard to ExecResource.
+            let raw = self.table.raw_mask(cand, from);
+            best = best.min(self.table.min_head_ready(raw));
+            // Operands ready now: bounded by unit availability. Barriers
+            // always issue; LSU-class ops issue whenever the LSU is free,
+            // and no LSU op is in flight here.
+            let ready = cand & !raw;
+            if ready & self.table.avail_mask(false, false, true) != 0 {
                 return from;
+            }
+            if ready & self.table.head_alu_mask() != 0 {
+                best = best.min(unit.alu_busy_until.max(from));
+            }
+            if ready & self.table.head_sfu_mask() != 0 {
+                best = best.min(unit.sfu_busy_until.max(from));
             }
         }
         best
@@ -968,54 +910,14 @@ impl Sm {
     /// bulk. The event horizon guarantees the classification is constant
     /// across the span and that no warp can actually issue.
     fn classify_stall(&self, sched_id: usize, now: u64) -> StallReason {
-        let cand = self.table.live() & self.sched_masks[sched_id];
-        if cand == 0 {
-            return StallReason::Idle;
-        }
-        let barrier_set = cand & self.table.barrier_mask();
-        let rest = cand & !self.table.barrier_mask();
-        let fetch_set = rest & self.table.ib_empty_mask();
-        let decoded = rest & !self.table.ib_empty_mask();
-        let mem_set = decoded & self.table.mem_pending_mask();
-        let mut n_raw = 0u32;
-        let mut n_exec = 0u32;
-        let mut m = decoded & !mem_set;
-        while m != 0 {
-            let slot = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.table.head_ready(slot) > now {
-                n_raw += 1;
-                continue;
-            }
-            crate::strict_assert!(
-                {
-                    let unit = &self.units[sched_id];
-                    match self.table.head_op(slot) {
-                        OpClass::Alu => unit.alu_busy_until > now,
-                        OpClass::Sfu => unit.sfu_busy_until > now,
-                        OpClass::Barrier => false,
-                        _ => unit.lsu.is_some(),
-                    }
-                },
-                "SM {}: warp slot {slot} was issuable inside a fast-forwarded span",
-                self.id
-            );
-            n_exec += 1;
-        }
-        let counts = [
-            (mem_set.count_ones(), StallReason::LongMemoryLatency),
-            (n_raw, StallReason::ShortRawHazard),
-            (n_exec, StallReason::ExecResource),
-            (fetch_set.count_ones(), StallReason::IbufferEmpty),
-            (barrier_set.count_ones(), StallReason::Barrier),
-        ];
-        let mut best = counts[0];
-        for &c in &counts[1..] {
-            if c.0 > best.0 {
-                best = c;
-            }
-        }
-        best.1
+        let classes = self.issue_classes(sched_id, now);
+        crate::strict_assert!(
+            classes.issuable == 0,
+            "SM {}: warp slots {:#x} were issuable inside a fast-forwarded span",
+            self.id,
+            classes.issuable
+        );
+        classes.stall_reason()
     }
 
     /// Bulk-replays the per-cycle bookkeeping `tick` would have performed

@@ -6,18 +6,10 @@ use std::collections::VecDeque;
 use crate::access::AddressStream;
 use crate::kernel::{KernelDesc, KernelId};
 use crate::program::{Inst, OpClass, Reg, NUM_VIRTUAL_REGS};
+use crate::stats::StallReason;
 
 /// Scoreboard marker for a register awaiting a global load.
 pub const PENDING_LOAD: u64 = u64::MAX;
-
-/// Why a warp cannot issue its head instruction this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IssueBlock {
-    /// An operand (or the destination) awaits an outstanding global load.
-    MemPending,
-    /// An operand awaits a short ALU/SFU/shared-memory result.
-    RawPending,
-}
 
 /// One outstanding global load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,43 +157,6 @@ impl Warp {
         self.ibuffer.is_empty()
     }
 
-    fn reg_block(&self, reg: Reg, now: u64) -> Option<IssueBlock> {
-        let ready = self.reg_ready[reg as usize];
-        if ready == PENDING_LOAD {
-            Some(IssueBlock::MemPending)
-        } else if ready > now {
-            Some(IssueBlock::RawPending)
-        } else {
-            None
-        }
-    }
-
-    /// Scoreboard check for the head instruction. `None` means operands are
-    /// ready (structural hazards are the SM's concern).
-    #[must_use]
-    pub fn issue_block(&self, now: u64) -> Option<IssueBlock> {
-        let inst = self.head()?;
-        let mut worst: Option<IssueBlock> = None;
-        let mut consider = |b: Option<IssueBlock>| {
-            worst = match (worst, b) {
-                (_, Some(IssueBlock::MemPending)) | (Some(IssueBlock::MemPending), _) => {
-                    Some(IssueBlock::MemPending)
-                }
-                (w, None) => w,
-                (None, b) => b,
-                (w, _) => w,
-            };
-        };
-        for src in inst.srcs.into_iter().flatten() {
-            consider(self.reg_block(src, now));
-        }
-        if let Some(dst) = inst.dst {
-            // Write-after-write on an in-flight load result.
-            consider(self.reg_block(dst, now));
-        }
-        worst
-    }
-
     /// Consumes the head instruction at issue. For ALU/SFU/shared-memory
     /// ops the destination becomes ready at `now + latency`; for global
     /// loads the caller must follow up with [`Self::begin_load`].
@@ -286,16 +241,6 @@ impl Warp {
         }
     }
 
-    /// The earliest cycle `>= from` at which the front end could fetch, or
-    /// `None` when fetching cannot resume on its own: the body is fully
-    /// fetched, or the i-buffer is full (drained only by an issue, which is
-    /// itself an SM event).
-    #[must_use]
-    pub fn fetch_event(&self, from: u64) -> Option<u64> {
-        let at = self.fetch_ready_at();
-        (at != u64::MAX).then(|| at.max(from))
-    }
-
     /// The raw fetch readiness as a single sentinel-encoded cycle: the
     /// cycle the fetch port opens for this warp, or `u64::MAX` when fetching
     /// cannot resume on its own (body fully fetched, or i-buffer full). This
@@ -329,18 +274,6 @@ impl Warp {
         Some((ready, inst.op))
     }
 
-    /// The cycle at which every operand (and the destination) of the head
-    /// instruction becomes ready, or `None` when the i-buffer is empty or an
-    /// operand awaits an outstanding global load — a fill is a
-    /// memory-subsystem event, not a warp-local one, so the warp reports no
-    /// horizon of its own for it.
-    #[must_use]
-    pub fn operands_ready_at(&self) -> Option<u64> {
-        let (ready, _) = self.head_state()?;
-        // PENDING_LOAD is u64::MAX, so a pending operand dominates the max.
-        (ready != PENDING_LOAD).then_some(ready)
-    }
-
     /// Outstanding-load count (for occupancy introspection/tests).
     #[must_use]
     pub fn outstanding_loads(&self) -> usize {
@@ -355,14 +288,15 @@ impl Warp {
 }
 
 /// Struct-of-arrays mirror of the per-warp state the per-cycle stages
-/// actually read: residency/finished/barrier/i-buffer/mem-pending bitmasks
-/// plus flat arrays of head readiness, head op class, fetch readiness, and
-/// launch order. The [`Warp`] structs stay the source of truth; the table
-/// is derived state maintained event-driven (the owning SM refreshes a slot
-/// after any mutation of its warp), so scheduler selection and stall
-/// classification become mask intersections and `trailing_zeros` walks
-/// instead of per-warp pointer chases. Capacity is one `u64` of slots —
-/// `Sm::new` asserts `max_warps <= 64`.
+/// actually read: residency/finished/barrier/i-buffer/mem-pending bitmasks,
+/// head op-class and fetch-open bitmasks, plus flat arrays of head
+/// readiness, fetch readiness, and launch order. The [`Warp`] structs stay
+/// the source of truth; the table is derived state maintained event-driven
+/// (the owning SM refreshes a slot after any mutation of its warp), so
+/// scheduler selection, stall classification, and fetch eligibility are
+/// mask arithmetic — the only per-slot work left is a branch-free compare
+/// of a cached cycle against `now` — instead of per-warp pointer chases.
+/// Capacity is one `u64` of slots — `Sm::new` asserts `max_warps <= 64`.
 #[derive(Debug, Clone)]
 pub struct WarpTable {
     /// Occupied slots (whether or not the warp has finished issuing).
@@ -375,14 +309,67 @@ pub struct WarpTable {
     ib_empty: u64,
     /// Slots whose head instruction awaits an outstanding global load.
     mem_pending: u64,
+    /// Decoded slots whose head instruction runs on the ALU.
+    head_alu: u64,
+    /// Decoded slots whose head instruction runs on the SFU.
+    head_sfu: u64,
+    /// Decoded slots whose head instruction is a CTA barrier. Every other
+    /// decoded slot heads an LSU-class op.
+    head_barrier: u64,
+    /// Slots whose fetch port can open on its own (`fetch_at != u64::MAX`).
+    fetch_open: u64,
     /// Sentinel-encoded head readiness per slot (see [`Warp::head_state`]).
     head_ready: Vec<u64>,
-    /// Head-instruction op class per slot (meaningful only when decoded).
-    head_op: Vec<OpClass>,
     /// Sentinel-encoded fetch readiness (see [`Warp::fetch_ready_at`]).
     fetch_at: Vec<u64>,
     /// Launch-order stamp per slot (greedy-then-oldest key).
     launch_seq: Vec<u64>,
+}
+
+/// One scheduler's candidate warps at one cycle, split into the issuable
+/// set and the five disjoint stall classes of the Fig. 1 taxonomy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IssueClasses {
+    /// Operands ready and the functional unit free.
+    pub issuable: u64,
+    /// The head instruction awaits an outstanding global load.
+    pub mem: u64,
+    /// The head instruction awaits a short ALU/SFU/shared-memory result.
+    pub raw: u64,
+    /// Operands ready but the functional unit busy.
+    pub exec: u64,
+    /// The i-buffer is empty.
+    pub ibuffer: u64,
+    /// Parked at a CTA-wide barrier.
+    pub barrier: u64,
+}
+
+impl IssueClasses {
+    /// The reason a cycle that issued nothing is charged to: the class
+    /// blocking the most warps, ties broken in the paper's Fig. 1 priority
+    /// order (the *first* maximum wins), or `Idle` with no candidate warp.
+    #[must_use]
+    pub fn stall_reason(&self) -> StallReason {
+        let counts = [
+            (self.mem.count_ones(), StallReason::LongMemoryLatency),
+            (self.raw.count_ones(), StallReason::ShortRawHazard),
+            (self.exec.count_ones(), StallReason::ExecResource),
+            (self.ibuffer.count_ones(), StallReason::IbufferEmpty),
+            (self.barrier.count_ones(), StallReason::Barrier),
+        ];
+        let mut best = (0, StallReason::Idle);
+        for c in counts {
+            if c.0 > best.0 {
+                best = c;
+            }
+        }
+        best.1
+    }
+}
+
+/// All-ones when `on`, zero otherwise.
+fn fill(on: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(on))
 }
 
 impl WarpTable {
@@ -399,8 +386,11 @@ impl WarpTable {
             barrier: 0,
             ib_empty: 0,
             mem_pending: 0,
+            head_alu: 0,
+            head_sfu: 0,
+            head_barrier: 0,
+            fetch_open: 0,
             head_ready: vec![0; n_slots],
-            head_op: vec![OpClass::Alu; n_slots],
             fetch_at: vec![u64::MAX; n_slots],
             launch_seq: vec![0; n_slots],
         }
@@ -412,50 +402,44 @@ impl WarpTable {
     /// the strict-invariant oracle check catches that in debug builds.
     pub fn refresh(&mut self, slot: usize, warp: &Warp) {
         let bit = 1u64 << slot;
+        let put = |mask: &mut u64, on: bool| *mask = (*mask & !bit) | (bit & fill(on));
         self.resident |= bit;
-        if warp.finished() {
-            self.finished |= bit;
-        } else {
-            self.finished &= !bit;
-        }
-        if warp.at_barrier {
-            self.barrier |= bit;
-        } else {
-            self.barrier &= !bit;
-        }
-        self.fetch_at[slot] = warp.fetch_ready_at();
+        put(&mut self.finished, warp.finished());
+        put(&mut self.barrier, warp.at_barrier);
+        let fetch_at = warp.fetch_ready_at();
+        self.fetch_at[slot] = fetch_at;
+        put(&mut self.fetch_open, fetch_at != u64::MAX);
         self.launch_seq[slot] = warp.launch_seq;
-        match warp.head_state() {
-            Some((ready, op)) => {
-                self.ib_empty &= !bit;
-                if ready == PENDING_LOAD {
-                    self.mem_pending |= bit;
-                } else {
-                    self.mem_pending &= !bit;
-                }
-                self.head_ready[slot] = ready;
-                self.head_op[slot] = op;
-            }
-            None => {
-                self.ib_empty |= bit;
-                self.mem_pending &= !bit;
-                self.head_ready[slot] = 0;
-                self.head_op[slot] = OpClass::Alu;
-            }
-        }
+        let (ready, op) = match warp.head_state() {
+            Some((ready, op)) => (ready, Some(op)),
+            None => (0, None),
+        };
+        self.head_ready[slot] = ready;
+        put(&mut self.ib_empty, op.is_none());
+        put(&mut self.mem_pending, ready == PENDING_LOAD);
+        put(&mut self.head_alu, op == Some(OpClass::Alu));
+        put(&mut self.head_sfu, op == Some(OpClass::Sfu));
+        put(&mut self.head_barrier, op == Some(OpClass::Barrier));
     }
 
     /// Clears slot `slot` back to its vacant canonical state (warp
     /// released or CTA retired).
     pub fn clear(&mut self, slot: usize) {
         let keep = !(1u64 << slot);
-        self.resident &= keep;
-        self.finished &= keep;
-        self.barrier &= keep;
-        self.ib_empty &= keep;
-        self.mem_pending &= keep;
+        for mask in [
+            &mut self.resident,
+            &mut self.finished,
+            &mut self.barrier,
+            &mut self.ib_empty,
+            &mut self.mem_pending,
+            &mut self.head_alu,
+            &mut self.head_sfu,
+            &mut self.head_barrier,
+            &mut self.fetch_open,
+        ] {
+            *mask &= keep;
+        }
         self.head_ready[slot] = 0;
-        self.head_op[slot] = OpClass::Alu;
         self.fetch_at[slot] = u64::MAX;
         self.launch_seq[slot] = 0;
     }
@@ -491,28 +475,122 @@ impl WarpTable {
         self.mem_pending
     }
 
-    /// Sentinel-encoded head readiness for slot `slot`.
+    /// Decoded slots whose head instruction runs on the ALU.
     #[must_use]
-    pub fn head_ready(&self, slot: usize) -> u64 {
-        self.head_ready[slot]
+    pub fn head_alu_mask(&self) -> u64 {
+        self.head_alu
     }
 
-    /// Head-instruction op class for slot `slot`.
+    /// Decoded slots whose head instruction runs on the SFU.
     #[must_use]
-    pub fn head_op(&self, slot: usize) -> OpClass {
-        self.head_op[slot]
-    }
-
-    /// Sentinel-encoded fetch readiness for slot `slot`.
-    #[must_use]
-    pub fn fetch_at(&self, slot: usize) -> u64 {
-        self.fetch_at[slot]
+    pub fn head_sfu_mask(&self) -> u64 {
+        self.head_sfu
     }
 
     /// Launch-order stamps, one per slot (scheduler selection key).
     #[must_use]
     pub fn launch_seqs(&self) -> &[u64] {
         &self.launch_seq
+    }
+
+    /// The slots of `cand` whose head readiness lies after `now`, built
+    /// without a data-dependent branch. Callers exclude mem-pending slots
+    /// (their `PENDING_LOAD` readiness would count here too).
+    #[must_use]
+    pub fn raw_mask(&self, cand: u64, now: u64) -> u64 {
+        let mut raw = 0u64;
+        let mut m = cand;
+        while m != 0 {
+            let slot = m.trailing_zeros();
+            m &= m - 1;
+            raw |= u64::from(self.head_ready[slot as usize] > now) << slot;
+        }
+        raw
+    }
+
+    /// The earliest head readiness over the slots of `mask`, or `u64::MAX`
+    /// for an empty mask.
+    #[must_use]
+    pub fn min_head_ready(&self, mask: u64) -> u64 {
+        let mut best = u64::MAX;
+        let mut m = mask;
+        while m != 0 {
+            best = best.min(self.head_ready[m.trailing_zeros() as usize]);
+            m &= m - 1;
+        }
+        best
+    }
+
+    /// Decoded slots whose head instruction's functional unit is free,
+    /// given which of the scheduler's ALU, SFU and LSU pipelines are free.
+    /// Barriers need no unit. Bits of undecoded slots are meaningless, so
+    /// callers intersect with operand-ready decoded slots.
+    #[must_use]
+    pub fn avail_mask(&self, alu_ok: bool, sfu_ok: bool, lsu_ok: bool) -> u64 {
+        let lsu = !(self.head_alu | self.head_sfu | self.head_barrier);
+        (self.head_alu & fill(alu_ok))
+            | (self.head_sfu & fill(sfu_ok))
+            | self.head_barrier
+            | (lsu & fill(lsu_ok))
+    }
+
+    /// Splits the candidate slots `cand` of one scheduler into the issuable
+    /// set and the Fig. 1 stall classes at cycle `now`, given which of its
+    /// functional units are free. Pure mask arithmetic apart from the
+    /// branch-free RAW compare in [`Self::raw_mask`].
+    #[must_use]
+    pub fn classify_issue(
+        &self,
+        cand: u64,
+        now: u64,
+        alu_ok: bool,
+        sfu_ok: bool,
+        lsu_ok: bool,
+    ) -> IssueClasses {
+        let barrier = cand & self.barrier;
+        let rest = cand & !self.barrier;
+        let ibuffer = rest & self.ib_empty;
+        let decoded = rest & !self.ib_empty;
+        let mem = decoded & self.mem_pending;
+        let raw = self.raw_mask(decoded & !mem, now);
+        let ready = decoded & !mem & !raw;
+        let avail = self.avail_mask(alu_ok, sfu_ok, lsu_ok);
+        IssueClasses {
+            issuable: ready & avail,
+            mem,
+            raw,
+            exec: ready & !avail,
+            ibuffer,
+            barrier,
+        }
+    }
+
+    /// Live slots whose fetch port is open at `now` (`fetch_at <= now`),
+    /// built without a data-dependent branch. Finished warps are fully
+    /// fetched, so these are exactly the slots a fetch can succeed on.
+    #[must_use]
+    pub fn fetch_due(&self, now: u64) -> u64 {
+        let mut due = 0u64;
+        let mut m = self.live() & self.fetch_open;
+        while m != 0 {
+            let slot = m.trailing_zeros();
+            m &= m - 1;
+            due |= u64::from(self.fetch_at[slot as usize] <= now) << slot;
+        }
+        due
+    }
+
+    /// The earliest cycle any live warp's fetch port opens, or `u64::MAX`
+    /// when none can open on its own.
+    #[must_use]
+    pub fn next_fetch(&self) -> u64 {
+        let mut best = u64::MAX;
+        let mut m = self.live() & self.fetch_open;
+        while m != 0 {
+            best = best.min(self.fetch_at[m.trailing_zeros() as usize]);
+            m &= m - 1;
+        }
+        best
     }
 
     /// Oracle check: asserts every derived entry matches a fresh
@@ -524,52 +602,55 @@ impl WarpTable {
     /// Panics on any divergence between the table and the warp array.
     pub fn assert_matches(&self, warps: &[Option<Warp>]) {
         assert_eq!(self.head_ready.len(), warps.len(), "slot count mismatch");
+        let masks = [
+            (self.resident, "resident"),
+            (self.finished, "finished"),
+            (self.barrier, "barrier"),
+            (self.ib_empty, "ib_empty"),
+            (self.mem_pending, "mem_pending"),
+            (self.head_alu, "head_alu"),
+            (self.head_sfu, "head_sfu"),
+            (self.head_barrier, "head_barrier"),
+            (self.fetch_open, "fetch_open"),
+        ];
         for (slot, warp) in warps.iter().enumerate() {
             let bit = 1u64 << slot;
-            match warp.as_ref() {
-                None => {
-                    assert_eq!(self.resident & bit, 0, "slot {slot}: vacant but resident");
-                    assert_eq!(self.fetch_at[slot], u64::MAX, "slot {slot}: stale fetch_at");
+            let Some(w) = warp.as_ref() else {
+                for (mask, name) in masks {
+                    assert_eq!(mask & bit, 0, "slot {slot}: vacant but {name} bit set");
                 }
-                Some(w) => {
-                    assert_ne!(self.resident & bit, 0, "slot {slot}: resident bit missing");
-                    assert_eq!(
-                        self.finished & bit != 0,
-                        w.finished(),
-                        "slot {slot}: finished bit"
-                    );
-                    assert_eq!(
-                        self.barrier & bit != 0,
-                        w.at_barrier,
-                        "slot {slot}: barrier bit"
-                    );
-                    assert_eq!(
-                        self.fetch_at[slot],
-                        w.fetch_ready_at(),
-                        "slot {slot}: fetch_at"
-                    );
-                    assert_eq!(
-                        self.launch_seq[slot], w.launch_seq,
-                        "slot {slot}: launch_seq"
-                    );
-                    match w.head_state() {
-                        None => {
-                            assert_ne!(self.ib_empty & bit, 0, "slot {slot}: ib_empty bit");
-                            assert_eq!(self.mem_pending & bit, 0, "slot {slot}: mem_pending bit");
-                        }
-                        Some((ready, op)) => {
-                            assert_eq!(self.ib_empty & bit, 0, "slot {slot}: ib_empty bit set");
-                            assert_eq!(
-                                self.mem_pending & bit != 0,
-                                ready == PENDING_LOAD,
-                                "slot {slot}: mem_pending bit"
-                            );
-                            assert_eq!(self.head_ready[slot], ready, "slot {slot}: head_ready");
-                            assert_eq!(self.head_op[slot], op, "slot {slot}: head_op");
-                        }
-                    }
-                }
+                assert_eq!(self.fetch_at[slot], u64::MAX, "slot {slot}: stale fetch_at");
+                continue;
+            };
+            let (ready, op) = match w.head_state() {
+                Some((ready, op)) => (ready, Some(op)),
+                None => (0, None),
+            };
+            let fetch_at = w.fetch_ready_at();
+            let expect = [
+                true,
+                w.finished(),
+                w.at_barrier,
+                op.is_none(),
+                ready == PENDING_LOAD,
+                op == Some(OpClass::Alu),
+                op == Some(OpClass::Sfu),
+                op == Some(OpClass::Barrier),
+                fetch_at != u64::MAX,
+            ];
+            for ((mask, name), on) in masks.into_iter().zip(expect) {
+                assert_eq!(mask & bit != 0, on, "slot {slot}: {name} bit");
             }
+            assert_eq!(self.fetch_at[slot], fetch_at, "slot {slot}: fetch_at");
+            assert_eq!(
+                self.launch_seq[slot], w.launch_seq,
+                "slot {slot}: launch_seq"
+            );
+            assert_eq!(self.head_ready[slot], ready, "slot {slot}: head_ready");
+        }
+        let beyond = u64::MAX.checked_shl(warps.len() as u32).unwrap_or(0);
+        for (mask, name) in masks {
+            assert_eq!(mask & beyond, 0, "{name} bit set beyond the last slot");
         }
     }
 }
@@ -620,15 +701,18 @@ mod tests {
     fn fetch_fills_ibuffer_and_wraps() {
         let desc = kernel_with(vec![alu(0, 1), alu(1, 0)], 2);
         let mut w = warp_for(&desc);
+        assert_eq!(w.fetch_ready_at(), 0);
         assert!(w.fetch(0, &desc, 1, 0));
         assert!(!w.ibuffer_empty());
         // Second fetch gated by fetch latency.
+        assert_eq!(w.fetch_ready_at(), 1);
         assert!(!w.fetch(0, &desc, 1, 0));
         assert_eq!(w.ibuffer.len(), 1);
         w.fetch(1, &desc, 1, 0);
         assert_eq!(w.ibuffer.len(), 2);
-        // Buffer full: no more fetches.
-        w.fetch(2, &desc, 1, 0);
+        // Buffer full: no more fetches, and the port cannot reopen on its own.
+        assert_eq!(w.fetch_ready_at(), u64::MAX);
+        assert!(!w.fetch(2, &desc, 1, 0));
         assert_eq!(w.ibuffer.len(), 2);
         // Drain and keep fetching: 4 total instructions then fetch_done.
         let _ = w.issue(2, 1);
@@ -637,6 +721,7 @@ mod tests {
         w.fetch(4, &desc, 1, 0);
         assert!(w.fetch_done());
         let _ = w.issue(5, 1);
+        assert_eq!(w.fetch_ready_at(), u64::MAX, "fully fetched");
         let _ = w.issue(5, 1);
         assert!(w.finished());
     }
@@ -647,10 +732,9 @@ mod tests {
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 1, 0);
         w.fetch(1, &desc, 1, 0);
-        assert_eq!(w.issue_block(0), None);
+        assert_eq!(w.head_state(), Some((0, OpClass::Alu)));
         let _ = w.issue(0, 10); // r0 ready at 10
-        assert_eq!(w.issue_block(5), Some(IssueBlock::RawPending));
-        assert_eq!(w.issue_block(10), None);
+        assert_eq!(w.head_state(), Some((10, OpClass::Alu)));
     }
 
     #[test]
@@ -664,9 +748,9 @@ mod tests {
         let id = w.begin_load(inst.dst.unwrap());
         w.add_load_transaction(id);
         assert!(!w.finish_load_issue(id, 0));
-        assert_eq!(w.issue_block(100), Some(IssueBlock::MemPending));
+        assert_eq!(w.head_state(), Some((PENDING_LOAD, OpClass::Alu)));
         assert!(w.complete_load_transaction(id, 150));
-        assert_eq!(w.issue_block(150), None);
+        assert_eq!(w.head_state(), Some((150, OpClass::Alu)));
     }
 
     #[test]
@@ -678,10 +762,9 @@ mod tests {
         let id = w.begin_load(inst.dst.unwrap());
         assert!(w.finish_load_issue(id, 28));
         assert_eq!(w.outstanding_loads(), 0);
-        assert_eq!(w.issue_block(27), None); // ALU not fetched yet -> None
+        assert_eq!(w.head_state(), None, "ALU not fetched yet");
         w.fetch(1, &desc, 1, 0);
-        assert_eq!(w.issue_block(20), Some(IssueBlock::RawPending));
-        assert_eq!(w.issue_block(28), None);
+        assert_eq!(w.head_state(), Some((28, OpClass::Alu)));
     }
 
     #[test]
@@ -697,12 +780,12 @@ mod tests {
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
         assert_eq!(
-            w.issue_block(100),
-            Some(IssueBlock::MemPending),
+            w.head_state(),
+            Some((PENDING_LOAD, OpClass::GlobalLoad)),
             "second load must stall on the in-flight destination"
         );
         assert!(w.complete_load_transaction(id, 120));
-        assert_eq!(w.issue_block(120), None);
+        assert_eq!(w.head_state(), Some((120, OpClass::GlobalLoad)));
     }
 
     #[test]
@@ -737,13 +820,16 @@ mod tests {
         assert_eq!(t.resident_mask(), 1);
         assert_eq!(t.live(), 1);
         assert_ne!(t.ib_empty_mask() & 1, 0, "nothing fetched yet");
-        assert_eq!(t.fetch_at(0), 0, "fetch port open immediately");
+        assert_eq!(t.next_fetch(), 0, "fetch port open immediately");
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
         w.fetch(0, &desc, 1, 0);
         t.refresh(0, &w);
         assert_eq!(t.ib_empty_mask() & 1, 0);
-        assert_eq!(t.head_op(0), OpClass::GlobalLoad);
+        // A global load heads the i-buffer: it issues exactly when the LSU
+        // is free.
+        assert_eq!(t.classify_issue(1, 0, true, true, true).issuable, 1);
+        assert_eq!(t.classify_issue(1, 0, true, true, false).exec, 1);
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
         let inst = w.issue(0, 0);
@@ -753,18 +839,18 @@ mod tests {
         w.fetch(1, &desc, 1, 0);
         t.refresh(0, &w);
         assert_ne!(t.mem_pending_mask() & 1, 0, "consumer blocked on load");
-        assert_eq!(t.head_ready(0), PENDING_LOAD);
+        assert_eq!(t.min_head_ready(1), PENDING_LOAD);
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
         assert!(w.complete_load_transaction(id, 50));
         t.refresh(0, &w);
         assert_eq!(t.mem_pending_mask() & 1, 0);
-        assert_eq!(t.head_ready(0), 50);
+        assert_eq!(t.min_head_ready(1), 50);
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
         t.clear(0);
         assert_eq!(t.resident_mask(), 0);
-        assert_eq!(t.fetch_at(0), u64::MAX);
+        assert_eq!(t.next_fetch(), u64::MAX);
         t.assert_matches(&[None, None, None, None]);
     }
 
@@ -813,7 +899,12 @@ mod tests {
 
     #[test]
     fn mem_pending_dominates_raw() {
-        let desc = kernel_with(vec![load(0, 1), alu(1, 2), alu(3, 0)], 1);
+        let both = Inst {
+            op: OpClass::Alu,
+            dst: Some(3),
+            srcs: [Some(1), Some(0)],
+        };
+        let desc = kernel_with(vec![load(0, 1), alu(1, 2), both], 1);
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 0, 0);
         let inst = w.issue(0, 0);
@@ -821,9 +912,10 @@ mod tests {
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
         w.fetch(1, &desc, 0, 0);
-        let _ = w.issue(1, 10); // r1 ready at 11? (now=1 + 10)
+        let _ = w.issue(1, 10); // r1 ready at 11
         w.fetch(2, &desc, 0, 0);
-        // Head reads r0 (mem-pending): classified as MemPending.
-        assert_eq!(w.issue_block(2), Some(IssueBlock::MemPending));
+        // Head reads r1 (RAW until 11) and r0 (mem-pending): the sentinel
+        // dominates the max, so the warp classifies as mem-pending.
+        assert_eq!(w.head_state(), Some((PENDING_LOAD, OpClass::Alu)));
     }
 }

@@ -1,16 +1,19 @@
 //! Property tests for the struct-of-arrays warp scoreboard.
 //!
 //! The SM maintains per-slot bitmasks (residency, finished, barrier,
-//! i-buffer, mem-pending) plus head-readiness arrays incrementally, and the
-//! schedulers select warps by mask intersection. These tests drive random
+//! i-buffer, mem-pending, head op class, fetch-open) plus head- and
+//! fetch-readiness arrays incrementally, and the schedulers select warps by
+//! mask intersection. These tests drive random
 //! issue/fill/barrier/launch/evict sequences with the in-tree deterministic
 //! `SimRng` and re-derive the scoreboard from the `Option<Warp>` slots (the
 //! naive oracle) after every step; any stale bit panics with the slot and
-//! field that diverged.
+//! field that diverged. The mask-path issue classification and fetch
+//! eligibility are checked against a per-slot reference walk on the same
+//! random table states.
 
 use gpu_sim::{
-    AccessPattern, GpuConfig, KernelDesc, KernelId, MemSubsystem, ProgramSpec, SchedulerKind,
-    SimRng, Sm,
+    AccessPattern, GpuConfig, IssueClasses, KernelDesc, KernelId, MemSubsystem, OpClass,
+    ProgramSpec, SchedulerKind, SimRng, Sm, StallReason, PENDING_LOAD,
 };
 
 fn kernel(name: &str, spec: ProgramSpec, iterations: u32, seed: u64) -> KernelDesc {
@@ -32,9 +35,10 @@ fn kernel(name: &str, spec: ProgramSpec, iterations: u32, seed: u64) -> KernelDe
     }
 }
 
-/// The three behaviour classes the scoreboard must track: serial ALU
-/// chains (RAW bits), load-heavy streams (mem-pending bits and MSHR
-/// fills), and barrier-synchronized CTAs (barrier park/release).
+/// The three behaviour classes the scoreboard must track: serial ALU/SFU
+/// chains (RAW bits, both arithmetic op-class masks), load-heavy streams
+/// with some shared-memory traffic (mem-pending bits, MSHR fills, LSU-class
+/// heads), and barrier-synchronized CTAs (barrier park/release).
 fn kernel_mix() -> Vec<KernelDesc> {
     vec![
         kernel(
@@ -42,6 +46,7 @@ fn kernel_mix() -> Vec<KernelDesc> {
             ProgramSpec {
                 body_len: 24,
                 dep_distance: 2,
+                sfu_frac: 0.25,
                 gload_frac: 0.0,
                 ..ProgramSpec::default()
             },
@@ -55,6 +60,7 @@ fn kernel_mix() -> Vec<KernelDesc> {
                 dep_distance: 3,
                 gload_frac: 0.4,
                 gstore_frac: 0.1,
+                shmem_frac: 0.1,
                 ..ProgramSpec::default()
             },
             2,
@@ -75,47 +81,61 @@ fn kernel_mix() -> Vec<KernelDesc> {
     ]
 }
 
-/// Random issue/fill/barrier/exit sequences: every step (tick, fill batch,
-/// launch, evict) is followed by a full oracle re-derivation. 6 seeds x
-/// both scheduler kinds x 1500 steps each.
-#[test]
-fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
+/// Drives `steps` random launch/evict/tick+fill steps on a fresh SM under
+/// `kind`, calling `check(sm, rng, now, step)` after every step.
+fn random_sequence(
+    kind: SchedulerKind,
+    seed: u64,
+    steps: u64,
+    mut check: impl FnMut(&Sm, &mut SimRng, u64, u64),
+) -> u64 {
     let cfg = GpuConfig::isca_baseline();
     let descs = kernel_mix();
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut sm = Sm::new(0, &cfg, kind);
+    let mut mem = MemSubsystem::new(&cfg);
+    let mut kernel_insts = vec![0u64; descs.len()];
+    let mut responses = Vec::new();
+    let mut cta_counter = [0u64; 3];
+    let mut now = 0u64;
+    for step in 0..steps {
+        let roll = rng.range_u64(100);
+        if roll < 8 {
+            // Launch a CTA of a random kernel (may fail when full).
+            let k = rng.range_usize(descs.len());
+            if sm.launch_cta(&descs[k], KernelId(k), cta_counter[k]) {
+                cta_counter[k] += 1;
+            }
+        } else if roll < 10 {
+            // Evict a random kernel mid-flight (stale fills must be
+            // dropped by generation checks, bits must clear).
+            let k = rng.range_usize(descs.len());
+            sm.evict_kernel(k, &descs[k]);
+        } else {
+            sm.tick(now, &mut mem, &descs, &mut kernel_insts);
+            responses.clear();
+            mem.tick(now, &mut responses);
+            let lines: Vec<_> = responses.iter().map(|r| r.line).collect();
+            sm.on_fill_batch(&lines, now);
+            now += 1;
+        }
+        check(&sm, &mut rng, now, step);
+    }
+    kernel_insts.iter().sum()
+}
+
+/// Random issue/fill/barrier/exit sequences: every step (tick, fill batch,
+/// launch, evict) is followed by a full oracle re-derivation of every mask
+/// (op-class and fetch-open included) and array. 6 seeds x both scheduler
+/// kinds x 1500 steps each.
+#[test]
+fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
     for (case, kind) in [SchedulerKind::GreedyThenOldest, SchedulerKind::RoundRobin]
         .into_iter()
         .flat_map(|k| (0..6u64).map(move |s| (s, k)))
     {
-        let mut rng = SimRng::seed_from_u64(
-            0x50A0_0000 + case * 7 + u64::from(matches!(kind, SchedulerKind::RoundRobin)),
-        );
-        let mut sm = Sm::new(0, &cfg, kind);
-        let mut mem = MemSubsystem::new(&cfg);
-        let mut kernel_insts = vec![0u64; descs.len()];
-        let mut responses = Vec::new();
-        let mut cta_counter = [0u64; 3];
-        let mut now = 0u64;
-        for step in 0..1500u64 {
-            let roll = rng.range_u64(100);
-            if roll < 8 {
-                // Launch a CTA of a random kernel (may fail when full).
-                let k = rng.range_usize(descs.len());
-                if sm.launch_cta(&descs[k], KernelId(k), cta_counter[k]) {
-                    cta_counter[k] += 1;
-                }
-            } else if roll < 10 {
-                // Evict a random kernel mid-flight (stale fills must be
-                // dropped by generation checks, bits must clear).
-                let k = rng.range_usize(descs.len());
-                sm.evict_kernel(k, &descs[k]);
-            } else {
-                sm.tick(now, &mut mem, &descs, &mut kernel_insts);
-                responses.clear();
-                mem.tick(now, &mut responses);
-                let lines: Vec<_> = responses.iter().map(|r| r.line).collect();
-                sm.on_fill_batch(&lines, now);
-                now += 1;
-            }
+        let seed = 0x50A0_0000 + case * 7 + u64::from(matches!(kind, SchedulerKind::RoundRobin));
+        let issued = random_sequence(kind, seed, 1500, |sm, _, _, step| {
             sm.check_scoreboard();
             // The mask views must agree with their per-slot getters too.
             let t = sm.scoreboard();
@@ -133,12 +153,130 @@ fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
                     },
                 "case {case} step {step}: live() disagrees with warps"
             );
-        }
-        assert!(
-            kernel_insts.iter().sum::<u64>() > 0,
-            "case {case}: sequences must make progress"
-        );
+        });
+        assert!(issued > 0, "case {case}: sequences must make progress");
     }
+}
+
+/// The per-slot classification the mask path replaced: walk the
+/// scheduler's warps one by one and branch on each head instruction.
+fn reference_classes(
+    sm: &Sm,
+    owned: impl Iterator<Item = usize>,
+    now: u64,
+    (alu_ok, sfu_ok, lsu_ok): (bool, bool, bool),
+) -> IssueClasses {
+    let mut c = IssueClasses::default();
+    for slot in owned {
+        let Some(w) = sm.warp(slot).filter(|w| !w.finished()) else {
+            continue;
+        };
+        let bit = 1u64 << slot;
+        let class = if w.at_barrier {
+            &mut c.barrier
+        } else {
+            match w.head_state() {
+                None => &mut c.ibuffer,
+                Some((PENDING_LOAD, _)) => &mut c.mem,
+                Some((ready, _)) if ready > now => &mut c.raw,
+                Some((_, op)) => {
+                    let free = match op {
+                        OpClass::Alu => alu_ok,
+                        OpClass::Sfu => sfu_ok,
+                        OpClass::Barrier => true,
+                        _ => lsu_ok,
+                    };
+                    if free {
+                        &mut c.issuable
+                    } else {
+                        &mut c.exec
+                    }
+                }
+            }
+        };
+        *class |= bit;
+    }
+    c
+}
+
+/// The Fig. 1 attribution over per-class counts, as the per-slot scan
+/// computed it: Idle without candidates, else the first maximum.
+fn reference_stall(cand: u64, c: &IssueClasses) -> StallReason {
+    if cand == 0 {
+        return StallReason::Idle;
+    }
+    let counts = [
+        (c.mem.count_ones(), StallReason::LongMemoryLatency),
+        (c.raw.count_ones(), StallReason::ShortRawHazard),
+        (c.exec.count_ones(), StallReason::ExecResource),
+        (c.ibuffer.count_ones(), StallReason::IbufferEmpty),
+        (c.barrier.count_ones(), StallReason::Barrier),
+    ];
+    let mut best = counts[0];
+    for &c in &counts[1..] {
+        if c.0 > best.0 {
+            best = c;
+        }
+    }
+    best.1
+}
+
+/// On random table states, the mask path's issuable set, stall classes
+/// and stall reason, and its fetch-due mask and next fetch cycle, equal a
+/// per-slot reference walk over the warps — at probe cycles on both sides
+/// of the cached readiness stamps and under every unit-availability mix.
+#[test]
+fn mask_classification_matches_per_slot_reference() {
+    let cfg = GpuConfig::isca_baseline();
+    let num_sched = cfg.sm.num_schedulers as usize;
+    let mut probes = 0u64;
+    for (case, kind) in [SchedulerKind::GreedyThenOldest, SchedulerKind::RoundRobin]
+        .into_iter()
+        .flat_map(|k| (0..3u64).map(move |s| (s, k)))
+    {
+        let seed = 0xC1A5_0000 + case * 5 + u64::from(matches!(kind, SchedulerKind::RoundRobin));
+        random_sequence(kind, seed, 1500, |sm, rng, now, step| {
+            let t = sm.scoreboard();
+            let n = sm.warp_slot_count();
+            // Probe a few cycles back and up to a DRAM-ish latency ahead.
+            let at = (now + rng.range_u64(64)).saturating_sub(8);
+            let units = (
+                rng.range_u64(2) == 0,
+                rng.range_u64(2) == 0,
+                rng.range_u64(2) == 0,
+            );
+            for sched in 0..num_sched {
+                let owned = (sched..n).step_by(num_sched);
+                let cand = owned.clone().fold(0u64, |m, s| m | 1 << s) & t.live();
+                let masks = t.classify_issue(cand, at, units.0, units.1, units.2);
+                let reference = reference_classes(sm, owned, at, units);
+                assert_eq!(
+                    masks, reference,
+                    "case {case} step {step} sched {sched} at {at} units {units:?}"
+                );
+                if masks.issuable == 0 {
+                    assert_eq!(
+                        masks.stall_reason(),
+                        reference_stall(cand, &reference),
+                        "case {case} step {step} sched {sched}: stall reason"
+                    );
+                }
+                probes += 1;
+            }
+            let mut due = 0u64;
+            let mut next = u64::MAX;
+            for slot in 0..n {
+                if let Some(w) = sm.warp(slot).filter(|w| !w.finished()) {
+                    let f = w.fetch_ready_at();
+                    due |= u64::from(f <= at) << slot;
+                    next = next.min(f);
+                }
+            }
+            assert_eq!(t.fetch_due(at), due, "case {case} step {step}: fetch_due");
+            assert_eq!(t.next_fetch(), next, "case {case} step {step}: next_fetch");
+        });
+    }
+    assert!(probes > 0);
 }
 
 /// The single-popcount occupancy accumulator must equal the old per-warp

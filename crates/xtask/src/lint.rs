@@ -111,7 +111,7 @@ pub const RULE_NAMES: [&str; 9] = [
 /// asserts it), so the transitive `no-tick-alloc` rule covers at least the
 /// surface the old per-name rule did.
 #[cfg_attr(not(test), allow(dead_code))]
-pub const TICK_PATH_FNS: [&str; 16] = [
+pub const TICK_PATH_FNS: [&str; 23] = [
     "tick",
     "tick_fast_forward",
     "fast_forward",
@@ -128,6 +128,13 @@ pub const TICK_PATH_FNS: [&str; 16] = [
     "refresh_warp",
     "select",
     "l2_slice_tick",
+    "classify_issue",
+    "raw_mask",
+    "avail_mask",
+    "min_head_ready",
+    "fetch_due",
+    "next_fetch",
+    "stall_reason",
 ];
 
 /// Seed functions for the transitive `no-tick-alloc` rule: the per-cycle
