@@ -170,7 +170,7 @@ pub fn extract_features(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Features, 
     gpu_sim::verify::preflight(desc, &cfg.sm)?;
     let flow = dataflow::analyze(&desc.program);
     let metrics = rules::compute_metrics(desc, &cfg.sm, &flow);
-    let (max_ctas_by, max_ctas) = gpu_sim::occupancy_breakdown(desc, &cfg.sm);
+    let (max_ctas_by, max_ctas) = (metrics.max_ctas_by, metrics.max_ctas);
     let warps_per_cta = desc.warps_per_cta();
 
     // ILP: the generator's primary dependence chain spaces producer and

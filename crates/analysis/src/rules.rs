@@ -621,11 +621,26 @@ pub(crate) fn compute_metrics(
     flow: &dataflow::Dataflow,
 ) -> StaticMetrics {
     let p = &desc.program;
-    let gload_frac = p.fraction(OpClass::GlobalLoad);
-    let gstore_frac = p.fraction(OpClass::GlobalStore);
-    let shmem_frac = p.fraction(OpClass::SharedMem);
-    let alu_frac = p.fraction(OpClass::Alu);
-    let sfu_frac = p.fraction(OpClass::Sfu);
+    // One pass counts every op class; each fraction is the same
+    // `count / len` division as `Program::fraction`, so the metrics are
+    // bit-identical to six separate passes.
+    let (mut alu, mut sfu, mut gload, mut gstore, mut shmem, mut barrier) = (0, 0, 0, 0, 0, 0);
+    for inst in p.iter() {
+        match inst.op {
+            OpClass::Alu => alu += 1,
+            OpClass::Sfu => sfu += 1,
+            OpClass::GlobalLoad => gload += 1,
+            OpClass::GlobalStore => gstore += 1,
+            OpClass::SharedMem => shmem += 1,
+            OpClass::Barrier => barrier += 1,
+        }
+    }
+    let frac = |n: usize| n as f64 / p.len() as f64;
+    let gload_frac = frac(gload);
+    let gstore_frac = frac(gstore);
+    let shmem_frac = frac(shmem);
+    let alu_frac = frac(alu);
+    let sfu_frac = frac(sfu);
     let global_traffic = (gload_frac + gstore_frac) * f64::from(desc.pattern.transactions());
     let arithmetic_intensity = if global_traffic > 0.0 {
         (alu_frac + sfu_frac) / global_traffic
@@ -641,7 +656,7 @@ pub(crate) fn compute_metrics(
         gload_frac,
         gstore_frac,
         shmem_frac,
-        barrier_frac: p.fraction(OpClass::Barrier),
+        barrier_frac: frac(barrier),
         lsu_frac: gload_frac + gstore_frac + shmem_frac,
         global_traffic,
         arithmetic_intensity,

@@ -90,3 +90,34 @@ pub use tracefmt::{chrome_trace, jsonl, validate_jsonl};
 pub use waterfill::{
     brute_force, water_fill, water_fill_traced, KernelCurve, Partition, WaterFillStep,
 };
+
+#[cfg(test)]
+mod strict {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Runs `f`, which breaks a `strict_assert!` invariant, in either build
+    /// profile. With the checks compiled in it must panic with a message
+    /// containing `expected`, and `None` is returned; without them it must
+    /// return normally, and its result is handed back so the caller can
+    /// check the documented fallback.
+    pub(crate) fn violation<R>(expected: &str, f: impl FnOnce() -> R) -> Option<R> {
+        let outcome = catch_unwind(AssertUnwindSafe(f));
+        if gpu_sim::invariant::enabled() {
+            let Err(payload) = outcome else {
+                panic!("strict build: expected a panic containing {expected:?}");
+            };
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(expected), "panic {msg:?} lacks {expected:?}");
+            None
+        } else {
+            match outcome {
+                Ok(r) => Some(r),
+                Err(_) => panic!("release build: {expected:?} must fall back, not panic"),
+            }
+        }
+    }
+}

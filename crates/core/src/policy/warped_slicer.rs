@@ -7,7 +7,7 @@
 //! `1/K × 120 %`) → *run* (fixed CTA quotas per SM, Fig. 2d/2e), with an
 //! optional phase monitor that re-triggers sampling on sustained IPC shifts.
 
-use gpu_sim::{Gpu, KernelDesc};
+use gpu_sim::{Gpu, KernelDesc, KernelId};
 
 use crate::audit::{AuditEvent, DecisionAudit};
 use crate::phase::PhaseMonitor;
@@ -240,14 +240,17 @@ impl WarpedSlicerController {
         ProfilePlan::build_windowed(gpu.num_sms(), &windows)
     }
 
-    /// Re-derives the per-kernel store signatures for the current kernel
-    /// set (static analysis only; runs at decision points, never per tick).
+    /// Derives the per-kernel store signatures for the current kernel set
+    /// (static analysis only; runs at decision points, never per tick).
+    /// Kernel ids are dense and a registered kernel's descriptor never
+    /// changes, so the keys are re-derived only when kernels arrive.
     fn derive_store_keys(&mut self, gpu: &Gpu) {
+        if self.store_keys.len() == gpu.num_kernels() {
+            return;
+        }
         let cfg = gpu.config();
-        self.store_keys = gpu
-            .kernel_ids()
-            .iter()
-            .map(|&k| KernelSignature::derive(gpu.kernel_desc(k), cfg))
+        self.store_keys = (0..gpu.num_kernels())
+            .map(|k| KernelSignature::derive(gpu.kernel_desc(KernelId(k)), cfg))
             .collect();
     }
 
@@ -259,13 +262,13 @@ impl WarpedSlicerController {
         let Some(store) = self.cfg.store.clone() else {
             return false;
         };
-        if gpu.kernel_ids().is_empty() {
+        if gpu.num_kernels() == 0 {
             return false;
         }
         self.derive_store_keys(gpu);
-        let keys = self.store_keys.clone();
         let curves: Vec<Option<Vec<f64>>> = store.with(|s| {
-            keys.iter()
+            self.store_keys
+                .iter()
                 .map(|sig| {
                     let sig = sig.as_ref()?;
                     s.lookup(&sig.key).map(|e| e.perf.clone())
@@ -273,7 +276,7 @@ impl WarpedSlicerController {
                 .collect()
         });
         if self.cfg.audit {
-            for (i, (sig, curve)) in keys.iter().zip(&curves).enumerate() {
+            for (i, (sig, curve)) in self.store_keys.iter().zip(&curves).enumerate() {
                 let Some(sig) = sig else { continue };
                 match curve {
                     Some(perf) => self.audit.record(AuditEvent::StoreHit {
@@ -959,6 +962,33 @@ mod tests {
             assert_eq!(bits(w), bits(c), "warm curves bit-equal to cold");
         }
         assert!(warm.last_samples().is_empty(), "warm path has no samples");
+    }
+
+    #[test]
+    fn store_keys_follow_kernel_arrivals() {
+        // Keys are derived once per kernel set; a late arrival must extend
+        // them, or its curve would never reach the store.
+        let store = SharedCurveStore::with_capacity(8);
+        let cfg = WarpedSlicerConfig {
+            store: Some(store.clone()),
+            ..fast_cfg()
+        };
+        let mut gpu = Gpu::new(GpuConfig::isca_baseline(), SchedulerKind::GreedyThenOldest);
+        gpu.add_kernel(by_abbrev("IMG").unwrap().desc);
+        let mut c = WarpedSlicerController::new(cfg.clone());
+        for _ in 0..8_000 {
+            c.on_cycle(&mut gpu);
+            gpu.tick();
+        }
+        assert_eq!(store.with(|s| s.len()), 1, "IMG alone memoized");
+        gpu.add_kernel(by_abbrev("NN").unwrap().desc);
+        for _ in 0..8_000 {
+            c.on_cycle(&mut gpu);
+            gpu.tick();
+        }
+        assert_eq!(store.with(|s| s.len()), 2, "the newcomer's curve memoized");
+        let (_, warm) = run_pair("IMG", "NN", 200, cfg);
+        assert_eq!(warm.warm_decision_count(), 1, "the pair now decides warm");
     }
 
     #[test]

@@ -734,13 +734,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "plans no CTA caps")]
     fn build_windowed_panics_on_empty_window_under_strict_invariants() {
         let empty = SweepWindow {
             lo: 9,
             hi: 8,
             max: 8,
         };
-        let _ = ProfilePlan::build_windowed(16, &[SweepWindow::full(8), empty]);
+        // Release builds widen the empty window to its full ramp instead.
+        if let Some(plan) = crate::strict::violation("plans no CTA caps", || {
+            ProfilePlan::build_windowed(16, &[SweepWindow::full(8), empty])
+        }) {
+            let full = ProfilePlan::try_build_windowed(16, &[SweepWindow::full(8); 2])
+                .expect("full windows always plan");
+            assert_eq!(plan, full);
+        }
     }
 }

@@ -10,18 +10,24 @@
 //!
 //! ## Key derivation
 //!
-//! A [`CurveKey`] is the pair of two FNV-1a hashes:
+//! A [`CurveKey`] is the pair of two streaming FNV-1a hashes, each fed
+//! field by field as fixed-width little-endian words (`f64` as its bits,
+//! integers widened to `u64`, `Option` as a tag word, sequences
+//! length-prefixed):
 //!
-//! * **kernel signature** — over the ws-analyze derived class/archetype tag
-//!   (the same global-traffic and dominant-RAW-distance signals the
-//!   `class-traffic` / `archetype-raw` consistency rules check) plus the
-//!   full [`Features`] fingerprint, so any change to the kernel's static
-//!   feature vector yields a different key;
-//! * **GPU-config hash** — over the [`GpuConfig`] debug rendering, so the
+//! * **kernel signature** — over the format-version prefix, the ws-analyze
+//!   derived class/archetype tag (the same global-traffic and
+//!   dominant-RAW-distance signals the `class-traffic` / `archetype-raw`
+//!   consistency rules check) and every field of the [`Features`]
+//!   fingerprint, so any change to the kernel's static feature vector
+//!   yields a different key;
+//! * **GPU-config hash** — over every integer of the [`GpuConfig`], so the
 //!   same kernel profiled on a different machine model never aliases.
 //!
-//! Keys are derived from static analysis only — no simulated cycle — which
-//! is what makes the warm path cheap.
+//! Both bind their fields by exhaustive destructuring, so a new field is a
+//! compile error until it is hashed. Keys are derived from static analysis
+//! only — no simulated cycle, no string formatting — which is what makes
+//! the warm path cheap.
 //!
 //! ## Invalidation and eviction discipline
 //!
@@ -50,27 +56,253 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use gpu_sim::{GpuConfig, KernelDesc};
-use ws_analyze::{extract_features, knee_of, Features};
+use gpu_sim::{DramTiming, GpuConfig, KernelDesc, L1Config, L2Config, MemConfig, SmConfig};
+use ws_analyze::{extract_features, knee_of, Features, StaticMetrics};
 
 use crate::tracefmt::{self, Json};
 
 /// On-disk format version written to (and required from) the
-/// `store_meta` header.
-pub const STORE_FORMAT_VERSION: u64 = 1;
+/// `store_meta` header. It is also hashed into every `kernel_sig`, so a
+/// change to the key encoding bumps it and old keys can never alias new
+/// ones.
+pub const STORE_FORMAT_VERSION: u64 = 2;
 
 /// Default bounded capacity of a [`CurveStore`].
 pub const DEFAULT_STORE_CAPACITY: usize = 64;
 
-/// FNV-1a 64-bit: deterministic, dependency-free, stable across runs and
-/// platforms (unlike `DefaultHasher`, whose keys are randomized).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming FNV-1a 64 over fixed-width little-endian words: deterministic,
+/// dependency-free, stable across runs and platforms (unlike
+/// `DefaultHasher`, whose keys are randomized). Every value goes in as one
+/// or more 8-byte words, so no two field sequences share an encoding.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn mix(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.mix(&v.to_le_bytes());
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.u64(u64::try_from(v).unwrap_or(u64::MAX));
+    }
+
+    /// The exact bit pattern, so every distinct float is a distinct word.
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A tag word (0 = `None`, 1 = `Some`), then the value.
+    fn opt_usize(&mut self, v: Option<usize>) {
+        match v {
+            None => self.u64(0),
+            Some(v) => {
+                self.u64(1);
+                self.usize(v);
+            }
+        }
+    }
+
+    /// A length word, then the bytes.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.usize(bytes.len());
+        self.mix(bytes);
+    }
+}
+
+/// `kernel_sig`: the format-version prefix, the derived class/archetype
+/// tag, and every field of `features`. The destructuring binds each field
+/// by name with no `..`, so a field added to [`Features`] or
+/// [`StaticMetrics`] fails to compile here instead of silently dropping
+/// out of the key.
+fn kernel_sig(class: &str, archetype: &str, features: &Features) -> u64 {
+    let Features {
+        metrics,
+        warps_per_cta,
+        max_ctas,
+        max_ctas_by,
+        phi_mem,
+        ilp,
+        mlp,
+        barrier_eff,
+        traffic_per_inst,
+    } = features;
+    let StaticMetrics {
+        body_len,
+        iterations,
+        alu_frac,
+        sfu_frac,
+        gload_frac,
+        gstore_frac,
+        shmem_frac,
+        barrier_frac,
+        lsu_frac,
+        global_traffic,
+        arithmetic_intensity,
+        median_raw_distance,
+        dominant_raw_distance,
+        raw_histogram,
+        first_iter_uninit_reads,
+        max_ctas_by: metric_max_ctas_by,
+        max_ctas: metric_max_ctas,
+    } = metrics;
+    let mut h = KeyHasher::new();
+    h.bytes(b"ws-store/v");
+    h.u64(STORE_FORMAT_VERSION);
+    h.bytes(class.as_bytes());
+    h.bytes(archetype.as_bytes());
+    for v in [body_len, first_iter_uninit_reads] {
+        h.usize(*v);
+    }
+    for v in [iterations, metric_max_ctas, warps_per_cta, max_ctas]
+        .into_iter()
+        .chain(metric_max_ctas_by)
+        .chain(max_ctas_by)
+    {
+        h.u64(u64::from(*v));
+    }
+    for v in [
+        alu_frac,
+        sfu_frac,
+        gload_frac,
+        gstore_frac,
+        shmem_frac,
+        barrier_frac,
+        lsu_frac,
+        global_traffic,
+        arithmetic_intensity,
+        phi_mem,
+        ilp,
+        mlp,
+        barrier_eff,
+        traffic_per_inst,
+    ] {
+        h.f64(*v);
+    }
+    h.opt_usize(*median_raw_distance);
+    h.opt_usize(*dominant_raw_distance);
+    h.usize(raw_histogram.len());
+    for &n in raw_histogram {
+        h.usize(n);
+    }
+    h.0
+}
+
+/// `gpu_sig`: all 40 integers of `cfg`, bound exhaustively like
+/// [`kernel_sig`] so a new config field cannot escape the key.
+fn gpu_sig(cfg: &GpuConfig) -> u64 {
+    let GpuConfig {
+        num_sms,
+        core_clock_mhz,
+        sm,
+        l1,
+        l2,
+        mem,
+    } = cfg;
+    let SmConfig {
+        max_threads,
+        max_registers,
+        max_ctas,
+        shared_mem_bytes,
+        num_schedulers,
+        simt_width,
+        sfu_width,
+        lsu_width,
+        alu_latency,
+        sfu_latency,
+        shmem_latency,
+        l1_hit_latency,
+        ibuffer_entries,
+        fetch_latency,
+        icache_miss_penalty,
+        fetch_width,
+    } = sm;
+    let L1Config {
+        size_bytes,
+        assoc: l1_assoc,
+        line_bytes: l1_line_bytes,
+        mshr_entries,
+        mshr_max_merged,
+    } = l1;
+    let L2Config {
+        size_bytes_per_channel,
+        assoc: l2_assoc,
+        line_bytes: l2_line_bytes,
+        latency,
+    } = l2;
+    let MemConfig {
+        num_channels,
+        banks_per_channel,
+        row_bytes,
+        timing,
+        dram_clock_mhz,
+        icnt_latency,
+        dram_queue_entries,
+    } = mem;
+    let DramTiming {
+        t_cl,
+        t_rp,
+        t_rc,
+        t_ras,
+        t_rcd,
+        t_rrd,
+        t_burst,
+    } = timing;
+    let mut h = KeyHasher::new();
+    for v in [
+        num_sms,
+        core_clock_mhz,
+        max_threads,
+        max_registers,
+        max_ctas,
+        shared_mem_bytes,
+        num_schedulers,
+        simt_width,
+        sfu_width,
+        lsu_width,
+        alu_latency,
+        sfu_latency,
+        shmem_latency,
+        l1_hit_latency,
+        ibuffer_entries,
+        fetch_latency,
+        icache_miss_penalty,
+        fetch_width,
+        size_bytes,
+        l1_assoc,
+        l1_line_bytes,
+        mshr_entries,
+        mshr_max_merged,
+        size_bytes_per_channel,
+        l2_assoc,
+        l2_line_bytes,
+        latency,
+        num_channels,
+        banks_per_channel,
+        row_bytes,
+        dram_clock_mhz,
+        icnt_latency,
+        dram_queue_entries,
+        t_cl,
+        t_rp,
+        t_rc,
+        t_ras,
+        t_rcd,
+        t_rrd,
+        t_burst,
+    ] {
+        h.u64(u64::from(*v));
+    }
+    h.0
 }
 
 /// The ws-analyze-derived (class, archetype) tag for a feature vector,
@@ -100,10 +332,10 @@ fn derived_signature(f: &Features) -> (&'static str, &'static str) {
 /// The store key: (kernel signature, GPU-config hash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CurveKey {
-    /// FNV-1a over the derived class/archetype tag plus the full
-    /// [`Features`] fingerprint.
+    /// FNV-1a over the format version, the derived class/archetype tag
+    /// and every [`Features`] field.
     pub kernel_sig: u64,
-    /// FNV-1a over the [`GpuConfig`] debug rendering.
+    /// FNV-1a over every [`GpuConfig`] field.
     pub gpu_sig: u64,
 }
 
@@ -133,13 +365,10 @@ impl KernelSignature {
     #[must_use]
     pub fn from_features(features: &Features, cfg: &GpuConfig) -> Self {
         let (class, archetype) = derived_signature(features);
-        // Rust's `Debug` for f64 uses shortest-roundtrip formatting, so the
-        // fingerprint is a stable, exact rendering of the feature vector.
-        let canon = format!("ws-store/v{STORE_FORMAT_VERSION}|{class}|{archetype}|{features:?}");
         Self {
             key: CurveKey {
-                kernel_sig: fnv1a64(canon.as_bytes()),
-                gpu_sig: fnv1a64(format!("{cfg:?}").as_bytes()),
+                kernel_sig: kernel_sig(class, archetype, features),
+                gpu_sig: gpu_sig(cfg),
             },
             class,
             archetype,
@@ -540,9 +769,39 @@ mod tests {
 
     #[test]
     fn fnv_is_stable() {
-        // Pinned reference value: the empty-input FNV-1a offset basis.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+        // Pinned reference values: the empty-input FNV-1a offset basis, and
+        // the published FNV-1a 64 digest of "a".
+        let mut h = KeyHasher::new();
+        assert_eq!(h.0, 0xcbf2_9ce4_8422_2325);
+        h.mix(b"a");
+        assert_eq!(h.0, 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn encoder_words_are_unambiguous() {
+        let hash = |f: &dyn Fn(&mut KeyHasher)| {
+            let mut h = KeyHasher::new();
+            f(&mut h);
+            h.0
+        };
+        // A length prefix keeps adjacent strings from sliding into each
+        // other; a tag word keeps `None` apart from `Some(0)`.
+        assert_ne!(
+            hash(&|h| {
+                h.bytes(b"ab");
+                h.bytes(b"c");
+            }),
+            hash(&|h| {
+                h.bytes(b"a");
+                h.bytes(b"bc");
+            })
+        );
+        assert_ne!(
+            hash(&|h| h.opt_usize(None)),
+            hash(&|h| h.opt_usize(Some(0)))
+        );
+        assert_ne!(hash(&|h| h.f64(0.0)), hash(&|h| h.f64(-0.0)));
+        assert_eq!(hash(&|h| h.usize(7)), hash(&|h| h.u64(7)));
     }
 
     #[test]
@@ -655,21 +914,29 @@ mod tests {
         assert!(CurveStore::from_jsonl(wrong_version)
             .unwrap_err()
             .contains("version"));
-        let bad_entry = "{\"type\":\"store_meta\",\"version\":1,\"capacity\":4,\"entries\":1}\n\
-                         {\"type\":\"store_entry\",\"kernel_sig\":\"zz\",\"gpu_sig\":\"0\",\
-                          \"class\":\"c\",\"archetype\":\"a\",\"perf\":[1.0],\"knee\":1}";
-        assert!(CurveStore::from_jsonl(bad_entry)
+        let bad_entry = format!(
+            "{{\"type\":\"store_meta\",\"version\":{STORE_FORMAT_VERSION},\"capacity\":4,\
+             \"entries\":1}}\n\
+             {{\"type\":\"store_entry\",\"kernel_sig\":\"zz\",\"gpu_sig\":\"0\",\
+             \"class\":\"c\",\"archetype\":\"a\",\"perf\":[1.0],\"knee\":1}}"
+        );
+        assert!(CurveStore::from_jsonl(&bad_entry)
             .unwrap_err()
             .contains("hex"));
     }
 
     #[test]
-    #[should_panic(expected = "round-trip")]
     fn non_finite_curves_are_rejected_at_insert() {
         let mut s = CurveStore::new(4);
         let mut e = entry(1.0);
         e.perf.push(f64::NAN);
-        let _ = s.insert(key(1), e);
+        // Strict builds panic; release builds refuse the entry and leave
+        // the store untouched.
+        if let Some(inserted) = crate::strict::violation("round-trip", || s.insert(key(1), e)) {
+            assert!(!inserted);
+            assert!(s.is_empty());
+            assert_eq!(s.stats(), StoreStats::default());
+        }
     }
 
     #[test]

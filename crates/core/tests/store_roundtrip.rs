@@ -2,15 +2,20 @@
 //! in decision space — a warm-hit water-fill decision is byte-identical to
 //! the uncached one for the same curves, across the full
 //! insert → serialize → load → lookup round-trip — and a phase-monitor
-//! trigger invalidates exactly the affected key, nothing else.
+//! trigger invalidates exactly the affected key, nothing else. The key
+//! encoder tests pin that every feature and config field reaches the key,
+//! and that the encoding cannot change without a format-version bump.
 
 use gpu_sim::GpuConfig;
 use warped_slicer::phase::PhaseMonitor;
 use warped_slicer::policy::{PolicyKind, WarpedSlicerConfig};
 use warped_slicer::resources::ResourceVec;
 use warped_slicer::runner::{execute, run_isolation, RunConfig, SimJob, TraceOptions};
-use warped_slicer::store::{CurveStore, KernelSignature, SharedCurveStore, StoreEntry};
+use warped_slicer::store::{
+    CurveStore, KernelSignature, SharedCurveStore, StoreEntry, STORE_FORMAT_VERSION,
+};
 use warped_slicer::waterfill::{water_fill, KernelCurve};
+use ws_analyze::{extract_features, Features};
 use ws_workloads::by_abbrev;
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -219,4 +224,222 @@ fn traced_corun_decides_warm_from_the_store_with_identical_quotas() {
         !warm_text.contains("\"type\":\"scaled_point\""),
         "no profiling samples on the warm path"
     );
+}
+
+/// IMG's feature vector under the baseline config.
+fn img_features(cfg: &GpuConfig) -> Features {
+    extract_features(&by_abbrev("IMG").unwrap().desc, cfg).expect("IMG passes pre-flight")
+}
+
+/// The smallest possible change to a float: flip its lowest bit.
+fn nudge(v: &mut f64) {
+    *v = f64::from_bits(v.to_bits() ^ 1);
+}
+
+#[test]
+fn gpu_sig_changes_with_every_config_field() {
+    macro_rules! bump {
+        ($($f:ident).+) => {
+            (
+                stringify!($($f).+),
+                (|c: &mut GpuConfig| c.$($f).+ += 1) as fn(&mut GpuConfig),
+            )
+        };
+    }
+    let mutators = [
+        bump!(num_sms),
+        bump!(core_clock_mhz),
+        bump!(sm.max_threads),
+        bump!(sm.max_registers),
+        bump!(sm.max_ctas),
+        bump!(sm.shared_mem_bytes),
+        bump!(sm.num_schedulers),
+        bump!(sm.simt_width),
+        bump!(sm.sfu_width),
+        bump!(sm.lsu_width),
+        bump!(sm.alu_latency),
+        bump!(sm.sfu_latency),
+        bump!(sm.shmem_latency),
+        bump!(sm.l1_hit_latency),
+        bump!(sm.ibuffer_entries),
+        bump!(sm.fetch_latency),
+        bump!(sm.icache_miss_penalty),
+        bump!(sm.fetch_width),
+        bump!(l1.size_bytes),
+        bump!(l1.assoc),
+        bump!(l1.line_bytes),
+        bump!(l1.mshr_entries),
+        bump!(l1.mshr_max_merged),
+        bump!(l2.size_bytes_per_channel),
+        bump!(l2.assoc),
+        bump!(l2.line_bytes),
+        bump!(l2.latency),
+        bump!(mem.num_channels),
+        bump!(mem.banks_per_channel),
+        bump!(mem.row_bytes),
+        bump!(mem.timing.t_cl),
+        bump!(mem.timing.t_rp),
+        bump!(mem.timing.t_rc),
+        bump!(mem.timing.t_ras),
+        bump!(mem.timing.t_rcd),
+        bump!(mem.timing.t_rrd),
+        bump!(mem.timing.t_burst),
+        bump!(mem.dram_clock_mhz),
+        bump!(mem.icnt_latency),
+        bump!(mem.dram_queue_entries),
+    ];
+    assert_eq!(mutators.len(), 40, "GpuConfig carries 40 integers");
+    let base = GpuConfig::isca_baseline();
+    let features = img_features(&base);
+    let sig = |cfg: &GpuConfig| KernelSignature::from_features(&features, cfg).key;
+    let base_key = sig(&base);
+    let mut seen = vec![base_key.gpu_sig];
+    for (name, bump) in mutators {
+        let mut cfg = base.clone();
+        bump(&mut cfg);
+        let key = sig(&cfg);
+        assert!(
+            !seen.contains(&key.gpu_sig),
+            "{name}: gpu_sig unchanged or aliased"
+        );
+        assert_eq!(
+            key.kernel_sig, base_key.kernel_sig,
+            "{name}: kernel_sig moved"
+        );
+        seen.push(key.gpu_sig);
+    }
+}
+
+#[test]
+fn kernel_sig_changes_with_every_feature_field() {
+    let cfg = GpuConfig::isca_baseline();
+    let mut base = img_features(&cfg);
+    // Start from "no dominant distance" so one mutator can take it to Some.
+    base.metrics.dominant_raw_distance = None;
+    assert!(
+        !base.metrics.raw_histogram.is_empty(),
+        "IMG reads registers"
+    );
+    type Mutator = (&'static str, fn(&mut Features));
+    let mutators: [Mutator; 28] = [
+        ("metrics.body_len", |f| f.metrics.body_len += 1),
+        ("metrics.iterations", |f| f.metrics.iterations += 1),
+        ("metrics.alu_frac", |f| nudge(&mut f.metrics.alu_frac)),
+        ("metrics.sfu_frac", |f| nudge(&mut f.metrics.sfu_frac)),
+        ("metrics.gload_frac", |f| nudge(&mut f.metrics.gload_frac)),
+        ("metrics.gstore_frac", |f| nudge(&mut f.metrics.gstore_frac)),
+        ("metrics.shmem_frac", |f| nudge(&mut f.metrics.shmem_frac)),
+        ("metrics.barrier_frac", |f| {
+            nudge(&mut f.metrics.barrier_frac)
+        }),
+        ("metrics.lsu_frac", |f| nudge(&mut f.metrics.lsu_frac)),
+        ("metrics.global_traffic", |f| {
+            nudge(&mut f.metrics.global_traffic)
+        }),
+        ("metrics.arithmetic_intensity", |f| {
+            nudge(&mut f.metrics.arithmetic_intensity);
+        }),
+        ("metrics.median_raw_distance", |f| {
+            f.metrics.median_raw_distance = f
+                .metrics
+                .median_raw_distance
+                .map_or(Some(0), |d| Some(d + 1));
+        }),
+        ("metrics.dominant_raw_distance", |f| {
+            f.metrics.dominant_raw_distance = Some(7);
+        }),
+        ("metrics.raw_histogram[0]", |f| {
+            f.metrics.raw_histogram[0] += 1
+        }),
+        ("metrics.raw_histogram.len", |f| {
+            f.metrics.raw_histogram.push(0)
+        }),
+        ("metrics.first_iter_uninit_reads", |f| {
+            f.metrics.first_iter_uninit_reads += 1;
+        }),
+        ("metrics.max_ctas_by[0]", |f| f.metrics.max_ctas_by[0] ^= 1),
+        ("metrics.max_ctas_by[3]", |f| f.metrics.max_ctas_by[3] ^= 1),
+        ("metrics.max_ctas", |f| f.metrics.max_ctas += 1),
+        ("warps_per_cta", |f| f.warps_per_cta += 1),
+        ("max_ctas", |f| f.max_ctas += 1),
+        ("max_ctas_by[1]", |f| f.max_ctas_by[1] ^= 1),
+        ("max_ctas_by[2]", |f| f.max_ctas_by[2] ^= 1),
+        ("phi_mem", |f| nudge(&mut f.phi_mem)),
+        ("ilp", |f| nudge(&mut f.ilp)),
+        ("mlp", |f| nudge(&mut f.mlp)),
+        ("barrier_eff", |f| nudge(&mut f.barrier_eff)),
+        ("traffic_per_inst", |f| nudge(&mut f.traffic_per_inst)),
+    ];
+    let base_sig = KernelSignature::from_features(&base, &cfg);
+    let mut seen = vec![base_sig.key.kernel_sig];
+    for (name, mutate) in mutators {
+        let mut f = base.clone();
+        mutate(&mut f);
+        let sig = KernelSignature::from_features(&f, &cfg);
+        // The derived tag is unchanged, so the field itself moved the key.
+        assert_eq!(
+            (sig.class, sig.archetype),
+            (base_sig.class, base_sig.archetype),
+            "{name}: mutation crossed a class/archetype threshold"
+        );
+        assert!(
+            !seen.contains(&sig.key.kernel_sig),
+            "{name}: kernel_sig unchanged or aliased"
+        );
+        assert_eq!(
+            sig.key.gpu_sig, base_sig.key.gpu_sig,
+            "{name}: gpu_sig moved"
+        );
+        seen.push(sig.key.kernel_sig);
+    }
+}
+
+#[test]
+fn distinct_suite_kernels_get_distinct_keys() {
+    let cfg = GpuConfig::isca_baseline();
+    let mut by_kernel: Vec<(&'static str, KernelSignature)> = Vec::new();
+    let entries: Vec<_> = ws_workloads::suite()
+        .into_iter()
+        .chain(ws_workloads::extended_suite())
+        .collect();
+    assert_eq!(entries.len(), 21);
+    for b in &entries {
+        let sig = KernelSignature::derive(&b.desc, &cfg).expect("suite passes pre-flight");
+        match by_kernel.iter().find(|(abbrev, _)| *abbrev == b.abbrev) {
+            Some((_, seen)) => assert_eq!(*seen, sig, "{}: same kernel, same key", b.abbrev),
+            None => by_kernel.push((b.abbrev, sig)),
+        }
+    }
+    assert_eq!(
+        by_kernel.len(),
+        11,
+        "suite and extended suite hold 11 kernels"
+    );
+    for (i, (a, sa)) in by_kernel.iter().enumerate() {
+        for (b, sb) in &by_kernel[i + 1..] {
+            assert_ne!(sa.key.kernel_sig, sb.key.kernel_sig, "{a} and {b} alias");
+        }
+    }
+}
+
+#[test]
+fn img_key_is_pinned_to_the_format_version() {
+    // Any change to the key encoding moves this pair, and must come with a
+    // STORE_FORMAT_VERSION bump so persisted stores of the old encoding
+    // are refused instead of silently missing.
+    assert_eq!(STORE_FORMAT_VERSION, 2);
+    let sig = KernelSignature::derive(&by_abbrev("IMG").unwrap().desc, &GpuConfig::isca_baseline())
+        .expect("IMG passes pre-flight");
+    assert_eq!(
+        (sig.key.kernel_sig, sig.key.gpu_sig),
+        (0xc7da_274b_9fea_8712, 0xb3fd_f1c2_572a_a967),
+        "IMG key under isca_baseline() changed: bump STORE_FORMAT_VERSION"
+    );
+}
+
+#[test]
+fn version_1_store_files_are_refused() {
+    let v1 = "{\"type\":\"store_meta\",\"version\":1,\"capacity\":4,\"entries\":0}\n";
+    let err = CurveStore::from_jsonl(v1).expect_err("v1 keys use the old encoding");
+    assert!(err.contains("unsupported store format version 1"), "{err}");
 }

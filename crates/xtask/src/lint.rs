@@ -158,10 +158,11 @@ pub const TICK_SEEDS: [(&str, &str); 12] = [
 
 /// Seed functions for the transitive `panic-free-accounting` rule: the
 /// water-filling partitioner, the headline metrics, the resource
-/// allocator, the ws-predict analyzer, and the ws-store curve cache — the
-/// call trees that compute the paper's numbers, decide how much of the
-/// sweep gets sampled, and serve memoized curves on the decision path.
-pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 24] = [
+/// allocator, the ws-predict analyzer, and the ws-store curve cache and its
+/// key encoder — the call trees that compute the paper's numbers, decide
+/// how much of the sweep gets sampled, and serve memoized curves on the
+/// decision path.
+pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 26] = [
     (Some("LinearAllocator"), "alloc"),
     (Some("LinearAllocator"), "alloc_in_window"),
     (Some("LinearAllocator"), "free"),
@@ -186,6 +187,8 @@ pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 24] = [
     (Some("CurveStore"), "lookup"),
     (Some("CurveStore"), "insert"),
     (Some("CurveStore"), "evict_oldest"),
+    (Some("KernelSignature"), "derive"),
+    (Some("KernelSignature"), "from_features"),
 ];
 
 /// Method names whose call on a `HashMap`/`HashSet` binding observes (or
