@@ -36,10 +36,16 @@ macro_rules! strict_assert {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     #[test]
     fn enabled_in_test_builds() {
-        // Tests always build with debug_assertions.
-        assert!(super::enabled());
+        // Debug test builds always carry the checks; a release test build
+        // carries them exactly when `strict-invariants` is on.
+        assert_eq!(
+            super::enabled(),
+            cfg!(any(debug_assertions, feature = "strict-invariants"))
+        );
     }
 
     #[test]
@@ -48,8 +54,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deliberate")]
     fn failing_assertion_panics_when_enabled() {
-        strict_assert!(false, "deliberate");
+        let outcome = catch_unwind(AssertUnwindSafe(|| strict_assert!(false, "deliberate")));
+        if super::enabled() {
+            let Err(payload) = outcome else {
+                panic!("strict build: a failing strict_assert! must panic");
+            };
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "deliberate");
+        } else {
+            assert!(outcome.is_ok(), "plain release: strict_assert! is a no-op");
+        }
     }
 }

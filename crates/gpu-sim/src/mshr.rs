@@ -114,15 +114,10 @@ impl MshrTable {
         }
     }
 
-    /// Completes the fill of `line`, returning every waiter that was merged
-    /// into it (empty if the line was not tracked).
-    pub fn complete(&mut self, line: LineAddr) -> Vec<MshrWaiter> {
-        self.entries.remove(&line).unwrap_or_default()
-    }
-
-    /// Completes the fill of `line`, appending its waiters to `out` and
-    /// recycling the entry's storage internally — the allocation-free
-    /// variant of [`Self::complete`] used on the per-fill hot path.
+    /// Completes the fill of `line`, appending every waiter that was merged
+    /// into it to `out` (nothing if the line was not tracked) and recycling
+    /// the entry's storage internally, so the per-fill path allocates
+    /// nothing.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<MshrWaiter>) {
         if let Some(mut waiters) = self.entries.remove(&line) {
             out.append(&mut waiters);
@@ -181,10 +176,13 @@ mod tests {
         let mut m = MshrTable::new(4, 4);
         let _ = m.register(10, waiter(0));
         let _ = m.register(10, waiter(1));
-        let ws = m.complete(10);
+        let mut ws = Vec::new();
+        m.complete_into(10, &mut ws);
         assert_eq!(ws, vec![waiter(0), waiter(1)]);
         assert!(m.is_empty());
-        assert!(m.complete(10).is_empty());
+        ws.clear();
+        m.complete_into(10, &mut ws);
+        assert!(ws.is_empty());
     }
 
     #[test]
@@ -210,7 +208,7 @@ mod tests {
         let mut m = MshrTable::new(1, 1);
         assert_eq!(m.register(1, waiter(0)), MshrOutcome::Allocated);
         assert_eq!(m.register(2, waiter(0)), MshrOutcome::Rejected);
-        let _ = m.complete(1);
+        m.complete_into(1, &mut Vec::new());
         assert_eq!(m.register(2, waiter(0)), MshrOutcome::Allocated);
     }
 

@@ -101,8 +101,10 @@ pub struct Sm {
     /// Struct-of-arrays mirror of per-warp scheduler-visible state:
     /// residency/finished/barrier/i-buffer/mem-pending bitmasks plus the
     /// head instruction's readiness stamp and op class. Refreshed whenever
-    /// a warp mutates (`refresh_warp`), so the fetch/issue/horizon hot
-    /// paths intersect masks instead of chasing `Option<Warp>` pointers.
+    /// a warp mutates (`refresh_warp`), and its wakeup calendars advanced
+    /// at the start of every tick, `next_event` and `account_skip`, so the
+    /// fetch/issue/horizon hot paths intersect masks instead of chasing
+    /// `Option<Warp>` pointers.
     table: WarpTable,
     /// Per-scheduler ownership masks (slot `s` belongs to scheduler
     /// `s % num_schedulers`); precomputed at construction.
@@ -379,15 +381,9 @@ impl Sm {
         self.horizon_valid = false;
     }
 
-    /// Drains CTA-completion notifications since the last call.
-    pub fn take_completions(&mut self) -> Vec<CtaCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Drains CTA-completion notifications into `out`. Both this SM's
     /// internal buffer and `out` keep their capacity, so the per-tick
-    /// collection path allocates nothing in steady state (unlike
-    /// [`Self::take_completions`], which hands the whole Vec away).
+    /// collection path allocates nothing in steady state.
     pub fn drain_completions_into(&mut self, out: &mut Vec<CtaCompletion>) {
         out.append(&mut self.completions);
     }
@@ -456,6 +452,7 @@ impl Sm {
             );
         }
         self.last_tick = Some(now);
+        self.table.advance(now);
         let fetched = self.fetch_stage(now, descs);
         let issued = self.issue_stage(now, descs, kernel_insts);
         let lsu_active = self.lsu_stage(now, mem);
@@ -855,6 +852,7 @@ impl Sm {
     /// next tick can do work. The result is cached; any state change
     /// invalidates it.
     pub fn next_event(&mut self, from: u64) -> u64 {
+        self.table.advance(from);
         if self.horizon_valid && self.horizon >= from {
             return self.horizon;
         }
@@ -886,7 +884,7 @@ impl Sm {
             // RAW horizon. Even if the unit is still busy at `ready`, the
             // span must end there: the stall classification flips from
             // ShortRawHazard to ExecResource.
-            let raw = self.table.raw_mask(cand, from);
+            let raw = cand & self.table.head_waiting(from);
             best = best.min(self.table.min_head_ready(raw));
             // Operands ready now: bounded by unit availability. Barriers
             // always issue; LSU-class ops issue whenever the LSU is free,
@@ -929,6 +927,7 @@ impl Sm {
     pub fn account_skip(&mut self, from: u64, to: u64) {
         debug_assert!(to > from, "empty skip span");
         let span = to - from;
+        self.table.advance(from);
         for sched_id in 0..self.schedulers.len() {
             let reason = self.classify_stall(sched_id, from);
             self.stats.stalls.record_n(reason, span);
@@ -1025,7 +1024,8 @@ mod tests {
         // 2 warps x 32 insts x 4 iterations = 256 instructions.
         assert_eq!(insts[0], 256);
         assert_eq!(sm.resident_ctas(), 0, "CTA should retire");
-        let completions = sm.take_completions();
+        let mut completions = Vec::new();
+        sm.drain_completions_into(&mut completions);
         assert_eq!(
             completions,
             vec![CtaCompletion {

@@ -287,15 +287,184 @@ impl Warp {
     }
 }
 
+/// Cycles the calendars' bucket ring spans: a stamp less than this many
+/// cycles after the clock sits in bucket `stamp % WHEEL`, a later one in
+/// the far set.
+const WHEEL: u64 = 64;
+
+/// Index of the calendar over head readiness (`WarpTable::head_ready`).
+const HEAD: usize = 0;
+/// Index of the calendar over fetch readiness (`WarpTable::fetch_at`).
+const FETCH: usize = 1;
+
+/// The two wakeup calendars of a [`WarpTable`], one per readiness stamp
+/// array ([`HEAD`], [`FETCH`]): which slots are still waiting at `clock`,
+/// bucketed by the cycle they wake. In each calendar a slot holds at most
+/// one bit among the buckets and `far`, and only while its `pending` bit is
+/// set. `u64::MAX` stamps (an outstanding load, a closed fetch port) never
+/// enter. The calendars share one ring of bucket pairs, and `repr(C)` keeps
+/// the clock and both pending and far sets together in 40 bytes at the
+/// front, so a one-cycle advance reads and writes little more than those
+/// and one bucket pair.
+#[derive(Debug, Clone)]
+#[repr(C)]
+struct Calendars {
+    /// The cycle the calendars were last advanced to.
+    clock: u64,
+    /// Per calendar, the slots whose stamp is a finite cycle after `clock`.
+    pending: [u64; 2],
+    /// Per calendar, the pending slots waking at `clock + WHEEL` or later.
+    far: [u64; 2],
+    /// `buckets[c % WHEEL][k]` holds calendar `k`'s pending slots waking at
+    /// cycle `c`, for `c < clock + WHEEL`.
+    buckets: [[u64; 2]; WHEEL as usize],
+}
+
+impl Calendars {
+    const EMPTY: Self = Self {
+        clock: 0,
+        pending: [0; 2],
+        far: [0; 2],
+        buckets: [[0; 2]; WHEEL as usize],
+    };
+
+    /// Files slot `slot`, which holds no bit in calendar `k`, under
+    /// `stamp`: nothing when the stamp is due or `u64::MAX`.
+    fn place(&mut self, k: usize, slot: usize, stamp: u64) {
+        if self.clock < stamp && stamp != u64::MAX {
+            let bit = 1u64 << slot;
+            self.pending[k] |= bit;
+            if stamp - self.clock < WHEEL {
+                self.buckets[(stamp % WHEEL) as usize][k] |= bit;
+            } else {
+                self.far[k] |= bit;
+            }
+        }
+    }
+
+    /// Moves slot `slot` of calendar `k` from its old stamp `old` to `new`.
+    /// An unchanged stamp is already filed correctly for the clock.
+    fn reschedule(&mut self, k: usize, slot: usize, old: u64, new: u64) {
+        if old == new {
+            return;
+        }
+        let bit = 1u64 << slot;
+        if self.pending[k] & bit != 0 {
+            self.pending[k] &= !bit;
+            self.buckets[(old % WHEEL) as usize][k] &= !bit;
+            self.far[k] &= !bit;
+        }
+        self.place(k, slot, new);
+    }
+
+    /// Moves the clock to `now`, a later cycle, over the slots' `stamps`
+    /// (one array per calendar): the buckets of cycles `(clock, now]` wake,
+    /// leaving the pending sets and freeing each bucket for the cycle
+    /// `WHEEL` later, and far slots within reach of the ring move into
+    /// their buckets. A jump of a whole ring or more would alias buckets,
+    /// so it rebuilds instead.
+    fn advance(&mut self, stamps: [&[u64]; 2], now: u64) {
+        if now - self.clock >= WHEEL {
+            self.rebuild(stamps, now);
+            return;
+        }
+        for c in self.clock + 1..=now {
+            let woke = std::mem::take(&mut self.buckets[(c % WHEEL) as usize]);
+            self.pending[HEAD] &= !woke[HEAD];
+            self.pending[FETCH] &= !woke[FETCH];
+        }
+        self.clock = now;
+        if self.far != [0; 2] {
+            self.migrate(stamps);
+        }
+    }
+
+    /// Moves the far slots whose stamps now lie within the ring into their
+    /// buckets.
+    fn migrate(&mut self, stamps: [&[u64]; 2]) {
+        let last = self.clock + (WHEEL - 1);
+        for k in [HEAD, FETCH] {
+            let mut m = self.far[k];
+            while m != 0 {
+                let slot = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let stamp = stamps[k][slot];
+                if stamp <= last {
+                    self.far[k] &= !(1u64 << slot);
+                    self.buckets[(stamp % WHEEL) as usize][k] |= 1u64 << slot;
+                }
+            }
+        }
+    }
+
+    /// Moves the clock to `now` after a jump of a whole ring or more. Every
+    /// bucketed stamp lies before the old clock plus `WHEEL`, so each of
+    /// those slots has woken and only its bucket needs emptying; the far
+    /// slots are filed again from their stamps.
+    fn rebuild(&mut self, stamps: [&[u64]; 2], now: u64) {
+        self.clock = now;
+        for k in [HEAD, FETCH] {
+            let mut woke = self.pending[k] & !self.far[k];
+            while woke != 0 {
+                let slot = woke.trailing_zeros() as usize;
+                woke &= woke - 1;
+                self.buckets[(stamps[k][slot] % WHEEL) as usize][k] = 0;
+            }
+            let mut far = std::mem::take(&mut self.far[k]);
+            self.pending[k] = 0;
+            while far != 0 {
+                let slot = far.trailing_zeros() as usize;
+                far &= far - 1;
+                self.place(k, slot, stamps[k][slot]);
+            }
+        }
+    }
+
+    /// Oracle check of slot `slot` of calendar `k` against its stamp:
+    /// pending exactly while `clock < stamp < u64::MAX`, and then in its own
+    /// bucket (or far), with no bit anywhere else.
+    fn assert_slot(&self, k: usize, slot: usize, stamp: u64) {
+        let name = ["head", "fetch"][k];
+        let clock = self.clock;
+        let bit = 1u64 << slot;
+        let pending = clock < stamp && stamp != u64::MAX;
+        assert_eq!(
+            self.pending[k] & bit != 0,
+            pending,
+            "slot {slot}: {name} calendar pending bit (stamp {stamp}, clock {clock})"
+        );
+        let home = (pending && stamp - clock < WHEEL).then_some(stamp % WHEEL);
+        for (i, b) in (0..WHEEL).zip(self.buckets) {
+            assert_eq!(
+                b[k] & bit != 0,
+                home == Some(i),
+                "slot {slot}: {name} calendar bucket {i} (stamp {stamp}, clock {clock})"
+            );
+        }
+        assert_eq!(
+            self.far[k] & bit != 0,
+            pending && home.is_none(),
+            "slot {slot}: {name} calendar far bit (stamp {stamp}, clock {clock})"
+        );
+    }
+
+    /// Every mask of both calendars, for the beyond-the-last-slot check.
+    fn masks(&self) -> impl Iterator<Item = u64> {
+        let buckets = self.buckets.into_iter().flatten();
+        self.pending.into_iter().chain(self.far).chain(buckets)
+    }
+}
+
 /// Struct-of-arrays mirror of the per-warp state the per-cycle stages
 /// actually read: residency/finished/barrier/i-buffer/mem-pending bitmasks,
-/// head op-class and fetch-open bitmasks, plus flat arrays of head
-/// readiness, fetch readiness, and launch order. The [`Warp`] structs stay
-/// the source of truth; the table is derived state maintained event-driven
-/// (the owning SM refreshes a slot after any mutation of its warp), so
-/// scheduler selection, stall classification, and fetch eligibility are
-/// mask arithmetic — the only per-slot work left is a branch-free compare
-/// of a cached cycle against `now` — instead of per-warp pointer chases.
+/// head op-class and fetch-open bitmasks, flat arrays of head readiness,
+/// fetch readiness, and launch order, and a wakeup calendar over each of
+/// the two readiness arrays. The [`Warp`] structs stay the source of truth;
+/// the table is derived state maintained event-driven (the owning SM
+/// refreshes a slot after any mutation of its warp), so scheduler
+/// selection, stall classification, and fetch eligibility are mask
+/// arithmetic — the RAW and fetch-due sets are read off the calendars, as
+/// of the table clock — instead of per-warp pointer chases.
 /// Capacity is one `u64` of slots — `Sm::new` asserts `max_warps <= 64`.
 #[derive(Debug, Clone)]
 pub struct WarpTable {
@@ -324,6 +493,9 @@ pub struct WarpTable {
     fetch_at: Vec<u64>,
     /// Launch-order stamp per slot (greedy-then-oldest key).
     launch_seq: Vec<u64>,
+    /// Wakeup calendars over `head_ready` (whose pending set is the RAW
+    /// set) and `fetch_at` (the open slots whose fetch port is not yet due).
+    cal: Calendars,
 }
 
 /// One scheduler's candidate warps at one cycle, split into the issuable
@@ -393,6 +565,7 @@ impl WarpTable {
             head_ready: vec![0; n_slots],
             fetch_at: vec![u64::MAX; n_slots],
             launch_seq: vec![0; n_slots],
+            cal: Calendars::EMPTY,
         }
     }
 
@@ -400,6 +573,8 @@ impl WarpTable {
     /// invoke this after *any* mutation of the warp (fetch, issue, load
     /// lifecycle, barrier park/release) or the table silently diverges —
     /// the strict-invariant oracle check catches that in debug builds.
+    /// Together with [`Self::clear`] it is the only writer of the readiness
+    /// stamps, so it also moves the slot between calendar buckets.
     pub fn refresh(&mut self, slot: usize, warp: &Warp) {
         let bit = 1u64 << slot;
         let put = |mask: &mut u64, on: bool| *mask = (*mask & !bit) | (bit & fill(on));
@@ -407,6 +582,8 @@ impl WarpTable {
         put(&mut self.finished, warp.finished());
         put(&mut self.barrier, warp.at_barrier);
         let fetch_at = warp.fetch_ready_at();
+        self.cal
+            .reschedule(FETCH, slot, self.fetch_at[slot], fetch_at);
         self.fetch_at[slot] = fetch_at;
         put(&mut self.fetch_open, fetch_at != u64::MAX);
         self.launch_seq[slot] = warp.launch_seq;
@@ -414,6 +591,8 @@ impl WarpTable {
             Some((ready, op)) => (ready, Some(op)),
             None => (0, None),
         };
+        self.cal
+            .reschedule(HEAD, slot, self.head_ready[slot], ready);
         self.head_ready[slot] = ready;
         put(&mut self.ib_empty, op.is_none());
         put(&mut self.mem_pending, ready == PENDING_LOAD);
@@ -439,9 +618,46 @@ impl WarpTable {
         ] {
             *mask &= keep;
         }
+        self.cal.reschedule(HEAD, slot, self.head_ready[slot], 0);
+        self.cal
+            .reschedule(FETCH, slot, self.fetch_at[slot], u64::MAX);
         self.head_ready[slot] = 0;
         self.fetch_at[slot] = u64::MAX;
         self.launch_seq[slot] = 0;
+    }
+
+    /// Advances the wakeup calendars to cycle `now`: slots whose stamps
+    /// fall in `(clock, now]` leave the pending sets. The RAW and fetch-due
+    /// queries answer for the table clock only, so the SM advances before
+    /// each tick and before each fast-forward query.
+    pub fn advance(&mut self, now: u64) {
+        crate::strict_assert!(
+            now >= self.cal.clock,
+            "warp table clock went backwards ({now} after {})",
+            self.cal.clock
+        );
+        if now > self.cal.clock {
+            self.cal.advance([&self.head_ready, &self.fetch_at], now);
+        }
+    }
+
+    /// The cycle the calendars were last advanced to.
+    #[must_use]
+    pub fn clock(&self) -> u64 {
+        self.cal.clock
+    }
+
+    /// Slots whose head readiness lies after `now`, which must be the
+    /// table clock. Mem-pending and undecoded slots never appear: their
+    /// stamps (`PENDING_LOAD`, 0) are never after the clock.
+    #[must_use]
+    pub(crate) fn head_waiting(&self, now: u64) -> u64 {
+        crate::strict_assert!(
+            self.cal.clock == now,
+            "RAW query at {now}, table clock at {}",
+            self.cal.clock
+        );
+        self.cal.pending[HEAD]
     }
 
     /// Occupied slots.
@@ -493,21 +709,6 @@ impl WarpTable {
         &self.launch_seq
     }
 
-    /// The slots of `cand` whose head readiness lies after `now`, built
-    /// without a data-dependent branch. Callers exclude mem-pending slots
-    /// (their `PENDING_LOAD` readiness would count here too).
-    #[must_use]
-    pub fn raw_mask(&self, cand: u64, now: u64) -> u64 {
-        let mut raw = 0u64;
-        let mut m = cand;
-        while m != 0 {
-            let slot = m.trailing_zeros();
-            m &= m - 1;
-            raw |= u64::from(self.head_ready[slot as usize] > now) << slot;
-        }
-        raw
-    }
-
     /// The earliest head readiness over the slots of `mask`, or `u64::MAX`
     /// for an empty mask.
     #[must_use]
@@ -535,9 +736,9 @@ impl WarpTable {
     }
 
     /// Splits the candidate slots `cand` of one scheduler into the issuable
-    /// set and the Fig. 1 stall classes at cycle `now`, given which of its
-    /// functional units are free. Pure mask arithmetic apart from the
-    /// branch-free RAW compare in [`Self::raw_mask`].
+    /// set and the Fig. 1 stall classes at cycle `now` (the table clock),
+    /// given which of its functional units are free. Pure mask arithmetic:
+    /// the RAW set is the head calendar's pending set.
     #[must_use]
     pub fn classify_issue(
         &self,
@@ -552,7 +753,7 @@ impl WarpTable {
         let ibuffer = rest & self.ib_empty;
         let decoded = rest & !self.ib_empty;
         let mem = decoded & self.mem_pending;
-        let raw = self.raw_mask(decoded & !mem, now);
+        let raw = decoded & !mem & self.head_waiting(now);
         let ready = decoded & !mem & !raw;
         let avail = self.avail_mask(alu_ok, sfu_ok, lsu_ok);
         IssueClasses {
@@ -565,19 +766,18 @@ impl WarpTable {
         }
     }
 
-    /// Live slots whose fetch port is open at `now` (`fetch_at <= now`),
-    /// built without a data-dependent branch. Finished warps are fully
-    /// fetched, so these are exactly the slots a fetch can succeed on.
+    /// Live slots whose fetch port is open at `now`, which must be the
+    /// table clock (`fetch_at <= now`): the open slots off the fetch
+    /// calendar. Finished warps are fully fetched, so these are exactly the
+    /// slots a fetch can succeed on.
     #[must_use]
     pub fn fetch_due(&self, now: u64) -> u64 {
-        let mut due = 0u64;
-        let mut m = self.live() & self.fetch_open;
-        while m != 0 {
-            let slot = m.trailing_zeros();
-            m &= m - 1;
-            due |= u64::from(self.fetch_at[slot as usize] <= now) << slot;
-        }
-        due
+        crate::strict_assert!(
+            self.cal.clock == now,
+            "fetch query at {now}, table clock at {}",
+            self.cal.clock
+        );
+        self.live() & self.fetch_open & !self.cal.pending[FETCH]
     }
 
     /// The earliest cycle any live warp's fetch port opens, or `u64::MAX`
@@ -594,14 +794,19 @@ impl WarpTable {
     }
 
     /// Oracle check: asserts every derived entry matches a fresh
-    /// recomputation from `warps`. This is the SoA-vs-oracle contract the
-    /// strict-invariant layer runs inside the tick loop in debug builds.
+    /// recomputation from `warps`, and every calendar bit matches its
+    /// slot's stamp at the table clock. This is the SoA-vs-oracle contract
+    /// the strict-invariant layer runs inside the tick loop in debug builds.
     ///
     /// # Panics
     ///
     /// Panics on any divergence between the table and the warp array.
     pub fn assert_matches(&self, warps: &[Option<Warp>]) {
         assert_eq!(self.head_ready.len(), warps.len(), "slot count mismatch");
+        for slot in 0..warps.len() {
+            self.cal.assert_slot(HEAD, slot, self.head_ready[slot]);
+            self.cal.assert_slot(FETCH, slot, self.fetch_at[slot]);
+        }
         let masks = [
             (self.resident, "resident"),
             (self.finished, "finished"),
@@ -651,6 +856,9 @@ impl WarpTable {
         let beyond = u64::MAX.checked_shl(warps.len() as u32).unwrap_or(0);
         for (mask, name) in masks {
             assert_eq!(mask & beyond, 0, "{name} bit set beyond the last slot");
+        }
+        for mask in self.cal.masks() {
+            assert_eq!(mask & beyond, 0, "calendar bit beyond the last slot");
         }
     }
 }
@@ -876,6 +1084,33 @@ mod tests {
         w.at_barrier = false;
         t.refresh(0, &w);
         assert_eq!(t.barrier_mask(), 0);
+    }
+
+    #[test]
+    fn far_stamps_wake_on_time_whether_the_clock_steps_or_jumps() {
+        // An ALU result 100 cycles out files the dependent head in the far
+        // set; it must leave the RAW set exactly at cycle 100.
+        let desc = kernel_with(vec![alu(0, 1), alu(2, 0)], 1);
+        let mut w = warp_for(&desc);
+        w.fetch(0, &desc, 0, 0);
+        w.fetch(0, &desc, 0, 0);
+        let _ = w.issue(0, 100);
+        let mut t = WarpTable::new(1);
+        t.refresh(0, &w);
+        let warps = [Some(w)];
+        t.assert_matches(&warps);
+        let start = t.clone();
+        for now in 1..=100 {
+            t.advance(now);
+            t.assert_matches(&warps);
+            assert_eq!(t.head_waiting(now), u64::from(now < 100), "step to {now}");
+        }
+        for (now, waiting) in [(99, 1), (100, 0)] {
+            let mut jumped = start.clone();
+            jumped.advance(now);
+            jumped.assert_matches(&warps);
+            assert_eq!(jumped.head_waiting(now), waiting, "jump to {now}");
+        }
     }
 
     #[test]

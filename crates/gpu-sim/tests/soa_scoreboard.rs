@@ -2,14 +2,15 @@
 //!
 //! The SM maintains per-slot bitmasks (residency, finished, barrier,
 //! i-buffer, mem-pending, head op class, fetch-open) plus head- and
-//! fetch-readiness arrays incrementally, and the schedulers select warps by
-//! mask intersection. These tests drive random
+//! fetch-readiness arrays and their wakeup calendars incrementally, and the
+//! schedulers select warps by mask intersection. These tests drive random
 //! issue/fill/barrier/launch/evict sequences with the in-tree deterministic
-//! `SimRng` and re-derive the scoreboard from the `Option<Warp>` slots (the
+//! `SimRng`, ticking one cycle at a time and jumping 64 or more cycles at
+//! random, and re-derive the scoreboard from the `Option<Warp>` slots (the
 //! naive oracle) after every step; any stale bit panics with the slot and
-//! field that diverged. The mask-path issue classification and fetch
+//! field that diverged. The calendar-derived issue classification and fetch
 //! eligibility are checked against a per-slot reference walk on the same
-//! random table states.
+//! random table states, advanced to cycles at and ahead of the SM's clock.
 
 use gpu_sim::{
     AccessPattern, GpuConfig, IssueClasses, KernelDesc, KernelId, MemSubsystem, OpClass,
@@ -29,7 +30,7 @@ fn kernel(name: &str, spec: ProgramSpec, iterations: u32, seed: u64) -> KernelDe
             footprint_lines: 1 << 14,
             transactions: 2,
         },
-        icache_miss_rate: 0.01,
+        icache_miss_rate: 0.05,
         shmem_conflict_degree: 1,
         seed,
     }
@@ -81,15 +82,27 @@ fn kernel_mix() -> Vec<KernelDesc> {
     ]
 }
 
+/// The baseline configuration with latencies that reach past the calendar
+/// ring of 64 cycles: an SFU result 80 cycles out (a RAW stamp in the far
+/// set) and an i-cache miss that delays the next fetch by 72 cycles.
+fn config() -> GpuConfig {
+    let mut cfg = GpuConfig::isca_baseline();
+    cfg.sm.sfu_latency = 80;
+    cfg.sm.icache_miss_penalty = 70;
+    cfg
+}
+
 /// Drives `steps` random launch/evict/tick+fill steps on a fresh SM under
-/// `kind`, calling `check(sm, rng, now, step)` after every step.
+/// `kind`, calling `check(sm, rng, step)` after every step. Ticks advance
+/// the clock one cycle, except that about one in thirty jumps 64 to 319
+/// cycles ahead first, as a fast-forward skip would.
 fn random_sequence(
     kind: SchedulerKind,
     seed: u64,
     steps: u64,
-    mut check: impl FnMut(&Sm, &mut SimRng, u64, u64),
+    mut check: impl FnMut(&Sm, &mut SimRng, u64),
 ) -> u64 {
-    let cfg = GpuConfig::isca_baseline();
+    let cfg = config();
     let descs = kernel_mix();
     let mut rng = SimRng::seed_from_u64(seed);
     let mut sm = Sm::new(0, &cfg, kind);
@@ -112,6 +125,9 @@ fn random_sequence(
             let k = rng.range_usize(descs.len());
             sm.evict_kernel(k, &descs[k]);
         } else {
+            if roll < 13 {
+                now += 63 + rng.range_u64(256);
+            }
             sm.tick(now, &mut mem, &descs, &mut kernel_insts);
             responses.clear();
             mem.tick(now, &mut responses);
@@ -119,15 +135,15 @@ fn random_sequence(
             sm.on_fill_batch(&lines, now);
             now += 1;
         }
-        check(&sm, &mut rng, now, step);
+        check(&sm, &mut rng, step);
     }
     kernel_insts.iter().sum()
 }
 
 /// Random issue/fill/barrier/exit sequences: every step (tick, fill batch,
 /// launch, evict) is followed by a full oracle re-derivation of every mask
-/// (op-class and fetch-open included) and array. 6 seeds x both scheduler
-/// kinds x 1500 steps each.
+/// (op-class and fetch-open included), array and calendar bucket. 6 seeds x
+/// both scheduler kinds x 1500 steps each.
 #[test]
 fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
     for (case, kind) in [SchedulerKind::GreedyThenOldest, SchedulerKind::RoundRobin]
@@ -135,7 +151,7 @@ fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
         .flat_map(|k| (0..6u64).map(move |s| (s, k)))
     {
         let seed = 0x50A0_0000 + case * 7 + u64::from(matches!(kind, SchedulerKind::RoundRobin));
-        let issued = random_sequence(kind, seed, 1500, |sm, _, _, step| {
+        let issued = random_sequence(kind, seed, 1500, |sm, _, step| {
             sm.check_scoreboard();
             // The mask views must agree with their per-slot getters too.
             let t = sm.scoreboard();
@@ -221,25 +237,37 @@ fn reference_stall(cand: u64, c: &IssueClasses) -> StallReason {
     best.1
 }
 
-/// On random table states, the mask path's issuable set, stall classes
-/// and stall reason, and its fetch-due mask and next fetch cycle, equal a
-/// per-slot reference walk over the warps — at probe cycles on both sides
-/// of the cached readiness stamps and under every unit-availability mix.
+/// On random table states, the calendar-derived issuable set, stall classes
+/// and stall reason, and the fetch-due mask and next fetch cycle, equal a
+/// per-slot reference walk over the warps — under every unit-availability
+/// mix, on a copy of the table advanced from the SM's clock by 0, 1, up to
+/// 63, or 64 to 319 cycles (the bucket-clearing and the rebuilding advance).
+/// The advanced copy must also pass the oracle check, and the sequences
+/// must put head and fetch stamps past the ring (the calendars' far sets).
 #[test]
-fn mask_classification_matches_per_slot_reference() {
-    let cfg = GpuConfig::isca_baseline();
-    let num_sched = cfg.sm.num_schedulers as usize;
+fn calendar_classification_matches_per_slot_reference() {
+    let num_sched = config().sm.num_schedulers as usize;
     let mut probes = 0u64;
+    let (mut far_head, mut far_fetch) = (0u64, 0u64);
     for (case, kind) in [SchedulerKind::GreedyThenOldest, SchedulerKind::RoundRobin]
         .into_iter()
         .flat_map(|k| (0..3u64).map(move |s| (s, k)))
     {
         let seed = 0xC1A5_0000 + case * 5 + u64::from(matches!(kind, SchedulerKind::RoundRobin));
-        random_sequence(kind, seed, 1500, |sm, rng, now, step| {
-            let t = sm.scoreboard();
+        random_sequence(kind, seed, 1500, |sm, rng, step| {
             let n = sm.warp_slot_count();
-            // Probe a few cycles back and up to a DRAM-ish latency ahead.
-            let at = (now + rng.range_u64(64)).saturating_sub(8);
+            let warps: Vec<_> = (0..n).map(|s| sm.warp(s).cloned()).collect();
+            let clock = sm.scoreboard().clock();
+            let at = clock
+                + match rng.range_u64(4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 2 + rng.range_u64(62),
+                    _ => 64 + rng.range_u64(256),
+                };
+            let mut t = sm.scoreboard().clone();
+            t.advance(at);
+            t.assert_matches(&warps);
             let units = (
                 rng.range_u64(2) == 0,
                 rng.range_u64(2) == 0,
@@ -265,18 +293,29 @@ fn mask_classification_matches_per_slot_reference() {
             }
             let mut due = 0u64;
             let mut next = u64::MAX;
-            for slot in 0..n {
-                if let Some(w) = sm.warp(slot).filter(|w| !w.finished()) {
-                    let f = w.fetch_ready_at();
-                    due |= u64::from(f <= at) << slot;
-                    next = next.min(f);
+            for (slot, w) in warps.iter().enumerate() {
+                let Some(w) = w.as_ref().filter(|w| !w.finished()) else {
+                    continue;
+                };
+                let f = w.fetch_ready_at();
+                due |= u64::from(f <= at) << slot;
+                next = next.min(f);
+                far_fetch += u64::from(f != u64::MAX && f >= clock + 64);
+                if let Some((ready, _)) = w.head_state() {
+                    far_head += u64::from(ready != PENDING_LOAD && ready >= clock + 64);
                 }
             }
-            assert_eq!(t.fetch_due(at), due, "case {case} step {step}: fetch_due");
+            assert_eq!(
+                t.fetch_due(at),
+                due,
+                "case {case} step {step}: fetch_due at {at}"
+            );
             assert_eq!(t.next_fetch(), next, "case {case} step {step}: next_fetch");
         });
     }
     assert!(probes > 0);
+    assert!(far_head > 0, "no head stamp ever reached the far set");
+    assert!(far_fetch > 0, "no fetch stamp ever reached the far set");
 }
 
 /// The single-popcount occupancy accumulator must equal the old per-warp

@@ -111,7 +111,7 @@ pub const RULE_NAMES: [&str; 9] = [
 /// asserts it), so the transitive `no-tick-alloc` rule covers at least the
 /// surface the old per-name rule did.
 #[cfg_attr(not(test), allow(dead_code))]
-pub const TICK_PATH_FNS: [&str; 23] = [
+pub const TICK_PATH_FNS: [&str; 27] = [
     "tick",
     "tick_fast_forward",
     "fast_forward",
@@ -122,14 +122,18 @@ pub const TICK_PATH_FNS: [&str; 23] = [
     "classify_stall",
     "compute_horizon",
     "drain_completions_into",
-    "take_completions",
     "record",
     "record_stall_window",
     "refresh_warp",
     "select",
     "l2_slice_tick",
     "classify_issue",
-    "raw_mask",
+    "head_waiting",
+    "advance",
+    "migrate",
+    "rebuild",
+    "reschedule",
+    "place",
     "avail_mask",
     "min_head_ready",
     "fetch_due",
@@ -141,14 +145,13 @@ pub const TICK_PATH_FNS: [&str; 23] = [
 /// entry points of the simulator core and the trace/audit record sinks.
 /// Everything reachable from these inside `crates/gpu-sim/src` (plus
 /// `crates/core/src/audit.rs`) is tick-path.
-pub const TICK_SEEDS: [(&str, &str); 12] = [
+pub const TICK_SEEDS: [(&str, &str); 11] = [
     ("Gpu", "tick"),
     ("Gpu", "fast_forward"),
     ("Gpu", "tick_fast_forward"),
     ("Sm", "tick"),
     ("Sm", "on_fill"),
     ("Sm", "on_fill_batch"),
-    ("Sm", "take_completions"),
     ("Sm", "drain_completions_into"),
     ("MemSubsystem", "tick"),
     ("TraceSink", "record"),
