@@ -5,8 +5,6 @@
 //! limit); a full table back-pressures the LSU, which is one of the
 //! contention effects intra-SM sharing must manage.
 
-use std::collections::BTreeMap;
-
 use crate::access::LineAddr;
 
 /// Identifies a load waiting on an in-flight line. The SM resolves this to a
@@ -33,12 +31,19 @@ pub enum MshrOutcome {
     Rejected,
 }
 
-/// MSHR table: line address -> waiters.
+/// MSHR table: line address -> waiters, as two parallel flat arrays.
+///
+/// Entry `i` is line `lines[i]` with waiters `waiters[i]`, in registration
+/// order. The table holds a few dozen lines, so a lookup is a linear scan
+/// of `lines`, and a completion `swap_remove`s its entry: the order of the
+/// entries shifts, but nothing result-bearing iterates them (only the
+/// invariant walk does), and each line's waiters keep their order.
 #[derive(Debug, Clone)]
 pub struct MshrTable {
-    /// Line-ordered (`BTreeMap`) so the strict-invariant walk and any future
-    /// drain see a deterministic order (`determinism` lint).
-    entries: BTreeMap<LineAddr, Vec<MshrWaiter>>,
+    /// In-flight line addresses, one per entry.
+    lines: Vec<LineAddr>,
+    /// Waiters merged into each entry, parallel to `lines`.
+    waiters: Vec<Vec<MshrWaiter>>,
     max_entries: usize,
     max_merged: usize,
     /// Retired waiter vectors kept for reuse so the per-miss allocate /
@@ -54,7 +59,8 @@ impl MshrTable {
         // u32 -> usize never truncates. xtask-allow: no-lossy-cast
         let max_entries = max_entries as usize;
         Self {
-            entries: BTreeMap::new(),
+            lines: Vec::with_capacity(max_entries),
+            waiters: Vec::with_capacity(max_entries),
             max_entries,
             // xtask-allow: no-lossy-cast
             max_merged: max_merged.max(1) as usize,
@@ -62,21 +68,28 @@ impl MshrTable {
         }
     }
 
+    /// The entry tracking `line`, if it is in flight.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
+    }
+
     /// Registers a miss on `line` for `waiter`.
     pub fn register(&mut self, line: LineAddr, waiter: MshrWaiter) -> MshrOutcome {
-        if let Some(waiters) = self.entries.get_mut(&line) {
+        if let Some(i) = self.find(line) {
+            let waiters = &mut self.waiters[i];
             if waiters.len() >= self.max_merged {
                 return MshrOutcome::Rejected;
             }
             waiters.push(waiter);
             return MshrOutcome::Merged;
         }
-        if self.entries.len() >= self.max_entries {
+        if self.lines.len() >= self.max_entries {
             return MshrOutcome::Rejected;
         }
         let mut waiters = self.pool.pop().unwrap_or_default();
         waiters.push(waiter);
-        self.entries.insert(line, waiters);
+        self.lines.push(line);
+        self.waiters.push(waiters);
         if crate::invariant::enabled() {
             self.assert_within_bounds();
         }
@@ -91,16 +104,26 @@ impl MshrTable {
     ///
     /// # Panics
     ///
-    /// Panics if more lines are in flight than the table has entries, or a
-    /// line holds more (or fewer) waiters than the merge bound allows.
+    /// Panics if more lines are in flight than the table has entries, a
+    /// line is tracked twice, or a line holds more (or fewer) waiters than
+    /// the merge bound allows.
     pub fn assert_within_bounds(&self) {
+        assert_eq!(
+            self.lines.len(),
+            self.waiters.len(),
+            "MSHR corruption: line and waiter arrays out of step"
+        );
         assert!(
-            self.entries.len() <= self.max_entries,
+            self.lines.len() <= self.max_entries,
             "MSHR corruption: {} in-flight lines exceed the {}-entry table",
-            self.entries.len(),
+            self.lines.len(),
             self.max_entries
         );
-        for (line, waiters) in &self.entries {
+        for (i, (line, waiters)) in self.lines.iter().zip(&self.waiters).enumerate() {
+            assert!(
+                !self.lines[..i].contains(line),
+                "MSHR corruption: line {line:#x} tracked twice"
+            );
             assert!(
                 !waiters.is_empty(),
                 "MSHR corruption: line {line:#x} tracked with no waiters"
@@ -115,11 +138,13 @@ impl MshrTable {
     }
 
     /// Completes the fill of `line`, appending every waiter that was merged
-    /// into it to `out` (nothing if the line was not tracked) and recycling
-    /// the entry's storage internally, so the per-fill path allocates
-    /// nothing.
+    /// into it to `out` in registration order (nothing if the line was not
+    /// tracked) and recycling the entry's storage internally, so the
+    /// per-fill path allocates nothing.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<MshrWaiter>) {
-        if let Some(mut waiters) = self.entries.remove(&line) {
+        if let Some(i) = self.find(line) {
+            self.lines.swap_remove(i);
+            let mut waiters = self.waiters.swap_remove(i);
             out.append(&mut waiters);
             if self.pool.len() < self.max_entries {
                 self.pool.push(waiters);
@@ -130,24 +155,25 @@ impl MshrTable {
     /// Whether `line` is already in flight.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
+        self.find(line).is_some()
     }
 
     /// Number of in-flight lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     /// Whether no lines are in flight.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lines.is_empty()
     }
 
     /// Drops all entries.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.lines.clear();
+        self.waiters.clear();
     }
 }
 
@@ -210,6 +236,37 @@ mod tests {
         assert_eq!(m.register(2, waiter(0)), MshrOutcome::Rejected);
         m.complete_into(1, &mut Vec::new());
         assert_eq!(m.register(2, waiter(0)), MshrOutcome::Allocated);
+    }
+
+    #[test]
+    fn waiters_keep_registration_order_across_other_completions() {
+        // Three lines in flight; completing the first swap-removes it and
+        // moves the last entry into its place. Waiters merged afterwards and
+        // the lines' earlier waiters must still come back in the order they
+        // registered.
+        let mut m = MshrTable::new(4, 4);
+        let _ = m.register(1, waiter(0));
+        let _ = m.register(2, waiter(1));
+        let _ = m.register(3, waiter(2));
+        let _ = m.register(3, waiter(3));
+        let _ = m.register(2, waiter(4));
+        let mut ws = Vec::new();
+        m.complete_into(1, &mut ws);
+        assert_eq!(ws, vec![waiter(0)]);
+        assert_eq!(m.register(3, waiter(5)), MshrOutcome::Merged);
+        assert_eq!(m.register(4, waiter(6)), MshrOutcome::Allocated);
+        assert_eq!(m.register(2, waiter(7)), MshrOutcome::Merged);
+        m.assert_within_bounds();
+        ws.clear();
+        m.complete_into(4, &mut ws);
+        m.complete_into(3, &mut ws);
+        m.complete_into(2, &mut ws);
+        assert_eq!(
+            ws,
+            [6, 2, 3, 5, 1, 4, 7].map(waiter),
+            "line 4, then 3, then 2, each in registration order"
+        );
+        assert!(m.is_empty());
     }
 
     #[test]

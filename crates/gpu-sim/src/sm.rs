@@ -87,10 +87,12 @@ pub struct Sm {
     stats: SmStats,
     completions: Vec<CtaCompletion>,
     line_buf: Vec<LineAddr>,
-    /// Recycled line deques for in-flight LSU ops: completed (or evicted)
-    /// ops return their deque here so issuing a new memory op never
-    /// allocates on the tick path (`no-tick-alloc`). Bounded by the number
-    /// of scheduler units (at most one LSU op each).
+    /// Recycled line deques for in-flight LSU ops: every op, shared-memory
+    /// ones included, takes its deque from here, and completed, dropped and
+    /// evicted ops return it, so issuing a new memory op never allocates on
+    /// the tick path (`no-tick-alloc`). Pooled deques are empty. A deque
+    /// is made only when the pool is empty, so pooled plus in-flight deques
+    /// never outnumber the scheduler units (at most one LSU op each).
     lsu_line_pool: Vec<VecDeque<LineAddr>>,
     finished_buf: Vec<usize>,
     waiter_buf: Vec<MshrWaiter>,
@@ -100,11 +102,12 @@ pub struct Sm {
     last_tick: Option<u64>,
     /// Struct-of-arrays mirror of per-warp scheduler-visible state:
     /// residency/finished/barrier/i-buffer/mem-pending bitmasks plus the
-    /// head instruction's readiness stamp and op class. Refreshed whenever
-    /// a warp mutates (`refresh_warp`), and its wakeup calendars advanced
-    /// at the start of every tick, `next_event` and `account_skip`, so the
-    /// fetch/issue/horizon hot paths intersect masks instead of chasing
-    /// `Option<Warp>` pointers.
+    /// head instruction's readiness stamp and op class. Written whenever a
+    /// warp mutates, by the writer scoped to the event (`refresh_warp` at
+    /// issue; fetch, fill and barrier writers elsewhere), and its wakeup
+    /// calendars advanced at the start of every tick, `next_event` and
+    /// `account_skip`, so the fetch/issue/horizon hot paths intersect masks
+    /// instead of chasing `Option<Warp>` pointers.
     table: WarpTable,
     /// Per-scheduler ownership masks (slot `s` belongs to scheduler
     /// `s % num_schedulers`); precomputed at construction.
@@ -193,13 +196,11 @@ impl Sm {
         self.table.assert_matches(&self.warps);
     }
 
-    /// Re-derives slot `slot`'s scoreboard entry from its warp. Every
-    /// warp mutation must route through here (or `WarpTable::clear`) so
-    /// the bitmask mirrors never go stale.
+    /// Re-derives slot `slot`'s whole scoreboard entry from its warp after
+    /// an issue. Other events call the table's writer scoped to them.
     fn refresh_warp(&mut self, slot: usize) {
-        match self.warps[slot].as_ref() {
-            Some(w) => self.table.refresh(slot, w),
-            None => self.table.clear(slot),
+        if let Some(w) = self.warps[slot].as_ref() {
+            self.table.refresh(slot, w);
         }
         self.fetch_idle_until = 0;
     }
@@ -371,10 +372,11 @@ impl Sm {
         for cs in cta_slots {
             self.release_cta(cs, desc.threads_per_cta);
         }
-        // Drop LSU work belonging to the evicted kernel.
+        // Drop LSU work belonging to the evicted kernel, keeping its deques.
         for (i, unit) in self.units.iter_mut().enumerate() {
-            if unit.lsu.as_ref().is_some_and(|op| op.kernel.0 == slot) {
-                unit.lsu = None;
+            if let Some(mut op) = unit.lsu.take_if(|op| op.kernel.0 == slot) {
+                op.lines.clear();
+                self.lsu_line_pool.push(op.lines);
                 self.lsu_busy_mask &= !(1u64 << i);
             }
         }
@@ -397,7 +399,9 @@ impl Sm {
     /// pass. Lines are applied in arrival order (the caller preserves the
     /// memory subsystem's response order per SM), so the result is
     /// byte-identical to calling [`Self::on_fill`] per line; batching lets
-    /// the scoreboard refresh each touched warp once instead of per fill.
+    /// the scoreboard rewrite each touched warp's head once instead of per
+    /// fill. A completed load changes only register readiness, so the head
+    /// fields are all a fill can move.
     pub fn on_fill_batch(&mut self, lines: &[LineAddr], now: u64) {
         if lines.is_empty() {
             return;
@@ -430,7 +434,9 @@ impl Sm {
         while touched != 0 {
             let slot = touched.trailing_zeros() as usize;
             touched &= touched - 1;
-            self.refresh_warp(slot);
+            if let Some(w) = self.warps[slot].as_ref() {
+                self.table.refresh_head(slot, w);
+            }
         }
     }
 
@@ -512,7 +518,7 @@ impl Sm {
             if warp.fetch(now, &descs[warp.kernel.0], fetch_latency, miss_penalty) {
                 budget -= 1;
                 fetched = true;
-                self.refresh_warp(slot);
+                self.table.refresh_fetch(slot, warp);
             } else {
                 crate::strict_assert!(
                     false,
@@ -569,6 +575,7 @@ impl Sm {
         let warp = self.warps[slot].as_mut().expect("issuing to empty slot");
         let kernel = warp.kernel;
         let desc = &descs[kernel.0];
+        let program = &desc.program;
         let inst = warp.head().expect("non-empty i-buffer"); // xtask-allow: no-unwrap
         let unit = &mut self.units[sched_id];
         let warp_size = u64::from(crate::config::SmConfig::WARP_SIZE);
@@ -577,13 +584,13 @@ impl Sm {
                 let ii = warp_size / u64::from(sm_cfg.simt_width);
                 unit.alu_busy_until = now + ii;
                 self.stats.alu_busy += ii;
-                let _ = warp.issue(now, u64::from(sm_cfg.alu_latency));
+                let _ = warp.issue(now, u64::from(sm_cfg.alu_latency), program);
             }
             OpClass::Sfu => {
                 let ii = warp_size / u64::from(sm_cfg.sfu_width);
                 unit.sfu_busy_until = now + ii;
                 self.stats.sfu_busy += ii;
-                let _ = warp.issue(now, u64::from(sm_cfg.sfu_latency));
+                let _ = warp.issue(now, u64::from(sm_cfg.sfu_latency), program);
             }
             OpClass::SharedMem => {
                 // Bank conflicts serialize the access: both the LSU
@@ -591,24 +598,24 @@ impl Sm {
                 let degree = desc.shmem_conflict_degree.max(1);
                 let base = (warp_size / u64::from(sm_cfg.lsu_width)) as u32;
                 let latency = u64::from(sm_cfg.shmem_latency) + u64::from((degree - 1) * base);
-                let _ = warp.issue(now, latency);
+                let _ = warp.issue(now, latency, program);
                 unit.lsu = Some(LsuOp {
                     warp_slot: slot,
                     warp_gen: warp.gen,
                     kernel,
                     kind: LsuKind::Shared,
-                    lines: VecDeque::new(),
+                    lines: self.lsu_line_pool.pop().unwrap_or_default(),
                     cycles_left: base * degree,
                 });
             }
             OpClass::Barrier => {
-                let _ = warp.issue(now, 0);
+                let _ = warp.issue(now, 0, program);
                 warp.at_barrier = true;
                 let cta_slot = warp.cta_slot;
                 self.note_barrier_arrival(cta_slot);
             }
             OpClass::GlobalLoad | OpClass::GlobalStore => {
-                let _ = warp.issue(now, 0);
+                let _ = warp.issue(now, 0, program);
                 self.line_buf.clear();
                 {
                     let mut lines = std::mem::take(&mut self.line_buf);
@@ -623,10 +630,9 @@ impl Sm {
                 } else {
                     LsuKind::GlobalStore
                 };
-                // Reuse a pooled deque instead of collecting into a fresh
-                // one: issuing a memory op must not allocate per-op.
+                // Reuse a pooled (empty) deque instead of collecting into a
+                // fresh one: issuing a memory op must not allocate per-op.
                 let mut lines = self.lsu_line_pool.pop().unwrap_or_default();
-                lines.clear();
                 lines.extend(self.line_buf.drain(..));
                 unit.lsu = Some(LsuOp {
                     warp_slot: slot,
@@ -753,10 +759,12 @@ impl Sm {
             if op.lines.is_empty() && op.cycles_left == 0 {
                 if let LsuKind::GlobalLoad { load_id } = op.kind {
                     if let Some(w) = self.warps[op.warp_slot].as_mut() {
-                        let _ = w.finish_load_issue(load_id, now + l1_hit_latency);
+                        if w.finish_load_issue(load_id, now + l1_hit_latency) {
+                            // An all-hit load just made its destination
+                            // ready.
+                            self.table.refresh_head(op.warp_slot, w);
+                        }
                     }
-                    // An all-hit load just made its destination ready.
-                    self.refresh_warp(op.warp_slot);
                 }
                 self.lsu_line_pool.push(op.lines);
                 self.lsu_busy_mask &= !(1u64 << sched_id);
@@ -785,13 +793,13 @@ impl Sm {
             for &s in &rec.warp_slots {
                 mask |= 1u64 << s;
             }
+            self.table.release_barrier(mask);
             while mask != 0 {
                 let s = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 if let Some(w) = self.warps[s].as_mut() {
                     w.at_barrier = false;
                 }
-                self.refresh_warp(s);
             }
         }
     }
@@ -1209,33 +1217,38 @@ mod tests {
         assert_eq!(sm.resident_ctas(), 0, "CTA retires after barriers");
     }
 
+    /// Half of the body is shared-memory accesses with `degree`-way bank
+    /// conflicts.
+    fn shmem_kernel(degree: u32) -> KernelDesc {
+        KernelDesc {
+            name: "shm".into(),
+            grid_ctas: 64,
+            threads_per_cta: 128,
+            regs_per_thread: 8,
+            shmem_per_cta: 1024,
+            program: ProgramSpec {
+                body_len: 32,
+                shmem_frac: 0.5,
+                gload_frac: 0.0,
+                dep_distance: 8,
+                ..ProgramSpec::default()
+            }
+            .generate(),
+            iterations: 100,
+            pattern: AccessPattern::Streaming { transactions: 1 },
+            icache_miss_rate: 0.0,
+            shmem_conflict_degree: degree,
+            seed: 0,
+        }
+    }
+
     #[test]
     fn bank_conflicts_slow_shared_memory_kernels() {
         let cfg = GpuConfig::isca_baseline();
         let run_with_degree = |degree: u32| {
             let mut sm = Sm::new(0, &cfg, SchedulerKind::GreedyThenOldest);
             let mut mem = MemSubsystem::new(&cfg);
-            let desc = KernelDesc {
-                name: "shm".into(),
-                grid_ctas: 64,
-                threads_per_cta: 128,
-                regs_per_thread: 8,
-                shmem_per_cta: 1024,
-                program: ProgramSpec {
-                    body_len: 32,
-                    shmem_frac: 0.5,
-                    gload_frac: 0.0,
-                    dep_distance: 8,
-                    ..ProgramSpec::default()
-                }
-                .generate(),
-                iterations: 100,
-                pattern: AccessPattern::Streaming { transactions: 1 },
-                icache_miss_rate: 0.0,
-                shmem_conflict_degree: degree,
-                seed: 0,
-            };
-            let descs = vec![desc];
+            let descs = vec![shmem_kernel(degree)];
             for c in 0..4 {
                 assert!(sm.launch_cta(&descs[0], KernelId(0), c));
             }
@@ -1247,6 +1260,57 @@ mod tests {
             clean as f64 > conflicted as f64 * 1.5,
             "8-way conflicts should hurt: {clean} vs {conflicted}"
         );
+    }
+
+    /// LSU ops in flight: the deques they hold.
+    fn lsu_ops_in_flight(sm: &Sm) -> usize {
+        sm.units.iter().filter(|u| u.lsu.is_some()).count()
+    }
+
+    #[test]
+    fn lsu_line_pool_stays_within_the_scheduler_count() {
+        let cfg = GpuConfig::isca_baseline();
+        let num_sched = cfg.sm.num_schedulers as usize;
+        let mut sm = Sm::new(0, &cfg, SchedulerKind::GreedyThenOldest);
+        let mut mem = MemSubsystem::new(&cfg);
+        // A shared-memory-heavy run: every shared op must take its deque
+        // from the pool, or completions would grow it without bound.
+        let descs = vec![shmem_kernel(1), mem_kernel(1000)];
+        for c in 0..4 {
+            assert!(sm.launch_cta(&descs[0], KernelId(0), c));
+        }
+        let insts = run(&mut sm, &mut mem, &descs, 20_000);
+        assert!(insts[0] > 10_000, "shared-memory run made progress");
+        assert!(
+            sm.lsu_line_pool.len() <= num_sched,
+            "{} pooled deques after the shared-memory run",
+            sm.lsu_line_pool.len()
+        );
+        // Evict a kernel mid-op: the dropped ops' deques go back to the pool.
+        for c in 0..2 {
+            assert!(sm.launch_cta(&descs[0], KernelId(0), 100 + c));
+            assert!(sm.launch_cta(&descs[1], KernelId(1), c));
+        }
+        let mut steps = 0;
+        while !sm
+            .units
+            .iter()
+            .any(|u| u.lsu.as_ref().is_some_and(|op| op.kernel.0 == 1))
+        {
+            let _ = run(&mut sm, &mut mem, &descs, 1);
+            steps += 1;
+            assert!(steps < 10_000, "no global-memory op ever reached the LSU");
+        }
+        let held = sm.lsu_line_pool.len() + lsu_ops_in_flight(&sm);
+        sm.evict_kernel(1, &descs[1]);
+        assert_eq!(
+            sm.lsu_line_pool.len() + lsu_ops_in_flight(&sm),
+            held,
+            "eviction dropped a deque"
+        );
+        assert!(sm.lsu_line_pool.len() <= num_sched);
+        let _ = run(&mut sm, &mut mem, &descs, 5_000);
+        assert!(sm.lsu_line_pool.len() <= num_sched);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Warp execution state: program counter, i-buffer, scoreboard, and
 //! outstanding-load tracking.
 
-use std::collections::VecDeque;
-
 use crate::access::AddressStream;
 use crate::kernel::{KernelDesc, KernelId};
-use crate::program::{Inst, OpClass, Reg, NUM_VIRTUAL_REGS};
+use crate::program::{Inst, OpClass, Program, Reg, NUM_VIRTUAL_REGS};
 use crate::stats::StallReason;
 
 /// Scoreboard marker for a register awaiting a global load.
@@ -40,11 +38,18 @@ pub struct Warp {
     /// Whether the warp is parked at a CTA-wide barrier.
     pub at_barrier: bool,
     total_insts: u64,
+    /// Body pc of the next instruction to fetch.
     pc: usize,
     body_len: usize,
     iters_left: u32,
-    ibuffer: VecDeque<Inst>,
+    /// The i-buffer is a window onto the program: the `ib_len` body
+    /// instructions from `head_pc` on, wrapping at `body_len`. Only its
+    /// head is decoded, into `head_inst`, which is stale while the window
+    /// is empty.
+    ib_len: usize,
     ibuffer_cap: usize,
+    head_inst: Inst,
+    head_pc: usize,
     fetch_ready: u64,
     fetch_count: u64,
     reg_ready: [u64; NUM_VIRTUAL_REGS],
@@ -80,8 +85,10 @@ impl Warp {
             pc: 0,
             body_len: desc.program.len(),
             iters_left: desc.iterations,
-            ibuffer: VecDeque::with_capacity(ibuffer_cap as usize),
+            ib_len: 0,
             ibuffer_cap: ibuffer_cap as usize,
+            head_inst: desc.program.inst(0),
+            head_pc: 0,
             fetch_ready: 0,
             fetch_count: 0,
             reg_ready: [0; NUM_VIRTUAL_REGS],
@@ -115,10 +122,14 @@ impl Warp {
         fetch_latency: u32,
         icache_miss_penalty: u32,
     ) -> bool {
-        if self.fetch_done() || self.ibuffer.len() >= self.ibuffer_cap || self.fetch_ready > now {
+        if self.fetch_done() || self.ib_len >= self.ibuffer_cap || self.fetch_ready > now {
             return false;
         }
-        self.ibuffer.push_back(desc.program.inst(self.pc));
+        if self.ib_len == 0 {
+            self.head_inst = desc.program.inst(self.pc);
+            self.head_pc = self.pc;
+        }
+        self.ib_len += 1;
         self.pc += 1;
         if self.pc == self.body_len {
             self.pc = 0;
@@ -148,22 +159,35 @@ impl Warp {
     /// The decoded instruction at the head of the i-buffer.
     #[must_use]
     pub fn head(&self) -> Option<Inst> {
-        self.ibuffer.front().copied()
+        (self.ib_len != 0).then_some(self.head_inst)
     }
 
     /// Whether the i-buffer is empty (front-end starved).
     #[must_use]
     pub fn ibuffer_empty(&self) -> bool {
-        self.ibuffer.is_empty()
+        self.ib_len == 0
     }
 
-    /// Consumes the head instruction at issue. For ALU/SFU/shared-memory
-    /// ops the destination becomes ready at `now + latency`; for global
-    /// loads the caller must follow up with [`Self::begin_load`].
-    pub fn issue(&mut self, now: u64, result_latency: u64) -> Inst {
-        // Invariant: the scheduler only issues warps whose i-buffer it just
-        // inspected via head(). xtask-allow: no-unwrap
-        let inst = self.ibuffer.pop_front().expect("issue on empty i-buffer");
+    /// Consumes the head instruction at issue and decodes the next one from
+    /// `program`, the warp's kernel body. For ALU/SFU/shared-memory ops the
+    /// destination becomes ready at `now + latency`; for global loads the
+    /// caller must follow up with [`Self::begin_load`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the i-buffer is empty: the scheduler only issues warps
+    /// whose head it just inspected.
+    pub fn issue(&mut self, now: u64, result_latency: u64, program: &Program) -> Inst {
+        assert!(self.ib_len != 0, "issue on empty i-buffer");
+        let inst = self.head_inst;
+        self.ib_len -= 1;
+        self.head_pc += 1;
+        if self.head_pc == self.body_len {
+            self.head_pc = 0;
+        }
+        if self.ib_len != 0 {
+            self.head_inst = program.inst(self.head_pc);
+        }
         self.insts_issued += 1;
         if inst.op != OpClass::GlobalLoad {
             if let Some(dst) = inst.dst {
@@ -247,7 +271,7 @@ impl Warp {
     /// is the value cached per-slot in [`WarpTable::fetch_at`].
     #[must_use]
     pub fn fetch_ready_at(&self) -> u64 {
-        if self.fetch_done() || self.ibuffer.len() >= self.ibuffer_cap {
+        if self.fetch_done() || self.ib_len >= self.ibuffer_cap {
             u64::MAX
         } else {
             self.fetch_ready
@@ -460,8 +484,9 @@ impl Calendars {
 /// head op-class and fetch-open bitmasks, flat arrays of head readiness,
 /// fetch readiness, and launch order, and a wakeup calendar over each of
 /// the two readiness arrays. The [`Warp`] structs stay the source of truth;
-/// the table is derived state maintained event-driven (the owning SM
-/// refreshes a slot after any mutation of its warp), so scheduler
+/// the table is derived state maintained event-driven (after any mutation
+/// of a warp the owning SM calls the writer for that event, which
+/// re-derives what the event can change), so scheduler
 /// selection, stall classification, and fetch eligibility are mask
 /// arithmetic — the RAW and fetch-due sets are read off the calendars, as
 /// of the table clock — instead of per-warp pointer chases.
@@ -544,6 +569,11 @@ fn fill(on: bool) -> u64 {
     0u64.wrapping_sub(u64::from(on))
 }
 
+/// Sets the bits of `bit` in `mask` when `on`, clears them otherwise.
+fn put(mask: &mut u64, bit: u64, on: bool) {
+    *mask = (*mask & !bit) | (bit & fill(on));
+}
+
 impl WarpTable {
     /// An empty table with `n_slots` warp slots (at most 64).
     #[must_use]
@@ -569,24 +599,47 @@ impl WarpTable {
         }
     }
 
-    /// Recomputes slot `slot`'s derived state from `warp`. Callers must
-    /// invoke this after *any* mutation of the warp (fetch, issue, load
-    /// lifecycle, barrier park/release) or the table silently diverges —
-    /// the strict-invariant oracle check catches that in debug builds.
-    /// Together with [`Self::clear`] it is the only writer of the readiness
-    /// stamps, so it also moves the slot between calendar buckets.
+    // The per-slot state has five writers, one per kind of event: `refresh`
+    // (launch, issue), `refresh_fetch`, `refresh_head` (a completed load),
+    // `release_barrier` and `clear` (release). Each writes every entry its
+    // event can change and nothing else; the strict-invariant oracle
+    // (`assert_matches`) catches a writer that misses one. Only `refresh`,
+    // `refresh_fetch`, `refresh_head` and `clear` write readiness stamps, so
+    // only they move slots between calendar buckets.
+
+    /// Re-derives every entry of slot `slot` from `warp`. A launch fills
+    /// every field of the warp, and an issue can change all that the table
+    /// reads: the instruction count (`finished`), the barrier flag, the
+    /// i-buffer length (`fetch_at`), the head instruction and the register
+    /// readiness (the head fields).
     pub fn refresh(&mut self, slot: usize, warp: &Warp) {
         let bit = 1u64 << slot;
-        let put = |mask: &mut u64, on: bool| *mask = (*mask & !bit) | (bit & fill(on));
         self.resident |= bit;
-        put(&mut self.finished, warp.finished());
-        put(&mut self.barrier, warp.at_barrier);
-        let fetch_at = warp.fetch_ready_at();
-        self.cal
-            .reschedule(FETCH, slot, self.fetch_at[slot], fetch_at);
-        self.fetch_at[slot] = fetch_at;
-        put(&mut self.fetch_open, fetch_at != u64::MAX);
+        put(&mut self.finished, bit, warp.finished());
+        put(&mut self.barrier, bit, warp.at_barrier);
         self.launch_seq[slot] = warp.launch_seq;
+        self.write_fetch(slot, warp);
+        self.refresh_head(slot, warp);
+    }
+
+    /// Writes slot `slot`'s entries after a fetch into `warp`. A fetch
+    /// changes the fetch pc, the fetch-ready cycle and the i-buffer length,
+    /// so it moves `fetch_at` and `fetch_open`; into an empty i-buffer it
+    /// also decodes a new head, and then the head fields are written too.
+    pub fn refresh_fetch(&mut self, slot: usize, warp: &Warp) {
+        self.write_fetch(slot, warp);
+        if self.ib_empty & (1u64 << slot) != 0 {
+            self.refresh_head(slot, warp);
+        }
+    }
+
+    /// Writes slot `slot`'s head fields from `warp`: `head_ready`,
+    /// `ib_empty`, `mem_pending` and the op-class masks. Called alone after
+    /// a load of the warp completes (the last fill of a batch, or issue
+    /// when every line hit), which changes only the register readiness and
+    /// the outstanding loads: the head's stamp and its Mem class.
+    pub fn refresh_head(&mut self, slot: usize, warp: &Warp) {
+        let bit = 1u64 << slot;
         let (ready, op) = match warp.head_state() {
             Some((ready, op)) => (ready, Some(op)),
             None => (0, None),
@@ -594,11 +647,28 @@ impl WarpTable {
         self.cal
             .reschedule(HEAD, slot, self.head_ready[slot], ready);
         self.head_ready[slot] = ready;
-        put(&mut self.ib_empty, op.is_none());
-        put(&mut self.mem_pending, ready == PENDING_LOAD);
-        put(&mut self.head_alu, op == Some(OpClass::Alu));
-        put(&mut self.head_sfu, op == Some(OpClass::Sfu));
-        put(&mut self.head_barrier, op == Some(OpClass::Barrier));
+        put(&mut self.ib_empty, bit, op.is_none());
+        put(&mut self.mem_pending, bit, ready == PENDING_LOAD);
+        put(&mut self.head_alu, bit, op == Some(OpClass::Alu));
+        put(&mut self.head_sfu, bit, op == Some(OpClass::Sfu));
+        put(&mut self.head_barrier, bit, op == Some(OpClass::Barrier));
+    }
+
+    /// Clears the barrier bits of `slots`, the warps of a CTA whose barrier
+    /// released. A release changes only each warp's barrier flag; the
+    /// releasing warp is refreshed in full by its own issue right after.
+    pub fn release_barrier(&mut self, slots: u64) {
+        self.barrier &= !slots;
+    }
+
+    /// Writes slot `slot`'s fetch stamp from `warp` and refiles it on the
+    /// fetch calendar.
+    fn write_fetch(&mut self, slot: usize, warp: &Warp) {
+        let fetch_at = warp.fetch_ready_at();
+        self.cal
+            .reschedule(FETCH, slot, self.fetch_at[slot], fetch_at);
+        self.fetch_at[slot] = fetch_at;
+        put(&mut self.fetch_open, 1u64 << slot, fetch_at != u64::MAX);
     }
 
     /// Clears slot `slot` back to its vacant canonical state (warp
@@ -915,23 +985,95 @@ mod tests {
         // Second fetch gated by fetch latency.
         assert_eq!(w.fetch_ready_at(), 1);
         assert!(!w.fetch(0, &desc, 1, 0));
-        assert_eq!(w.ibuffer.len(), 1);
+        assert_eq!(w.ib_len, 1);
         w.fetch(1, &desc, 1, 0);
-        assert_eq!(w.ibuffer.len(), 2);
+        assert_eq!(w.ib_len, 2);
         // Buffer full: no more fetches, and the port cannot reopen on its own.
         assert_eq!(w.fetch_ready_at(), u64::MAX);
         assert!(!w.fetch(2, &desc, 1, 0));
-        assert_eq!(w.ibuffer.len(), 2);
+        assert_eq!(w.ib_len, 2);
         // Drain and keep fetching: 4 total instructions then fetch_done.
-        let _ = w.issue(2, 1);
-        let _ = w.issue(2, 1);
+        let _ = w.issue(2, 1, &desc.program);
+        let _ = w.issue(2, 1, &desc.program);
         w.fetch(3, &desc, 1, 0);
         w.fetch(4, &desc, 1, 0);
         assert!(w.fetch_done());
-        let _ = w.issue(5, 1);
+        let _ = w.issue(5, 1, &desc.program);
         assert_eq!(w.fetch_ready_at(), u64::MAX, "fully fetched");
-        let _ = w.issue(5, 1);
+        let _ = w.issue(5, 1, &desc.program);
         assert!(w.finished());
+    }
+
+    fn sfu(dst: Reg, src: Reg) -> Inst {
+        Inst {
+            op: OpClass::Sfu,
+            dst: Some(dst),
+            srcs: [Some(src), None],
+        }
+    }
+
+    #[test]
+    fn head_follows_the_body_across_the_wrap() {
+        // A 3-instruction body behind a 4-entry i-buffer: the window wraps
+        // inside one buffer (a, b, c, a), and each issue decodes the next
+        // body instruction, back to the start after the last.
+        let body = vec![alu(0, 1), sfu(1, 2), load(2, 3)];
+        let desc = kernel_with(body.clone(), 2);
+        let mut w = Warp::new(&desc, KernelId(0), 0, 0, 0, 0, 0, 4);
+        for _ in 0..4 {
+            assert!(w.fetch(0, &desc, 0, 0));
+        }
+        assert_eq!(w.ib_len, 4);
+        assert_eq!(w.head(), Some(body[0]));
+        for (issued, expect) in [(0, 1), (1, 2), (2, 0)] {
+            assert_eq!(w.issue(0, 1, &desc.program), body[issued]);
+            assert_eq!(w.head(), Some(body[expect]), "after issuing {issued}");
+        }
+        assert_eq!(w.issue(0, 1, &desc.program), body[0]);
+        assert_eq!(w.head(), None, "window drained");
+        assert!(w.ibuffer_empty());
+        // The next fetch resumes at the second iteration's `b`.
+        assert!(w.fetch(0, &desc, 0, 0));
+        assert_eq!(w.head(), Some(body[1]));
+    }
+
+    #[test]
+    fn head_on_the_last_iteration_then_none_once_drained() {
+        let body = vec![alu(0, 1), sfu(1, 0)];
+        let desc = kernel_with(body.clone(), 2);
+        let mut w = warp_for(&desc);
+        // First iteration in and out.
+        w.fetch(0, &desc, 0, 0);
+        w.fetch(0, &desc, 0, 0);
+        let _ = w.issue(0, 1, &desc.program);
+        let _ = w.issue(0, 1, &desc.program);
+        assert_eq!(w.head(), None);
+        // Last iteration: the fetch front end finishes with the window
+        // full, and the head still walks the body.
+        w.fetch(0, &desc, 0, 0);
+        w.fetch(0, &desc, 0, 0);
+        assert!(w.fetch_done());
+        assert_eq!(w.head(), Some(body[0]));
+        assert_eq!(w.issue(0, 1, &desc.program), body[0]);
+        assert_eq!(
+            w.head(),
+            Some(body[1]),
+            "last instruction of the last iteration"
+        );
+        assert_eq!(w.head_state(), Some((1, OpClass::Sfu)));
+        assert_eq!(w.issue(0, 1, &desc.program), body[1]);
+        assert_eq!(w.head(), None, "drained for good");
+        assert_eq!(w.head_state(), None);
+        assert!(w.finished());
+        assert!(!w.fetch(1, &desc, 0, 0), "nothing left to fetch");
+    }
+
+    #[test]
+    #[should_panic(expected = "issue on empty i-buffer")]
+    fn issue_on_an_empty_window_panics() {
+        let desc = kernel_with(vec![alu(0, 1)], 1);
+        let mut w = warp_for(&desc);
+        let _ = w.issue(0, 1, &desc.program);
     }
 
     #[test]
@@ -941,7 +1083,7 @@ mod tests {
         w.fetch(0, &desc, 1, 0);
         w.fetch(1, &desc, 1, 0);
         assert_eq!(w.head_state(), Some((0, OpClass::Alu)));
-        let _ = w.issue(0, 10); // r0 ready at 10
+        let _ = w.issue(0, 10, &desc.program); // r0 ready at 10
         assert_eq!(w.head_state(), Some((10, OpClass::Alu)));
     }
 
@@ -951,7 +1093,7 @@ mod tests {
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 1, 0);
         w.fetch(1, &desc, 1, 0);
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc.program);
         assert_eq!(inst.op, OpClass::GlobalLoad);
         let id = w.begin_load(inst.dst.unwrap());
         w.add_load_transaction(id);
@@ -966,7 +1108,7 @@ mod tests {
         let desc = kernel_with(vec![load(0, 1), alu(2, 0)], 1);
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 1, 0);
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc.program);
         let id = w.begin_load(inst.dst.unwrap());
         assert!(w.finish_load_issue(id, 28));
         assert_eq!(w.outstanding_loads(), 0);
@@ -983,7 +1125,7 @@ mod tests {
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 0, 0);
         w.fetch(0, &desc, 0, 0);
-        let first = w.issue(0, 0);
+        let first = w.issue(0, 0, &desc.program);
         let id = w.begin_load(first.dst.unwrap());
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
@@ -1001,7 +1143,7 @@ mod tests {
         let desc = kernel_with(vec![load(0, 1)], 1);
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 1, 0);
-        let _ = w.issue(0, 0);
+        let _ = w.issue(0, 0, &desc.program);
         assert!(!w.complete_load_transaction(99, 10));
     }
 
@@ -1011,12 +1153,12 @@ mod tests {
         desc.icache_miss_rate = 1.0;
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 2, 40);
-        assert_eq!(w.ibuffer.len(), 1);
+        assert_eq!(w.ib_len, 1);
         // Every fetch misses: next fetch not ready until 42.
         w.fetch(41, &desc, 2, 40);
-        assert_eq!(w.ibuffer.len(), 1);
+        assert_eq!(w.ib_len, 1);
         w.fetch(42, &desc, 2, 40);
-        assert_eq!(w.ibuffer.len(), 2);
+        assert_eq!(w.ib_len, 2);
     }
 
     #[test]
@@ -1031,8 +1173,9 @@ mod tests {
         assert_eq!(t.next_fetch(), 0, "fetch port open immediately");
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
+        // Each event goes through the writer scoped to it.
         w.fetch(0, &desc, 1, 0);
-        t.refresh(0, &w);
+        t.refresh_fetch(0, &w);
         assert_eq!(t.ib_empty_mask() & 1, 0);
         // A global load heads the i-buffer: it issues exactly when the LSU
         // is free.
@@ -1040,18 +1183,20 @@ mod tests {
         assert_eq!(t.classify_issue(1, 0, true, true, false).exec, 1);
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc.program);
         let id = w.begin_load(inst.dst.unwrap());
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
-        w.fetch(1, &desc, 1, 0);
         t.refresh(0, &w);
+        assert_ne!(t.ib_empty_mask() & 1, 0, "issue drained the i-buffer");
+        w.fetch(1, &desc, 1, 0);
+        t.refresh_fetch(0, &w);
         assert_ne!(t.mem_pending_mask() & 1, 0, "consumer blocked on load");
         assert_eq!(t.min_head_ready(1), PENDING_LOAD);
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
         assert!(w.complete_load_transaction(id, 50));
-        t.refresh(0, &w);
+        t.refresh_head(0, &w);
         assert_eq!(t.mem_pending_mask() & 1, 0);
         assert_eq!(t.min_head_ready(1), 50);
         t.assert_matches(&[Some(w.clone()), None, None, None]);
@@ -1075,15 +1220,16 @@ mod tests {
         let mut w = warp_for(&desc);
         let mut t = WarpTable::new(2);
         w.fetch(0, &desc, 1, 0);
-        let _ = w.issue(0, 0);
+        let _ = w.issue(0, 0, &desc.program);
         w.at_barrier = true;
         t.refresh(0, &w);
         assert_ne!(t.barrier_mask() & 1, 0);
         assert_eq!(t.live(), 0, "finished warp leaves the candidate set");
         t.assert_matches(&[Some(w.clone()), None]);
         w.at_barrier = false;
-        t.refresh(0, &w);
+        t.release_barrier(1);
         assert_eq!(t.barrier_mask(), 0);
+        t.assert_matches(&[Some(w), None]);
     }
 
     #[test]
@@ -1094,7 +1240,7 @@ mod tests {
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 0, 0);
         w.fetch(0, &desc, 0, 0);
-        let _ = w.issue(0, 100);
+        let _ = w.issue(0, 100, &desc.program);
         let mut t = WarpTable::new(1);
         t.refresh(0, &w);
         let warps = [Some(w)];
@@ -1128,7 +1274,7 @@ mod tests {
         t.refresh(0, &w);
         // Mutate the warp without refreshing: the oracle must object.
         w.fetch(0, &desc, 1, 0);
-        let _ = w.issue(0, 1);
+        let _ = w.issue(0, 1, &desc.program);
         t.assert_matches(&[Some(w)]);
     }
 
@@ -1142,12 +1288,12 @@ mod tests {
         let desc = kernel_with(vec![load(0, 1), alu(1, 2), both], 1);
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 0, 0);
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc.program);
         let id = w.begin_load(inst.dst.unwrap());
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
         w.fetch(1, &desc, 0, 0);
-        let _ = w.issue(1, 10); // r1 ready at 11
+        let _ = w.issue(1, 10, &desc.program); // r1 ready at 11
         w.fetch(2, &desc, 0, 0);
         // Head reads r1 (RAW until 11) and r0 (mem-pending): the sentinel
         // dominates the max, so the warp classifies as mem-pending.

@@ -11,6 +11,9 @@
 //! field that diverged. The calendar-derived issue classification and fetch
 //! eligibility are checked against a per-slot reference walk on the same
 //! random table states, advanced to cycles at and ahead of the SM's clock.
+//! The oracle runs at i-buffer depths of 1, 2 and 4, with a kernel whose
+//! 3-instruction body is shorter than the deepest i-buffer, so the
+//! i-buffer's window onto the program wraps inside one buffer.
 
 use gpu_sim::{
     AccessPattern, GpuConfig, IssueClasses, KernelDesc, KernelId, MemSubsystem, OpClass,
@@ -36,10 +39,12 @@ fn kernel(name: &str, spec: ProgramSpec, iterations: u32, seed: u64) -> KernelDe
     }
 }
 
-/// The three behaviour classes the scoreboard must track: serial ALU/SFU
-/// chains (RAW bits, both arithmetic op-class masks), load-heavy streams
-/// with some shared-memory traffic (mem-pending bits, MSHR fills, LSU-class
-/// heads), and barrier-synchronized CTAs (barrier park/release).
+/// The behaviour classes the scoreboard must track: serial ALU/SFU chains
+/// (RAW bits, both arithmetic op-class masks), load-heavy streams with some
+/// shared-memory traffic (mem-pending bits, MSHR fills, LSU-class heads),
+/// barrier-synchronized CTAs (barrier park/release), and a 3-instruction
+/// body (a load, an SFU op and a barrier) that the i-buffer window wraps
+/// around many times.
 fn kernel_mix() -> Vec<KernelDesc> {
     vec![
         kernel(
@@ -79,6 +84,19 @@ fn kernel_mix() -> Vec<KernelDesc> {
             2,
             17,
         ),
+        kernel(
+            "short",
+            ProgramSpec {
+                body_len: 3,
+                dep_distance: 1,
+                sfu_frac: 0.34,
+                gload_frac: 0.33,
+                barrier_frac: 0.33,
+                ..ProgramSpec::default()
+            },
+            16,
+            19,
+        ),
     ]
 }
 
@@ -92,24 +110,33 @@ fn config() -> GpuConfig {
     cfg
 }
 
+/// The i-buffer depths the oracle runs at: one entry (every issue empties
+/// the window), the baseline's two, and four (deeper than the short
+/// kernel's body).
+const IBUFFER_DEPTHS: [u32; 3] = [1, 2, 4];
+
 /// Drives `steps` random launch/evict/tick+fill steps on a fresh SM under
-/// `kind`, calling `check(sm, rng, step)` after every step. Ticks advance
-/// the clock one cycle, except that about one in thirty jumps 64 to 319
-/// cycles ahead first, as a fast-forward skip would.
+/// `kind` with `ibuffer` i-buffer entries per warp, calling
+/// `check(sm, rng, step)` after every step. Ticks advance the clock one
+/// cycle, except that about one in thirty jumps 64 to 319 cycles ahead
+/// first, as a fast-forward skip would. Returns the instructions issued per
+/// kernel.
 fn random_sequence(
     kind: SchedulerKind,
     seed: u64,
     steps: u64,
+    ibuffer: u32,
     mut check: impl FnMut(&Sm, &mut SimRng, u64),
-) -> u64 {
-    let cfg = config();
+) -> Vec<u64> {
+    let mut cfg = config();
+    cfg.sm.ibuffer_entries = ibuffer;
     let descs = kernel_mix();
     let mut rng = SimRng::seed_from_u64(seed);
     let mut sm = Sm::new(0, &cfg, kind);
     let mut mem = MemSubsystem::new(&cfg);
     let mut kernel_insts = vec![0u64; descs.len()];
     let mut responses = Vec::new();
-    let mut cta_counter = [0u64; 3];
+    let mut cta_counter = vec![0u64; descs.len()];
     let mut now = 0u64;
     for step in 0..steps {
         let roll = rng.range_u64(100);
@@ -137,21 +164,28 @@ fn random_sequence(
         }
         check(&sm, &mut rng, step);
     }
-    kernel_insts.iter().sum()
+    kernel_insts
 }
 
 /// Random issue/fill/barrier/exit sequences: every step (tick, fill batch,
 /// launch, evict) is followed by a full oracle re-derivation of every mask
 /// (op-class and fetch-open included), array and calendar bucket. 6 seeds x
-/// both scheduler kinds x 1500 steps each.
+/// both scheduler kinds x 1500 steps each at the baseline i-buffer depth,
+/// and 2 seeds x both kinds at each other depth.
 #[test]
 fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
-    for (case, kind) in [SchedulerKind::GreedyThenOldest, SchedulerKind::RoundRobin]
-        .into_iter()
-        .flat_map(|k| (0..6u64).map(move |s| (s, k)))
-    {
+    // Instructions the short kernel issued behind a 4-entry i-buffer, where
+    // its window wraps inside one buffer.
+    let mut short_wrapped = 0u64;
+    let cases = IBUFFER_DEPTHS.into_iter().flat_map(|ib| {
+        let seeds = if ib == 2 { 6 } else { 2 };
+        [SchedulerKind::GreedyThenOldest, SchedulerKind::RoundRobin]
+            .into_iter()
+            .flat_map(move |k| (0..seeds).map(move |s| (s, k, ib)))
+    });
+    for (case, kind, ib) in cases {
         let seed = 0x50A0_0000 + case * 7 + u64::from(matches!(kind, SchedulerKind::RoundRobin));
-        let issued = random_sequence(kind, seed, 1500, |sm, _, step| {
+        let issued = random_sequence(kind, seed, 1500, ib, |sm, _, step| {
             sm.check_scoreboard();
             // The mask views must agree with their per-slot getters too.
             let t = sm.scoreboard();
@@ -167,11 +201,21 @@ fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
                         }
                         f
                     },
-                "case {case} step {step}: live() disagrees with warps"
+                "case {case} ib {ib} step {step}: live() disagrees with warps"
             );
         });
-        assert!(issued > 0, "case {case}: sequences must make progress");
+        assert!(
+            issued.iter().sum::<u64>() > 0,
+            "case {case} ib {ib}: sequences must make progress"
+        );
+        if ib == 4 {
+            short_wrapped += issued[3];
+        }
     }
+    assert!(
+        short_wrapped > 0,
+        "the short-body kernel never issued at depth 4"
+    );
 }
 
 /// The per-slot classification the mask path replaced: walk the
@@ -254,7 +298,9 @@ fn calendar_classification_matches_per_slot_reference() {
         .flat_map(|k| (0..3u64).map(move |s| (s, k)))
     {
         let seed = 0xC1A5_0000 + case * 5 + u64::from(matches!(kind, SchedulerKind::RoundRobin));
-        random_sequence(kind, seed, 1500, |sm, rng, step| {
+        // Each seed of a kind runs at a different i-buffer depth.
+        let ib = IBUFFER_DEPTHS[case as usize];
+        random_sequence(kind, seed, 1500, ib, |sm, rng, step| {
             let n = sm.warp_slot_count();
             let warps: Vec<_> = (0..n).map(|s| sm.warp(s).cloned()).collect();
             let clock = sm.scoreboard().clock();

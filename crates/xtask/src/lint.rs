@@ -111,7 +111,7 @@ pub const RULE_NAMES: [&str; 9] = [
 /// asserts it), so the transitive `no-tick-alloc` rule covers at least the
 /// surface the old per-name rule did.
 #[cfg_attr(not(test), allow(dead_code))]
-pub const TICK_PATH_FNS: [&str; 27] = [
+pub const TICK_PATH_FNS: [&str; 33] = [
     "tick",
     "tick_fast_forward",
     "fast_forward",
@@ -139,6 +139,12 @@ pub const TICK_PATH_FNS: [&str; 27] = [
     "fetch_due",
     "next_fetch",
     "stall_reason",
+    "refresh_fetch",
+    "refresh_head",
+    "release_barrier",
+    "write_fetch",
+    "register",
+    "complete_into",
 ];
 
 /// Seed functions for the transitive `no-tick-alloc` rule: the per-cycle
