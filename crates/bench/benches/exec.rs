@@ -1,12 +1,10 @@
 //! Execution-layer scaling bench: wall-clock of the Fig. 3a suite sweep at
-//! 1/2/4/8 workers plus the barriered-vs-pipelined profile→decide
-//! comparison, written machine-readably to `results/BENCH_exec.json`.
+//! 1/2/4/8 workers, written machine-readably to `results/BENCH_exec.json`.
 //!
 //! The sweep fans out one CTA-capped simulation per (benchmark, CTA count)
 //! point — the workload the persistent [`ws_exec::Pool`] exists for. Every
 //! arm asserts the rendered Fig. 3a table is byte-identical to the serial
-//! run, so the perf numbers double as a determinism check; likewise the
-//! pipelined decide harness is asserted equal to the barriered one.
+//! run, so the perf numbers double as a determinism check.
 //!
 //! CI floor: when `WS_EXEC_BENCH_MIN_SPEEDUP` is set **and** the host has
 //! at least 4 cores, the 4-worker arm must reach that speedup over serial
@@ -21,17 +19,12 @@ use std::time::Instant;
 use warped_slicer::RunConfig;
 use ws_bench::experiments::fig3;
 use ws_bench::ExperimentContext;
-use ws_workloads::all_pairs;
 
 const BUDGET: u64 = 4_000;
 const WINDOW: u64 = 2_000;
 const ARM_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Worker count the CI floor gates on (and the decide comparison uses).
+/// Worker count the CI floor gates on.
 const FLOOR_THREADS: usize = 4;
-/// Pairs for the profile→decide comparison (kept small: the point is the
-/// barrier-vs-overlap delta, not suite coverage).
-const DECIDE_PAIRS: usize = 6;
-const DECIDE_WINDOW: u64 = 1_500;
 
 /// One measured sweep arm.
 struct Arm {
@@ -86,22 +79,6 @@ fn main() {
         });
     }
 
-    // Profile→decide: the staged/barriered harness vs. the pipelined one
-    // on the same pool, same pairs, asserted byte-identical.
-    let pairs: Vec<_> = all_pairs().into_iter().take(DECIDE_PAIRS).collect();
-    let decide_ctx = ctx_with(FLOOR_THREADS.min(host.max(2)));
-    let t = Instant::now();
-    let barriered = decide_ctx.decide_pairs(&pairs, DECIDE_WINDOW);
-    let barriered_wall = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let pipelined = decide_ctx.decide_pairs_pipelined(&pairs, DECIDE_WINDOW);
-    let pipelined_wall = t.elapsed().as_secs_f64();
-    assert_eq!(
-        barriered, pipelined,
-        "pipelined decide harness must match the barriered baseline"
-    );
-    let decide_speedup = barriered_wall / pipelined_wall.max(1e-9);
-
     // CI floor: only meaningful on a multi-core host.
     let floor_env = std::env::var("WS_EXEC_BENCH_MIN_SPEEDUP").ok();
     let floor: Option<f64> = floor_env.as_deref().and_then(|v| v.trim().parse().ok());
@@ -141,14 +118,9 @@ fn main() {
         "{{\n  \"bench\": \"exec_fig3_sweep\",\n  \"isolation_cycles\": {BUDGET},\n  \
          \"window_cycles\": {WINDOW},\n  \"jobs_per_sweep\": {jobs},\n  \
          \"host_parallelism\": {host},{note}\n  \"arms\": [\n{}\n  ],\n  \
-         \"pipeline\": {{ \"pairs\": {}, \"threads\": {}, \
-         \"barriered_wall_s\": {barriered_wall:.4}, \"pipelined_wall_s\": {pipelined_wall:.4}, \
-         \"speedup\": {decide_speedup:.3}, \"identical_decisions\": true }},\n  \
          \"floor\": {{ \"env\": \"WS_EXEC_BENCH_MIN_SPEEDUP\", \"value\": {}, \
          \"gated_threads\": {FLOOR_THREADS}, \"enforced\": {enforced}, \"passed\": {passed} }}\n}}\n",
         arm_json.join(",\n"),
-        pairs.len(),
-        decide_ctx.pool().threads(),
         floor.map_or("null".to_string(), |f| format!("{f}")),
     );
 
@@ -164,10 +136,7 @@ fn main() {
             a.threads, a.wall_s, a.speedup, a.efficiency
         );
     }
-    println!(
-        "exec/decide: barriered {barriered_wall:.2}s, pipelined {pipelined_wall:.2}s (x{decide_speedup:.2}) -> {}",
-        path.display()
-    );
+    println!("wrote {}", path.display());
     match (enforced, floor) {
         (true, Some(f)) if !passed => {
             eprintln!(

@@ -25,7 +25,7 @@
 use std::path::{Path, PathBuf};
 
 use gpu_sim::GpuConfig;
-use warped_slicer::{profile_curves, tracefmt, RunConfig};
+use warped_slicer::{profile_curves_planned, tracefmt, RunConfig, SweepPlan};
 use ws_analyze::{knee_of, predict_kernel};
 use ws_workloads::{suite, Benchmark};
 
@@ -137,7 +137,8 @@ fn main() {
     let benches = suite();
     let descs: Vec<&gpu_sim::KernelDesc> = benches.iter().map(|b| &b.desc).collect();
     let maxes: Vec<u32> = benches.iter().map(Benchmark::max_ctas_baseline).collect();
-    let measured_curves = profile_curves(&pool, &descs, &maxes, cycles, &cfg);
+    let measured_curves =
+        profile_curves_planned(&pool, &descs, &SweepPlan::full(&maxes), cycles, &cfg).curves;
 
     let mut rows = Vec::new();
     for (bench, measured) in benches.iter().zip(&measured_curves) {

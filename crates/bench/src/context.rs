@@ -8,12 +8,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use warped_slicer::{
-    accept_pruned, build_curves, execute_batch, execute_batch_observed, predict_default,
-    profile_curves, water_fill, CorunResult, IsolationResult, KernelCurve, PolicyKind,
-    ProfileSample, ResourceVec, RunConfig, SimJob, SimOutcome, SimStream, SweepPlan,
-    WarpedSlicerConfig,
+    execute_batch, execute_batch_observed, profile_curves_planned, CorunResult, IsolationResult,
+    PolicyKind, RunConfig, SimJob, SimOutcome, SweepPlan, WarpedSlicerConfig,
 };
-use ws_workloads::{Benchmark, Pair};
+use ws_workloads::Benchmark;
 
 /// One progress report, emitted after an observed unit of work completes.
 #[derive(Debug, Clone)]
@@ -61,55 +59,6 @@ pub struct JobProgress {
 /// Callback receiving [`JobProgress`] events (see
 /// [`ExperimentContext::set_job_progress`]).
 pub type JobProgressSink = Box<dyn Fn(&JobProgress) + Send + Sync>;
-
-/// The profile→decide outcome for one co-scheduled pair: the Algorithm 1
-/// water-filling quotas computed from (possibly pruned) Fig. 3 sampling
-/// plus Eq. 2-4 scaling. Produced identically by the barriered
-/// ([`ExperimentContext::decide_pairs`]) and pipelined
-/// ([`ExperimentContext::decide_pairs_pipelined`]) harnesses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairDecision {
-    /// The pair's `A_B` label.
-    pub label: String,
-    /// CTA quota per kernel (empty when no intra-SM partition fits).
-    pub quotas: Vec<u32>,
-    /// Normalized per-kernel performance at the granted quotas.
-    pub perf: Vec<f64>,
-    /// Whether each kernel's pruned sweep window was accepted.
-    pub pruned: Vec<bool>,
-    /// Simulation samples run for this pair, across both rounds.
-    pub samples_run: usize,
-}
-
-/// Per-(pair, kernel) sampling state for the decide harnesses.
-#[derive(Debug, Default, Clone)]
-struct KernelSampling {
-    /// `(cta cap, ipc, phi_mem)` samples collected so far.
-    samples: Vec<(u32, f64, f64)>,
-    /// Outstanding jobs of the current round (pipelined harness only).
-    pending: usize,
-    /// Whether the full-sweep fallback round has been submitted.
-    fallback: bool,
-    /// Whether sampling for this kernel is complete.
-    done: bool,
-    /// Whether the pruned window was accepted.
-    pruned: bool,
-}
-
-impl KernelSampling {
-    /// The sampled `(cap, ipc)` pairs, sorted by CTA count — the
-    /// order-insensitive form the acceptance check consumes.
-    fn sorted_ipc(&self) -> Vec<(u32, f64)> {
-        let mut s: Vec<(u32, f64)> = self.samples.iter().map(|&(c, ipc, _)| (c, ipc)).collect();
-        s.sort_by_key(|&(c, _)| c);
-        s
-    }
-}
-
-/// Looks up one kernel's sampling slot.
-fn slot(state: &mut [[KernelSampling; 2]], pi: usize, k: usize) -> Option<&mut KernelSampling> {
-    state.get_mut(pi).and_then(|p| p.get_mut(k))
-}
 
 /// Shared state for the experiment harness.
 ///
@@ -326,7 +275,9 @@ impl ExperimentContext {
 
     /// CTA-occupancy sweeps for Fig. 3-style curves: for each benchmark,
     /// the IPC at every CTA count `1..=max_ctas[i]`, sampled over `window`
-    /// cycles. All points across all benchmarks run as one job batch.
+    /// cycles — the unpruned [`SweepPlan::full`] run of
+    /// [`profile_curves_planned`]. All points across all benchmarks stream
+    /// through the pool together.
     pub fn cta_sweeps(
         &self,
         benches: &[&Benchmark],
@@ -334,255 +285,14 @@ impl ExperimentContext {
         window: u64,
     ) -> Vec<Vec<f64>> {
         let descs: Vec<&gpu_sim::KernelDesc> = benches.iter().map(|b| &b.desc).collect();
-        profile_curves(&self.pool, &descs, max_ctas, window, &self.cfg)
+        let plan = SweepPlan::full(max_ctas);
+        profile_curves_planned(&self.pool, &descs, &plan, window, &self.cfg).curves
     }
 
     /// Eq. 1 CTA-feasibility bound for `bench` on this context's hardware.
     #[must_use]
     pub fn max_ctas(&self, bench: &Benchmark) -> u32 {
         bench.desc.max_ctas_per_sm(&self.cfg.gpu.sm)
-    }
-
-    /// The sweep plan for one pair: prediction-pruned windows when
-    /// `WS_PREDICT` allows, full windows otherwise.
-    fn pair_plan(&self, pair: &Pair) -> SweepPlan {
-        let descs = [&pair.a.desc, &pair.b.desc];
-        let maxes = [self.max_ctas(&pair.a), self.max_ctas(&pair.b)];
-        if predict_default() {
-            SweepPlan::from_predictions(&descs, &maxes, &self.cfg.gpu)
-        } else {
-            SweepPlan::full(&maxes)
-        }
-    }
-
-    /// The Eq. 2-4 + Algorithm 1 decision for one fully sampled pair.
-    ///
-    /// Samples are sorted by `(kernel, cta count)` before scaling, so the
-    /// result is independent of completion order — the property that makes
-    /// the barriered and pipelined harnesses byte-identical.
-    fn pair_decision(&self, pair: &Pair, a: &KernelSampling, b: &KernelSampling) -> PairDecision {
-        let maxes = [self.max_ctas(&pair.a), self.max_ctas(&pair.b)];
-        let mut profile: Vec<ProfileSample> = Vec::new();
-        for (k, s) in [a, b].into_iter().enumerate() {
-            let mut sorted = s.samples.clone();
-            sorted.sort_by_key(|&(c, _, _)| c);
-            for (cap, ipc, phi) in sorted {
-                profile.push(ProfileSample {
-                    kernel: k,
-                    ctas: cap,
-                    ipc_sampled: ipc,
-                    phi_mem: phi,
-                    bandwidth: None,
-                });
-            }
-        }
-        let curves = build_curves(&profile, &maxes);
-        let kernels: Vec<KernelCurve> = curves
-            .into_iter()
-            .zip([&pair.a.desc, &pair.b.desc])
-            .map(|(perf, desc)| KernelCurve {
-                perf,
-                cta_cost: ResourceVec::cta_cost(desc),
-            })
-            .collect();
-        let (quotas, perf) = match water_fill(&kernels, ResourceVec::sm_capacity(&self.cfg.gpu.sm))
-        {
-            Some(p) => (p.ctas, p.perf),
-            None => (Vec::new(), Vec::new()),
-        };
-        PairDecision {
-            label: pair.label(),
-            quotas,
-            perf,
-            pruned: vec![a.pruned, b.pruned],
-            samples_run: a.samples.len() + b.samples.len(),
-        }
-    }
-
-    /// The **barriered** profile→decide harness: round-1 sampling windows
-    /// for *every* pair run as one batch (global barrier), then every
-    /// rejected kernel's full-sweep fallback runs as a second batch
-    /// (second barrier), then decisions are computed serially. This is the
-    /// staged shape the pre-streaming harness had; it exists as the
-    /// baseline the pipelined variant is benchmarked against and as the
-    /// equivalence oracle for its output.
-    #[must_use]
-    pub fn decide_pairs(&self, pairs: &[Pair], window: u64) -> Vec<PairDecision> {
-        let plans: Vec<SweepPlan> = pairs.iter().map(|p| self.pair_plan(p)).collect();
-        let mut state: Vec<[KernelSampling; 2]> = vec![Default::default(); pairs.len()];
-        // Round 1: every planned window sample across all pairs.
-        let mut jobs: Vec<SimJob> = Vec::new();
-        let mut tags: Vec<(usize, usize, u32)> = Vec::new();
-        for (pi, (pair, plan)) in pairs.iter().zip(&plans).enumerate() {
-            for (k, w) in plan.windows.iter().enumerate() {
-                let desc = if k == 0 { &pair.a.desc } else { &pair.b.desc };
-                for cap in w.planned_caps() {
-                    tags.push((pi, k, cap));
-                    jobs.push(SimJob::cta_cap(desc, cap, window, &self.cfg));
-                }
-            }
-        }
-        let outs = self.batch("decide:profile", &jobs);
-        for (&(pi, k, cap), out) in tags.iter().zip(&outs) {
-            if let Some(s) = slot(&mut state, pi, k) {
-                s.samples.push((cap, out.measured_ipc(), out.stats.phi_mem));
-            }
-        }
-        // Acceptance per kernel; round 2 for every rejected kernel.
-        let mut jobs2: Vec<SimJob> = Vec::new();
-        let mut tags2: Vec<(usize, usize, u32)> = Vec::new();
-        for (pi, (pair, plan)) in pairs.iter().zip(&plans).enumerate() {
-            for (k, w) in plan.windows.iter().enumerate() {
-                let Some(s) = slot(&mut state, pi, k) else {
-                    continue;
-                };
-                let sorted = s.sorted_ipc();
-                if accept_pruned(&sorted, w).is_some() {
-                    s.pruned = !w.is_full();
-                    continue;
-                }
-                let desc = if k == 0 { &pair.a.desc } else { &pair.b.desc };
-                for cap in 1..=w.max.max(1) {
-                    if !sorted.iter().any(|&(c, _)| c == cap) {
-                        tags2.push((pi, k, cap));
-                        jobs2.push(SimJob::cta_cap(desc, cap, window, &self.cfg));
-                    }
-                }
-            }
-        }
-        let outs2 = self.batch("decide:fallback", &jobs2);
-        for (&(pi, k, cap), out) in tags2.iter().zip(&outs2) {
-            if let Some(s) = slot(&mut state, pi, k) {
-                s.samples.push((cap, out.measured_ipc(), out.stats.phi_mem));
-            }
-        }
-        // Decisions, serially, after the final barrier.
-        pairs
-            .iter()
-            .zip(&state)
-            .map(|(pair, p)| self.pair_decision(pair, &p[0], &p[1]))
-            .collect()
-    }
-
-    /// The **pipelined** profile→decide harness: all pairs' sampling
-    /// windows go into one completion stream, a rejected kernel's
-    /// full-sweep fallback is re-submitted the moment its window round
-    /// drains (no global barrier), and the Eq. 2-4 scaling + Algorithm 1
-    /// water-filling decision for a pair runs on the drain thread as soon
-    /// as *its* sampling completes — while other pairs' windows are still
-    /// simulating. Output is byte-identical to [`Self::decide_pairs`].
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the lowest-submission-index job panic after the stream
-    /// drains.
-    #[must_use]
-    pub fn decide_pairs_pipelined(&self, pairs: &[Pair], window: u64) -> Vec<PairDecision> {
-        let plans: Vec<SweepPlan> = pairs.iter().map(|p| self.pair_plan(p)).collect();
-        let mut state: Vec<[KernelSampling; 2]> = vec![Default::default(); pairs.len()];
-        let mut stream = SimStream::new(&self.pool);
-        let mut tags: Vec<(usize, usize, u32)> = Vec::new();
-        for (pi, (pair, plan)) in pairs.iter().zip(&plans).enumerate() {
-            for (k, w) in plan.windows.iter().enumerate() {
-                let caps = w.planned_caps();
-                if let Some(s) = slot(&mut state, pi, k) {
-                    s.pending = caps.len();
-                }
-                let desc = if k == 0 { &pair.a.desc } else { &pair.b.desc };
-                for cap in caps {
-                    tags.push((pi, k, cap));
-                    stream.submit_job(&SimJob::cta_cap(desc, cap, window, &self.cfg));
-                }
-            }
-        }
-        let mut decisions: Vec<Option<PairDecision>> = vec![None; pairs.len()];
-        let mut first_panic: Option<ws_exec::JobPanic> = None;
-        while let Some((id, result)) = stream.next() {
-            let Some(&(pi, k, cap)) = tags.get(id.0) else {
-                continue;
-            };
-            match result {
-                Ok(out) => {
-                    if let Some(s) = slot(&mut state, pi, k) {
-                        s.samples.push((cap, out.measured_ipc(), out.stats.phi_mem));
-                    }
-                }
-                Err(p) => {
-                    if first_panic.as_ref().is_none_or(|q| p.id < q.id) {
-                        first_panic = Some(p);
-                    }
-                }
-            }
-            let (round_done, was_fallback) = match slot(&mut state, pi, k) {
-                Some(s) => {
-                    s.pending = s.pending.saturating_sub(1);
-                    (s.pending == 0, s.fallback)
-                }
-                None => continue,
-            };
-            if !round_done {
-                continue;
-            }
-            if was_fallback {
-                // The fallback round just finished: fully sampled.
-                if let Some(s) = slot(&mut state, pi, k) {
-                    s.done = true;
-                }
-            } else {
-                let sorted = match slot(&mut state, pi, k) {
-                    Some(s) => s.sorted_ipc(),
-                    None => continue,
-                };
-                let Some(w) = plans.get(pi).and_then(|p| p.windows.get(k)) else {
-                    continue;
-                };
-                if accept_pruned(&sorted, w).is_some() {
-                    if let Some(s) = slot(&mut state, pi, k) {
-                        s.pruned = !w.is_full();
-                        s.done = true;
-                    }
-                } else {
-                    // Rejected: re-submit the missing counts immediately —
-                    // the other pairs keep simulating underneath.
-                    let Some(pair) = pairs.get(pi) else { continue };
-                    let desc = if k == 0 { &pair.a.desc } else { &pair.b.desc };
-                    let mut missing = 0usize;
-                    for cap in 1..=w.max.max(1) {
-                        if !sorted.iter().any(|&(c, _)| c == cap) {
-                            tags.push((pi, k, cap));
-                            stream.submit_job(&SimJob::cta_cap(desc, cap, window, &self.cfg));
-                            missing += 1;
-                        }
-                    }
-                    if let Some(s) = slot(&mut state, pi, k) {
-                        s.fallback = true;
-                        s.pending = missing;
-                        if missing == 0 {
-                            s.done = true;
-                        }
-                    }
-                }
-            }
-            // Decide this pair the moment both kernels are fully sampled.
-            let ready = state.get(pi).is_some_and(|p| p[0].done && p[1].done);
-            if ready {
-                if let (Some(pair), Some(p)) = (pairs.get(pi), state.get(pi)) {
-                    if let Some(d) = decisions.get_mut(pi) {
-                        *d = Some(self.pair_decision(pair, &p[0], &p[1]));
-                    }
-                }
-            }
-        }
-        if let Some(p) = first_panic {
-            panic!("{p}");
-        }
-        decisions
-            .into_iter()
-            .enumerate()
-            .map(|(pi, d)| {
-                d.unwrap_or_else(|| panic!("pipelined decide: pair #{pi} never completed"))
-            })
-            .collect()
     }
 }
 

@@ -13,5 +13,5 @@ pub mod experiments;
 pub mod microbench;
 pub mod report;
 
-pub use context::{ExperimentContext, JobProgress, JobProgressSink, PairDecision};
+pub use context::{ExperimentContext, JobProgress, JobProgressSink};
 pub use microbench::Runner;

@@ -1,12 +1,15 @@
 //! The execution layer's determinism contract, pinned end to end: rendered
 //! experiment tables must be byte-identical whether the pool runs with one
 //! worker (the historical serial harness) or many — including under
-//! work-stealing with heavily skewed job sizes, and for the pipelined
-//! profile→decide harness against its barriered baseline.
+//! work-stealing with heavily skewed job sizes, and for the streaming
+//! profiling sweep that resubmits rejected kernels mid-drain.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use warped_slicer::{execute_batch, PolicyKind, RunConfig, SimJob};
+use gpu_sim::KernelDesc;
+use warped_slicer::{
+    execute_batch, profile_curves_planned, PolicyKind, RunConfig, SimJob, SweepPlan,
+};
 use ws_bench::experiments::{fig3, fig6};
 use ws_bench::ExperimentContext;
 use ws_workloads::{all_pairs, by_abbrev, Pair, PairCategory};
@@ -70,22 +73,28 @@ fn skewed_sim_batch_is_byte_identical_under_stealing() {
 }
 
 #[test]
-fn decide_pairs_pipelined_matches_barriered_at_any_worker_count() {
-    // The pipelined profile→decide harness must produce byte-identical
-    // decisions to the barriered baseline, serial and under stealing.
+fn planned_sweep_is_identical_at_any_worker_count() {
+    // The one profile → accept → fallback loop streams its samples and
+    // resubmits rejected kernels mid-drain, so completion order varies
+    // with the worker count; the curves, acceptance verdicts and sample
+    // count must not.
+    let cfg = RunConfig::default();
     let pairs: Vec<Pair> = all_pairs().into_iter().take(4).collect();
-    let serial = ctx_with(1, 3_000).decide_pairs(&pairs, 1_500);
-    for threads in [1usize, 8] {
-        let ctx = ctx_with(threads, 3_000);
-        let barriered = ctx.decide_pairs(&pairs, 1_500);
-        let pipelined = ctx.decide_pairs_pipelined(&pairs, 1_500);
-        assert_eq!(barriered, pipelined, "threads={threads}");
-        assert_eq!(serial, pipelined, "threads={threads} vs serial");
-    }
-    for d in &serial {
-        assert_eq!(d.quotas.len(), 2, "{} infeasible", d.label);
-        assert!(d.samples_run >= 4, "{} sampled too little", d.label);
-    }
+    let descs: Vec<&KernelDesc> = pairs.iter().flat_map(|p| [&p.a.desc, &p.b.desc]).collect();
+    let maxes: Vec<u32> = descs
+        .iter()
+        .map(|d| d.max_ctas_per_sm(&cfg.gpu.sm))
+        .collect();
+    let plan = SweepPlan::from_predictions(&descs, &maxes, &cfg.gpu);
+    let sweep = |threads: usize| {
+        profile_curves_planned(&ws_exec::Pool::new(threads), &descs, &plan, 1_500, &cfg)
+    };
+    let serial = sweep(1);
+    let stolen = sweep(8);
+    assert_eq!(serial.curves, stolen.curves);
+    assert_eq!(serial.pruned, stolen.pruned);
+    assert_eq!(serial.samples_run, stolen.samples_run);
+    assert!(serial.samples_run >= plan.planned_samples());
 }
 
 #[test]

@@ -22,7 +22,13 @@
 //!   `trace_event` document for `chrome://tracing` / Perfetto.
 //!
 //! `--validate-trace FILE` checks a previously written JSONL trace against
-//! the ws-trace schema and exits.
+//! the ws-trace schema and exits; `--help` prints the synopsis of every mode
+//! and exits.
+//!
+//! Bad input is an error, never a panic or a run of zeros: out-of-range
+//! flag values are rejected at parse time, and the single-kernel mode
+//! registers its kernel through the launch pre-flight, so a kernel that
+//! cannot launch exits non-zero naming the failed rule.
 //!
 //! **`store`** manages a persistent ws-store performance-curve file
 //! (versioned JSONL, validated against the ws-trace schema on every read
@@ -34,22 +40,6 @@
 //!   warm — then writes the updated store back to `FILE`.
 //! * `store inspect FILE` prints every memoized curve in insertion order.
 //! * `store clear FILE` resets the file to an empty store.
-//!
-//! ```text
-//! gpu-sim [--threads N] [--regs N] [--shmem BYTES] [--grid N]
-//!         [--body N] [--iters N] [--alu F] [--sfu F] [--gload F]
-//!         [--gstore F] [--shm-frac F] [--barrier F] [--dep N]
-//!         [--pattern streaming|random:LINES|tiled:TILE,REUSE|hotcold:HOT,FRAC]
-//!         [--transactions N] [--icache-miss F] [--conflicts N]
-//!         [--ctas-per-sm N] [--cycles N] [--sched gto|rr] [--large]
-//!         [--analyze | --predict]
-//! gpu-sim --corun IMG,NN [--policy leftover|fcfs|even|spatial|dynamic]
-//!         [--cycles N] [--trace FILE] [--chrome FILE] [--large]
-//! gpu-sim --validate-trace FILE
-//! gpu-sim store warm FILE --corun IMG,NN [--cycles N] [--capacity N] [--large]
-//! gpu-sim store inspect FILE
-//! gpu-sim store clear FILE [--capacity N]
-//! ```
 
 use std::process::ExitCode;
 
@@ -61,6 +51,22 @@ use warped_slicer::{
 };
 use ws_analyze::Severity;
 use ws_workloads::by_abbrev;
+
+const USAGE: &str = "\
+usage:
+  gpu-sim [--threads N] [--regs N] [--shmem BYTES] [--grid N]
+          [--body N] [--iters N] [--sfu F] [--gload F]
+          [--gstore F] [--shm-frac F] [--barrier F] [--dep N]
+          [--pattern streaming|random:LINES|tiled:TILE,REUSE|hotcold:HOT,FRAC]
+          [--transactions N] [--icache-miss F] [--conflicts N]
+          [--ctas-per-sm N] [--cycles N] [--sched gto|rr] [--seed N]
+          [--large] [--analyze | --predict]
+  gpu-sim --corun IMG,NN [--policy leftover|fcfs|even|spatial|dynamic]
+          [--cycles N] [--trace FILE] [--chrome FILE] [--large]
+  gpu-sim --validate-trace FILE
+  gpu-sim store warm FILE --corun IMG,NN [--cycles N] [--capacity N] [--large]
+  gpu-sim store inspect FILE
+  gpu-sim store clear FILE [--capacity N]";
 
 #[derive(Debug)]
 struct Args {
@@ -91,6 +97,7 @@ struct Args {
     trace: Option<String>,
     chrome: Option<String>,
     validate: Option<String>,
+    help: bool,
 }
 
 impl Default for Args {
@@ -123,6 +130,7 @@ impl Default for Args {
             trace: None,
             chrome: None,
             validate: None,
+            help: false,
         }
     }
 }
@@ -182,6 +190,10 @@ fn parse_args() -> Result<Args, String> {
             out.predict = true;
             continue;
         }
+        if flag == "--help" || flag == "-h" {
+            out.help = true;
+            continue;
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("{flag} requires a value"))?;
@@ -232,6 +244,30 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     out.pattern = parse_pattern(pattern_arg.as_deref().unwrap_or("streaming"), transactions)?;
+    // Values that would panic the program generator or make a run
+    // meaningless; the launch pre-flight checks the rest of the kernel.
+    if out.body == 0 {
+        return Err("--body must be at least 1".to_string());
+    }
+    let fracs = [out.sfu, out.gload, out.gstore, out.shm_frac, out.barrier];
+    if !fracs.iter().all(|f| *f >= 0.0) || fracs.iter().sum::<f64>() > 1.0 + 1e-9 {
+        return Err(
+            "--sfu/--gload/--gstore/--shm-frac/--barrier must be non-negative and sum to <= 1"
+                .to_string(),
+        );
+    }
+    if !(0.0..=1.0).contains(&out.icache_miss) {
+        return Err(format!(
+            "--icache-miss must be in [0, 1], got {}",
+            out.icache_miss
+        ));
+    }
+    if out.ctas_per_sm == 0 {
+        return Err("--ctas-per-sm must be at least 1".to_string());
+    }
+    if out.cycles == 0 {
+        return Err("--cycles must be at least 1".to_string());
+    }
     if out.corun.is_none() && (out.trace.is_some() || out.chrome.is_some()) {
         return Err("--trace/--chrome require --corun".to_string());
     }
@@ -597,6 +633,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if let Some(path) = &args.validate {
         return validate_trace(path);
     }
@@ -643,14 +683,20 @@ fn main() -> ExitCode {
     if args.predict {
         return predict(&desc, &cfg);
     }
+    let mut gpu = Gpu::new(cfg.clone(), args.sched);
+    let k = match gpu.try_add_kernel(desc) {
+        Ok(k) => k,
+        Err(e) => {
+            eprintln!("error: kernel rejected by the launch pre-flight: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let desc = gpu.kernel_desc(k);
     let max_ctas = desc.max_ctas_per_sm(&cfg.sm);
     println!(
         "kernel: {} threads/CTA, {} regs/thread, {} B shmem/CTA -> max {} CTAs/SM",
         desc.threads_per_cta, desc.regs_per_thread, desc.shmem_per_cta, max_ctas
     );
-
-    let mut gpu = Gpu::new(cfg.clone(), args.sched);
-    let k = gpu.add_kernel(desc);
     let cap = args.ctas_per_sm.min(max_ctas);
     for _ in 0..args.cycles {
         for s in 0..gpu.num_sms() {

@@ -1,8 +1,11 @@
-//! Exit-code regression tests for the static-analysis CLI modes.
+//! Exit-code regression tests for the CLI.
 //!
 //! `--analyze` and `--predict` are meant for scripts and CI gates, so a
 //! kernel with error-severity diagnostics must fail the process — an
 //! exit code of 0 on a rejected kernel silently passes in shell pipelines.
+//! The same holds for every mode's input: a value that cannot make a
+//! meaningful run exits non-zero with a structured error, never a panic
+//! and never a run of all-zero statistics.
 
 use std::process::{Command, Output};
 
@@ -66,4 +69,72 @@ fn predict_rejected_kernel_exits_nonzero() {
 fn bad_flag_exits_nonzero() {
     let out = gpu_sim(&["--no-such-flag", "1"]);
     assert!(!out.status.success());
+}
+
+/// Asserts `args` exit non-zero with `needle` on stderr and without a
+/// panic.
+fn rejects(args: &[&str], needle: &str) {
+    let out = gpu_sim(args);
+    let err = stderr(&out);
+    assert!(!out.status.success(), "{args:?} must exit non-zero");
+    assert!(
+        err.contains(needle),
+        "{args:?}: stderr lacks {needle:?}: {err}"
+    );
+    assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    let out = gpu_sim(&["--help"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("usage:"), "stdout: {}", stdout(&out));
+}
+
+#[test]
+fn zero_threads_fails_the_launch_preflight() {
+    rejects(&["--threads", "0"], "[zero-threads]");
+}
+
+#[test]
+fn zero_grid_fails_the_launch_preflight() {
+    rejects(&["--grid", "0"], "[zero-grid]");
+}
+
+#[test]
+fn oversized_registers_fail_the_launch_preflight() {
+    rejects(&["--regs", "100000"], "[eq1-infeasible]");
+}
+
+#[test]
+fn oversized_shared_memory_fails_the_launch_preflight() {
+    rejects(&["--shmem", "99999999"], "[eq1-infeasible]");
+}
+
+#[test]
+fn empty_body_is_rejected_before_program_generation() {
+    rejects(&["--body", "0"], "--body");
+    rejects(&["--analyze", "--body", "0"], "--body");
+}
+
+#[test]
+fn overfull_instruction_mix_is_rejected_before_program_generation() {
+    rejects(&["--gload", "2"], "sum to <= 1");
+    rejects(&["--sfu", "-0.5"], "non-negative");
+}
+
+#[test]
+fn zero_ctas_per_sm_is_rejected() {
+    rejects(&["--ctas-per-sm", "0"], "--ctas-per-sm");
+}
+
+#[test]
+fn zero_cycles_is_rejected() {
+    rejects(&["--cycles", "0"], "--cycles");
+}
+
+#[test]
+fn icache_miss_rate_outside_unit_interval_is_rejected() {
+    rejects(&["--icache-miss", "-1"], "--icache-miss");
+    rejects(&["--icache-miss", "1.5"], "--icache-miss");
 }

@@ -72,8 +72,7 @@ pub use policy::{
     PolicyKind, QuotaController, SpatialController, WarpedSlicerConfig, WarpedSlicerController,
 };
 pub use profiler::{
-    build_curves, build_curves_audited, profile_curves, ProfilePlan, ProfilePlanError,
-    ProfileSample, ProfileTiming, SmAssignment,
+    build_curves, ProfilePlan, ProfilePlanError, ProfileSample, ProfileTiming, SmAssignment,
 };
 pub use resources::ResourceVec;
 pub use runner::{
@@ -81,7 +80,7 @@ pub use runner::{
     run_with_cta_cap, AggregateStats, CacheStats, CorunResult, IsolationResult, RunConfig, SimJob,
     SimOutcome, SimStream, StopCondition, TraceOptions, UtilizationStats,
 };
-pub use scaling::{psi, scale_ipc, scale_ipc_audited, ScaleOutcome};
+pub use scaling::{psi, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};
 pub use sweep::{
     accept_pruned, predict_default, profile_curves_planned, PlannedSweep, SweepPlan, SweepWindow,

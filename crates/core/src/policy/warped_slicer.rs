@@ -15,9 +15,7 @@ use crate::policy::{
     blocked_window, quota_windows, sweep_launch, ChangeTracker, Controller, Decision,
     SpatialController,
 };
-use crate::profiler::{
-    build_curves, build_curves_audited, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming,
-};
+use crate::profiler::{build_curves, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming};
 use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
 use crate::sweep::{predict_default, SweepWindow};
@@ -205,17 +203,18 @@ impl WarpedSlicerController {
     /// pre-flight keep their full `1..=N` ramp — pruning is an
     /// optimization, never a gate.
     fn plan_profile(&mut self, gpu: &Gpu, max: &[u32]) -> ProfilePlan {
-        if !self.cfg.predict.unwrap_or_else(predict_default) {
-            return ProfilePlan::build(gpu.num_sms(), max);
-        }
+        let predict = self.cfg.predict.unwrap_or_else(predict_default);
         let cfg = gpu.config();
         let windows: Vec<SweepWindow> = gpu
             .kernel_ids()
             .iter()
             .zip(max)
             .enumerate()
-            .map(
-                |(i, (&k, &m))| match predict_kernel(gpu.kernel_desc(k), cfg) {
+            .map(|(i, (&k, &m))| {
+                if !predict {
+                    return SweepWindow::full(m);
+                }
+                match predict_kernel(gpu.kernel_desc(k), cfg) {
                     Ok(curve) => {
                         let w = SweepWindow::around_knee(curve.knee, m);
                         if self.cfg.audit {
@@ -234,8 +233,8 @@ impl WarpedSlicerController {
                         w
                     }
                     Err(_) => SweepWindow::full(m),
-                },
-            )
+                }
+            })
             .collect();
         ProfilePlan::build_windowed(gpu.num_sms(), &windows)
     }
@@ -430,11 +429,7 @@ impl WarpedSlicerController {
 
         self.last_samples = samples.clone();
         let max = Self::max_ctas(gpu);
-        let curves = if self.cfg.audit {
-            build_curves_audited(&samples, &max, &mut self.audit)
-        } else {
-            build_curves(&samples, &max)
-        };
+        let curves = build_curves(&samples, &max, self.cfg.audit.then_some(&mut self.audit));
         self.store_insert(gpu, &curves);
         self.decide_from_curves(gpu, curves);
     }

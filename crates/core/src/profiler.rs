@@ -13,12 +13,10 @@
 //! drives them against a live [`gpu_sim::Gpu`].
 
 use crate::audit::{AuditEvent, DecisionAudit};
-use crate::runner::{execute_batch, RunConfig, SimJob, SimOutcome};
 use crate::scaling::{
     bandwidth_scale_factor_audited, psi, psi_measured, scale_ipc_with_psi_audited,
 };
 use crate::sweep::SweepWindow;
-use gpu_sim::KernelDesc;
 
 /// Timing parameters of the profiling phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,67 +85,31 @@ pub struct ProfilePlan {
 }
 
 impl ProfilePlan {
-    /// Builds the Fig. 4 plan: SMs are split into `max_ctas.len()`
-    /// contiguous groups; within kernel `i`'s group the CTA quota ramps
-    /// from 1 up to `max_ctas[i]` (duplicating the densest counts when the
-    /// group has more SMs than distinct counts, spreading evenly when it
-    /// has fewer).
+    /// Builds the Fig. 4 plan: SMs are split into `windows.len()`
+    /// contiguous groups, and kernel `i`'s group ramps over its
+    /// [`SweepWindow::planned_caps`], spread evenly (duplicating caps when
+    /// the group has more SMs than caps, skipping some when it has fewer).
+    /// A full window ramps over every count `1..=max`; a pruned one over
+    /// the dense prefix around the predicted knee plus the guard points,
+    /// so online sampling concentrates where the knee is expected while
+    /// the guard at the feasibility bound still checks the skipped tail.
+    /// A one-SM group spends its single sample on
+    /// [`SweepWindow::knee_cap`] — the predicted knee — because a knee
+    /// sample anchors the curve's ramp where a guard-bound sample alone
+    /// would flatline it (the K == `num_sms` co-run case).
     ///
     /// # Examples
     ///
     /// ```
     /// use warped_slicer::profiler::ProfilePlan;
+    /// use warped_slicer::sweep::SweepWindow;
     ///
     /// // Two kernels on 16 SMs: kernel 0 profiles 1..=8 CTAs on SMs 0-7.
-    /// let plan = ProfilePlan::build(16, &[8, 8]);
+    /// let full = [SweepWindow::full(8), SweepWindow::full(8)];
+    /// let plan = ProfilePlan::try_build_windowed(16, &full).expect("full windows plan");
     /// let quotas: Vec<u32> = plan.for_kernel(0).map(|a| a.quota).collect();
     /// assert_eq!(quotas, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no kernels or more kernels than SMs.
-    #[must_use]
-    pub fn build(num_sms: usize, max_ctas: &[u32]) -> Self {
-        let k = max_ctas.len();
-        assert!(k > 0, "at least one kernel required");
-        assert!(k <= num_sms, "more kernels than SMs");
-        let mut assignments = Vec::with_capacity(num_sms);
-        let base = num_sms / k;
-        let extra = num_sms % k;
-        let mut sm = 0;
-        for (i, &max) in max_ctas.iter().enumerate() {
-            let group = base + usize::from(i < extra);
-            for j in 0..group {
-                let quota = if group == 1 {
-                    max.max(1)
-                } else {
-                    // Evenly spread 1..=max over the group (rounding up so
-                    // the last SM always probes the maximum).
-                    let max = f64::from(max.max(1));
-                    (1.0 + (max - 1.0) * j as f64 / (group - 1) as f64).round() as u32
-                };
-                assignments.push(SmAssignment {
-                    sm,
-                    kernel: i,
-                    quota: quota.max(1),
-                });
-                sm += 1;
-            }
-        }
-        Self { assignments }
-    }
-
-    /// The prediction-windowed variant of [`ProfilePlan::build`]: kernel
-    /// `i`'s SM group ramps over its [`SweepWindow::planned_caps`] — the
-    /// dense prefix around the predicted knee plus the guard points — so
-    /// online sampling concentrates where the knee is expected while the
-    /// guard at the feasibility bound still checks the skipped tail. A
-    /// full window reproduces [`ProfilePlan::build`] exactly. A one-SM
-    /// group spends its single sample on [`SweepWindow::knee_cap`] — the
-    /// predicted knee — because a knee sample anchors the curve's ramp
-    /// where a guard-bound sample alone would flatline it (the K ==
-    /// `num_sms` co-run case).
     ///
     /// # Errors
     ///
@@ -185,10 +147,13 @@ impl ProfilePlan {
                     // knee, not the guard.
                     caps.iter().position(|&c| c == w.knee_cap()).unwrap_or(last)
                 } else {
-                    // Evenly spread the planned caps over the group
-                    // (rounding so the last SM always probes the guard).
-                    let t = j as f64 / (group - 1) as f64;
-                    (t * last as f64).round() as usize
+                    // Evenly spread the planned caps over the group: the
+                    // cap nearest `j * last / span`, ties rounding up, in
+                    // exact integers (a float quotient rounds wrong once a
+                    // group has 23 or more SMs). The last SM probes the
+                    // guard.
+                    let span = group - 1;
+                    (2 * j * last + span) / (2 * span)
                 };
                 let quota = caps.get(idx).copied().unwrap_or(1);
                 assignments.push(SmAssignment {
@@ -244,54 +209,6 @@ impl ProfilePlan {
     }
 }
 
-/// Samples per-kernel performance-vs-CTA curves *offline* by running the
-/// Fig. 4 grid — every (kernel, CTA count) point up to `max_ctas[i]` — as
-/// independent [`SimJob::cta_cap`] simulations on `pool`.
-///
-/// This is the batch analogue of the online profiling phase: where the live
-/// controller samples all points simultaneously on disjoint SM groups of
-/// one GPU, this variant gives each point its own dedicated simulation of
-/// `window` cycles, trading simulated time for sampling noise. The result
-/// has the same shape as [`build_curves`]:
-/// `curve[i][j]` = IPC of kernel `i` with `j + 1` CTAs per SM.
-///
-/// Determinism: jobs are pure data and the pool collects results by
-/// submission index, so the curves are byte-identical for any worker count.
-///
-/// # Panics
-///
-/// Panics if `descs` and `max_ctas` lengths differ.
-#[must_use]
-pub fn profile_curves(
-    pool: &ws_exec::Pool,
-    descs: &[&KernelDesc],
-    max_ctas: &[u32],
-    window: u64,
-    cfg: &RunConfig,
-) -> Vec<Vec<f64>> {
-    assert_eq!(descs.len(), max_ctas.len(), "one CTA bound per kernel");
-    let mut jobs = Vec::new();
-    for (desc, &max) in descs.iter().zip(max_ctas) {
-        for cap in 1..=max.max(1) {
-            jobs.push(SimJob::cta_cap(desc, cap, window, cfg));
-        }
-    }
-    let mut outcomes = execute_batch(pool, &jobs).into_iter();
-    max_ctas
-        .iter()
-        .map(|&max| {
-            (1..=max.max(1))
-                .map(|_| {
-                    outcomes
-                        .next()
-                        .as_ref()
-                        .map_or(0.0, SimOutcome::measured_ipc)
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// One SM's raw sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSample {
@@ -305,7 +222,7 @@ pub struct ProfileSample {
     pub phi_mem: f64,
     /// Measured bandwidth evidence. When present, the correction factor is
     /// computed from the SM's actual DRAM share
-    /// ([`bandwidth_scale_factor`]); when absent, the paper's CTA-count
+    /// ([`bandwidth_scale_factor_audited`]); when absent, the paper's CTA-count
     /// approximation ([`psi`]) is used.
     pub bandwidth: Option<BandwidthSample>,
 }
@@ -330,21 +247,16 @@ pub struct BandwidthSample {
 /// bandwidth-interference scaling factor and interpolating CTA counts that
 /// were not directly sampled.
 ///
-/// `max_ctas[i]` bounds kernel `i`'s curve length.
+/// `max_ctas[i]` bounds kernel `i`'s curve length. With an `audit` sink,
+/// every sample's Eq. 2-4 scaling application is recorded as an
+/// [`AuditEvent::ScaledPoint`] carrying the raw IPC, the `φ_mem`/`ψ`
+/// inputs, and the clamp verdict, in sample order; the curves are the same
+/// either way.
 #[must_use]
-pub fn build_curves(samples: &[ProfileSample], max_ctas: &[u32]) -> Vec<Vec<f64>> {
-    build_curves_audited(samples, max_ctas, &mut DecisionAudit::default())
-}
-
-/// [`build_curves`] with a decision-audit trail: every sample's Eq. 2-4
-/// scaling application is recorded as an [`AuditEvent::ScaledPoint`]
-/// carrying the raw IPC, the `φ_mem`/`ψ` inputs, and the clamp verdict, in
-/// sample order.
-#[must_use]
-pub fn build_curves_audited(
+pub fn build_curves(
     samples: &[ProfileSample],
     max_ctas: &[u32],
-    audit: &mut DecisionAudit,
+    mut audit: Option<&mut DecisionAudit>,
 ) -> Vec<Vec<f64>> {
     let cta_avg = if samples.is_empty() {
         1.0
@@ -377,14 +289,16 @@ pub fn build_curves_audited(
                         (p, scale_ipc_with_psi_audited(s.ipc_sampled, s.phi_mem, p))
                     }
                 };
-                audit.record(AuditEvent::ScaledPoint {
-                    kernel: s.kernel,
-                    ctas: s.ctas,
-                    ipc_sampled: s.ipc_sampled,
-                    phi_mem: s.phi_mem,
-                    psi: psi_used,
-                    outcome,
-                });
+                if let Some(audit) = audit.as_deref_mut() {
+                    audit.record(AuditEvent::ScaledPoint {
+                        kernel: s.kernel,
+                        ctas: s.ctas,
+                        ipc_sampled: s.ipc_sampled,
+                        phi_mem: s.phi_mem,
+                        psi: psi_used,
+                        outcome,
+                    });
+                }
                 sums[j] += outcome.ipc;
                 counts[j] += 1;
             }
@@ -438,9 +352,15 @@ pub(crate) fn interpolate_counts(sums: &[f64], counts: &[u32]) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// The unpruned Fig. 4 plan: a full `1..=max` window per kernel.
+    fn ramp(num_sms: usize, max_ctas: &[u32]) -> ProfilePlan {
+        let full = crate::sweep::SweepPlan::full(max_ctas);
+        ProfilePlan::try_build_windowed(num_sms, &full.windows).expect("full windows always plan")
+    }
+
     #[test]
     fn two_kernel_plan_splits_sms_evenly() {
-        let plan = ProfilePlan::build(16, &[8, 8]);
+        let plan = ramp(16, &[8, 8]);
         assert_eq!(plan.assignments.len(), 16);
         assert_eq!(plan.for_kernel(0).count(), 8);
         assert_eq!(plan.for_kernel(1).count(), 8);
@@ -453,7 +373,7 @@ mod tests {
 
     #[test]
     fn small_max_duplicates_counts() {
-        let plan = ProfilePlan::build(16, &[3, 8]);
+        let plan = ramp(16, &[3, 8]);
         let quotas: Vec<u32> = plan.for_kernel(0).map(|a| a.quota).collect();
         assert_eq!(quotas.len(), 8);
         assert_eq!(*quotas.first().unwrap(), 1);
@@ -463,7 +383,7 @@ mod tests {
 
     #[test]
     fn three_kernel_plan_covers_all_sms() {
-        let plan = ProfilePlan::build(16, &[8, 6, 8]);
+        let plan = ramp(16, &[8, 6, 8]);
         assert_eq!(plan.assignments.len(), 16);
         // 16 = 6 + 5 + 5.
         assert_eq!(plan.for_kernel(0).count(), 6);
@@ -480,13 +400,40 @@ mod tests {
         assert_eq!(sms, (0..16).collect::<Vec<_>>());
     }
 
+    /// The Fig. 4 ramp in exact rationals: SM `j` of a `group`-SM group
+    /// probes the CTA count nearest `1 + (max - 1) * j / (group - 1)`,
+    /// ties rounding up; a one-SM group probes `max`.
+    fn exact_ramp_quota(max: u32, j: usize, group: usize) -> u32 {
+        if group == 1 {
+            return max;
+        }
+        let (num, den) = ((max as usize - 1) * j, group - 1);
+        // Descending, so the first of two equally near counts is the
+        // larger one.
+        (1..=max)
+            .rev()
+            .min_by_key(|&q| ((q as usize - 1) * den).abs_diff(num))
+            .expect("max >= 1")
+    }
+
     #[test]
-    fn windowed_plan_with_full_windows_matches_build() {
-        let windows = [SweepWindow::full(8), SweepWindow::full(8)];
-        assert_eq!(
-            ProfilePlan::build_windowed(16, &windows),
-            ProfilePlan::build(16, &[8, 8])
-        );
+    fn full_windows_plan_the_exact_fig4_ramp() {
+        for num_sms in 1..=80usize {
+            for k in 1..=4usize.min(num_sms) {
+                for max in 1..=32u32 {
+                    let plan = ramp(num_sms, &vec![max; k]);
+                    assert_eq!(plan.assignments.len(), num_sms);
+                    for i in 0..k {
+                        let quotas: Vec<u32> = plan.for_kernel(i).map(|a| a.quota).collect();
+                        let group = quotas.len();
+                        let want: Vec<u32> = (0..group)
+                            .map(|j| exact_ramp_quota(max, j, group))
+                            .collect();
+                        assert_eq!(quotas, want, "{num_sms} SMs, {k} kernels, max {max}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -536,7 +483,7 @@ mod tests {
                 bandwidth: None,
             },
         ];
-        let curves = build_curves(&samples, &[2]);
+        let curves = build_curves(&samples, &[2], None);
         assert_eq!(curves.len(), 1);
         assert!((curves[0][0] - 2.0).abs() < 1e-12);
         assert!((curves[0][1] - 4.0).abs() < 1e-12);
@@ -560,7 +507,7 @@ mod tests {
                 bandwidth: None,
             },
         ];
-        let c = &build_curves(&samples, &[8])[0];
+        let c = &build_curves(&samples, &[8], None)[0];
         assert!((c[2] - 3.0).abs() < 1e-9, "midpoint interpolates: {c:?}");
         assert!((c[7] - 5.0).abs() < 1e-9, "right edge clamps");
     }
@@ -585,7 +532,7 @@ mod tests {
                 bandwidth: None,
             },
         ];
-        let c = &build_curves(&samples, &[8])[0];
+        let c = &build_curves(&samples, &[8], None)[0];
         assert!(c[0] < 1.0);
         assert!(c[7] > 1.0);
     }
@@ -618,7 +565,7 @@ mod tests {
                 bandwidth: bw(350),
             },
         ];
-        let c = &build_curves(&samples, &[8])[0];
+        let c = &build_curves(&samples, &[8], None)[0];
         assert!(c[7] < 2.0, "hog scaled down: {c:?}");
         assert!(c[1] > 2.0, "underfed scaled up: {c:?}");
     }
@@ -646,9 +593,9 @@ mod tests {
             },
         ];
         let mut audit = DecisionAudit::default();
-        let audited = build_curves_audited(&samples, &[2, 4], &mut audit);
-        // The audited and plain entry points agree on the curves.
-        assert_eq!(audited, build_curves(&samples, &[2, 4]));
+        let audited = build_curves(&samples, &[2, 4], Some(&mut audit));
+        // Auditing does not change the curves.
+        assert_eq!(audited, build_curves(&samples, &[2, 4], None));
         assert_eq!(audit.scaled_points(0).count(), 1);
         assert_eq!(audit.scaled_points(1).count(), 1);
         // The recorded outcome reproduces the curve point it fed.
@@ -666,14 +613,14 @@ mod tests {
 
     #[test]
     fn empty_samples_give_zero_curves() {
-        let c = build_curves(&[], &[4]);
+        let c = build_curves(&[], &[4], None);
         assert_eq!(c, vec![vec![0.0; 4]]);
     }
 
     #[test]
     #[should_panic(expected = "more kernels than SMs")]
     fn too_many_kernels_rejected() {
-        let _ = ProfilePlan::build(2, &[1, 1, 1]);
+        let _ = ramp(2, &[1, 1, 1]);
     }
 
     #[test]
@@ -689,13 +636,10 @@ mod tests {
         let plan = ProfilePlan::build_windowed(2, &windows);
         let quotas: Vec<u32> = plan.assignments.iter().map(|a| a.quota).collect();
         assert_eq!(quotas, vec![2, 4]);
-        // Full windows keep probing the bound, matching ProfilePlan::build.
+        // Full windows keep probing the feasibility bound.
         let full = [SweepWindow::full(8), SweepWindow::full(6)];
         let plan = ProfilePlan::build_windowed(2, &full);
         let quotas: Vec<u32> = plan.assignments.iter().map(|a| a.quota).collect();
-        assert_eq!(quotas, vec![8, 6]);
-        let built = ProfilePlan::build(2, &[8, 6]);
-        let quotas: Vec<u32> = built.assignments.iter().map(|a| a.quota).collect();
         assert_eq!(quotas, vec![8, 6]);
     }
 
@@ -711,7 +655,7 @@ mod tests {
             phi_mem: 0.0,
             bandwidth: None,
         }];
-        let c = &build_curves(&samples, &[8])[0];
+        let c = &build_curves(&samples, &[8], None)[0];
         assert!(c[0] < c[3], "curve ramps up to the knee: {c:?}");
         assert!((c[3] - 2.0).abs() < 1e-12, "knee point is exact");
         assert!((c[7] - 2.0).abs() < 1e-12, "right of the sample clamps");

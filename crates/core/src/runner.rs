@@ -632,9 +632,9 @@ pub fn execute_batch_observed(
 
 /// A streaming simulation session: submit [`SimJob`]s one at a time, drain
 /// [`SimOutcome`]s in finish order. This is the overlap primitive behind
-/// the pipelined profiling sweep — curve acceptance and water-filling for
-/// one kernel run on the drain thread while other kernels' sampling
-/// windows still simulate.
+/// the pipelined profiling sweep — curve acceptance and fallback
+/// resubmission for one kernel run on the drain thread while other
+/// kernels' sampling windows still simulate.
 pub struct SimStream<'p> {
     inner: ws_exec::Stream<'p, SimOutcome>,
 }

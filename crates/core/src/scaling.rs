@@ -14,17 +14,12 @@
 //! where `φ_mem` is the fraction of scheduler-cycles lost to long memory
 //! latency during the sample (so compute-bound samples are barely touched).
 
-/// Raw Eq. 3 factors below this floor are clamped so a pathological sample
-/// can never produce a negative (or zero) scaled IPC. Hitting the floor
-/// means the scaling model broke down for that sample — audited variants
-/// flag it, and [`scale_ipc`] asserts against it under strict invariants.
-pub const MIN_SCALE_FACTOR: f64 = 0.05;
-
-/// Lower edge of the soft clamp applied by the ψ/bandwidth variants so one
-/// noisy sample cannot dominate a curve.
+/// Lower edge of the soft clamp on every Eq. 3 factor, so one noisy sample
+/// cannot dominate a curve (and a pathological one can never produce a
+/// negative or zero scaled IPC).
 pub const FACTOR_CLAMP_MIN: f64 = 0.25;
 
-/// Upper edge of the soft clamp applied by the ψ/bandwidth variants.
+/// Upper edge of the soft clamp on every Eq. 3 factor.
 pub const FACTOR_CLAMP_MAX: f64 = 2.5;
 
 /// One audited application of an Eq. 3-style scaling factor: the scaled
@@ -66,58 +61,6 @@ pub fn psi(cta_i: u32, cta_avg: f64) -> f64 {
     f64::from(cta_i) / cta_avg - 1.0
 }
 
-/// Applies the scaling factor of Eq. 3 to a sampled IPC, reporting whether
-/// the [`MIN_SCALE_FACTOR`] floor fired. `phi_mem` is clamped into
-/// `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if `cta_avg` is not positive (see [`psi`]).
-#[must_use]
-pub fn scale_ipc_audited(ipc_sampled: f64, phi_mem: f64, cta_i: u32, cta_avg: f64) -> ScaleOutcome {
-    let phi = phi_mem.clamp(0.0, 1.0);
-    let raw = 1.0 + phi * psi(cta_i, cta_avg);
-    clamp_outcome(ipc_sampled, raw, MIN_SCALE_FACTOR, f64::INFINITY)
-}
-
-/// Applies the scaling factor of Eq. 3 to a sampled IPC.
-///
-/// `phi_mem` is clamped into `[0, 1]`; the resulting factor is floored at
-/// [`MIN_SCALE_FACTOR`] so a pathological sample can never produce a
-/// negative IPC. Callers that can hit the floor legitimately should use
-/// [`scale_ipc_audited`] and inspect [`ScaleOutcome::clamped`] instead.
-///
-/// # Examples
-///
-/// ```
-/// use warped_slicer::scaling::scale_ipc;
-///
-/// // A fully memory-bound SM holding twice the average CTA count is
-/// // assumed to deserve twice the bandwidth it got during sampling.
-/// assert_eq!(scale_ipc(1.0, 1.0, 8, 4.0), 2.0);
-/// // A compute-bound sample is untouched.
-/// assert_eq!(scale_ipc(2.0, 0.0, 8, 4.0), 2.0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `cta_avg` is not positive — and, under strict invariants
-/// (`debug_assertions` or the `strict-invariants` feature), if the factor
-/// had to be floored: a clamped sample means the scaling model broke down,
-/// which this unaudited entry point treats as corruption.
-#[must_use]
-pub fn scale_ipc(ipc_sampled: f64, phi_mem: f64, cta_i: u32, cta_avg: f64) -> f64 {
-    let out = scale_ipc_audited(ipc_sampled, phi_mem, cta_i, cta_avg);
-    gpu_sim::strict_assert!(
-        !out.clamped,
-        "scaling model breakdown: Eq. 3 factor {} for cta_i={cta_i} \
-         cta_avg={cta_avg} phi_mem={phi_mem} was floored at {MIN_SCALE_FACTOR}; \
-         use scale_ipc_audited to handle clamped samples",
-        out.raw_factor
-    );
-    out.ipc
-}
-
 /// Computes `ψ` from *measured* per-SM bandwidth instead of the paper's
 /// CTA-count simplification.
 ///
@@ -147,8 +90,21 @@ pub fn psi_measured(sm_transactions: u64, fair_transactions: f64, dram_busy: f64
     }
 }
 
-/// Applies Eq. 3 with an explicit `ψ`, reporting whether the
-/// `[`[`FACTOR_CLAMP_MIN`]`, `[`FACTOR_CLAMP_MAX`]`]` clamp fired.
+/// Applies Eq. 3 with an explicit `ψ` (from [`psi`] or [`psi_measured`]),
+/// reporting whether the `[`[`FACTOR_CLAMP_MIN`]`, `[`FACTOR_CLAMP_MAX`]`]`
+/// clamp fired. `phi_mem` is clamped into `[0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use warped_slicer::scaling::{psi, scale_ipc_with_psi_audited};
+///
+/// // A fully memory-bound SM holding twice the average CTA count is
+/// // assumed to deserve twice the bandwidth it got during sampling.
+/// assert_eq!(scale_ipc_with_psi_audited(1.0, 1.0, psi(8, 4.0)).ipc, 2.0);
+/// // A compute-bound sample is untouched.
+/// assert_eq!(scale_ipc_with_psi_audited(2.0, 0.0, psi(8, 4.0)).ipc, 2.0);
+/// ```
 #[must_use]
 pub fn scale_ipc_with_psi_audited(ipc_sampled: f64, phi_mem: f64, psi: f64) -> ScaleOutcome {
     let phi = phi_mem.clamp(0.0, 1.0);
@@ -160,15 +116,9 @@ pub fn scale_ipc_with_psi_audited(ipc_sampled: f64, phi_mem: f64, psi: f64) -> S
     )
 }
 
-/// Applies Eq. 3 with an explicit `ψ` (from [`psi`] or [`psi_measured`]).
-/// The factor is clamped to `[0.25, 2.5]` so one noisy sample cannot
-/// dominate a curve.
-#[must_use]
-pub fn scale_ipc_with_psi(ipc_sampled: f64, phi_mem: f64, psi: f64) -> f64 {
-    scale_ipc_with_psi_audited(ipc_sampled, phi_mem, psi).ipc
-}
-
-/// The complete measured-bandwidth correction factor.
+/// The measured-bandwidth correction applied to a sampled IPC, reporting
+/// whether the `[`[`FACTOR_CLAMP_MIN`]`, `[`FACTOR_CLAMP_MAX`]`]` clamp
+/// fired.
 ///
 /// * **Over-share** (`sm > fair`): if every SM ran this configuration, the
 ///   bus would saturate and the SM would be cut to its fair share; by
@@ -176,22 +126,6 @@ pub fn scale_ipc_with_psi(ipc_sampled: f64, phi_mem: f64, psi: f64) -> f64 {
 /// * **Under-share**: the sample was pessimistic only to the extent the
 ///   bus was contended during sampling and the kernel was memory-stalled,
 ///   so the relief is damped by both `dram_busy` and `φ_mem` (Eq. 3).
-///
-/// The factor is clamped to `[0.25, 2.5]`.
-#[must_use]
-pub fn bandwidth_scale_factor(
-    sm_transactions: u64,
-    fair_transactions: f64,
-    dram_busy: f64,
-    phi_mem: f64,
-) -> f64 {
-    bandwidth_scale_factor_audited(1.0, sm_transactions, fair_transactions, dram_busy, phi_mem)
-        .factor
-}
-
-/// The measured-bandwidth correction applied to a sampled IPC, reporting
-/// whether the `[`[`FACTOR_CLAMP_MIN`]`, `[`FACTOR_CLAMP_MAX`]`]` clamp
-/// fired (see [`bandwidth_scale_factor`] for the model).
 #[must_use]
 pub fn bandwidth_scale_factor_audited(
     ipc_sampled: f64,
@@ -221,6 +155,16 @@ pub fn bandwidth_scale_factor_audited(
 mod tests {
     use super::*;
 
+    /// Eq. 3 with the paper's Eq. 4 CTA-ratio `ψ`.
+    fn scale_by_ctas(ipc_sampled: f64, phi_mem: f64, cta_i: u32, cta_avg: f64) -> ScaleOutcome {
+        scale_ipc_with_psi_audited(ipc_sampled, phi_mem, psi(cta_i, cta_avg))
+    }
+
+    /// The measured-bandwidth factor alone (applied to a unit IPC).
+    fn bandwidth_factor(sm: u64, fair: f64, dram_busy: f64, phi_mem: f64) -> f64 {
+        bandwidth_scale_factor_audited(1.0, sm, fair, dram_busy, phi_mem).factor
+    }
+
     #[test]
     fn psi_is_zero_at_average() {
         assert!((psi(4, 4.0)).abs() < 1e-12);
@@ -231,7 +175,7 @@ mod tests {
     #[test]
     fn compute_bound_samples_are_untouched() {
         // phi_mem = 0: no memory stalls -> no correction.
-        let ipc = scale_ipc(2.0, 0.0, 8, 4.0);
+        let ipc = scale_by_ctas(2.0, 0.0, 8, 4.0).ipc;
         assert!((ipc - 2.0).abs() < 1e-12);
     }
 
@@ -239,40 +183,32 @@ mod tests {
     fn memory_bound_over_average_scales_up() {
         // An SM running twice the average CTA count, fully memory bound:
         // factor = 1 + 1.0 * (2 - 1) = 2.
-        let ipc = scale_ipc(1.0, 1.0, 8, 4.0);
+        let ipc = scale_by_ctas(1.0, 1.0, 8, 4.0).ipc;
         assert!((ipc - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn memory_bound_under_average_scales_down() {
         // factor = 1 + 0.5 * (0.25 - 1) = 0.625.
-        let ipc = scale_ipc(2.0, 0.5, 1, 4.0);
+        let ipc = scale_by_ctas(2.0, 0.5, 1, 4.0).ipc;
         assert!((ipc - 1.25).abs() < 1e-12);
     }
 
     #[test]
     fn factor_is_floored_positive_and_flagged() {
-        // Extreme inputs cannot flip the sign of IPC — and the floor is no
-        // longer silent: the audited outcome pins the clamped path.
-        let out = scale_ipc_audited(1.0, 1.0, 0, 100.0);
+        // Extreme inputs cannot flip the sign of IPC — and the floor is not
+        // silent: the audited outcome pins the clamped path.
+        let out = scale_by_ctas(1.0, 1.0, 0, 100.0);
         assert!(out.ipc > 0.0);
         assert!(out.clamped, "hitting the floor must be flagged");
-        assert!((out.factor - MIN_SCALE_FACTOR).abs() < 1e-12);
-        assert!((out.ipc - MIN_SCALE_FACTOR).abs() < 1e-12);
-        assert!(out.raw_factor < MIN_SCALE_FACTOR);
+        assert!((out.factor - FACTOR_CLAMP_MIN).abs() < 1e-12);
+        assert!((out.ipc - FACTOR_CLAMP_MIN).abs() < 1e-12);
+        assert!(out.raw_factor < FACTOR_CLAMP_MIN);
         // A healthy sample is not flagged.
-        let ok = scale_ipc_audited(1.0, 1.0, 8, 4.0);
+        let ok = scale_by_ctas(1.0, 1.0, 8, 4.0);
         assert!(!ok.clamped);
         assert!((ok.ipc - 2.0).abs() < 1e-12);
         assert!((ok.factor - ok.raw_factor).abs() < 1e-12);
-    }
-
-    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-    #[test]
-    #[should_panic(expected = "scaling model breakdown")]
-    fn unaudited_floor_panics_under_strict_invariants() {
-        // The unaudited entry point treats a floored factor as corruption.
-        let _ = scale_ipc(1.0, 1.0, 0, 100.0);
     }
 
     #[test]
@@ -295,8 +231,8 @@ mod tests {
 
     #[test]
     fn phi_is_clamped() {
-        let a = scale_ipc(1.0, 5.0, 8, 4.0);
-        let b = scale_ipc(1.0, 1.0, 8, 4.0);
+        let a = scale_by_ctas(1.0, 5.0, 8, 4.0).ipc;
+        let b = scale_by_ctas(1.0, 1.0, 8, 4.0).ipc;
         assert!((a - b).abs() < 1e-12);
     }
 
@@ -329,25 +265,26 @@ mod tests {
     #[test]
     fn bandwidth_factor_cuts_hogs_fully() {
         // 4x over fair share -> 0.25x IPC regardless of phi.
-        let f = bandwidth_scale_factor(400, 100.0, 0.2, 0.1);
+        let f = bandwidth_factor(400, 100.0, 0.2, 0.1);
         assert!((f - 0.25).abs() < 1e-12);
-        let f = bandwidth_scale_factor(200, 100.0, 0.0, 0.0);
+        let f = bandwidth_factor(200, 100.0, 0.0, 0.0);
         assert!((f - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn bandwidth_factor_relief_is_damped() {
         // 2x under fair share: relief needs both contention and stalls.
-        assert!((bandwidth_scale_factor(50, 100.0, 1.0, 1.0) - 2.0).abs() < 1e-12);
-        assert!((bandwidth_scale_factor(50, 100.0, 0.5, 1.0) - 1.5).abs() < 1e-12);
-        assert!((bandwidth_scale_factor(50, 100.0, 1.0, 0.0) - 1.0).abs() < 1e-12);
-        assert_eq!(bandwidth_scale_factor(0, 100.0, 1.0, 1.0), 1.0);
+        assert!((bandwidth_factor(50, 100.0, 1.0, 1.0) - 2.0).abs() < 1e-12);
+        assert!((bandwidth_factor(50, 100.0, 0.5, 1.0) - 1.5).abs() < 1e-12);
+        assert!((bandwidth_factor(50, 100.0, 1.0, 0.0) - 1.0).abs() < 1e-12);
+        assert_eq!(bandwidth_factor(0, 100.0, 1.0, 1.0), 1.0);
     }
 
     #[test]
     fn explicit_psi_factor_is_clamped() {
-        assert!((scale_ipc_with_psi(1.0, 1.0, 10.0) - 2.5).abs() < 1e-12);
-        assert!((scale_ipc_with_psi(1.0, 1.0, -10.0) - 0.25).abs() < 1e-12);
-        assert!((scale_ipc_with_psi(2.0, 0.5, 0.5) - 2.5).abs() < 1e-12);
+        let scaled = |ipc: f64, phi: f64, psi: f64| scale_ipc_with_psi_audited(ipc, phi, psi).ipc;
+        assert!((scaled(1.0, 1.0, 10.0) - 2.5).abs() < 1e-12);
+        assert!((scaled(1.0, 1.0, -10.0) - 0.25).abs() < 1e-12);
+        assert!((scaled(2.0, 0.5, 0.5) - 2.5).abs() < 1e-12);
     }
 }

@@ -239,9 +239,8 @@ pub fn accept_pruned(samples: &[(u32, f64)], window: &SweepWindow) -> Option<Vec
 /// Result of a planned (possibly pruned) offline sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedSweep {
-    /// Full-length per-kernel curves, same shape as
-    /// [`crate::profiler::profile_curves`]: `curves[i][j]` = IPC of kernel
-    /// `i` at `j + 1` CTAs (sampled or interpolated).
+    /// Full-length per-kernel curves: `curves[i][j]` = IPC of kernel `i` at
+    /// `j + 1` CTAs (sampled or interpolated).
     pub curves: Vec<Vec<f64>>,
     /// Whether kernel `i`'s pruned window was accepted (`true`) or fell
     /// back to the full sweep (`false`).
@@ -293,12 +292,22 @@ impl KernelProgress {
     }
 }
 
-/// The planned analogue of [`crate::profiler::profile_curves`]: samples
-/// each kernel's [`SweepWindow::planned_caps`], applies [`accept_pruned`]
-/// per kernel, and samples the remaining CTA counts of every kernel whose
-/// pruning was rejected. Accepted kernels get interpolated full-length
+/// Samples per-kernel performance-vs-CTA curves *offline*: the one
+/// profile → [`accept_pruned`] → full-sweep-fallback loop. Each kernel's
+/// [`SweepWindow::planned_caps`] run as independent [`SimJob::cta_cap`]
+/// simulations of `window` cycles on `pool`; [`accept_pruned`] runs per
+/// kernel, and every kernel whose pruning was rejected samples its
+/// remaining CTA counts. Accepted kernels get interpolated full-length
 /// curves; rejected kernels get fully sampled ones — either way
-/// `curves[i]` has length `max(1, windows[i].max)`.
+/// `curves[i]` has length `max(1, windows[i].max)`. Under
+/// [`SweepPlan::full`] this is the dense Fig. 3 sweep: every count
+/// `1..=max` is sampled and `curves[i][j]` is the measured IPC at `j + 1`
+/// CTAs.
+///
+/// This is the batch analogue of the online profiling phase: where the
+/// live controller samples all points simultaneously on disjoint SM groups
+/// of one GPU, each point here gets its own dedicated simulation, trading
+/// simulated time for sampling noise.
 ///
 /// The sweep is **pipelined**, not staged: all planned samples go into one
 /// [`SimStream`], acceptance for a kernel runs on the drain thread the
@@ -307,8 +316,10 @@ impl KernelProgress {
 /// immediately — no global barrier between the rounds, so kernel A's
 /// fallback simulates while kernel B's first-round windows are still in
 /// flight. The result is byte-identical to draining each round as a
-/// barriered batch: samples are keyed by `(kernel, cta_count)` and the
-/// acceptance check is order-insensitive.
+/// barriered batch, and to any worker count: samples are keyed by
+/// `(kernel, cta_count)` and the acceptance check is order-insensitive.
+/// The barriered shape was measured slower on cold co-run decisions, which
+/// is why this loop streams.
 ///
 /// # Panics
 ///

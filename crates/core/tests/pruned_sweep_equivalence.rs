@@ -15,7 +15,7 @@ use gpu_sim::{GpuConfig, KernelDesc};
 use warped_slicer::resources::ResourceVec;
 use warped_slicer::sweep::{profile_curves_planned, SweepPlan};
 use warped_slicer::waterfill::{water_fill, KernelCurve};
-use warped_slicer::{profile_curves, RunConfig};
+use warped_slicer::RunConfig;
 use ws_workloads::{all_pairs, suite, Benchmark};
 
 const WINDOW: u64 = 3_000;
@@ -30,7 +30,13 @@ fn pruned_sweep_reproduces_full_sweep_quotas_on_every_fig3_pair() {
     let maxes: Vec<u32> = benches.iter().map(Benchmark::max_ctas_baseline).collect();
 
     // WS_PREDICT=0 analogue: the dense 1..=N sweep of Fig. 3.
-    let full = profile_curves(&pool, &descs, &maxes, WINDOW, &cfg);
+    let full = profile_curves_planned(&pool, &descs, &SweepPlan::full(&maxes), WINDOW, &cfg);
+    assert!(
+        full.pruned.iter().all(|&p| !p),
+        "a full plan prunes nothing"
+    );
+    assert_eq!(full.samples_run, SweepPlan::full(&maxes).full_samples());
+    let full = full.curves;
 
     // WS_PREDICT=1 analogue: windows around each predicted knee.
     let plan = SweepPlan::from_predictions(&descs, &maxes, &gpu);

@@ -36,9 +36,8 @@
 //!   results are collected in submission order;
 //! * the **streaming** API ([`Pool::stream`], [`Pool::submit`]) — submit
 //!   jobs one at a time and drain completions *as they finish*, so
-//!   downstream work (curve acceptance, water-filling) can overlap with
-//!   simulation still in flight. See `profile_curves_planned` and the
-//!   pipelined decide harness in `ws-bench`.
+//!   downstream work (curve acceptance, fallback resubmission) can overlap
+//!   with simulation still in flight. See `profile_curves_planned`.
 //!
 //! The worker count comes from `WS_EXEC_THREADS` (default: the machine's
 //! available parallelism; `1` forces serial execution). A panicking job

@@ -191,7 +191,7 @@ fn profile_curves_are_bounded_by_scaled_samples() {
                 bandwidth: None,
             })
             .collect();
-        let curves = build_curves(&samples, &[8]);
+        let curves = build_curves(&samples, &[8], None);
         assert_eq!(curves.len(), 1, "case {case}");
         let max_in = ipcs.iter().copied().fold(0.0f64, f64::max);
         for v in &curves[0] {
