@@ -98,51 +98,47 @@ impl Dataflow {
 
 /// Runs the reaching-definition fixpoint over a loop body and collects the
 /// RAW dependence-distance histogram.
+///
+/// Definition positions live on a timeline shifted one body length forward:
+/// the previous iteration's definitions sit at `0..len` and this
+/// iteration's at `len..2 * len`. A read at instruction `i` then has
+/// distance `i + len - def` whichever iteration its definition comes from,
+/// and it is loop-carried exactly when `def < len`.
 #[must_use]
 pub fn analyze(program: &Program) -> Dataflow {
+    /// Position of a register no instruction defines.
+    const NEVER: usize = usize::MAX;
     let len = program.len();
     // Fixpoint seed: the state entering the body equals the state leaving
-    // it, i.e. the position of each register's last definition.
-    let mut live_in: Vec<Option<usize>> = vec![None; NUM_VIRTUAL_REGS];
+    // it, i.e. each register's last definition, one body length back.
+    let mut def = [NEVER; NUM_VIRTUAL_REGS];
     for (i, inst) in program.iter().enumerate() {
-        if let Some(dst) = inst.dst {
-            if let Some(slot) = live_in.get_mut(reg_slot(dst)) {
-                *slot = Some(i);
-            }
+        if let Some(slot) = inst.dst.and_then(|dst| def.get_mut(reg_slot(dst))) {
+            *slot = i;
         }
     }
 
-    let mut current: Vec<Option<usize>> = vec![None; NUM_VIRTUAL_REGS];
     let mut raw_histogram = vec![0usize; len];
     let mut never_defined = Vec::new();
     let mut first_iter_uninit_reads = 0usize;
     for (i, inst) in program.iter().enumerate() {
+        let now = i + len;
         for src in inst.srcs.iter().flatten() {
-            let slot = reg_slot(*src);
-            let distance = match current.get(slot).copied().flatten() {
-                Some(def) => i - def,
-                None => match live_in.get(slot).copied().flatten() {
-                    Some(def) => {
-                        first_iter_uninit_reads += 1;
-                        i + len - def
-                    }
-                    None => {
-                        never_defined.push((i, *src));
-                        continue;
-                    }
-                },
-            };
-            // Distances are in 1..=len by construction (a same-iteration
-            // definition strictly precedes the read; a wrapped one is at
-            // most a full body away).
-            if let Some(bucket) = raw_histogram.get_mut(distance.saturating_sub(1)) {
+            let d = def.get(reg_slot(*src)).copied().unwrap_or(NEVER);
+            if d == NEVER {
+                never_defined.push((i, *src));
+                continue;
+            }
+            first_iter_uninit_reads += usize::from(d < len);
+            // `d < now` by construction (a same-iteration definition
+            // strictly precedes the read; a carried one is at most a full
+            // body away), so distances are in 1..=len.
+            if let Some(bucket) = raw_histogram.get_mut(now - 1 - d) {
                 *bucket += 1;
             }
         }
-        if let Some(dst) = inst.dst {
-            if let Some(slot) = current.get_mut(reg_slot(dst)) {
-                *slot = Some(i);
-            }
+        if let Some(slot) = inst.dst.and_then(|dst| def.get_mut(reg_slot(dst))) {
+            *slot = now;
         }
     }
 
@@ -156,7 +152,137 @@ pub fn analyze(program: &Program) -> Dataflow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{Inst, OpClass, Program, ProgramSpec};
+    use gpu_sim::{GpuConfig, Inst, OpClass, Program, ProgramSpec, SimRng};
+
+    /// The straightforward two-map formulation `analyze` replaced, kept as
+    /// its oracle: the loop-carried state and the current iteration's
+    /// definitions in separate maps, with an explicit wrap for carried
+    /// reads.
+    fn reference_analyze(program: &Program) -> Dataflow {
+        let len = program.len();
+        let mut live_in: Vec<Option<usize>> = vec![None; NUM_VIRTUAL_REGS];
+        for (i, inst) in program.iter().enumerate() {
+            if let Some(dst) = inst.dst {
+                if let Some(slot) = live_in.get_mut(reg_slot(dst)) {
+                    *slot = Some(i);
+                }
+            }
+        }
+
+        let mut current: Vec<Option<usize>> = vec![None; NUM_VIRTUAL_REGS];
+        let mut raw_histogram = vec![0usize; len];
+        let mut never_defined = Vec::new();
+        let mut first_iter_uninit_reads = 0usize;
+        for (i, inst) in program.iter().enumerate() {
+            for src in inst.srcs.iter().flatten() {
+                let slot = reg_slot(*src);
+                let distance = match current.get(slot).copied().flatten() {
+                    Some(def) => i - def,
+                    None => match live_in.get(slot).copied().flatten() {
+                        Some(def) => {
+                            first_iter_uninit_reads += 1;
+                            i + len - def
+                        }
+                        None => {
+                            never_defined.push((i, *src));
+                            continue;
+                        }
+                    },
+                };
+                if let Some(bucket) = raw_histogram.get_mut(distance.saturating_sub(1)) {
+                    *bucket += 1;
+                }
+            }
+            if let Some(dst) = inst.dst {
+                if let Some(slot) = current.get_mut(reg_slot(dst)) {
+                    *slot = Some(i);
+                }
+            }
+        }
+
+        Dataflow {
+            raw_histogram,
+            never_defined,
+            first_iter_uninit_reads,
+        }
+    }
+
+    /// A random loop body: any op class, destinations drawn from a few
+    /// registers (some above the virtual window, so slots alias), and
+    /// sources from a wider range, so some reads hit registers no
+    /// instruction defines.
+    fn random_program(rng: &mut SimRng) -> Program {
+        const OPS: [OpClass; 6] = [
+            OpClass::Alu,
+            OpClass::Sfu,
+            OpClass::GlobalLoad,
+            OpClass::GlobalStore,
+            OpClass::SharedMem,
+            OpClass::Barrier,
+        ];
+        let body_len = 1 + rng.range_usize(64);
+        let defined = 1 + rng.range_u64(48);
+        let reg = |rng: &mut SimRng, n: u64| Reg::try_from(rng.range_u64(n)).ok();
+        let insts = (0..body_len)
+            .map(|_| {
+                let op = OPS.get(rng.range_usize(OPS.len())).copied();
+                let op = op.unwrap_or(OpClass::Alu);
+                if op.is_barrier() {
+                    return Inst {
+                        op,
+                        dst: None,
+                        srcs: [None, None],
+                    };
+                }
+                let dst = if rng.range_u64(4) == 0 {
+                    None
+                } else {
+                    reg(rng, defined)
+                };
+                let mut src = || {
+                    if rng.range_u64(3) == 0 {
+                        None
+                    } else {
+                        reg(rng, 64)
+                    }
+                };
+                Inst {
+                    op,
+                    dst,
+                    srcs: [src(), src()],
+                }
+            })
+            .collect();
+        Program::new(insts)
+    }
+
+    #[test]
+    fn analyze_matches_the_reference_on_random_programs() {
+        let mut rng = SimRng::seed_from_u64(0xdf10_0001);
+        let (mut carried, mut never) = (0usize, 0usize);
+        for case in 0..2_500 {
+            let p = random_program(&mut rng);
+            let flow = analyze(&p);
+            assert_eq!(flow, reference_analyze(&p), "case {case}: {p:?}");
+            carried += flow.first_iter_uninit_reads;
+            never += flow.never_defined.len();
+        }
+        assert!(carried > 0 && never > 0, "the cases cover every read kind");
+    }
+
+    #[test]
+    fn extracted_features_match_the_reference_analysis() {
+        let cfg = GpuConfig::isca_baseline();
+        for b in ws_workloads::extended_suite() {
+            let reference = reference_analyze(&b.desc.program);
+            assert_eq!(
+                crate::predict::extract_features(&b.desc, &cfg),
+                Ok(crate::predict::features_from_flow(&b.desc, &cfg, reference)),
+                "{}",
+                b.abbrev
+            );
+        }
+    }
 
     fn alu(dst: Option<Reg>, srcs: [Option<Reg>; 2]) -> Inst {
         Inst {

@@ -38,8 +38,9 @@
 //! predicted curve against simulated ground truth and gates the knee-hit
 //! rate in CI.
 
+use crate::dataflow::{self, Dataflow};
 use crate::diag::StaticMetrics;
-use crate::{dataflow, rules};
+use crate::rules;
 use gpu_sim::{AccessPattern, GpuConfig, KernelDesc, KernelVerifyError, SmConfig};
 
 /// Relative tolerance defining the knee: the smallest CTA count whose IPC is
@@ -168,8 +169,17 @@ pub fn knee_of(curve: &[f64]) -> u32 {
 /// error is surfaced instead of a garbage curve.
 pub fn extract_features(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Features, KernelVerifyError> {
     gpu_sim::verify::preflight(desc, &cfg.sm)?;
-    let flow = dataflow::analyze(&desc.program);
-    let metrics = rules::compute_metrics(desc, &cfg.sm, &flow);
+    Ok(features_from_flow(
+        desc,
+        cfg,
+        dataflow::analyze(&desc.program),
+    ))
+}
+
+/// The feature vector of a kernel that passed the pre-flight, from the
+/// dataflow facts of its body.
+pub(crate) fn features_from_flow(desc: &KernelDesc, cfg: &GpuConfig, flow: Dataflow) -> Features {
+    let metrics = rules::compute_metrics(desc, &cfg.sm, flow);
     let (max_ctas_by, max_ctas) = (metrics.max_ctas_by, metrics.max_ctas);
     let warps_per_cta = desc.warps_per_cta();
 
@@ -198,7 +208,7 @@ pub fn extract_features(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Features, 
     let extra_warps = f64::from(warps_per_cta.saturating_sub(1));
     let barrier_eff = 1.0 / (1.0 + metrics.barrier_frac * extra_warps * BARRIER_COST);
 
-    Ok(Features {
+    Features {
         phi_mem: metrics.gload_frac + metrics.gstore_frac,
         traffic_per_inst: metrics.global_traffic,
         metrics,
@@ -208,7 +218,7 @@ pub fn extract_features(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Features, 
         ilp,
         mlp,
         barrier_eff,
-    })
+    }
 }
 
 /// Composes the features through the analytic contention model into a

@@ -98,7 +98,7 @@ pub fn analyze_kernel(desc: &KernelDesc, cfg: &GpuConfig) -> Report {
     let flow = dataflow::analyze(&desc.program);
     let mut diagnostics = hard_diagnostics(desc, &cfg.sm, &flow);
     diagnostics.extend(kernel_warnings(desc, cfg));
-    let metrics = compute_metrics(desc, &cfg.sm, &flow);
+    let metrics = compute_metrics(desc, &cfg.sm, flow);
     let mut report = Report {
         subject: desc.name.clone(),
         metrics,
@@ -618,23 +618,29 @@ fn apply_waivers(report: &mut Report, waivers: &[Waiver]) {
 pub(crate) fn compute_metrics(
     desc: &KernelDesc,
     sm: &SmConfig,
-    flow: &dataflow::Dataflow,
+    flow: dataflow::Dataflow,
 ) -> StaticMetrics {
     let p = &desc.program;
     // One pass counts every op class; each fraction is the same
     // `count / len` division as `Program::fraction`, so the metrics are
-    // bit-identical to six separate passes.
-    let (mut alu, mut sfu, mut gload, mut gstore, mut shmem, mut barrier) = (0, 0, 0, 0, 0, 0);
+    // bit-identical to six separate passes. The count goes through a table
+    // index rather than a branch per class: a generated body's classes are
+    // random, so such a branch mispredicts on most instructions.
+    let mut counts = [0usize; 6];
     for inst in p.iter() {
-        match inst.op {
-            OpClass::Alu => alu += 1,
-            OpClass::Sfu => sfu += 1,
-            OpClass::GlobalLoad => gload += 1,
-            OpClass::GlobalStore => gstore += 1,
-            OpClass::SharedMem => shmem += 1,
-            OpClass::Barrier => barrier += 1,
+        let class = match inst.op {
+            OpClass::Alu => 0,
+            OpClass::Sfu => 1,
+            OpClass::GlobalLoad => 2,
+            OpClass::GlobalStore => 3,
+            OpClass::SharedMem => 4,
+            OpClass::Barrier => 5,
+        };
+        if let Some(n) = counts.get_mut(class) {
+            *n += 1;
         }
     }
+    let [alu, sfu, gload, gstore, shmem, barrier] = counts;
     let frac = |n: usize| n as f64 / p.len() as f64;
     let gload_frac = frac(gload);
     let gstore_frac = frac(gstore);
@@ -662,7 +668,7 @@ pub(crate) fn compute_metrics(
         arithmetic_intensity,
         median_raw_distance: flow.median_raw_distance(),
         dominant_raw_distance: flow.dominant_raw_distance(),
-        raw_histogram: flow.raw_histogram.clone(),
+        raw_histogram: flow.raw_histogram,
         first_iter_uninit_reads: flow.first_iter_uninit_reads,
         max_ctas_by,
         max_ctas,

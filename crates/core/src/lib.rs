@@ -86,9 +86,7 @@ pub use sweep::{
     accept_pruned, predict_default, profile_curves_planned, PlannedSweep, SweepPlan, SweepWindow,
 };
 pub use tracefmt::{chrome_trace, jsonl, validate_jsonl};
-pub use waterfill::{
-    brute_force, water_fill, water_fill_traced, KernelCurve, Partition, WaterFillStep,
-};
+pub use waterfill::{brute_force, water_fill, KernelCurve, Partition, WaterFillStep};
 
 #[cfg(test)]
 mod strict {

@@ -19,7 +19,7 @@ use crate::profiler::{build_curves, BandwidthSample, ProfilePlan, ProfileSample,
 use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
 use crate::sweep::{predict_default, SweepWindow};
-use crate::waterfill::{water_fill, water_fill_traced, KernelCurve};
+use crate::waterfill::{water_fill, water_fill_with, KernelCurve};
 use ws_analyze::predict_kernel;
 
 /// Tunables for the Warped-Slicer controller.
@@ -248,8 +248,11 @@ impl WarpedSlicerController {
             return;
         }
         let cfg = gpu.config();
+        // A kernel the launch pre-flight rejects has no static features and
+        // so no key: it gets no store, and counts as a permanent miss
+        // rather than failing the decision, which then profiles as usual.
         self.store_keys = (0..gpu.num_kernels())
-            .map(|k| KernelSignature::derive(gpu.kernel_desc(KernelId(k)), cfg))
+            .map(|k| KernelSignature::derive(gpu.kernel_desc(KernelId(k)), cfg).ok())
             .collect();
     }
 
@@ -466,15 +469,14 @@ impl WarpedSlicerController {
                     perf: k.perf.clone(),
                 });
             }
-            let mut steps = Vec::new();
-            let p = water_fill_traced(&kernels, capacity, &mut steps);
-            for s in steps {
-                self.audit.record(AuditEvent::WaterFillStep {
+            let audit = &mut self.audit;
+            let p = water_fill_with(&kernels, capacity, &mut |s| {
+                audit.record(AuditEvent::WaterFillStep {
                     kernel: s.kernel,
                     ctas: s.ctas,
                     perf: s.perf,
                 });
-            }
+            });
             if let Some(p) = &p {
                 self.audit.record(AuditEvent::WaterFillDecision {
                     quotas: p.ctas.clone(),

@@ -10,10 +10,10 @@
 //!
 //! ## Key derivation
 //!
-//! A [`CurveKey`] is the pair of two streaming FNV-1a hashes, each fed
+//! A [`CurveKey`] is the pair of two streaming word hashes, each fed
 //! field by field as fixed-width little-endian words (`f64` as its bits,
 //! integers widened to `u64`, `Option` as a tag word, sequences
-//! length-prefixed):
+//! length-prefixed) and absorbing one whole word per step:
 //!
 //! * **kernel signature** — over the format-version prefix, the ws-analyze
 //!   derived class/archetype tag (the same global-traffic and
@@ -56,7 +56,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use gpu_sim::{DramTiming, GpuConfig, KernelDesc, L1Config, L2Config, MemConfig, SmConfig};
+use gpu_sim::{
+    DramTiming, GpuConfig, KernelDesc, KernelVerifyError, L1Config, L2Config, MemConfig, SmConfig,
+};
 use ws_analyze::{extract_features, knee_of, Features, StaticMetrics};
 
 use crate::tracefmt::{self, Json};
@@ -65,31 +67,40 @@ use crate::tracefmt::{self, Json};
 /// `store_meta` header. It is also hashed into every `kernel_sig`, so a
 /// change to the key encoding bumps it and old keys can never alias new
 /// ones.
-pub const STORE_FORMAT_VERSION: u64 = 2;
+pub const STORE_FORMAT_VERSION: u64 = 3;
 
 /// Default bounded capacity of a [`CurveStore`].
 pub const DEFAULT_STORE_CAPACITY: usize = 64;
 
-/// Streaming FNV-1a 64 over fixed-width little-endian words: deterministic,
+/// Multiplier of the [`KeyHasher`] word step: any odd constant makes the
+/// multiplication a bijection; this one (2^64 over the golden ratio) also
+/// spreads every input bit across the high half of the product.
+const KEY_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Streaming word hash over fixed-width little-endian words: deterministic,
 /// dependency-free, stable across runs and platforms (unlike
 /// `DefaultHasher`, whose keys are randomized). Every value goes in as one
-/// or more 8-byte words, so no two field sequences share an encoding.
+/// or more 64-bit words, absorbed one word per step, so no two field
+/// sequences share an encoding.
 struct KeyHasher(u64);
 
 impl KeyHasher {
+    /// Starts from the FNV-1a 64 offset basis.
     fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.mix(&v.to_le_bytes());
+    /// Absorbs one word: `h = (h ^ w) * KEY_MUL; h ^= h >> 32`. All three
+    /// operations are bijections on `u64` (xor with a fixed value,
+    /// multiplication by an odd constant, an xor-shift), so a fixed state
+    /// maps distinct words to distinct states, and every later step maps
+    /// distinct states to distinct states: two word sequences of equal
+    /// length that differ in exactly one word always hash apart. The shift
+    /// folds the product's well-mixed high half into the low bits the next
+    /// word's xor lands on.
+    fn u64(&mut self, w: u64) {
+        let h = (self.0 ^ w).wrapping_mul(KEY_MUL);
+        self.0 = h ^ (h >> 32);
     }
 
     fn usize(&mut self, v: usize) {
@@ -112,10 +123,17 @@ impl KeyHasher {
         }
     }
 
-    /// A length word, then the bytes.
+    /// A length word, then the bytes packed eight to a little-endian
+    /// word, the last one zero-padded.
     fn bytes(&mut self, bytes: &[u8]) {
         self.usize(bytes.len());
-        self.mix(bytes);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            for (w, b) in word.iter_mut().zip(chunk) {
+                *w = *b;
+            }
+            self.u64(u64::from_le_bytes(word));
+        }
     }
 }
 
@@ -332,10 +350,10 @@ fn derived_signature(f: &Features) -> (&'static str, &'static str) {
 /// The store key: (kernel signature, GPU-config hash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CurveKey {
-    /// FNV-1a over the format version, the derived class/archetype tag
+    /// Word hash over the format version, the derived class/archetype tag
     /// and every [`Features`] field.
     pub kernel_sig: u64,
-    /// FNV-1a over every [`GpuConfig`] field.
+    /// Word hash over every [`GpuConfig`] field.
     pub gpu_sig: u64,
 }
 
@@ -353,12 +371,15 @@ pub struct KernelSignature {
 
 impl KernelSignature {
     /// Derives the signature for `desc` under `cfg` from static analysis
-    /// alone. Returns `None` when feature extraction rejects the kernel
-    /// pre-flight — such kernels simply never use the store.
-    #[must_use]
-    pub fn derive(desc: &KernelDesc, cfg: &GpuConfig) -> Option<Self> {
-        let features = extract_features(desc, cfg).ok()?;
-        Some(Self::from_features(&features, cfg))
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns the launch pre-flight's error when feature extraction
+    /// rejects the kernel: it has no static features, hence no key.
+    pub fn derive(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Self, KernelVerifyError> {
+        let features = extract_features(desc, cfg)?;
+        Ok(Self::from_features(&features, cfg))
     }
 
     /// Builds the signature from an already-extracted feature vector.
@@ -768,13 +789,31 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Pinned reference values: the empty-input FNV-1a offset basis, and
-        // the published FNV-1a 64 digest of "a".
+    fn key_hasher_is_stable() {
+        // Pinned reference values: the FNV-1a 64 offset basis as the empty
+        // state, and one word step worked out by hand from the formula.
         let mut h = KeyHasher::new();
         assert_eq!(h.0, 0xcbf2_9ce4_8422_2325);
-        h.mix(b"a");
-        assert_eq!(h.0, 0xaf63_dc4c_8601_ec8c);
+        h.u64(1);
+        assert_eq!(h.0, 0x5a84_1910_3ebe_48e4);
+    }
+
+    #[test]
+    fn byte_strings_pack_eight_to_a_word() {
+        let hash = |f: &dyn Fn(&mut KeyHasher)| {
+            let mut h = KeyHasher::new();
+            f(&mut h);
+            h.0
+        };
+        assert_eq!(
+            hash(&|h| h.bytes(b"ws-store/v")),
+            hash(&|h| {
+                h.u64(10);
+                h.u64(u64::from_le_bytes(*b"ws-store"));
+                h.u64(u64::from_le_bytes(*b"/v\0\0\0\0\0\0"));
+            })
+        );
+        assert_eq!(hash(&|h| h.bytes(b"")), hash(&|h| h.u64(0)));
     }
 
     #[test]
@@ -815,6 +854,15 @@ mod tests {
         assert_ne!(a.key.gpu_sig, large.key.gpu_sig, "config hash differs");
         let other = KernelSignature::derive(&by_abbrev("NN").unwrap().desc, &cfg).expect("NN");
         assert_ne!(a.key.kernel_sig, other.key.kernel_sig, "kernels differ");
+    }
+
+    #[test]
+    fn derive_reports_why_a_kernel_has_no_key() {
+        let mut desc = by_abbrev("IMG").unwrap().desc;
+        desc.threads_per_cta = 0;
+        let err = KernelSignature::derive(&desc, &GpuConfig::isca_baseline())
+            .expect_err("a zero-thread kernel fails pre-flight");
+        assert_eq!(err.rule(), "zero-threads");
     }
 
     #[test]

@@ -147,18 +147,18 @@ pub struct WaterFillStep {
 /// ```
 #[must_use]
 pub fn water_fill(kernels: &[KernelCurve], total: ResourceVec) -> Option<Partition> {
-    water_fill_traced(kernels, total, &mut Vec::new())
+    water_fill_with(kernels, total, &mut |_| {})
 }
 
-/// [`water_fill`] with an audit trail: every grant — the K initial one-CTA
-/// grants and each main-loop raise — is appended to `steps` in execution
-/// order. On an infeasible instance `steps` holds the grants made before
-/// the algorithm gave up.
+/// [`water_fill`] with a step sink for audit trails: every grant — the K
+/// initial one-CTA grants and each main-loop raise — is passed to `step` in
+/// execution order. On an infeasible instance the sink has seen the grants
+/// made before the algorithm gave up.
 #[must_use]
-pub fn water_fill_traced(
+pub(crate) fn water_fill_with(
     kernels: &[KernelCurve],
     total: ResourceVec,
-    steps: &mut Vec<WaterFillStep>,
+    step: &mut impl FnMut(WaterFillStep),
 ) -> Option<Partition> {
     if kernels.is_empty() || kernels.iter().any(|k| k.perf.is_empty()) {
         return None;
@@ -179,7 +179,7 @@ pub fn water_fill_traced(
             ctas: 1,
             full: false,
         };
-        steps.push(WaterFillStep {
+        step(WaterFillStep {
             kernel: i,
             ctas: 1,
             perf: lane.perf(),
@@ -211,7 +211,7 @@ pub fn water_fill_traced(
                     left = left.saturating_sub(&need);
                     lane.step += 1;
                     lane.ctas += d_t;
-                    steps.push(WaterFillStep {
+                    step(WaterFillStep {
                         kernel: sel,
                         ctas: lane.ctas,
                         perf: lane.perf(),
@@ -584,7 +584,7 @@ mod tests {
             cta_cost: cost(2048, 128),
         };
         let mut steps = Vec::new();
-        let p = water_fill_traced(&[scaler, thrasher], cap(), &mut steps).unwrap();
+        let p = water_fill_with(&[scaler, thrasher], cap(), &mut |s| steps.push(s)).unwrap();
         // The first K steps are the initial one-CTA grants, in kernel order.
         assert_eq!(
             steps[0],

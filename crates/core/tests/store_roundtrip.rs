@@ -236,67 +236,73 @@ fn nudge(v: &mut f64) {
     *v = f64::from_bits(v.to_bits() ^ 1);
 }
 
-#[test]
-fn gpu_sig_changes_with_every_config_field() {
-    macro_rules! bump {
-        ($($f:ident).+) => {
-            (
+/// A named accessor for one `GpuConfig` integer.
+type ConfigField = (&'static str, fn(&mut GpuConfig) -> &mut u32);
+
+/// Every integer of `GpuConfig`, by name: all 40 are `u32`.
+fn config_fields() -> [ConfigField; 40] {
+    macro_rules! fields {
+        ($($($f:ident).+),* $(,)?) => {
+            [$((
                 stringify!($($f).+),
-                (|c: &mut GpuConfig| c.$($f).+ += 1) as fn(&mut GpuConfig),
-            )
+                (|c: &mut GpuConfig| &mut c.$($f).+) as fn(&mut GpuConfig) -> &mut u32,
+            )),*]
         };
     }
-    let mutators = [
-        bump!(num_sms),
-        bump!(core_clock_mhz),
-        bump!(sm.max_threads),
-        bump!(sm.max_registers),
-        bump!(sm.max_ctas),
-        bump!(sm.shared_mem_bytes),
-        bump!(sm.num_schedulers),
-        bump!(sm.simt_width),
-        bump!(sm.sfu_width),
-        bump!(sm.lsu_width),
-        bump!(sm.alu_latency),
-        bump!(sm.sfu_latency),
-        bump!(sm.shmem_latency),
-        bump!(sm.l1_hit_latency),
-        bump!(sm.ibuffer_entries),
-        bump!(sm.fetch_latency),
-        bump!(sm.icache_miss_penalty),
-        bump!(sm.fetch_width),
-        bump!(l1.size_bytes),
-        bump!(l1.assoc),
-        bump!(l1.line_bytes),
-        bump!(l1.mshr_entries),
-        bump!(l1.mshr_max_merged),
-        bump!(l2.size_bytes_per_channel),
-        bump!(l2.assoc),
-        bump!(l2.line_bytes),
-        bump!(l2.latency),
-        bump!(mem.num_channels),
-        bump!(mem.banks_per_channel),
-        bump!(mem.row_bytes),
-        bump!(mem.timing.t_cl),
-        bump!(mem.timing.t_rp),
-        bump!(mem.timing.t_rc),
-        bump!(mem.timing.t_ras),
-        bump!(mem.timing.t_rcd),
-        bump!(mem.timing.t_rrd),
-        bump!(mem.timing.t_burst),
-        bump!(mem.dram_clock_mhz),
-        bump!(mem.icnt_latency),
-        bump!(mem.dram_queue_entries),
-    ];
-    assert_eq!(mutators.len(), 40, "GpuConfig carries 40 integers");
+    fields![
+        num_sms,
+        core_clock_mhz,
+        sm.max_threads,
+        sm.max_registers,
+        sm.max_ctas,
+        sm.shared_mem_bytes,
+        sm.num_schedulers,
+        sm.simt_width,
+        sm.sfu_width,
+        sm.lsu_width,
+        sm.alu_latency,
+        sm.sfu_latency,
+        sm.shmem_latency,
+        sm.l1_hit_latency,
+        sm.ibuffer_entries,
+        sm.fetch_latency,
+        sm.icache_miss_penalty,
+        sm.fetch_width,
+        l1.size_bytes,
+        l1.assoc,
+        l1.line_bytes,
+        l1.mshr_entries,
+        l1.mshr_max_merged,
+        l2.size_bytes_per_channel,
+        l2.assoc,
+        l2.line_bytes,
+        l2.latency,
+        mem.num_channels,
+        mem.banks_per_channel,
+        mem.row_bytes,
+        mem.timing.t_cl,
+        mem.timing.t_rp,
+        mem.timing.t_rc,
+        mem.timing.t_ras,
+        mem.timing.t_rcd,
+        mem.timing.t_rrd,
+        mem.timing.t_burst,
+        mem.dram_clock_mhz,
+        mem.icnt_latency,
+        mem.dram_queue_entries,
+    ]
+}
+
+#[test]
+fn gpu_sig_changes_with_every_config_field() {
     let base = GpuConfig::isca_baseline();
     let features = img_features(&base);
     let sig = |cfg: &GpuConfig| KernelSignature::from_features(&features, cfg).key;
     let base_key = sig(&base);
     let mut seen = vec![base_key.gpu_sig];
-    for (name, bump) in mutators {
+    for (name, field) in config_fields() {
         let mut cfg = base.clone();
-        bump(&mut cfg);
+        *field(&mut cfg) += 1;
         let key = sig(&cfg);
         assert!(
             !seen.contains(&key.gpu_sig),
@@ -427,12 +433,12 @@ fn img_key_is_pinned_to_the_format_version() {
     // Any change to the key encoding moves this pair, and must come with a
     // STORE_FORMAT_VERSION bump so persisted stores of the old encoding
     // are refused instead of silently missing.
-    assert_eq!(STORE_FORMAT_VERSION, 2);
+    assert_eq!(STORE_FORMAT_VERSION, 3);
     let sig = KernelSignature::derive(&by_abbrev("IMG").unwrap().desc, &GpuConfig::isca_baseline())
         .expect("IMG passes pre-flight");
     assert_eq!(
         (sig.key.kernel_sig, sig.key.gpu_sig),
-        (0xc7da_274b_9fea_8712, 0xb3fd_f1c2_572a_a967),
+        (0x9262_6f6c_1c42_eb3e, 0xa89e_3848_fc47_892e),
         "IMG key under isca_baseline() changed: bump STORE_FORMAT_VERSION"
     );
 }
@@ -442,4 +448,75 @@ fn version_1_store_files_are_refused() {
     let v1 = "{\"type\":\"store_meta\",\"version\":1,\"capacity\":4,\"entries\":0}\n";
     let err = CurveStore::from_jsonl(v1).expect_err("v1 keys use the old encoding");
     assert!(err.contains("unsupported store format version 1"), "{err}");
+}
+
+#[test]
+fn version_2_store_files_are_refused() {
+    // A v2 entry keyed by IMG's byte-serial FNV-1a key: loading it under the
+    // word encoding would only ever miss, so the file is refused outright.
+    let v2 = "{\"type\":\"store_meta\",\"version\":2,\"capacity\":4,\"entries\":1}\n\
+              {\"type\":\"store_entry\",\"kernel_sig\":\"c7da274b9fea8712\",\
+              \"gpu_sig\":\"b3fdf1c2572aa967\",\"class\":\"compute\",\
+              \"archetype\":\"compute-saturating\",\"perf\":[1.0],\"knee\":1}\n";
+    let err = CurveStore::from_jsonl(v2).expect_err("v2 keys use the old encoding");
+    assert!(err.contains("unsupported store format version 2"), "{err}");
+}
+
+/// Panics naming the first two entries of `keys` that share a key.
+fn assert_distinct(keys: impl IntoIterator<Item = (String, u64)>) {
+    let mut seen = std::collections::BTreeMap::new();
+    for (what, key) in keys {
+        if let Some(prev) = seen.insert(key, what.clone()) {
+            panic!("{what} aliases {prev}");
+        }
+    }
+}
+
+#[test]
+fn single_bit_flips_give_pairwise_distinct_keys() {
+    // The word step is a bijection, so a flip in any one word must move the
+    // key; the flips must also not collide with one another.
+    let cfg = GpuConfig::isca_baseline();
+    let base = img_features(&cfg);
+    type FloatField = (&'static str, fn(&mut Features) -> &mut f64);
+    let floats: [FloatField; 14] = [
+        ("metrics.alu_frac", |f| &mut f.metrics.alu_frac),
+        ("metrics.sfu_frac", |f| &mut f.metrics.sfu_frac),
+        ("metrics.gload_frac", |f| &mut f.metrics.gload_frac),
+        ("metrics.gstore_frac", |f| &mut f.metrics.gstore_frac),
+        ("metrics.shmem_frac", |f| &mut f.metrics.shmem_frac),
+        ("metrics.barrier_frac", |f| &mut f.metrics.barrier_frac),
+        ("metrics.lsu_frac", |f| &mut f.metrics.lsu_frac),
+        ("metrics.global_traffic", |f| &mut f.metrics.global_traffic),
+        ("metrics.arithmetic_intensity", |f| {
+            &mut f.metrics.arithmetic_intensity
+        }),
+        ("phi_mem", |f| &mut f.phi_mem),
+        ("ilp", |f| &mut f.ilp),
+        ("mlp", |f| &mut f.mlp),
+        ("barrier_eff", |f| &mut f.barrier_eff),
+        ("traffic_per_inst", |f| &mut f.traffic_per_inst),
+    ];
+    let kernel_sig = |f: &Features| KernelSignature::from_features(f, &cfg).key.kernel_sig;
+    let mut keys = vec![("base kernel".to_string(), kernel_sig(&base))];
+    for (name, field) in floats {
+        for bit in 0..64 {
+            let mut f = base.clone();
+            let v = field(&mut f);
+            *v = f64::from_bits(v.to_bits() ^ (1 << bit));
+            keys.push((format!("{name} bit {bit}"), kernel_sig(&f)));
+        }
+    }
+    assert_distinct(keys);
+
+    let gpu_sig = |c: &GpuConfig| KernelSignature::from_features(&base, c).key.gpu_sig;
+    let mut keys = vec![("base config".to_string(), gpu_sig(&cfg))];
+    for (name, field) in config_fields() {
+        for bit in 0..u32::BITS {
+            let mut c = cfg.clone();
+            *field(&mut c) ^= 1 << bit;
+            keys.push((format!("{name} bit {bit}"), gpu_sig(&c)));
+        }
+    }
+    assert_distinct(keys);
 }

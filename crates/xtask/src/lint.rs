@@ -171,7 +171,7 @@ pub const TICK_SEEDS: [(&str, &str); 11] = [
 /// key encoder — the call trees that compute the paper's numbers, decide
 /// how much of the sweep gets sampled, and serve memoized curves on the
 /// decision path.
-pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 26] = [
+pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 25] = [
     (Some("LinearAllocator"), "alloc"),
     (Some("LinearAllocator"), "alloc_in_window"),
     (Some("LinearAllocator"), "free"),
@@ -182,7 +182,6 @@ pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 26] = [
     (Some("SmResources"), "free"),
     (Some("SweepPlan"), "from_predictions"),
     (None, "water_fill"),
-    (None, "water_fill_traced"),
     (None, "brute_force"),
     (None, "speedups"),
     (None, "fairness"),
