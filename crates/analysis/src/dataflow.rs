@@ -376,7 +376,8 @@ mod tests {
                 seed: 7,
                 ..ProgramSpec::default()
             }
-            .generate();
+            .generate()
+            .expect("valid spec");
             let flow = analyze(&p);
             assert_eq!(
                 flow.dominant_raw_distance(),

@@ -691,7 +691,7 @@ mod tests {
             threads_per_cta: 128,
             regs_per_thread: 16,
             shmem_per_cta: 0,
-            program: ProgramSpec::default().generate(),
+            program: ProgramSpec::default().generate().expect("valid spec"),
             iterations: 2,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,
@@ -827,7 +827,8 @@ mod tests {
             shmem_frac: 0.2,
             ..ProgramSpec::default()
         }
-        .generate();
+        .generate()
+        .expect("valid spec");
         let r = analyze_kernel(&d, &cfg());
         assert!(rules_of(&r).contains(&"shmem-without-allocation"));
     }

@@ -33,7 +33,8 @@ fn clean_desc(seed: u64) -> KernelDesc {
             dep_distance: 4,
             seed,
         }
-        .generate(),
+        .generate()
+        .expect("valid spec"),
         iterations: 4,
         pattern: AccessPattern::Streaming { transactions: 1 },
         icache_miss_rate: 0.0,
@@ -134,7 +135,8 @@ fn verifier_clean_descriptors_simulate_to_completion() {
             dep_distance: 1 + rng.range_usize(8),
             seed: rng.next_u64(),
         }
-        .generate();
+        .generate()
+        .expect("valid spec");
         let report = analyze_kernel(&desc, &cfg);
         assert!(
             report.is_clean(),
@@ -254,7 +256,8 @@ fn compute_fixture_desc(seed: u64) -> KernelDesc {
         dep_distance: 1,
         seed,
     }
-    .generate();
+    .generate()
+    .expect("valid spec");
     desc
 }
 

@@ -18,31 +18,56 @@ pub struct AblationRow {
     pub ipc_vs_default: f64,
 }
 
-/// A fixed-quota policy derived from *offline* isolation CTA sweeps plus
-/// Algorithm 1 — the upper bound on what the online profiler's curves
-/// could achieve (no sampling noise, no co-run interference, but also no
-/// runtime adaptivity and an offline cost the paper's design avoids).
-pub fn offline_curve_policy(ctx: &ExperimentContext, pair: &Pair) -> PolicyKind {
+/// One fixed-quota policy per pair, derived from *offline* isolation CTA
+/// sweeps plus Algorithm 1 — the upper bound on what the online profiler's
+/// curves could achieve (no sampling noise, no co-run interference, but also
+/// no runtime adaptivity and an offline cost the paper's design avoids).
+///
+/// One sweep covers the distinct kernels of `pairs` in first-seen order, so
+/// a kernel shared by several pairs is swept once. Every `(kernel, cap)`
+/// sample is an independent simulation, so each curve equals the one a
+/// sweep of its pair alone measures.
+pub fn offline_curve_policies(ctx: &ExperimentContext, pairs: &[Pair]) -> Vec<PolicyKind> {
     let window = (ctx.cfg.isolation_cycles / 8).max(2_000);
-    let benches = [&pair.a, &pair.b];
-    let max_ctas: Vec<u32> = benches
+    let mut kernels: Vec<&Benchmark> = Vec::new();
+    let members: Vec<[usize; 2]> = pairs
+        .iter()
+        .map(|p| {
+            [&p.a, &p.b].map(|b| {
+                kernels
+                    .iter()
+                    .position(|k| k.desc == b.desc)
+                    .unwrap_or_else(|| {
+                        kernels.push(b);
+                        kernels.len() - 1
+                    })
+            })
+        })
+        .collect();
+    let max_ctas: Vec<u32> = kernels
         .iter()
         .map(|b| b.desc.max_ctas_per_sm(&ctx.cfg.gpu.sm).max(1))
         .collect();
-    let kernels: Vec<KernelCurve> = ctx
-        .cta_sweeps(&benches, &max_ctas, window)
+    let curves: Vec<KernelCurve> = ctx
+        .cta_sweeps(&kernels, &max_ctas, window)
         .into_iter()
-        .zip(&benches)
+        .zip(&kernels)
         .map(|(perf, b)| KernelCurve {
             perf,
             cta_cost: ResourceVec::cta_cost(&b.desc),
         })
         .collect();
     let cap = ResourceVec::sm_capacity(&ctx.cfg.gpu.sm);
-    match water_fill(&kernels, cap) {
-        Some(p) => PolicyKind::Quota(p.ctas),
-        None => PolicyKind::Spatial,
-    }
+    members
+        .iter()
+        .map(|ids| {
+            let pair_curves = ids.map(|i| curves[i].clone());
+            match water_fill(&pair_curves, cap) {
+                Some(p) => PolicyKind::Quota(p.ctas),
+                None => PolicyKind::Spatial,
+            }
+        })
+        .collect()
 }
 
 /// Runs the ablation battery over `pairs`.
@@ -111,7 +136,8 @@ pub fn compute(ctx: &ExperimentContext, pairs: &[Pair]) -> Vec<AblationRow> {
     {
         let offline: Vec<(Vec<&Benchmark>, PolicyKind)> = pairs
             .iter()
-            .map(|p| (vec![&p.a, &p.b], offline_curve_policy(ctx, p)))
+            .zip(offline_curve_policies(ctx, pairs))
+            .map(|(p, policy)| (vec![&p.a, &p.b], policy))
             .collect();
         let ipcs: Vec<f64> = ctx
             .corun_batch(&offline)
@@ -154,5 +180,18 @@ mod tests {
             assert!(r.ipc_vs_default > 0.5, "{}: {}", r.label, r.ipc_vs_default);
         }
         assert!(render(&rows).contains("Eq.3"));
+    }
+
+    #[test]
+    fn batched_offline_policies_equal_per_pair_sweeps() {
+        let ctx = ExperimentContext::new(2_000);
+        // MM_BLK and MM_IMG share MM: the batch sweeps it once.
+        let subset = subset_pairs();
+        let pairs = vec![subset[1].clone(), subset[3].clone()];
+        let per_pair: Vec<PolicyKind> = pairs
+            .iter()
+            .flat_map(|p| offline_curve_policies(&ctx, std::slice::from_ref(p)))
+            .collect();
+        assert_eq!(offline_curve_policies(&ctx, &pairs), per_pair);
     }
 }

@@ -3,7 +3,7 @@
 
 use gpu_sim::SchedulerKind;
 use warped_slicer::{PolicyKind, ProfileTiming, RunConfig, WarpedSlicerConfig};
-use ws_workloads::{by_abbrev, Benchmark, Pair, PairCategory};
+use ws_workloads::{suite, Benchmark, Pair, PairCategory};
 
 use crate::context::ExperimentContext;
 use crate::report::{f2, gmean, Table};
@@ -13,29 +13,29 @@ use crate::report::{f2, gmean, Table};
 /// also allows.
 #[must_use]
 pub fn subset_pairs() -> Vec<Pair> {
-    // Static suite abbreviations; by_abbrev cannot fail on them.
-    vec![
-        Pair {
-            a: by_abbrev("IMG").expect("suite"), // xtask-allow: no-unwrap
-            b: by_abbrev("NN").expect("suite"),  // xtask-allow: no-unwrap
-            category: PairCategory::ComputeCache,
-        },
-        Pair {
-            a: by_abbrev("MM").expect("suite"),  // xtask-allow: no-unwrap
-            b: by_abbrev("BLK").expect("suite"), // xtask-allow: no-unwrap
-            category: PairCategory::ComputeMemory,
-        },
-        Pair {
-            a: by_abbrev("HOT").expect("suite"), // xtask-allow: no-unwrap
-            b: by_abbrev("LBM").expect("suite"), // xtask-allow: no-unwrap
-            category: PairCategory::ComputeMemory,
-        },
-        Pair {
-            a: by_abbrev("MM").expect("suite"),  // xtask-allow: no-unwrap
-            b: by_abbrev("IMG").expect("suite"), // xtask-allow: no-unwrap
-            category: PairCategory::ComputeCompute,
-        },
+    let suite = suite();
+    let member = |abbrev: &str| {
+        suite
+            .iter()
+            .find(|b| b.abbrev == abbrev)
+            .cloned()
+            // Static suite abbreviations: the lookup cannot fail on them.
+            // xtask-allow: no-unwrap
+            .expect("suite")
+    };
+    [
+        ("IMG", "NN", PairCategory::ComputeCache),
+        ("MM", "BLK", PairCategory::ComputeMemory),
+        ("HOT", "LBM", PairCategory::ComputeMemory),
+        ("MM", "IMG", PairCategory::ComputeCompute),
     ]
+    .into_iter()
+    .map(|(a, b, category)| Pair {
+        a: member(a),
+        b: member(b),
+        category,
+    })
+    .collect()
 }
 
 fn dynamic_with(timing: ProfileTiming) -> PolicyKind {
@@ -187,6 +187,32 @@ pub fn render_schedulers(rows: &[(String, f64, f64, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn subset_pairs_match_the_per_member_scan() {
+        // Reference lookup: a scan of the built extended suite, one whole
+        // suite build per member.
+        let scan = |abbrev: &str| {
+            ws_workloads::extended_suite()
+                .into_iter()
+                .find(|b| b.abbrev.eq_ignore_ascii_case(abbrev))
+                .expect("suite")
+        };
+        let want = [
+            ("IMG", "NN", PairCategory::ComputeCache),
+            ("MM", "BLK", PairCategory::ComputeMemory),
+            ("HOT", "LBM", PairCategory::ComputeMemory),
+            ("MM", "IMG", PairCategory::ComputeCompute),
+        ];
+        let got = subset_pairs();
+        assert_eq!(got.len(), want.len());
+        for (g, (a, b, category)) in got.iter().zip(want) {
+            assert_eq!(g.label(), format!("{a}_{b}"));
+            assert_eq!(g.category, category);
+            assert_eq!(g.a.desc, scan(a).desc, "{a}");
+            assert_eq!(g.b.desc, scan(b).desc, "{b}");
+        }
+    }
 
     #[test]
     fn timing_sensitivity_is_small() {

@@ -244,8 +244,9 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     out.pattern = parse_pattern(pattern_arg.as_deref().unwrap_or("streaming"), transactions)?;
-    // Values that would panic the program generator or make a run
-    // meaningless; the launch pre-flight checks the rest of the kernel.
+    // Values the program generator rejects, or that make a run
+    // meaningless, checked here so the message names the flags; the launch
+    // pre-flight checks the rest of the kernel.
     if out.body == 0 {
         return Err("--body must be at least 1".to_string());
     }
@@ -654,23 +655,30 @@ fn main() -> ExitCode {
     } else {
         GpuConfig::isca_baseline()
     };
+    let spec = ProgramSpec {
+        body_len: args.body,
+        sfu_frac: args.sfu,
+        gload_frac: args.gload,
+        gstore_frac: args.gstore,
+        shmem_frac: args.shm_frac,
+        barrier_frac: args.barrier,
+        dep_distance: args.dep,
+        seed: args.seed,
+    };
+    let program = match spec.generate() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let desc = KernelDesc {
         name: "cli".into(),
         grid_ctas: args.grid,
         threads_per_cta: args.threads,
         regs_per_thread: args.regs,
         shmem_per_cta: args.shmem,
-        program: ProgramSpec {
-            body_len: args.body,
-            sfu_frac: args.sfu,
-            gload_frac: args.gload,
-            gstore_frac: args.gstore,
-            shmem_frac: args.shm_frac,
-            barrier_frac: args.barrier,
-            dep_distance: args.dep,
-            seed: args.seed,
-        }
-        .generate(),
+        program,
         iterations: args.iters,
         pattern: args.pattern.clone(),
         icache_miss_rate: args.icache_miss,

@@ -508,7 +508,8 @@ mod tests {
                 seed,
                 ..ProgramSpec::default()
             }
-            .generate(),
+            .generate()
+            .expect("valid spec"),
             iterations: 8,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,

@@ -155,7 +155,7 @@ mod tests {
             threads_per_cta: threads,
             regs_per_thread: regs,
             shmem_per_cta: shmem,
-            program: ProgramSpec::default().generate(),
+            program: ProgramSpec::default().generate().expect("valid spec"),
             iterations: 10,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,

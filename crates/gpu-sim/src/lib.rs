@@ -30,7 +30,7 @@
 //!     threads_per_cta: 128,
 //!     regs_per_thread: 16,
 //!     shmem_per_cta: 0,
-//!     program: ProgramSpec::default().generate(),
+//!     program: ProgramSpec::default().generate()?,
 //!     iterations: 4,
 //!     pattern: AccessPattern::Streaming { transactions: 1 },
 //!     icache_miss_rate: 0.0,
@@ -41,6 +41,7 @@
 //! while gpu.try_launch(k, 0) {}
 //! gpu.run(1000);
 //! assert!(gpu.kernel_insts(k) > 0);
+//! # Ok::<(), gpu_sim::ProgramSpecError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -75,7 +76,7 @@ pub use config::{DramTiming, GpuConfig, L1Config, L2Config, MemConfig, SmConfig}
 pub use gpu::{fast_forward_default, Gpu, KernelMeta};
 pub use kernel::{KernelDesc, KernelId};
 pub use mem::{KernelMemStats, MemRequest, MemResponse, MemStats, MemSubsystem};
-pub use program::{Inst, OpClass, Program, ProgramSpec, Reg, NUM_VIRTUAL_REGS};
+pub use program::{Inst, OpClass, Program, ProgramSpec, ProgramSpecError, Reg, NUM_VIRTUAL_REGS};
 pub use rng::SimRng;
 pub use scheduler::SchedulerKind;
 pub use sm::{CtaCompletion, Sm};

@@ -159,6 +159,34 @@ impl Default for ProgramSpec {
     }
 }
 
+/// Why a [`ProgramSpec`] describes no program.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ProgramSpecError {
+    /// `body_len` is zero: a loop body needs at least one instruction.
+    EmptyBody,
+    /// An instruction-class fraction is negative (or NaN), or the fractions
+    /// sum to more than 1.
+    BadFractions {
+        /// The sum of the five class fractions.
+        sum: f64,
+    },
+}
+
+impl std::fmt::Display for ProgramSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::EmptyBody => write!(f, "body_len is 0: a loop body needs an instruction"),
+            Self::BadFractions { sum } => write!(
+                f,
+                "instruction-class fractions must be non-negative and sum to <= 1 \
+                 (they sum to {sum})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ProgramSpecError {}
+
 impl ProgramSpec {
     /// Generates the program described by this spec.
     ///
@@ -167,27 +195,26 @@ impl ProgramSpec {
     /// (matching how compiled kernels interleave loads with arithmetic)
     /// while the exact mix converges to the requested fractions.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `body_len` is zero or the fractions are negative or sum to
-    /// more than 1.
-    #[must_use]
-    pub fn generate(&self) -> Program {
-        assert!(self.body_len > 0, "body_len must be positive");
-        let mem_frac = self.sfu_frac
-            + self.gload_frac
-            + self.gstore_frac
-            + self.shmem_frac
-            + self.barrier_frac;
-        assert!(
-            self.sfu_frac >= 0.0
-                && self.gload_frac >= 0.0
-                && self.gstore_frac >= 0.0
-                && self.shmem_frac >= 0.0
-                && self.barrier_frac >= 0.0
-                && mem_frac <= 1.0 + 1e-9,
-            "instruction-class fractions must be non-negative and sum to <= 1"
-        );
+    /// [`ProgramSpecError::EmptyBody`] if `body_len` is zero, and
+    /// [`ProgramSpecError::BadFractions`] if a fraction is negative or the
+    /// fractions sum to more than 1.
+    pub fn generate(&self) -> Result<Program, ProgramSpecError> {
+        if self.body_len == 0 {
+            return Err(ProgramSpecError::EmptyBody);
+        }
+        let fracs = [
+            self.sfu_frac,
+            self.gload_frac,
+            self.gstore_frac,
+            self.shmem_frac,
+            self.barrier_frac,
+        ];
+        let sum: f64 = fracs.iter().sum();
+        if !(fracs.iter().all(|&f| f >= 0.0) && sum <= 1.0 + 1e-9) {
+            return Err(ProgramSpecError::BadFractions { sum });
+        }
 
         let mut rng = SimRng::seed_from_u64(self.seed);
         let n = self.body_len;
@@ -249,7 +276,7 @@ impl ProgramSpec {
                 }
             })
             .collect();
-        Program::new(repair_undefined_reads(insts))
+        Ok(Program::new(repair_undefined_reads(insts)))
     }
 }
 
@@ -307,19 +334,25 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        assert_eq!(spec().generate(), spec().generate());
+        assert_eq!(
+            spec().generate().expect("valid spec"),
+            spec().generate().expect("valid spec")
+        );
     }
 
     #[test]
     fn different_seeds_differ() {
         let mut other = spec();
         other.seed = 43;
-        assert_ne!(spec().generate(), other.generate());
+        assert_ne!(
+            spec().generate().expect("valid spec"),
+            other.generate().expect("valid spec")
+        );
     }
 
     #[test]
     fn fractions_match_request() {
-        let p = spec().generate();
+        let p = spec().generate().expect("valid spec");
         assert!((p.fraction(OpClass::Sfu) - 0.1).abs() < 0.01);
         assert!((p.fraction(OpClass::GlobalLoad) - 0.2).abs() < 0.01);
         assert!((p.fraction(OpClass::GlobalStore) - 0.05).abs() < 0.01);
@@ -331,7 +364,7 @@ mod tests {
     fn stores_and_barriers_have_no_destination() {
         let mut sp = spec();
         sp.barrier_frac = 0.05;
-        let p = sp.generate();
+        let p = sp.generate().expect("valid spec");
         for inst in p.iter() {
             match inst.op {
                 OpClass::GlobalStore => assert_eq!(inst.dst, None),
@@ -351,7 +384,8 @@ mod tests {
             dep_distance: 1,
             ..spec()
         }
-        .generate();
+        .generate()
+        .expect("valid spec");
         // With distance 1 every instruction's first source is the previous
         // instruction's destination register index.
         for i in 1..p.len() {
@@ -361,24 +395,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "body_len must be positive")]
     fn zero_length_body_rejected() {
-        let _ = ProgramSpec {
+        let err = ProgramSpec {
             body_len: 0,
             ..ProgramSpec::default()
         }
-        .generate();
+        .generate()
+        .unwrap_err();
+        assert_eq!(err, ProgramSpecError::EmptyBody);
+        assert!(err.to_string().contains("body_len is 0"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "fractions")]
     fn overfull_fractions_rejected() {
-        let _ = ProgramSpec {
+        let err = ProgramSpec {
             gload_frac: 0.9,
             sfu_frac: 0.9,
             ..ProgramSpec::default()
         }
-        .generate();
+        .generate()
+        .unwrap_err();
+        assert!(
+            matches!(err, ProgramSpecError::BadFractions { sum } if (sum - 1.8).abs() < 1e-12),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("fractions"), "{err}");
+    }
+
+    #[test]
+    fn negative_or_nan_fractions_rejected() {
+        for bad in [-0.1, f64::NAN] {
+            let spec = ProgramSpec {
+                shmem_frac: bad,
+                ..ProgramSpec::default()
+            };
+            assert!(
+                matches!(spec.generate(), Err(ProgramSpecError::BadFractions { .. })),
+                "shmem_frac {bad}"
+            );
+        }
+        // Fractions summing to exactly 1 leave no ALU work but are valid.
+        let full = ProgramSpec {
+            gload_frac: 0.5,
+            sfu_frac: 0.5,
+            ..ProgramSpec::default()
+        };
+        assert!(full.generate().is_ok());
     }
 
     #[test]

@@ -194,7 +194,7 @@ mod tests {
             threads_per_cta: 32,
             regs_per_thread: 8,
             shmem_per_cta: 0,
-            program: ProgramSpec::default().generate(),
+            program: ProgramSpec::default().generate().expect("valid spec"),
             iterations: 1,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,

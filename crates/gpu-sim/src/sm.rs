@@ -973,7 +973,8 @@ mod tests {
                 gload_frac: 0.0,
                 ..ProgramSpec::default()
             }
-            .generate(),
+            .generate()
+            .expect("valid spec"),
             iterations,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,
@@ -995,7 +996,8 @@ mod tests {
                 gload_frac: 0.4,
                 ..ProgramSpec::default()
             }
-            .generate(),
+            .generate()
+            .expect("valid spec"),
             iterations,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,
@@ -1233,7 +1235,8 @@ mod tests {
                 dep_distance: 8,
                 ..ProgramSpec::default()
             }
-            .generate(),
+            .generate()
+            .expect("valid spec"),
             iterations: 100,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,

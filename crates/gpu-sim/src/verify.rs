@@ -289,7 +289,7 @@ mod tests {
             threads_per_cta: 128,
             regs_per_thread: 16,
             shmem_per_cta: 0,
-            program: ProgramSpec::default().generate(),
+            program: ProgramSpec::default().generate().expect("valid spec"),
             iterations: 2,
             pattern: AccessPattern::Streaming { transactions: 1 },
             icache_miss_rate: 0.0,
@@ -445,7 +445,8 @@ mod tests {
                 seed: len as u64,
                 ..ProgramSpec::default()
             }
-            .generate();
+            .generate()
+            .expect("valid spec");
             assert_eq!(check_program(&p), Ok(()), "body_len {len}");
         }
     }

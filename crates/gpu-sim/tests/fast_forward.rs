@@ -61,7 +61,8 @@ fn random_kernel(rng: &mut SimRng, slot: usize) -> KernelDesc {
             seed,
             ..ProgramSpec::default()
         }
-        .generate(),
+        .generate()
+        .expect("valid spec"),
         iterations: 2 + rng.range_u64(4) as u32,
         pattern: if rng.unit_f64() < 0.5 {
             AccessPattern::Streaming {
@@ -249,7 +250,7 @@ fn fast_forward_matches_under_barrier_heavy_load() {
                 seed: k.seed,
                 ..ProgramSpec::default()
             };
-            k.program = spec.generate();
+            k.program = spec.generate().expect("valid spec");
             k.threads_per_cta = 256;
         }
         sc.total_cycles = 3_000;

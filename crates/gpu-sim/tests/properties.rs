@@ -173,7 +173,8 @@ fn sm_residency_is_conserved_under_random_launch_churn() {
                         seed,
                         ..ProgramSpec::default()
                     }
-                    .generate(),
+                    .generate()
+                    .expect("valid spec"),
                     iterations: 2,
                     pattern: gpu_sim::AccessPattern::Streaming { transactions: 1 },
                     icache_miss_rate: 0.0,

@@ -27,7 +27,7 @@ fn kernel(name: &str, spec: ProgramSpec, iterations: u32, seed: u64) -> KernelDe
         threads_per_cta: 128,
         regs_per_thread: 16,
         shmem_per_cta: 0,
-        program: spec.generate(),
+        program: spec.generate().expect("valid spec"),
         iterations,
         pattern: AccessPattern::Random {
             footprint_lines: 1 << 14,

@@ -1,7 +1,7 @@
 //! Multiprogrammed workload construction: the 30 two-kernel pairs of
 //! Fig. 6 / Table III and the 15 three-kernel combinations of Fig. 8.
 
-use crate::suite::{by_abbrev, Benchmark};
+use crate::suite::{suite, Benchmark};
 
 /// Pairing category (Fig. 6's three sub-plots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,65 +46,87 @@ impl Pair {
 const COMPUTE: [&str; 4] = ["DXT", "HOT", "IMG", "MM"];
 const MEMORY: [&str; 4] = ["BFS", "BLK", "KNN", "LBM"];
 const CACHE: [&str; 2] = ["MVP", "NN"];
+const COMPUTE_COMPUTE: [(&str, &str); 6] = [
+    ("DXT", "IMG"),
+    ("HOT", "DXT"),
+    ("HOT", "IMG"),
+    ("MM", "DXT"),
+    ("MM", "HOT"),
+    ("MM", "IMG"),
+];
 
-fn pair(a: &str, b: &str, category: PairCategory) -> Pair {
+/// A copy of the `abbrev` member of an already-built `suite`.
+fn member(suite: &[Benchmark], abbrev: &str) -> Benchmark {
+    suite
+        .iter()
+        .find(|b| b.abbrev == abbrev)
+        .cloned()
+        // Invariant: abbreviations come from the static tables in this
+        // module, all of which name suite members. xtask-allow: no-unwrap
+        .expect("known benchmark")
+}
+
+fn pair(suite: &[Benchmark], a: &str, b: &str, category: PairCategory) -> Pair {
     Pair {
-        // Invariant: abbreviations come from the static tables above, all of
-        // which name suite members. xtask-allow: no-unwrap
-        a: by_abbrev(a).expect("known benchmark"),
-        b: by_abbrev(b).expect("known benchmark"), // xtask-allow: no-unwrap
+        a: member(suite, a),
+        b: member(suite, b),
         category,
     }
+}
+
+/// Every `firsts x seconds` pair, firsts outermost.
+fn cross(
+    suite: &[Benchmark],
+    firsts: &[&str],
+    seconds: &[&str],
+    category: PairCategory,
+) -> Vec<Pair> {
+    firsts
+        .iter()
+        .flat_map(|a| seconds.iter().map(move |b| pair(suite, a, b, category)))
+        .collect()
+}
+
+fn compute_cache_in(suite: &[Benchmark]) -> Vec<Pair> {
+    cross(suite, &COMPUTE, &CACHE, PairCategory::ComputeCache)
+}
+
+fn compute_memory_in(suite: &[Benchmark]) -> Vec<Pair> {
+    cross(suite, &COMPUTE, &MEMORY, PairCategory::ComputeMemory)
+}
+
+fn compute_compute_in(suite: &[Benchmark]) -> Vec<Pair> {
+    COMPUTE_COMPUTE
+        .iter()
+        .map(|(a, b)| pair(suite, a, b, PairCategory::ComputeCompute))
+        .collect()
 }
 
 /// The eight Compute + Cache pairs, in Table III order.
 #[must_use]
 pub fn compute_cache_pairs() -> Vec<Pair> {
-    COMPUTE
-        .iter()
-        .flat_map(|c| {
-            CACHE
-                .iter()
-                .map(move |k| pair(c, k, PairCategory::ComputeCache))
-        })
-        .collect()
+    compute_cache_in(&suite())
 }
 
 /// The sixteen Compute + Memory pairs, in Table III order.
 #[must_use]
 pub fn compute_memory_pairs() -> Vec<Pair> {
-    COMPUTE
-        .iter()
-        .flat_map(|c| {
-            MEMORY
-                .iter()
-                .map(move |m| pair(c, m, PairCategory::ComputeMemory))
-        })
-        .collect()
+    compute_memory_in(&suite())
 }
 
 /// The six Compute + Compute pairs, in Table III order.
 #[must_use]
 pub fn compute_compute_pairs() -> Vec<Pair> {
-    [
-        ("DXT", "IMG"),
-        ("HOT", "DXT"),
-        ("HOT", "IMG"),
-        ("MM", "DXT"),
-        ("MM", "HOT"),
-        ("MM", "IMG"),
-    ]
-    .into_iter()
-    .map(|(a, b)| pair(a, b, PairCategory::ComputeCompute))
-    .collect()
+    compute_compute_in(&suite())
 }
 
 /// All 30 evaluation pairs of Fig. 6, grouped by category.
 #[must_use]
 pub fn all_pairs() -> Vec<Pair> {
-    let mut v = compute_cache_pairs();
-    v.extend(compute_memory_pairs());
-    v.extend(compute_compute_pairs());
+    let suite = suite();
+    let mut v = compute_cache_in(&suite);
+    v.extend(compute_memory_in(&suite));
+    v.extend(compute_compute_in(&suite));
     v
 }
 
@@ -140,17 +162,17 @@ impl Triple {
 /// too large to co-locate three kernels.
 #[must_use]
 pub fn all_triples() -> Vec<Triple> {
+    let suite = suite();
     let firsts = ["BLK", "KNN", "LBM", "NN", "MVP"];
     let compute_pairs = [("IMG", "DXT"), ("MM", "DXT"), ("MM", "IMG")];
     firsts
         .iter()
         .flat_map(|a| {
+            let suite = &suite;
             compute_pairs.iter().map(move |(b, c)| Triple {
-                // Static suite abbreviations, as in pair() above.
-                // xtask-allow: no-unwrap
-                a: by_abbrev(a).expect("known benchmark"),
-                b: by_abbrev(b).expect("known benchmark"), // xtask-allow: no-unwrap
-                c: by_abbrev(c).expect("known benchmark"), // xtask-allow: no-unwrap
+                a: member(suite, a),
+                b: member(suite, b),
+                c: member(suite, c),
             })
         })
         .collect()
@@ -159,7 +181,7 @@ pub fn all_triples() -> Vec<Triple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::WorkloadClass;
+    use crate::suite::{reference_by_abbrev, WorkloadClass};
 
     #[test]
     fn thirty_pairs_total() {
@@ -226,5 +248,74 @@ mod tests {
     #[test]
     fn fig8_first_triple_is_blk_img_dxt() {
         assert_eq!(all_triples()[0].label(), "BLK_IMG_DXT");
+    }
+
+    fn reference_member(abbrev: &str) -> Benchmark {
+        reference_by_abbrev(abbrev).expect("known benchmark")
+    }
+
+    fn reference_pair(a: &str, b: &str, category: PairCategory) -> Pair {
+        Pair {
+            a: reference_member(a),
+            b: reference_member(b),
+            category,
+        }
+    }
+
+    fn assert_same_members(label: &str, got: &[&Benchmark], want: &[&Benchmark]) {
+        assert_eq!(got.len(), want.len(), "{label}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.abbrev, w.abbrev, "{label}");
+            assert_eq!(g.desc, w.desc, "{label}: {}", g.abbrev);
+        }
+    }
+
+    #[test]
+    fn pairs_match_the_per_member_scan() {
+        let mut want: Vec<Pair> = COMPUTE
+            .iter()
+            .flat_map(|c| {
+                CACHE
+                    .iter()
+                    .map(move |k| reference_pair(c, k, PairCategory::ComputeCache))
+            })
+            .collect();
+        want.extend(COMPUTE.iter().flat_map(|c| {
+            MEMORY
+                .iter()
+                .map(move |m| reference_pair(c, m, PairCategory::ComputeMemory))
+        }));
+        want.extend(
+            COMPUTE_COMPUTE
+                .iter()
+                .map(|(a, b)| reference_pair(a, b, PairCategory::ComputeCompute)),
+        );
+        let got = all_pairs();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.label(), w.label());
+            assert_eq!(g.category, w.category, "{}", g.label());
+            assert_same_members(&g.label(), &[&g.a, &g.b], &[&w.a, &w.b]);
+        }
+    }
+
+    #[test]
+    fn triples_match_the_per_member_scan() {
+        let mut want = Vec::new();
+        for a in ["BLK", "KNN", "LBM", "NN", "MVP"] {
+            for (b, c) in [("IMG", "DXT"), ("MM", "DXT"), ("MM", "IMG")] {
+                want.push(Triple {
+                    a: reference_member(a),
+                    b: reference_member(b),
+                    c: reference_member(c),
+                });
+            }
+        }
+        let got = all_triples();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.label(), w.label());
+            assert_same_members(&g.label(), &g.members(), &w.members());
+        }
     }
 }

@@ -138,6 +138,9 @@ fn program_with_barriers(
         seed,
     }
     .generate()
+    // Invariant: every suite spec is a static, valid mix (a positive body,
+    // fractions non-negative and summing below 1). xtask-allow: no-unwrap
+    .expect("static suite program spec")
 }
 
 /// Blackscholes: streaming memory-intensive with heavy SFU (exp/log) use.
@@ -544,36 +547,59 @@ pub fn mum() -> Benchmark {
     }
 }
 
+type Constructor = fn() -> Benchmark;
+
+/// Every benchmark constructor with its abbreviation, in Fig. 1 order: the
+/// Table II suite with MUM between MVP and NN.
+///
+/// The one list [`suite`], [`extended_suite`] and [`by_abbrev`] read.
+/// Building a benchmark generates its program, so a lookup calls only the
+/// constructor it names (see DESIGN.md §3).
+const CATALOGUE: [(&str, Constructor); 11] = [
+    ("BLK", blk),
+    ("BFS", bfs),
+    ("DXT", dxt),
+    ("HOT", hot),
+    ("IMG", img),
+    ("KNN", knn),
+    ("LBM", lbm),
+    ("MM", mm),
+    ("MVP", mvp),
+    ("MUM", mum),
+    ("NN", nn),
+];
+
 /// The full ten-benchmark suite, in Table II order.
 #[must_use]
 pub fn suite() -> Vec<Benchmark> {
-    vec![
-        blk(),
-        bfs(),
-        dxt(),
-        hot(),
-        img(),
-        knn(),
-        lbm(),
-        mm(),
-        mvp(),
-        nn(),
-    ]
+    CATALOGUE
+        .iter()
+        .filter(|(abbrev, _)| *abbrev != "MUM")
+        .map(|(_, build)| build())
+        .collect()
 }
 
 /// The Fig. 1 benchmark set: the Table II suite plus MUM, in the figure's
 /// order.
 #[must_use]
 pub fn extended_suite() -> Vec<Benchmark> {
-    let mut v = suite();
-    v.insert(9, mum()); // Fig. 1 lists MUM between MVP and NN
-    v
+    CATALOGUE.iter().map(|(_, build)| build()).collect()
 }
 
 /// Looks a benchmark up by its Table II abbreviation (case-insensitive);
 /// also resolves `MUM` (Fig. 1 only).
 #[must_use]
 pub fn by_abbrev(abbrev: &str) -> Option<Benchmark> {
+    CATALOGUE
+        .iter()
+        .find(|(a, _)| a.eq_ignore_ascii_case(abbrev))
+        .map(|(_, build)| build())
+}
+
+/// Reference lookup for tests: a scan of the built extended suite, which
+/// the catalogue's [`by_abbrev`] must agree with.
+#[cfg(test)]
+pub(crate) fn reference_by_abbrev(abbrev: &str) -> Option<Benchmark> {
     extended_suite()
         .into_iter()
         .find(|b| b.abbrev.eq_ignore_ascii_case(abbrev))
@@ -694,6 +720,49 @@ mod tests {
         assert!(by_abbrev("blk").is_some());
         assert!(by_abbrev("Nn").is_some());
         assert!(by_abbrev("XYZ").is_none());
+    }
+
+    /// Fig. 1 order; Table II order is the same without MUM.
+    const FIG1_ORDER: [&str; 11] = [
+        "BLK", "BFS", "DXT", "HOT", "IMG", "KNN", "LBM", "MM", "MVP", "MUM", "NN",
+    ];
+
+    #[test]
+    fn suite_orders_are_pinned() {
+        let abbrevs = |v: Vec<Benchmark>| v.iter().map(|b| b.abbrev).collect::<Vec<_>>();
+        assert_eq!(abbrevs(extended_suite()), FIG1_ORDER);
+        assert_eq!(
+            abbrevs(suite()),
+            ["BLK", "BFS", "DXT", "HOT", "IMG", "KNN", "LBM", "MM", "MVP", "NN"]
+        );
+    }
+
+    #[test]
+    fn catalogue_lookup_matches_the_suite_scan() {
+        for abbrev in FIG1_ORDER {
+            let mixed: String = abbrev
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 1 {
+                        c.to_ascii_lowercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            for name in [abbrev.to_string(), abbrev.to_ascii_lowercase(), mixed] {
+                let got = by_abbrev(&name).expect("catalogue resolves every member");
+                let want = reference_by_abbrev(&name).expect("suite holds every member");
+                assert_eq!(got.abbrev, want.abbrev, "{name}");
+                assert_eq!(got.full_name, want.full_name, "{name}");
+                assert_eq!(got.desc, want.desc, "{name}");
+                assert_eq!(got.class, want.class, "{name}");
+                assert_eq!(got.archetype, want.archetype, "{name}");
+            }
+        }
+        assert!(by_abbrev("XYZ").is_none());
+        assert!(reference_by_abbrev("XYZ").is_none());
     }
 
     #[test]
