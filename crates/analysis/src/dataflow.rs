@@ -1,164 +1,88 @@
 //! Register-dataflow analysis of synthetic loop bodies.
 //!
-//! Every warp executes the loop body repeatedly, so definitions flow across
-//! the iteration boundary: a read at instruction `i` of a register whose
-//! only definition sits at `j > i` is reached by the *previous iteration's*
-//! write. The reaching-definition state entering the body is computed as the
-//! fixpoint over the loop back-edge. Because the body is straight-line code,
-//! the transfer function is idempotent: the state leaving the body after one
-//! symbolic pass (the last definition of each register) *is* the fixpoint,
-//! and a second pass would not change it.
-//!
-//! The analysis classifies every register read as one of:
-//!
-//! * a **same-iteration read** — a definition precedes it in the body; its
-//!   RAW distance is the instruction-slot gap to the nearest one;
-//! * a **loop-carried read** — only a later definition exists, so the value
-//!   crosses the back-edge; its RAW distance wraps (`i + body_len - j`) and
-//!   on the very first iteration the read sees a live-in value, which the
-//!   simulator models as ready-at-launch (counted in
-//!   [`Dataflow::first_iter_uninit_reads`]);
-//! * a **never-defined read** — no instruction in the body writes the
-//!   register in any iteration. These are hard verifier errors
-//!   (`gpu_sim::verify` rejects them) and are excluded from the histogram.
+//! The analysis is the launch pre-flight's own walk,
+//! [`gpu_sim::verify::program_flow`]: one last-definition pre-pass and one
+//! pass over the body yield the op-class mix, the RAW dependence-distance
+//! histogram across the loop back-edge, the live-in read count, and every
+//! per-instruction hard error. The analyzer, the predictor and the store
+//! key all read that one [`ProgramFlow`], so no second implementation of
+//! the reaching-definition fixpoint exists (see [`ProgramFlow`] for how
+//! each read is classified).
 //!
 //! The RAW dependence-distance histogram drives the scaling-archetype
 //! consistency rules: a dominant distance of 1 serializes the warp (the
 //! compute-non-saturating shape of Fig. 3a of the paper), while larger
 //! distances expose instruction-level parallelism and saturate early.
 
-use gpu_sim::{Program, Reg, NUM_VIRTUAL_REGS};
-
-/// Maps a register name onto its slot in the virtual register window,
-/// mirroring the masking in `gpu_sim::verify`.
-fn reg_slot(reg: Reg) -> usize {
-    usize::from(reg) % NUM_VIRTUAL_REGS
-}
-
-/// The dataflow facts derived from one loop body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dataflow {
-    /// `raw_histogram[d - 1]` counts register reads whose nearest reaching
-    /// definition is `d` instruction slots away (wrapping across the loop
-    /// back-edge). Distances range over `1..=body_len`.
-    pub raw_histogram: Vec<usize>,
-    /// Reads of registers no instruction in the body ever defines, as
-    /// `(instruction index, register)` pairs.
-    pub never_defined: Vec<(usize, Reg)>,
-    /// Loop-carried reads: on iteration 1 these consume a live-in value
-    /// rather than a value computed by the body.
-    pub first_iter_uninit_reads: usize,
-}
-
-impl Dataflow {
-    /// Total register reads that carry a RAW dependence.
-    #[must_use]
-    pub fn total_reads(&self) -> usize {
-        self.raw_histogram.iter().sum()
-    }
-
-    /// Median RAW distance over all reads, or `None` if the body reads no
-    /// defined register.
-    #[must_use]
-    pub fn median_raw_distance(&self) -> Option<usize> {
-        let total = self.total_reads();
-        if total == 0 {
-            return None;
-        }
-        let midpoint = total.div_ceil(2);
-        let mut seen = 0usize;
-        for (idx, count) in self.raw_histogram.iter().enumerate() {
-            seen += count;
-            if seen >= midpoint {
-                return Some(idx + 1);
-            }
-        }
-        None
-    }
-
-    /// The most common RAW distance (ties break toward the shorter
-    /// distance), or `None` if the body reads no defined register. More
-    /// robust than the median for archetype classification: the generator's
-    /// primary dependence chain concentrates mass at exactly the configured
-    /// `dep_distance`, while the random second operands spread thinly.
-    #[must_use]
-    pub fn dominant_raw_distance(&self) -> Option<usize> {
-        let best = self
-            .raw_histogram
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-        if *best.1 == 0 {
-            None
-        } else {
-            Some(best.0 + 1)
-        }
-    }
-}
-
-/// Runs the reaching-definition fixpoint over a loop body and collects the
-/// RAW dependence-distance histogram.
-///
-/// Definition positions live on a timeline shifted one body length forward:
-/// the previous iteration's definitions sit at `0..len` and this
-/// iteration's at `len..2 * len`. A read at instruction `i` then has
-/// distance `i + len - def` whichever iteration its definition comes from,
-/// and it is loop-carried exactly when `def < len`.
-#[must_use]
-pub fn analyze(program: &Program) -> Dataflow {
-    /// Position of a register no instruction defines.
-    const NEVER: usize = usize::MAX;
-    let len = program.len();
-    // Fixpoint seed: the state entering the body equals the state leaving
-    // it, i.e. each register's last definition, one body length back.
-    let mut def = [NEVER; NUM_VIRTUAL_REGS];
-    for (i, inst) in program.iter().enumerate() {
-        if let Some(slot) = inst.dst.and_then(|dst| def.get_mut(reg_slot(dst))) {
-            *slot = i;
-        }
-    }
-
-    let mut raw_histogram = vec![0usize; len];
-    let mut never_defined = Vec::new();
-    let mut first_iter_uninit_reads = 0usize;
-    for (i, inst) in program.iter().enumerate() {
-        let now = i + len;
-        for src in inst.srcs.iter().flatten() {
-            let d = def.get(reg_slot(*src)).copied().unwrap_or(NEVER);
-            if d == NEVER {
-                never_defined.push((i, *src));
-                continue;
-            }
-            first_iter_uninit_reads += usize::from(d < len);
-            // `d < now` by construction (a same-iteration definition
-            // strictly precedes the read; a carried one is at most a full
-            // body away), so distances are in 1..=len.
-            if let Some(bucket) = raw_histogram.get_mut(now - 1 - d) {
-                *bucket += 1;
-            }
-        }
-        if let Some(slot) = inst.dst.and_then(|dst| def.get_mut(reg_slot(dst))) {
-            *slot = now;
-        }
-    }
-
-    Dataflow {
-        raw_histogram,
-        never_defined,
-        first_iter_uninit_reads,
-    }
-}
+pub use gpu_sim::verify::{program_flow, ProgramFlow};
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use gpu_sim::{GpuConfig, Inst, OpClass, Program, ProgramSpec, SimRng};
+    use gpu_sim::{
+        GpuConfig, Inst, KernelVerifyError, OpClass, Program, ProgramSpec, Reg, SimRng,
+        NUM_VIRTUAL_REGS,
+    };
 
-    /// The straightforward two-map formulation `analyze` replaced, kept as
-    /// its oracle: the loop-carried state and the current iteration's
-    /// definitions in separate maps, with an explicit wrap for carried
-    /// reads.
-    fn reference_analyze(program: &Program) -> Dataflow {
+    /// The dataflow facts the separate analyzer pass used to return, kept
+    /// as the shape the reference implementations below produce.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct RefDataflow {
+        pub(crate) raw_histogram: Vec<usize>,
+        pub(crate) never_defined: Vec<(usize, Reg)>,
+        pub(crate) first_iter_uninit_reads: usize,
+    }
+
+    fn reg_slot(reg: Reg) -> usize {
+        usize::from(reg) % NUM_VIRTUAL_REGS
+    }
+
+    /// The analyzer's own reaching-definition pass before the walk moved
+    /// into `gpu_sim::verify`, verbatim: a last-definition pre-pass, then
+    /// one pass over a timeline shifted one body length forward.
+    pub(crate) fn standalone_analyze(program: &Program) -> RefDataflow {
+        const NEVER: usize = usize::MAX;
+        let len = program.len();
+        let mut def = [NEVER; NUM_VIRTUAL_REGS];
+        for (i, inst) in program.iter().enumerate() {
+            if let Some(slot) = inst.dst.and_then(|dst| def.get_mut(reg_slot(dst))) {
+                *slot = i;
+            }
+        }
+
+        let mut raw_histogram = vec![0usize; len];
+        let mut never_defined = Vec::new();
+        let mut first_iter_uninit_reads = 0usize;
+        for (i, inst) in program.iter().enumerate() {
+            let now = i + len;
+            for src in inst.srcs.iter().flatten() {
+                let d = def.get(reg_slot(*src)).copied().unwrap_or(NEVER);
+                if d == NEVER {
+                    never_defined.push((i, *src));
+                    continue;
+                }
+                first_iter_uninit_reads += usize::from(d < len);
+                if let Some(bucket) = raw_histogram.get_mut(now - 1 - d) {
+                    *bucket += 1;
+                }
+            }
+            if let Some(slot) = inst.dst.and_then(|dst| def.get_mut(reg_slot(dst))) {
+                *slot = now;
+            }
+        }
+
+        RefDataflow {
+            raw_histogram,
+            never_defined,
+            first_iter_uninit_reads,
+        }
+    }
+
+    /// The straightforward two-map formulation the single-map pass
+    /// replaced, kept as an independent oracle: the loop-carried state and
+    /// the current iteration's definitions in separate maps, with an
+    /// explicit wrap for carried reads.
+    fn reference_analyze(program: &Program) -> RefDataflow {
         let len = program.len();
         let mut live_in: Vec<Option<usize>> = vec![None; NUM_VIRTUAL_REGS];
         for (i, inst) in program.iter().enumerate() {
@@ -200,18 +124,73 @@ mod tests {
             }
         }
 
-        Dataflow {
+        RefDataflow {
             raw_histogram,
             never_defined,
             first_iter_uninit_reads,
         }
     }
 
-    /// A random loop body: any op class, destinations drawn from a few
-    /// registers (some above the virtual window, so slots alias), and
-    /// sources from a wider range, so some reads hit registers no
-    /// instruction defines.
-    fn random_program(rng: &mut SimRng) -> Program {
+    /// The launch pre-flight's program check before the one walk, verbatim:
+    /// a defined-register mask, then a first-error scan.
+    fn reference_check_program(program: &Program) -> Result<(), KernelVerifyError> {
+        let mut defined = 0u32;
+        for inst in program.iter() {
+            if let Some(dst) = inst.dst {
+                defined |= 1u32 << (u32::from(dst) % 32);
+            }
+        }
+        for (i, inst) in program.iter().enumerate() {
+            if inst.op.is_barrier() {
+                if inst.dst.is_some() || inst.srcs.iter().any(Option::is_some) {
+                    return Err(KernelVerifyError::BarrierOperands { inst: i });
+                }
+                continue;
+            }
+            if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
+                return Err(KernelVerifyError::LoadWithoutDest { inst: i });
+            }
+            for src in inst.srcs.iter().flatten() {
+                if defined & (1u32 << (u32::from(*src) % 32)) == 0 {
+                    return Err(KernelVerifyError::NeverDefinedRead { inst: i, reg: *src });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Op-class counts by one filter pass per class, in the order of
+    /// [`ProgramFlow::op_counts`].
+    fn reference_op_counts(program: &Program) -> [usize; 6] {
+        [
+            OpClass::Alu,
+            OpClass::Sfu,
+            OpClass::GlobalLoad,
+            OpClass::GlobalStore,
+            OpClass::SharedMem,
+            OpClass::Barrier,
+        ]
+        .map(|op| program.iter().filter(|i| i.op == op).count())
+    }
+
+    /// The whole [`ProgramFlow`] assembled from the references alone.
+    fn reference_flow(program: &Program) -> ProgramFlow {
+        let reference = reference_analyze(program);
+        ProgramFlow {
+            op_counts: reference_op_counts(program),
+            raw_histogram: reference.raw_histogram,
+            first_iter_uninit_reads: reference.first_iter_uninit_reads,
+            violations: Vec::new(),
+        }
+    }
+
+    /// A random loop body of 1..=64 instructions: any op class,
+    /// destinations drawn from a few registers (some above the virtual
+    /// window, so slots alias), and sources from a wider range. Half the
+    /// bodies are malformed on purpose — barriers carrying operands, loads
+    /// without a destination, reads no instruction defines — and the other
+    /// half drop every operand that would make them so.
+    pub(crate) fn random_program(rng: &mut SimRng) -> Program {
         const OPS: [OpClass; 6] = [
             OpClass::Alu,
             OpClass::Sfu,
@@ -220,19 +199,21 @@ mod tests {
             OpClass::SharedMem,
             OpClass::Barrier,
         ];
+        let malformed = rng.range_u64(2) == 0;
         let body_len = 1 + rng.range_usize(64);
         let defined = 1 + rng.range_u64(48);
         let reg = |rng: &mut SimRng, n: u64| Reg::try_from(rng.range_u64(n)).ok();
-        let insts = (0..body_len)
+        let mut insts: Vec<Inst> = (0..body_len)
             .map(|_| {
                 let op = OPS.get(rng.range_usize(OPS.len())).copied();
                 let op = op.unwrap_or(OpClass::Alu);
-                if op.is_barrier() {
-                    return Inst {
-                        op,
-                        dst: None,
-                        srcs: [None, None],
-                    };
+                let bare = Inst {
+                    op,
+                    dst: None,
+                    srcs: [None, None],
+                };
+                if op.is_barrier() && (!malformed || rng.range_u64(3) != 0) {
+                    return bare;
                 }
                 let dst = if rng.range_u64(4) == 0 {
                     None
@@ -253,31 +234,120 @@ mod tests {
                 }
             })
             .collect();
+        if !malformed {
+            let mut written = [false; NUM_VIRTUAL_REGS];
+            for inst in &mut insts {
+                if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
+                    inst.dst = Some(0);
+                }
+                if let Some(w) = inst.dst.and_then(|dst| written.get_mut(reg_slot(dst))) {
+                    *w = true;
+                }
+            }
+            for inst in &mut insts {
+                for src in &mut inst.srcs {
+                    if src.is_some_and(|r| !written.get(reg_slot(r)).copied().unwrap_or(false)) {
+                        *src = None;
+                    }
+                }
+            }
+        }
         Program::new(insts)
     }
 
     #[test]
     fn analyze_matches_the_reference_on_random_programs() {
+        use KernelVerifyError as E;
         let mut rng = SimRng::seed_from_u64(0xdf10_0001);
-        let (mut carried, mut never) = (0usize, 0usize);
+        let (mut carried, mut clean) = (0usize, 0usize);
+        let mut first_kinds = std::collections::BTreeSet::new();
         for case in 0..2_500 {
             let p = random_program(&mut rng);
-            let flow = analyze(&p);
-            assert_eq!(flow, reference_analyze(&p), "case {case}: {p:?}");
+            let flow = program_flow(&p);
+            let standalone = standalone_analyze(&p);
+            assert_eq!(standalone, reference_analyze(&p), "case {case}: {p:?}");
+            assert_eq!(flow.raw_histogram, standalone.raw_histogram, "case {case}");
+            assert_eq!(
+                flow.first_iter_uninit_reads, standalone.first_iter_uninit_reads,
+                "case {case}"
+            );
+            assert_eq!(flow.op_counts, reference_op_counts(&p), "case {case}");
+            let never: Vec<(usize, Reg)> = flow
+                .violations
+                .iter()
+                .filter_map(|e| match *e {
+                    E::NeverDefinedRead { inst, reg } => Some((inst, reg)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(never, standalone.never_defined, "case {case}");
+            let malformed: Vec<&E> = flow
+                .violations
+                .iter()
+                .filter(|e| !matches!(e, E::NeverDefinedRead { .. }))
+                .collect();
+            let expected: Vec<E> = p
+                .iter()
+                .enumerate()
+                .filter_map(|(i, inst)| {
+                    if inst.op.is_barrier()
+                        && (inst.dst.is_some() || inst.srcs.iter().any(Option::is_some))
+                    {
+                        Some(E::BarrierOperands { inst: i })
+                    } else if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
+                        Some(E::LoadWithoutDest { inst: i })
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            assert_eq!(
+                malformed,
+                expected.iter().collect::<Vec<_>>(),
+                "case {case}"
+            );
+            assert!(
+                flow.violations
+                    .windows(2)
+                    .all(|w| w[0].span() <= w[1].span()),
+                "case {case}: violations in body order"
+            );
+            let first = reference_check_program(&p);
+            assert_eq!(flow.check(), first, "case {case}: {p:?}");
+            assert_eq!(gpu_sim::verify::check_program(&p), first, "case {case}");
             carried += flow.first_iter_uninit_reads;
-            never += flow.never_defined.len();
+            clean += usize::from(first.is_ok());
+            if let Err(err) = first {
+                first_kinds.insert(err.rule());
+            }
         }
-        assert!(carried > 0 && never > 0, "the cases cover every read kind");
+        assert!(
+            carried > 0 && clean > 0,
+            "the cases cover carried reads and clean bodies"
+        );
+        assert_eq!(
+            first_kinds.into_iter().collect::<Vec<_>>(),
+            [
+                "barrier-operands",
+                "load-without-dest",
+                "never-defined-read"
+            ],
+            "each violation kind comes first in some case"
+        );
     }
 
     #[test]
     fn extracted_features_match_the_reference_analysis() {
         let cfg = GpuConfig::isca_baseline();
         for b in ws_workloads::extended_suite() {
-            let reference = reference_analyze(&b.desc.program);
+            assert_eq!(reference_check_program(&b.desc.program), Ok(()));
             assert_eq!(
                 crate::predict::extract_features(&b.desc, &cfg),
-                Ok(crate::predict::features_from_flow(&b.desc, &cfg, reference)),
+                Ok(crate::predict::features_from_flow(
+                    &b.desc,
+                    &cfg,
+                    reference_flow(&b.desc.program)
+                )),
                 "{}",
                 b.abbrev
             );
@@ -300,10 +370,10 @@ mod tests {
             alu(Some(1), [Some(0), None]),
             alu(Some(2), [Some(0), None]),
         ]);
-        let flow = analyze(&p);
+        let flow = program_flow(&p);
         assert_eq!(flow.raw_histogram, vec![1, 1, 0]);
         assert_eq!(flow.first_iter_uninit_reads, 0);
-        assert!(flow.never_defined.is_empty());
+        assert!(flow.violations.is_empty());
     }
 
     #[test]
@@ -314,7 +384,7 @@ mod tests {
             alu(Some(0), [Some(1), None]),
             alu(Some(1), [Some(0), None]),
         ]);
-        let flow = analyze(&p);
+        let flow = program_flow(&p);
         assert_eq!(flow.raw_histogram, vec![2, 0]);
         assert_eq!(flow.first_iter_uninit_reads, 1);
     }
@@ -324,7 +394,7 @@ mod tests {
         // A single instruction reading its own destination: the value
         // crosses the whole loop, distance = body length = 1.
         let p = Program::new(vec![alu(Some(3), [Some(3), None])]);
-        let flow = analyze(&p);
+        let flow = program_flow(&p);
         assert_eq!(flow.raw_histogram, vec![1]);
         assert_eq!(flow.first_iter_uninit_reads, 1);
     }
@@ -335,32 +405,29 @@ mod tests {
             alu(Some(0), [Some(9), None]), // r9 never written
             alu(Some(1), [Some(0), None]),
         ]);
-        let flow = analyze(&p);
-        assert_eq!(flow.never_defined, vec![(0, 9)]);
+        let flow = program_flow(&p);
+        assert_eq!(
+            flow.violations,
+            vec![KernelVerifyError::NeverDefinedRead { inst: 0, reg: 9 }]
+        );
         assert_eq!(flow.total_reads(), 1);
     }
 
     #[test]
     fn median_and_dominant_summarize_the_histogram() {
-        let flow = Dataflow {
-            raw_histogram: vec![5, 1, 1, 0],
-            never_defined: Vec::new(),
+        let flow = |raw_histogram: Vec<usize>| ProgramFlow {
+            op_counts: [0; 6],
+            raw_histogram,
             first_iter_uninit_reads: 0,
+            violations: Vec::new(),
         };
-        assert_eq!(flow.median_raw_distance(), Some(1));
-        assert_eq!(flow.dominant_raw_distance(), Some(1));
-        let flow = Dataflow {
-            raw_histogram: vec![1, 1, 6, 6],
-            never_defined: Vec::new(),
-            first_iter_uninit_reads: 0,
-        };
-        assert_eq!(flow.median_raw_distance(), Some(3));
-        assert_eq!(flow.dominant_raw_distance(), Some(3), "ties break short");
-        let empty = Dataflow {
-            raw_histogram: vec![0, 0],
-            never_defined: Vec::new(),
-            first_iter_uninit_reads: 0,
-        };
+        let f = flow(vec![5, 1, 1, 0]);
+        assert_eq!(f.median_raw_distance(), Some(1));
+        assert_eq!(f.dominant_raw_distance(), Some(1));
+        let f = flow(vec![1, 1, 6, 6]);
+        assert_eq!(f.median_raw_distance(), Some(3));
+        assert_eq!(f.dominant_raw_distance(), Some(3), "ties break short");
+        let empty = flow(vec![0, 0]);
         assert_eq!(empty.median_raw_distance(), None);
         assert_eq!(empty.dominant_raw_distance(), None);
     }
@@ -378,7 +445,7 @@ mod tests {
             }
             .generate()
             .expect("valid spec");
-            let flow = analyze(&p);
+            let flow = program_flow(&p);
             assert_eq!(
                 flow.dominant_raw_distance(),
                 Some(dep),

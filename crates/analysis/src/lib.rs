@@ -10,10 +10,11 @@
 //!   (zero occupancy is a hard error), register reads that no instruction
 //!   ever defines, operand-carrying barriers, destination-less loads, and
 //!   structural zeroes.
-//! * **Dataflow** ([`dataflow`]): a reaching-definition fixpoint across the
-//!   loop back-edge yields the RAW dependence-distance histogram, the
-//!   live-in read count, and the dominant dependence distance that drives
-//!   compute-scaling behaviour (Fig. 3a of the paper).
+//! * **Dataflow** ([`dataflow`]): the pre-flight's one walk over the body, a
+//!   reaching-definition fixpoint across the loop back-edge, yields the RAW
+//!   dependence-distance histogram, the live-in read count, and the
+//!   dominant dependence distance that drives compute-scaling behaviour
+//!   (Fig. 3a of the paper).
 //! * **Kernel warnings**: declared memory footprints vs the address-space
 //!   geometry, tiles vs L1 capacity, clamped transaction counts,
 //!   shared-memory allocation/usage mismatches, degenerate barriers.
@@ -47,7 +48,7 @@ pub mod diag;
 pub mod predict;
 pub mod rules;
 
-pub use dataflow::Dataflow;
+pub use dataflow::ProgramFlow;
 pub use diag::{Diagnostic, Report, Severity, StaticMetrics};
 pub use predict::{
     extract_features, knee_of, predict_curve, predict_kernel, Features, PerfCurve, KNEE_TOL,

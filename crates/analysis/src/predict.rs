@@ -1,7 +1,7 @@
 //! `ws-predict`: static performance prediction from the kernel IR.
 //!
-//! The analyzer walks the loop body with the reaching-definition fixpoint of
-//! [`crate::dataflow`] and abstracts each kernel into a small feature vector
+//! The analyzer walks the loop body once, with the launch pre-flight's
+//! reaching-definition fixpoint ([`crate::dataflow`]), and abstracts each kernel into a small feature vector
 //! ([`Features`]): memory intensity φ_mem from load/store density, an ILP
 //! bound from the RAW dependence-distance histogram, an MLP bound (how many
 //! independent global loads one warp keeps in flight), a
@@ -38,7 +38,7 @@
 //! predicted curve against simulated ground truth and gates the knee-hit
 //! rate in CI.
 
-use crate::dataflow::{self, Dataflow};
+use crate::dataflow::ProgramFlow;
 use crate::diag::StaticMetrics;
 use crate::rules;
 use gpu_sim::{AccessPattern, GpuConfig, KernelDesc, KernelVerifyError, SmConfig};
@@ -166,19 +166,20 @@ pub fn knee_of(curve: &[f64]) -> u32 {
 ///
 /// Gated on the launch pre-flight: a kernel the simulator would reject (or
 /// execute meaninglessly) has no performance to predict, so the pre-flight
-/// error is surfaced instead of a garbage curve.
+/// error is surfaced instead of a garbage curve. The pre-flight's walk over
+/// the body is also the feature vector's dataflow and op mix.
 pub fn extract_features(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Features, KernelVerifyError> {
-    gpu_sim::verify::preflight(desc, &cfg.sm)?;
-    Ok(features_from_flow(
-        desc,
-        cfg,
-        dataflow::analyze(&desc.program),
-    ))
+    let flow = gpu_sim::verify::preflight_flow(desc, &cfg.sm)?;
+    Ok(features_from_flow(desc, cfg, flow))
 }
 
 /// The feature vector of a kernel that passed the pre-flight, from the
-/// dataflow facts of its body.
-pub(crate) fn features_from_flow(desc: &KernelDesc, cfg: &GpuConfig, flow: Dataflow) -> Features {
+/// walk over its body.
+pub(crate) fn features_from_flow(
+    desc: &KernelDesc,
+    cfg: &GpuConfig,
+    flow: ProgramFlow,
+) -> Features {
     let metrics = rules::compute_metrics(desc, &cfg.sm, flow);
     let (max_ctas_by, max_ctas) = (metrics.max_ctas_by, metrics.max_ctas);
     let warps_per_cta = desc.warps_per_cta();

@@ -21,10 +21,10 @@
 //! suite (see each constant's documentation) so that the paper's workloads
 //! pass by construction and a regressed instruction mix is caught.
 
-use crate::dataflow;
+use crate::dataflow::{program_flow, ProgramFlow};
 use crate::diag::{Diagnostic, Report, Severity, StaticMetrics};
 use gpu_sim::{
-    AccessPattern, GpuConfig, KernelDesc, OpClass, SmConfig, CTA_REGION_LINES, MAX_DISJOINT_CTAS,
+    AccessPattern, GpuConfig, KernelDesc, SmConfig, CTA_REGION_LINES, MAX_DISJOINT_CTAS,
     SHARED_REGION_LINES,
 };
 use ws_workloads::{Benchmark, ScalingArchetype, Waiver, WorkloadClass};
@@ -95,10 +95,10 @@ const COMPUTE_MAX_GLOBAL_FRAC: f64 = 0.25;
 /// its defects at once.
 #[must_use]
 pub fn analyze_kernel(desc: &KernelDesc, cfg: &GpuConfig) -> Report {
-    let flow = dataflow::analyze(&desc.program);
+    let flow = program_flow(&desc.program);
     let mut diagnostics = hard_diagnostics(desc, &cfg.sm, &flow);
-    diagnostics.extend(kernel_warnings(desc, cfg));
     let metrics = compute_metrics(desc, &cfg.sm, flow);
+    diagnostics.extend(kernel_warnings(desc, cfg, &metrics));
     let mut report = Report {
         subject: desc.name.clone(),
         metrics,
@@ -138,12 +138,9 @@ fn strip_rule_prefix(rendered: &str) -> String {
 }
 
 /// Collects every hard-rule violation (the launch pre-flight reports only
-/// the first).
-fn hard_diagnostics(
-    desc: &KernelDesc,
-    sm: &SmConfig,
-    flow: &dataflow::Dataflow,
-) -> Vec<Diagnostic> {
+/// the first); the per-instruction ones are the walk's
+/// [`ProgramFlow::violations`].
+fn hard_diagnostics(desc: &KernelDesc, sm: &SmConfig, flow: &ProgramFlow) -> Vec<Diagnostic> {
     use gpu_sim::KernelVerifyError as E;
     let mut out = Vec::new();
     if desc.grid_ctas == 0 {
@@ -193,50 +190,29 @@ fn hard_diagnostics(
             );
         }
     }
-    for (i, inst) in desc.program.iter().enumerate() {
-        if inst.op.is_barrier() && (inst.dst.is_some() || inst.srcs.iter().any(Option::is_some)) {
-            let err = E::BarrierOperands { inst: i };
-            out.push(
-                Diagnostic::error(
-                    "barrier-operands",
-                    Some(i),
-                    strip_rule_prefix(&err.to_string()),
-                )
-                .with_suggestion("clear the barrier's dst and srcs".to_string()),
-            );
-        }
-        if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
-            let err = E::LoadWithoutDest { inst: i };
-            out.push(
-                Diagnostic::error(
-                    "load-without-dest",
-                    Some(i),
-                    strip_rule_prefix(&err.to_string()),
-                )
-                .with_suggestion("give the load a destination register".to_string()),
-            );
-        }
-    }
-    for &(i, reg) in &flow.never_defined {
-        let err = E::NeverDefinedRead { inst: i, reg };
-        out.push(
-            Diagnostic::error(
-                "never-defined-read",
-                Some(i),
-                strip_rule_prefix(&err.to_string()),
-            )
-            .with_suggestion(format!(
+    for err in &flow.violations {
+        let diag = Diagnostic::error(err.rule(), err.span(), strip_rule_prefix(&err.to_string()));
+        out.push(match *err {
+            E::BarrierOperands { .. } => {
+                diag.with_suggestion("clear the barrier's dst and srcs".to_string())
+            }
+            E::LoadWithoutDest { .. } => {
+                diag.with_suggestion("give the load a destination register".to_string())
+            }
+            E::NeverDefinedRead { reg, .. } => diag.with_suggestion(format!(
                 "add an instruction defining r{reg} or drop the operand"
             )),
-        );
+            _ => diag,
+        });
     }
     out
 }
 
-/// Kernel-level warnings: suspicious but simulatable descriptors.
-fn kernel_warnings(desc: &KernelDesc, cfg: &GpuConfig) -> Vec<Diagnostic> {
+/// Kernel-level warnings: suspicious but simulatable descriptors. The op
+/// mix comes from the body's `metrics`.
+fn kernel_warnings(desc: &KernelDesc, cfg: &GpuConfig, metrics: &StaticMetrics) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let has_barrier = desc.program.iter().any(|i| i.op.is_barrier());
+    let has_barrier = metrics.barrier_frac > 0.0;
     if desc
         .program
         .iter()
@@ -278,7 +254,7 @@ fn kernel_warnings(desc: &KernelDesc, cfg: &GpuConfig) -> Vec<Diagnostic> {
             ),
         ));
     }
-    let shmem_frac = desc.program.fraction(OpClass::SharedMem);
+    let shmem_frac = metrics.shmem_frac;
     if desc.shmem_per_cta > 0 && shmem_frac <= 0.0 {
         out.push(
             Diagnostic::warning(
@@ -618,29 +594,12 @@ fn apply_waivers(report: &mut Report, waivers: &[Waiver]) {
 pub(crate) fn compute_metrics(
     desc: &KernelDesc,
     sm: &SmConfig,
-    flow: dataflow::Dataflow,
+    flow: ProgramFlow,
 ) -> StaticMetrics {
     let p = &desc.program;
-    // One pass counts every op class; each fraction is the same
-    // `count / len` division as `Program::fraction`, so the metrics are
-    // bit-identical to six separate passes. The count goes through a table
-    // index rather than a branch per class: a generated body's classes are
-    // random, so such a branch mispredicts on most instructions.
-    let mut counts = [0usize; 6];
-    for inst in p.iter() {
-        let class = match inst.op {
-            OpClass::Alu => 0,
-            OpClass::Sfu => 1,
-            OpClass::GlobalLoad => 2,
-            OpClass::GlobalStore => 3,
-            OpClass::SharedMem => 4,
-            OpClass::Barrier => 5,
-        };
-        if let Some(n) = counts.get_mut(class) {
-            *n += 1;
-        }
-    }
-    let [alu, sfu, gload, gstore, shmem, barrier] = counts;
+    // The walk counted every op class; each fraction is the same
+    // `count / len` division as `Program::fraction`.
+    let [alu, sfu, gload, gstore, shmem, barrier] = flow.op_counts;
     let frac = |n: usize| n as f64 / p.len() as f64;
     let gload_frac = frac(gload);
     let gstore_frac = frac(gstore);
@@ -678,7 +637,8 @@ pub(crate) fn compute_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{Inst, Program, ProgramSpec};
+    use crate::dataflow::tests::{random_program, standalone_analyze, RefDataflow};
+    use gpu_sim::{Inst, OpClass, Program, ProgramSpec, SimRng};
 
     fn cfg() -> GpuConfig {
         GpuConfig::isca_baseline()
@@ -738,6 +698,94 @@ mod tests {
         assert_eq!(diag.severity, Severity::Error);
         assert!(diag.suggestion.is_some());
         assert_eq!(r.metrics.max_ctas, 0, "zero occupancy in the breakdown");
+    }
+
+    /// The per-instruction half of `hard_diagnostics` before the one walk,
+    /// verbatim: its own barrier and load scan, then the analyzer pass's
+    /// never-defined reads.
+    fn reference_instruction_diagnostics(desc: &KernelDesc, flow: &RefDataflow) -> Vec<Diagnostic> {
+        use gpu_sim::KernelVerifyError as E;
+        let mut out = Vec::new();
+        for (i, inst) in desc.program.iter().enumerate() {
+            if inst.op.is_barrier() && (inst.dst.is_some() || inst.srcs.iter().any(Option::is_some))
+            {
+                let err = E::BarrierOperands { inst: i };
+                out.push(
+                    Diagnostic::error(
+                        "barrier-operands",
+                        Some(i),
+                        strip_rule_prefix(&err.to_string()),
+                    )
+                    .with_suggestion("clear the barrier's dst and srcs".to_string()),
+                );
+            }
+            if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
+                let err = E::LoadWithoutDest { inst: i };
+                out.push(
+                    Diagnostic::error(
+                        "load-without-dest",
+                        Some(i),
+                        strip_rule_prefix(&err.to_string()),
+                    )
+                    .with_suggestion("give the load a destination register".to_string()),
+                );
+            }
+        }
+        for &(i, reg) in &flow.never_defined {
+            let err = E::NeverDefinedRead { inst: i, reg };
+            out.push(
+                Diagnostic::error(
+                    "never-defined-read",
+                    Some(i),
+                    strip_rule_prefix(&err.to_string()),
+                )
+                .with_suggestion(format!(
+                    "add an instruction defining r{reg} or drop the operand"
+                )),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn hard_diagnostics_match_the_reference_on_random_programs() {
+        // The structural half is unchanged, so an infeasible, zero-grid
+        // kernel keeps it in every report; the sorted reports must agree.
+        let mut rng = SimRng::seed_from_u64(0xd1a6_0001);
+        let mut d = desc();
+        d.grid_ctas = 0;
+        d.shmem_per_cta = 49 * 1024;
+        let metrics = analyze_kernel(&desc(), &cfg()).metrics;
+        let sorted = |diagnostics: Vec<Diagnostic>| {
+            let mut report = Report {
+                subject: String::new(),
+                metrics: metrics.clone(),
+                diagnostics,
+            };
+            report.sort();
+            report.diagnostics
+        };
+        let mut per_inst = 0usize;
+        for case in 0..1_000 {
+            d.program = random_program(&mut rng);
+            let flow = program_flow(&d.program);
+            let new = sorted(hard_diagnostics(&d, &cfg().sm, &flow));
+            let mut reference = hard_diagnostics(
+                &d,
+                &cfg().sm,
+                &ProgramFlow {
+                    violations: Vec::new(),
+                    ..flow
+                },
+            );
+            reference.extend(reference_instruction_diagnostics(
+                &d,
+                &standalone_analyze(&d.program),
+            ));
+            assert_eq!(new, sorted(reference), "case {case}: {:?}", d.program);
+            per_inst += new.iter().filter(|diag| diag.span.is_some()).count();
+        }
+        assert!(per_inst > 1_000, "the cases carry per-instruction errors");
     }
 
     #[test]

@@ -54,52 +54,72 @@ impl Partition {
     }
 }
 
-/// Monotone staircase of a performance curve: `q[d]` is the best
-/// performance reachable with `m[d]` CTAs, strictly increasing in both.
-/// For a non-empty curve the staircase is never empty: entry 0 is always
-/// `(1 CTA, perf[0])`, so a lane's initial grant of one CTA is always a
-/// valid step (even for all-zero curves, which used to have no steps).
-#[derive(Debug, Clone)]
-struct Staircase {
-    q: Vec<f64>,
-    m: Vec<u32>,
+/// Whether Algorithm 1 is defined on `kernels`: at least one kernel, and
+/// every curve non-empty with only finite, non-negative entries. A NaN,
+/// infinite or negative entry breaks the peak normalization, so such a
+/// curve would be granted CTAs at a performance it never reaches.
+fn curves_are_valid(kernels: &[KernelCurve]) -> bool {
+    !kernels.is_empty()
+        && kernels
+            .iter()
+            .all(|k| !k.perf.is_empty() && k.perf.iter().all(|p| p.is_finite() && *p >= 0.0))
 }
 
-fn staircase(perf: &[f64]) -> Staircase {
+/// The curve's peak normaliser: its maximum, or 1 for an all-zero curve.
+fn norm_of(perf: &[f64]) -> f64 {
     let peak = perf.iter().copied().fold(0.0f64, f64::max);
-    let norm = if peak > 0.0 { peak } else { 1.0 };
-    let mut q = Vec::new();
-    let mut m = Vec::new();
-    let mut best = f64::NEG_INFINITY;
-    for (ctas, &p) in (1u32..).zip(perf.iter()) {
-        let p = p / norm;
-        if p > best {
-            best = p;
-            q.push(p);
-            m.push(ctas);
-        }
+    if peak > 0.0 {
+        peak
+    } else {
+        1.0
     }
-    Staircase { q, m }
 }
 
-/// One kernel's progress through its staircase during the main loop.
+/// One kernel's progress up the monotone staircase of its curve during the
+/// main loop.
+///
+/// The staircase is the sequence of points whose normalized performance
+/// beats every point before it; a lane walks it in place. It starts at
+/// `(1 CTA, perf[0] / norm)`, matching the initial grant `T_i = 1`, and its
+/// next step is the first later point strictly above the current level.
 struct Lane<'a> {
-    stair: Staircase,
+    /// The curve after the point currently achieved.
+    rest: &'a [f64],
+    /// The curve's peak normaliser.
+    norm: f64,
     cta_cost: &'a ResourceVec,
-    /// Index into the staircase of the entry currently achieved. Entry 0 is
-    /// `(1 CTA, its perf)`, matching the initial grant `T_i = 1`.
-    step: usize,
+    /// Normalized performance at the point currently achieved.
+    level: f64,
     /// CTAs granted so far (the `T_i` being built up).
     ctas: u32,
     /// Saturated: no further step exists or the next step does not fit.
     full: bool,
 }
 
-impl Lane<'_> {
-    /// Normalized performance at the currently achieved step. The fallback
-    /// is unreachable: `step` only advances to indices the staircase has.
-    fn perf(&self) -> f64 {
-        self.stair.q.get(self.step).copied().unwrap_or(0.0)
+impl<'a> Lane<'a> {
+    /// A lane at its initial one-CTA grant, or `None` for an empty curve.
+    fn new(k: &'a KernelCurve) -> Option<Self> {
+        let (&first, rest) = k.perf.split_first()?;
+        let norm = norm_of(&k.perf);
+        Some(Self {
+            rest,
+            norm,
+            cta_cost: &k.cta_cost,
+            level: first / norm,
+            ctas: 1,
+            full: false,
+        })
+    }
+
+    /// The next step: how many more CTAs it takes, its offset into
+    /// `rest`, and its normalized performance.
+    fn next_step(&self) -> Option<(u32, usize, f64)> {
+        (1u32..)
+            .zip(self.rest.iter().enumerate())
+            .find_map(|(d_t, (at, &p))| {
+                let q = p / self.norm;
+                (q > self.level).then_some((d_t, at, q))
+            })
     }
 }
 
@@ -120,7 +140,7 @@ pub struct WaterFillStep {
 ///
 /// Returns `None` when even one CTA per kernel does not fit in `total` (the
 /// caller should then fall back to spatial multitasking), or when a curve is
-/// empty.
+/// empty or holds a non-finite or negative value.
 ///
 /// # Examples
 ///
@@ -160,7 +180,7 @@ pub(crate) fn water_fill_with(
     total: ResourceVec,
     step: &mut impl FnMut(WaterFillStep),
 ) -> Option<Partition> {
-    if kernels.is_empty() || kernels.iter().any(|k| k.perf.is_empty()) {
+    if !curves_are_valid(kernels) {
         return None;
     }
 
@@ -172,17 +192,11 @@ pub(crate) fn water_fill_with(
             return None;
         }
         left = left.saturating_sub(&k.cta_cost);
-        let lane = Lane {
-            stair: staircase(&k.perf),
-            cta_cost: &k.cta_cost,
-            step: 0,
-            ctas: 1,
-            full: false,
-        };
+        let lane = Lane::new(k)?;
         step(WaterFillStep {
             kernel: i,
             ctas: 1,
-            perf: lane.perf(),
+            perf: lane.level,
         });
         lanes.push(lane);
     }
@@ -192,8 +206,8 @@ pub(crate) fn water_fill_with(
         let mut selected: Option<usize> = None;
         let mut min_perf = f64::INFINITY;
         for (i, lane) in lanes.iter().enumerate() {
-            if !lane.full && lane.perf() < min_perf {
-                min_perf = lane.perf();
+            if !lane.full && lane.level < min_perf {
+                min_perf = lane.level;
                 selected = Some(i);
             }
         }
@@ -203,31 +217,31 @@ pub(crate) fn water_fill_with(
         let Some(lane) = lanes.get_mut(sel) else {
             break;
         };
-        match (lane.stair.m.get(lane.step), lane.stair.m.get(lane.step + 1)) {
-            (Some(&cur), Some(&next)) => {
-                let d_t = next - cur;
+        match lane.next_step() {
+            Some((d_t, at, level)) => {
                 let need = lane.cta_cost.times(u64::from(d_t));
                 if left.covers(&need) {
                     left = left.saturating_sub(&need);
-                    lane.step += 1;
+                    lane.rest = lane.rest.get(at + 1..).unwrap_or_default();
+                    lane.level = level;
                     lane.ctas += d_t;
                     step(WaterFillStep {
                         kernel: sel,
                         ctas: lane.ctas,
-                        perf: lane.perf(),
+                        perf: level,
                     });
                 } else {
                     lane.full = true;
                 }
             }
             // No further incremental improvement exists for this kernel.
-            _ => lane.full = true,
+            None => lane.full = true,
         }
     }
 
     let p = Partition {
         ctas: lanes.iter().map(|lane| lane.ctas).collect(),
-        perf: lanes.iter().map(Lane::perf).collect(),
+        perf: lanes.iter().map(|lane| lane.level).collect(),
     };
     if gpu_sim::invariant::enabled() {
         assert_partition_feasible(kernels, &total, &p);
@@ -292,17 +306,17 @@ fn strict_oracle_check(kernels: &[KernelCurve], total: ResourceVec, p: &Partitio
 /// feasible CTA combination (`O(N^K)`). Used by tests and the Oracle policy.
 ///
 /// Tie-breaking: among partitions with equal minimum performance, prefers
-/// the one with the larger *sum* of normalized performance.
+/// the one with the larger *sum* of normalized performance. Returns `None`
+/// on the same invalid curves as [`water_fill`].
 #[must_use]
 pub fn brute_force(kernels: &[KernelCurve], total: ResourceVec) -> Option<Partition> {
-    if kernels.is_empty() || kernels.iter().any(|k| k.perf.is_empty()) {
+    if !curves_are_valid(kernels) {
         return None;
     }
     let norm: Vec<Vec<f64>> = kernels
         .iter()
         .map(|k| {
-            let peak = k.perf.iter().copied().fold(0.0f64, f64::max);
-            let d = if peak > 0.0 { peak } else { 1.0 };
+            let d = norm_of(&k.perf);
             k.perf.iter().map(|p| p / d).collect()
         })
         .collect();
@@ -619,6 +633,199 @@ mod tests {
             .unwrap(),
             p
         );
+    }
+
+    /// The precomputed staircase `water_fill` walked before it walked each
+    /// curve in place, verbatim: `q[d]` is the best performance reachable
+    /// with `m[d]` CTAs, strictly increasing in both.
+    struct Staircase {
+        q: Vec<f64>,
+        m: Vec<u32>,
+    }
+
+    fn staircase(perf: &[f64]) -> Staircase {
+        let peak = perf.iter().copied().fold(0.0f64, f64::max);
+        let norm = if peak > 0.0 { peak } else { 1.0 };
+        let mut q = Vec::new();
+        let mut m = Vec::new();
+        let mut best = f64::NEG_INFINITY;
+        for (ctas, &p) in (1u32..).zip(perf.iter()) {
+            let p = p / norm;
+            if p > best {
+                best = p;
+                q.push(p);
+                m.push(ctas);
+            }
+        }
+        Staircase { q, m }
+    }
+
+    /// Algorithm 1 over precomputed staircases, as `water_fill_with` ran it
+    /// before the in-place walk (without the strict-invariant checks).
+    fn reference_water_fill(
+        kernels: &[KernelCurve],
+        total: ResourceVec,
+        step: &mut impl FnMut(WaterFillStep),
+    ) -> Option<Partition> {
+        struct RefLane<'a> {
+            stair: Staircase,
+            cta_cost: &'a ResourceVec,
+            step: usize,
+            ctas: u32,
+            full: bool,
+        }
+        let perf = |lane: &RefLane| lane.stair.q.get(lane.step).copied().unwrap_or(0.0);
+        if kernels.is_empty() || kernels.iter().any(|k| k.perf.is_empty()) {
+            return None;
+        }
+        let mut left = total;
+        let mut lanes = Vec::new();
+        for (i, k) in kernels.iter().enumerate() {
+            if !left.covers(&k.cta_cost) {
+                return None;
+            }
+            left = left.saturating_sub(&k.cta_cost);
+            let lane = RefLane {
+                stair: staircase(&k.perf),
+                cta_cost: &k.cta_cost,
+                step: 0,
+                ctas: 1,
+                full: false,
+            };
+            step(WaterFillStep {
+                kernel: i,
+                ctas: 1,
+                perf: perf(&lane),
+            });
+            lanes.push(lane);
+        }
+        loop {
+            let mut selected: Option<usize> = None;
+            let mut min_perf = f64::INFINITY;
+            for (i, lane) in lanes.iter().enumerate() {
+                if !lane.full && perf(lane) < min_perf {
+                    min_perf = perf(lane);
+                    selected = Some(i);
+                }
+            }
+            let Some(sel) = selected else {
+                break;
+            };
+            let lane = &mut lanes[sel];
+            match (lane.stair.m.get(lane.step), lane.stair.m.get(lane.step + 1)) {
+                (Some(&cur), Some(&next)) => {
+                    let d_t = next - cur;
+                    let need = lane.cta_cost.times(u64::from(d_t));
+                    if left.covers(&need) {
+                        left = left.saturating_sub(&need);
+                        lane.step += 1;
+                        lane.ctas += d_t;
+                        step(WaterFillStep {
+                            kernel: sel,
+                            ctas: lane.ctas,
+                            perf: perf(lane),
+                        });
+                    } else {
+                        lane.full = true;
+                    }
+                }
+                _ => lane.full = true,
+            }
+        }
+        Some(Partition {
+            ctas: lanes.iter().map(|lane| lane.ctas).collect(),
+            perf: lanes.iter().map(perf).collect(),
+        })
+    }
+
+    /// A random curve of 1..=8 points drawn from a few levels, so plateaus,
+    /// ties and zeros are common, with a falling tail half the time.
+    fn random_curve(rng: &mut gpu_sim::SimRng) -> Vec<f64> {
+        const LEVELS: [f64; 6] = [0.0, 0.25, 0.5, 0.5, 0.75, 1.0];
+        let n = 1 + rng.range_usize(8);
+        let mut perf: Vec<f64> = (0..n)
+            .map(|_| match LEVELS.get(rng.range_usize(LEVELS.len() + 2)) {
+                Some(&level) => level * 3.0,
+                None => rng.unit_f64() * 3.0,
+            })
+            .collect();
+        if rng.range_u64(2) == 0 {
+            let from = rng.range_usize(n);
+            for j in from..n {
+                perf[j] = perf[from] * 0.8f64.powi(i32::try_from(j - from).unwrap_or(0));
+            }
+        }
+        perf
+    }
+
+    #[test]
+    fn in_place_staircase_matches_the_precomputed_one() {
+        let mut rng = gpu_sim::SimRng::seed_from_u64(0x57a1_0001);
+        let mut raises = 0usize;
+        for case in 0..3_000 {
+            let k = 2 + rng.range_usize(3);
+            let ks: Vec<KernelCurve> = (0..k)
+                .map(|_| KernelCurve {
+                    perf: random_curve(&mut rng),
+                    cta_cost: cost(1000 + 1000 * rng.range_u64(8), 32 * (1 + rng.range_u64(8))),
+                })
+                .collect();
+            let (mut steps, mut ref_steps) = (Vec::new(), Vec::new());
+            let p = water_fill_with(&ks, cap(), &mut |s| steps.push(s));
+            let r = reference_water_fill(&ks, cap(), &mut |s| ref_steps.push(s));
+            let bits = |p: &Option<Partition>| {
+                p.as_ref().map(|p| {
+                    (
+                        p.ctas.clone(),
+                        p.perf.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    )
+                })
+            };
+            assert_eq!(bits(&p), bits(&r), "case {case}: {ks:?}");
+            let step_bits = |s: &[WaterFillStep]| {
+                s.iter()
+                    .map(|s| (s.kernel, s.ctas, s.perf.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                step_bits(&steps),
+                step_bits(&ref_steps),
+                "case {case}: {ks:?}"
+            );
+            raises += steps.len().saturating_sub(k);
+        }
+        assert!(raises > 3_000, "the cases exercise the main loop");
+    }
+
+    #[test]
+    fn non_finite_or_negative_curves_are_rejected() {
+        // Each of these used to be partitioned and misreported against a
+        // linear partner: NaN first gave `ctas [1, 4]` at `perf [1, 1]`
+        // (one CTA at the two-CTA peak), `[inf, 0.5]` gave perf 0 and
+        // `[-1, -0.5]` gave perf -0.5.
+        let partner = KernelCurve {
+            perf: vec![0.25, 0.5, 0.75, 1.0],
+            cta_cost: cost(1000, 64),
+        };
+        for bad in [
+            vec![f64::NAN, 1.0, 1.0, 1.0],
+            vec![f64::INFINITY, 0.5],
+            vec![-1.0, -0.5],
+            vec![0.5, f64::NEG_INFINITY],
+        ] {
+            let ks = [
+                partner.clone(),
+                KernelCurve {
+                    perf: bad.clone(),
+                    cta_cost: cost(1000, 64),
+                },
+            ];
+            assert_eq!(water_fill(&ks, cap()), None, "{bad:?}");
+            assert_eq!(brute_force(&ks, cap()), None, "{bad:?}");
+            let mut steps = Vec::new();
+            assert_eq!(water_fill_with(&ks, cap(), &mut |s| steps.push(s)), None);
+            assert!(steps.is_empty(), "{bad:?}: no grant before the refusal");
+        }
     }
 
     #[test]

@@ -10,15 +10,19 @@
 //! rule.
 //!
 //! The checks here are the **hard** rules — conditions under which the
-//! simulator cannot produce a meaningful result. The richer static analysis
-//! (dataflow histograms, memory-footprint bounds, declared-vs-derived
-//! workload consistency) lives in the `ws-analyze` crate, which builds on
-//! this module and downgrades nothing: every error here is also an error
-//! there.
+//! simulator cannot produce a meaningful result. The per-instruction rules
+//! come from one walk over the loop body, [`program_flow`], which also
+//! yields the op-class mix and the RAW dependence-distance histogram: the
+//! `ws-analyze` crate takes its dataflow and its hard diagnostics from that
+//! same walk, so a kernel's body is walked once whether it is launched,
+//! analyzed or keyed for the curve store. The richer static analysis
+//! (memory-footprint bounds, declared-vs-derived workload consistency)
+//! lives in `ws-analyze`, which downgrades nothing: every error here is
+//! also an error there.
 
 use crate::config::SmConfig;
 use crate::kernel::KernelDesc;
-use crate::program::{OpClass, Program, Reg};
+use crate::program::{OpClass, Program, Reg, NUM_VIRTUAL_REGS};
 
 /// The SM resource dimension that makes a kernel infeasible (Eq. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,47 +209,194 @@ pub fn occupancy_breakdown(desc: &KernelDesc, sm: &SmConfig) -> ([u32; 4], u32) 
     (by, max_ctas)
 }
 
-/// The set of virtual registers written anywhere in a loop body, as a
-/// 32-bit mask (the IR names at most [`crate::program::NUM_VIRTUAL_REGS`]
-/// registers).
-#[must_use]
-pub fn defined_regs(program: &Program) -> u32 {
-    let mut mask = 0u32;
-    for inst in program.iter() {
-        if let Some(dst) = inst.dst {
-            mask |= 1u32 << (u32::from(dst) % 32);
-        }
-    }
-    mask
+/// Everything one walk over a loop body yields: the op-class mix, the
+/// register dataflow, and every per-instruction hard error.
+///
+/// Every warp executes the body repeatedly, so definitions flow across the
+/// iteration boundary: a read at instruction `i` of a register whose only
+/// definition sits at `j > i` is reached by the *previous iteration's*
+/// write. The reaching-definition state entering the body is the fixpoint
+/// over the loop back-edge; the body is straight-line code, so the state
+/// leaving it after one symbolic pass (the last definition of each
+/// register) *is* that fixpoint. Every register read is then one of:
+///
+/// * a **same-iteration read** — a definition precedes it in the body; its
+///   RAW distance is the instruction-slot gap to the nearest one;
+/// * a **loop-carried read** — only a later definition exists, so the
+///   value crosses the back-edge; its RAW distance wraps
+///   (`i + body_len - j`) and on the very first iteration the read sees a
+///   live-in value, which the simulator models as ready-at-launch
+///   (counted in [`ProgramFlow::first_iter_uninit_reads`]);
+/// * a **never-defined read** — no instruction in the body writes the
+///   register in any iteration: a [`KernelVerifyError::NeverDefinedRead`],
+///   left out of the histogram.
+///
+/// Register names map onto the [`NUM_VIRTUAL_REGS`]-slot window modulo its
+/// size, as the simulator's scoreboard does.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProgramFlow {
+    /// Instructions per op class, in [`OpClass`] declaration order: ALU,
+    /// SFU, global load, global store, shared memory, barrier.
+    pub op_counts: [usize; 6],
+    /// `raw_histogram[d - 1]` counts register reads whose nearest reaching
+    /// definition is `d` instruction slots away (wrapping across the loop
+    /// back-edge). Distances range over `1..=body_len`.
+    pub raw_histogram: Vec<usize>,
+    /// Loop-carried reads: on iteration 1 these consume a live-in value
+    /// rather than a value computed by the body.
+    pub first_iter_uninit_reads: usize,
+    /// Every per-instruction hard error, in body order; within one
+    /// instruction an operand-carrying barrier or a destination-less load
+    /// comes before its never-defined reads, in operand order.
+    pub violations: Vec<KernelVerifyError>,
 }
 
-/// Scans the loop body for per-instruction hard errors: reads of
-/// never-defined registers, operand-carrying barriers, destination-less
-/// loads.
+impl ProgramFlow {
+    /// The first violation, the one the launch pre-flight reports.
+    ///
+    /// # Errors
+    ///
+    /// Returns the earliest per-instruction hard error of the body.
+    pub fn check(&self) -> Result<(), KernelVerifyError> {
+        self.violations
+            .first()
+            .map_or(Ok(()), |err| Err(err.clone()))
+    }
+
+    /// Total register reads that carry a RAW dependence.
+    #[must_use]
+    pub fn total_reads(&self) -> usize {
+        self.raw_histogram.iter().sum()
+    }
+
+    /// Median RAW distance over all reads, or `None` if the body reads no
+    /// defined register.
+    #[must_use]
+    pub fn median_raw_distance(&self) -> Option<usize> {
+        let total = self.total_reads();
+        if total == 0 {
+            return None;
+        }
+        let midpoint = total.div_ceil(2);
+        let mut seen = 0usize;
+        for (idx, count) in self.raw_histogram.iter().enumerate() {
+            seen += count;
+            if seen >= midpoint {
+                return Some(idx + 1);
+            }
+        }
+        None
+    }
+
+    /// The most common RAW distance (ties break toward the shorter
+    /// distance), or `None` if the body reads no defined register. More
+    /// robust than the median for archetype classification: the generator's
+    /// primary dependence chain concentrates mass at exactly the configured
+    /// `dep_distance`, while the random second operands spread thinly.
+    #[must_use]
+    pub fn dominant_raw_distance(&self) -> Option<usize> {
+        let best = self
+            .raw_histogram
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
+        if *best.1 == 0 {
+            None
+        } else {
+            Some(best.0 + 1)
+        }
+    }
+}
+
+/// Walks a loop body once, after a last-definition pre-pass, and returns
+/// its [`ProgramFlow`].
+///
+/// Definition positions live on a timeline shifted one body length forward:
+/// the previous iteration's definitions sit at `0..len` and this
+/// iteration's at `len..2 * len`. A read at instruction `i` then has
+/// distance `i + len - def` whichever iteration its definition comes from,
+/// and it is loop-carried exactly when `def < len`.
+#[must_use]
+pub fn program_flow(program: &Program) -> ProgramFlow {
+    /// Position of a register no instruction defines.
+    const NEVER: usize = usize::MAX;
+    let slot = |reg: Reg| usize::from(reg) % NUM_VIRTUAL_REGS;
+    let len = program.len();
+    // Fixpoint seed: the state entering the body equals the state leaving
+    // it, i.e. each register's last definition, one body length back.
+    let mut def = [NEVER; NUM_VIRTUAL_REGS];
+    for (i, inst) in program.iter().enumerate() {
+        if let Some(d) = inst.dst.and_then(|dst| def.get_mut(slot(dst))) {
+            *d = i;
+        }
+    }
+
+    let mut flow = ProgramFlow {
+        op_counts: [0; 6],
+        raw_histogram: vec![0; len],
+        first_iter_uninit_reads: 0,
+        violations: Vec::new(),
+    };
+    for (i, inst) in program.iter().enumerate() {
+        // A table index rather than a branch per class: a generated body's
+        // classes are random, so such a branch mispredicts on most
+        // instructions.
+        let class = match inst.op {
+            OpClass::Alu => 0,
+            OpClass::Sfu => 1,
+            OpClass::GlobalLoad => 2,
+            OpClass::GlobalStore => 3,
+            OpClass::SharedMem => 4,
+            OpClass::Barrier => 5,
+        };
+        if let Some(n) = flow.op_counts.get_mut(class) {
+            *n += 1;
+        }
+        if inst.op.is_barrier() && (inst.dst.is_some() || inst.srcs.iter().any(Option::is_some)) {
+            flow.violations
+                .push(KernelVerifyError::BarrierOperands { inst: i });
+        }
+        if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
+            flow.violations
+                .push(KernelVerifyError::LoadWithoutDest { inst: i });
+        }
+        let now = i + len;
+        for &src in inst.srcs.iter().flatten() {
+            let d = def.get(slot(src)).copied().unwrap_or(NEVER);
+            if d == NEVER {
+                flow.violations
+                    .push(KernelVerifyError::NeverDefinedRead { inst: i, reg: src });
+                continue;
+            }
+            flow.first_iter_uninit_reads += usize::from(d < len);
+            // `d < now` by construction (a same-iteration definition
+            // strictly precedes the read; a carried one is at most a full
+            // body away), so distances are in 1..=len.
+            if let Some(bucket) = flow.raw_histogram.get_mut(now - 1 - d) {
+                *bucket += 1;
+            }
+        }
+        if let Some(d) = inst.dst.and_then(|dst| def.get_mut(slot(dst))) {
+            *d = now;
+        }
+    }
+    flow
+}
+
+/// Scans the loop body for per-instruction hard errors and returns the
+/// first: a read of a never-defined register, an operand-carrying barrier,
+/// or a destination-less load.
 ///
 /// Reads of registers that *are* defined, only later in the body, are fine:
 /// under the loop semantics the definition from the previous iteration
 /// reaches them, and on the first iteration they model live-in values
 /// (`ws-analyze` reports those separately as informational diagnostics).
+///
+/// # Errors
+///
+/// Returns the first entry of [`ProgramFlow::violations`].
 pub fn check_program(program: &Program) -> Result<(), KernelVerifyError> {
-    let defined = defined_regs(program);
-    for (i, inst) in program.iter().enumerate() {
-        if inst.op.is_barrier() {
-            if inst.dst.is_some() || inst.srcs.iter().any(Option::is_some) {
-                return Err(KernelVerifyError::BarrierOperands { inst: i });
-            }
-            continue;
-        }
-        if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
-            return Err(KernelVerifyError::LoadWithoutDest { inst: i });
-        }
-        for src in inst.srcs.iter().flatten() {
-            if defined & (1u32 << (u32::from(*src) % 32)) == 0 {
-                return Err(KernelVerifyError::NeverDefinedRead { inst: i, reg: *src });
-            }
-        }
-    }
-    Ok(())
+    program_flow(program).check()
 }
 
 /// Verifies a kernel descriptor against the hard launch rules: structural
@@ -255,7 +406,21 @@ pub fn check_program(program: &Program) -> Result<(), KernelVerifyError> {
 /// This is the pre-flight run by [`crate::Gpu::try_add_kernel`]; `Ok(())`
 /// means the simulator can execute the kernel without panicking on it and
 /// that at least one CTA fits an idle SM.
+///
+/// # Errors
+///
+/// Returns the first violated rule, structural checks first.
 pub fn preflight(desc: &KernelDesc, sm: &SmConfig) -> Result<(), KernelVerifyError> {
+    preflight_flow(desc, sm).map(drop)
+}
+
+/// [`preflight`] that hands back the walk its program check made, so a
+/// caller needing the body's dataflow and op mix walks it only once.
+///
+/// # Errors
+///
+/// The same error, in the same order, as [`preflight`].
+pub fn preflight_flow(desc: &KernelDesc, sm: &SmConfig) -> Result<ProgramFlow, KernelVerifyError> {
     if desc.grid_ctas == 0 {
         return Err(KernelVerifyError::ZeroGrid);
     }
@@ -272,7 +437,9 @@ pub fn preflight(desc: &KernelDesc, sm: &SmConfig) -> Result<(), KernelVerifyErr
         });
     }
     desc.try_max_ctas_per_sm(sm)?;
-    check_program(&desc.program)
+    let flow = program_flow(&desc.program);
+    flow.check()?;
+    Ok(flow)
 }
 
 #[cfg(test)]
@@ -449,6 +616,35 @@ mod tests {
             .expect("valid spec");
             assert_eq!(check_program(&p), Ok(()), "body_len {len}");
         }
+    }
+
+    #[test]
+    fn preflight_flow_hands_back_the_walk_it_checked() {
+        let d = desc();
+        assert_eq!(preflight_flow(&d, &sm()), Ok(program_flow(&d.program)));
+        let mut bad = desc();
+        bad.iterations = 0;
+        bad.program = Program::new(vec![Inst {
+            op: OpClass::GlobalLoad,
+            dst: None,
+            srcs: [Some(3), None],
+        }]);
+        assert_eq!(
+            preflight_flow(&bad, &sm()).unwrap_err().rule(),
+            "zero-iterations",
+            "structural checks come first"
+        );
+        bad.iterations = 1;
+        let flow = program_flow(&bad.program);
+        assert_eq!(
+            flow.violations,
+            vec![
+                KernelVerifyError::LoadWithoutDest { inst: 0 },
+                KernelVerifyError::NeverDefinedRead { inst: 0, reg: 3 },
+            ]
+        );
+        assert_eq!(preflight_flow(&bad, &sm()), Err(flow.violations[0].clone()));
+        assert_eq!(preflight(&bad, &sm()), check_program(&bad.program));
     }
 
     #[test]
