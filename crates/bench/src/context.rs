@@ -8,8 +8,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use warped_slicer::{
-    execute_batch, execute_batch_observed, profile_curves_planned, CorunResult, IsolationResult,
-    PolicyKind, RunConfig, SimJob, SimOutcome, SweepPlan, WarpedSlicerConfig,
+    execute_batch, profile_curves_planned, CorunResult, IsolationResult, PolicyKind, RunConfig,
+    SimJob, SweepPlan, WarpedSlicerConfig,
 };
 use ws_workloads::Benchmark;
 
@@ -40,26 +40,6 @@ impl std::fmt::Display for Progress {
 /// [`ExperimentContext::set_progress`]).
 pub type ProgressSink = Box<dyn Fn(&Progress) + Send + Sync>;
 
-/// One per-job progress report from an observed batch, delivered on the
-/// submitting thread in completion-count order (`seq` goes `1..=total`
-/// strictly increasing regardless of worker count; `id` names the job
-/// that actually finished).
-#[derive(Debug, Clone)]
-pub struct JobProgress {
-    /// Which batch the job belongs to (e.g. `"corun"`, `"isolation"`).
-    pub label: String,
-    /// 1-based completion count within the batch.
-    pub seq: usize,
-    /// Jobs in the batch.
-    pub total: usize,
-    /// The finishing job.
-    pub id: ws_exec::JobId,
-}
-
-/// Callback receiving [`JobProgress`] events (see
-/// [`ExperimentContext::set_job_progress`]).
-pub type JobProgressSink = Box<dyn Fn(&JobProgress) + Send + Sync>;
-
 /// Shared state for the experiment harness.
 ///
 /// Methods take `&self`: the isolation memo uses interior mutability and
@@ -72,7 +52,6 @@ pub struct ExperimentContext {
     pool: ws_exec::Pool,
     iso: Mutex<HashMap<String, Arc<IsolationResult>>>,
     progress: Option<ProgressSink>,
-    job_progress: Option<JobProgressSink>,
 }
 
 impl std::fmt::Debug for ExperimentContext {
@@ -112,7 +91,6 @@ impl ExperimentContext {
             pool,
             iso: Mutex::new(HashMap::new()),
             progress: None,
-            job_progress: None,
         }
     }
 
@@ -125,29 +103,6 @@ impl ExperimentContext {
     /// Installs a progress sink; [`Self::observe`] reports through it.
     pub fn set_progress(&mut self, sink: ProgressSink) {
         self.progress = Some(sink);
-    }
-
-    /// Installs a per-job progress sink: every batch the context runs
-    /// reports one [`JobProgress`] per finished job, on the submitting
-    /// thread, in completion-count order — deterministic shape at any
-    /// worker count.
-    pub fn set_job_progress(&mut self, sink: JobProgressSink) {
-        self.job_progress = Some(sink);
-    }
-
-    /// Runs a job batch, reporting per-job progress when a sink is set.
-    fn batch(&self, label: &str, jobs: &[SimJob]) -> Vec<SimOutcome> {
-        match &self.job_progress {
-            None => execute_batch(&self.pool, jobs),
-            Some(sink) => execute_batch_observed(&self.pool, jobs, |p| {
-                sink(&JobProgress {
-                    label: label.to_string(),
-                    seq: p.seq,
-                    total: p.total,
-                    id: p.id,
-                });
-            }),
-        }
     }
 
     /// Runs `f`, then reports its wall-clock time and the number of pool
@@ -201,7 +156,7 @@ impl ExperimentContext {
                 .iter()
                 .map(|b| SimJob::isolation(&b.desc, &self.cfg))
                 .collect();
-            let results = self.batch("isolation", &jobs);
+            let results = execute_batch(&self.pool, &jobs);
             let mut iso = self.iso.lock().unwrap_or_else(PoisonError::into_inner);
             for (b, outcome) in missing.iter().zip(results) {
                 iso.entry(b.abbrev.to_string())
@@ -266,7 +221,7 @@ impl ExperimentContext {
             .iter()
             .map(|(bs, policy)| self.corun_job(bs, policy))
             .collect();
-        self.batch("corun", &jobs)
+        execute_batch(&self.pool, &jobs)
             .into_iter()
             .zip(&jobs)
             .map(|(outcome, job)| outcome.into_corun(job))

@@ -81,9 +81,8 @@ fn series_on(gpu_cfg: &GpuConfig, bench: &Benchmark, window: u64, windows: usize
 /// Computes the series for the whole suite, one pool job per benchmark.
 pub fn compute(ctx: &ExperimentContext, window: u64, windows: usize) -> Vec<WindowSeries> {
     let gpu_cfg = ctx.cfg.gpu.clone();
-    ctx.pool().run(&suite(), move |_, b| {
-        series_on(&gpu_cfg, b, window, windows)
-    })
+    ctx.pool()
+        .run(&suite(), move |b| series_on(&gpu_cfg, b, window, windows))
 }
 
 /// Renders the windowed characterization.

@@ -130,7 +130,7 @@ pub fn run_pairs(ctx: &ExperimentContext, pairs: &[Pair], with_oracle: bool) -> 
                 )
             })
             .collect();
-        ctx.pool().run(&searches, |_, (a, b, targets, cfg)| {
+        ctx.pool().run(&searches, |(a, b, targets, cfg)| {
             Some(run_oracle(&[a, b], targets, cfg).best.combined_ipc)
         })
     } else {

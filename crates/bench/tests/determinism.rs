@@ -4,8 +4,6 @@
 //! work-stealing with heavily skewed job sizes, and for the streaming
 //! profiling sweep that resubmits rejected kernels mid-drain.
 
-use std::sync::{Arc, Mutex, PoisonError};
-
 use gpu_sim::KernelDesc;
 use warped_slicer::{
     execute_batch, profile_curves_planned, PolicyKind, RunConfig, SimJob, SweepPlan,
@@ -95,44 +93,6 @@ fn planned_sweep_is_identical_at_any_worker_count() {
     assert_eq!(serial.pruned, stolen.pruned);
     assert_eq!(serial.samples_run, stolen.samples_run);
     assert!(serial.samples_run >= plan.planned_samples());
-}
-
-#[test]
-fn job_progress_shape_is_deterministic_across_worker_counts() {
-    // The per-job progress sink reports completion-count order: seq must
-    // be 1..=total at 1 and at 8 workers; only the finishing JobId may
-    // differ with scheduling.
-    let img = by_abbrev("IMG").expect("suite");
-    let mm = by_abbrev("MM").expect("suite");
-    let run = |threads: usize| -> Vec<(String, usize, usize)> {
-        let mut ctx = ctx_with(threads, 3_000);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-        ctx.set_job_progress(Box::new(move |p| {
-            sink.lock().unwrap_or_else(PoisonError::into_inner).push((
-                p.label.clone(),
-                p.seq,
-                p.total,
-            ));
-        }));
-        let _ = ctx.corun_batch(&[
-            (vec![&img, &mm], PolicyKind::Even),
-            (vec![&img, &mm], PolicyKind::Spatial),
-            (vec![&img, &mm], PolicyKind::LeftOver),
-        ]);
-        let out = events.lock().unwrap_or_else(PoisonError::into_inner);
-        out.clone()
-    };
-    let serial = run(1);
-    let parallel = run(8);
-    // Identical shape: same labels, same seq sequences, same totals.
-    assert_eq!(serial, parallel);
-    let coruns: Vec<usize> = serial
-        .iter()
-        .filter(|(l, _, _)| l == "corun")
-        .map(|&(_, seq, _)| seq)
-        .collect();
-    assert_eq!(coruns, vec![1, 2, 3]);
 }
 
 #[test]

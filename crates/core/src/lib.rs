@@ -76,9 +76,9 @@ pub use profiler::{
 };
 pub use resources::ResourceVec;
 pub use runner::{
-    collect_stats, execute, execute_batch, execute_batch_observed, run_corun, run_isolation,
-    run_with_cta_cap, AggregateStats, CacheStats, CorunResult, IsolationResult, RunConfig, SimJob,
-    SimOutcome, SimStream, StopCondition, TraceOptions, UtilizationStats,
+    collect_stats, execute, execute_batch, run_corun, run_isolation, run_with_cta_cap,
+    AggregateStats, CacheStats, CorunResult, IsolationResult, RunConfig, SimJob, SimOutcome,
+    SimStream, StopCondition, TraceOptions, UtilizationStats,
 };
 pub use scaling::{psi, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};

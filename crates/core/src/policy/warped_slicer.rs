@@ -18,9 +18,8 @@ use crate::policy::{
 use crate::profiler::{build_curves, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming};
 use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
-use crate::sweep::{predict_default, SweepWindow};
+use crate::sweep::{predict_default, predicted_window, SweepWindow};
 use crate::waterfill::{water_fill, water_fill_with, KernelCurve};
-use ws_analyze::predict_kernel;
 
 /// Tunables for the Warped-Slicer controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,10 +197,9 @@ impl WarpedSlicerController {
             .collect()
     }
 
-    /// Builds the profiling plan, windowed by `ws-predict` static curves
-    /// when prediction is enabled. Kernels whose prediction fails
-    /// pre-flight keep their full `1..=N` ramp — pruning is an
-    /// optimization, never a gate.
+    /// Builds the profiling plan, windowed by [`predicted_window`] when
+    /// prediction is enabled, and audits each predicted curve with the
+    /// window it produced.
     fn plan_profile(&mut self, gpu: &Gpu, max: &[u32]) -> ProfilePlan {
         let predict = self.cfg.predict.unwrap_or_else(predict_default);
         let cfg = gpu.config();
@@ -214,26 +212,21 @@ impl WarpedSlicerController {
                 if !predict {
                     return SweepWindow::full(m);
                 }
-                match predict_kernel(gpu.kernel_desc(k), cfg) {
-                    Ok(curve) => {
-                        let w = SweepWindow::around_knee(curve.knee, m);
-                        if self.cfg.audit {
-                            self.audit.record(AuditEvent::PredictedCurve {
-                                kernel: i,
-                                perf: curve.ipc,
-                                knee: curve.knee,
-                            });
-                            self.audit.record(AuditEvent::SweepWindow {
-                                kernel: i,
-                                lo: w.lo,
-                                hi: w.hi,
-                                max: w.max,
-                            });
-                        }
-                        w
-                    }
-                    Err(_) => SweepWindow::full(m),
+                let (w, curve) = predicted_window(gpu.kernel_desc(k), m, cfg);
+                if let (true, Some(curve)) = (self.cfg.audit, curve) {
+                    self.audit.record(AuditEvent::PredictedCurve {
+                        kernel: i,
+                        perf: curve.ipc,
+                        knee: curve.knee,
+                    });
+                    self.audit.record(AuditEvent::SweepWindow {
+                        kernel: i,
+                        lo: w.lo,
+                        hi: w.hi,
+                        max: w.max,
+                    });
                 }
+                w
             })
             .collect();
         ProfilePlan::build_windowed(gpu.num_sms(), &windows)

@@ -602,32 +602,7 @@ pub fn execute(job: &SimJob) -> SimOutcome {
 /// [`ws_exec::Pool::run`].
 #[must_use]
 pub fn execute_batch(pool: &ws_exec::Pool, jobs: &[SimJob]) -> Vec<SimOutcome> {
-    pool.run(jobs, |_, job| execute(job))
-}
-
-/// [`execute_batch`] with a per-completion observer: `observe` runs on the
-/// caller's thread once per finished simulation, in completion-count order
-/// (`seq` goes `1..=total` strictly increasing) with the finishing job's
-/// id attached — deterministic progress shape at any worker count.
-///
-/// # Panics
-///
-/// Re-raises the first job panic deterministically (lowest job index).
-#[must_use]
-pub fn execute_batch_observed(
-    pool: &ws_exec::Pool,
-    jobs: &[SimJob],
-    observe: impl FnMut(ws_exec::BatchProgress),
-) -> Vec<SimOutcome> {
-    let results = pool.try_run_observed(jobs, |_, job| execute(job), observe);
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => panic!("{p}"),
-        }
-    }
-    out
+    pool.run(jobs, execute)
 }
 
 /// A streaming simulation session: submit [`SimJob`]s one at a time, drain
@@ -655,18 +630,6 @@ impl<'p> SimStream<'p> {
     pub fn submit_job(&mut self, job: &SimJob) -> ws_exec::JobId {
         let job = job.clone();
         self.inner.submit(move || execute(&job))
-    }
-
-    /// Jobs submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.inner.submitted()
-    }
-
-    /// Jobs submitted but not yet drained.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.inner.in_flight()
     }
 }
 

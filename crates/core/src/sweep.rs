@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 use crate::profiler::interpolate_counts;
 use crate::runner::{RunConfig, SimJob, SimStream};
 use gpu_sim::{GpuConfig, KernelDesc};
-use ws_analyze::predict_kernel;
+use ws_analyze::{predict_kernel, PerfCurve};
 
 /// Whether prediction-driven sweep pruning is enabled by default, read
 /// once from the `WS_PREDICT` environment variable. On unless the
@@ -128,6 +128,22 @@ impl SweepWindow {
     }
 }
 
+/// The one predict → window rule: a kernel whose `ws-predict` static
+/// curve resolves gets a ±1 window around the predicted knee, returned
+/// with that curve; a kernel the prediction's pre-flight rejects keeps its
+/// full `1..=max` window — pruning is an optimization, never a gate.
+#[must_use]
+pub fn predicted_window(
+    desc: &KernelDesc,
+    max: u32,
+    cfg: &GpuConfig,
+) -> (SweepWindow, Option<PerfCurve>) {
+    match predict_kernel(desc, cfg) {
+        Ok(curve) => (SweepWindow::around_knee(curve.knee, max), Some(curve)),
+        Err(_) => (SweepWindow::full(max), None),
+    }
+}
+
 /// A per-kernel set of [`SweepWindow`]s for one profiling sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPlan {
@@ -145,18 +161,13 @@ impl SweepPlan {
     }
 
     /// Builds a pruned plan from `ws-predict` static predictions: each
-    /// kernel gets a ±1 window around its predicted knee. A kernel whose
-    /// prediction fails (pre-flight rejection) falls back to its full
-    /// window — pruning is an optimization, never a gate.
+    /// kernel gets the window [`predicted_window`] picks for it.
     #[must_use]
     pub fn from_predictions(descs: &[&KernelDesc], max_ctas: &[u32], cfg: &GpuConfig) -> Self {
         let windows = descs
             .iter()
             .zip(max_ctas)
-            .map(|(desc, &max)| match predict_kernel(desc, cfg) {
-                Ok(curve) => SweepWindow::around_knee(curve.knee, max),
-                Err(_) => SweepWindow::full(max),
-            })
+            .map(|(desc, &max)| predicted_window(desc, max, cfg).0)
             .collect();
         Self { windows }
     }

@@ -29,22 +29,21 @@
 //! may vary run to run, but results are keyed by submission index and
 //! every job is pure.
 //!
-//! Two submission surfaces share the same workers:
-//!
-//! * the **batch** API ([`Pool::run`], [`Pool::try_run`],
-//!   [`Pool::try_run_observed`]) — submit a slice of jobs, block until all
-//!   results are collected in submission order;
-//! * the **streaming** API ([`Pool::stream`], [`Pool::submit`]) — submit
-//!   jobs one at a time and drain completions *as they finish*, so
-//!   downstream work (curve acceptance, fallback resubmission) can overlap
-//!   with simulation still in flight. See `profile_curves_planned`.
+//! There is one way into the pool, the **stream** ([`Pool::stream`]):
+//! submit jobs one at a time with [`Stream::submit`] and drain completions
+//! *as they finish*, so downstream work (curve acceptance, fallback
+//! resubmission) can overlap with simulation still in flight — see
+//! `profile_curves_planned`. [`Stream::submit`] is the only code that
+//! queues a task on the workers or runs one inline. [`Pool::run`] is the
+//! drain helper over it: submit a slice of jobs, drain every completion,
+//! and return the results in submission order.
 //!
 //! The worker count comes from `WS_EXEC_THREADS` (default: the machine's
 //! available parallelism; `1` forces serial execution). A panicking job
-//! fails *that job*, not the process: [`Pool::try_run`] returns
-//! `Result<R, JobPanic>` per job, and [`Pool::run`] re-raises the first
-//! failure (lowest job index) deterministically — even when the panicking
-//! job was stolen by another worker.
+//! fails *that job*, not the process: a stream yields `Err(JobPanic)` for
+//! it, and [`Pool::run`] drains the whole batch before re-raising the
+//! failure with the lowest job index — deterministic even when the
+//! panicking job was stolen by another worker or finished first.
 //!
 //! The crate is deliberately `std`-only and free of simulator types: the
 //! job model (`SimJob`) lives in `warped-slicer`'s runner, which depends on
@@ -56,7 +55,6 @@
 //! pins both invariants.
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -92,24 +90,8 @@ impl std::fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-/// Per-job result of a fallible batch.
+/// Per-job result a [`Stream`] yields: the job's value, or its panic.
 pub type JobResult<R> = Result<R, JobPanic>;
-
-/// Progress report for one completed job of an observed batch.
-///
-/// Reports are delivered on the **caller's thread**, one per completion,
-/// with `seq` counting completions `1..=total` — so observation order is
-/// deterministic (strictly increasing `seq`) at any worker count even
-/// though `id` reflects the actual (scheduling-dependent) finish order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchProgress {
-    /// 1-based completion count (the `seq`-th job to finish).
-    pub seq: usize,
-    /// Total jobs in the batch.
-    pub total: usize,
-    /// The job that finished.
-    pub id: JobId,
-}
 
 /// Parses a `WS_EXEC_THREADS`-style value into a worker count.
 ///
@@ -193,7 +175,7 @@ impl Core {
     /// on the condvar while no work is queued. Shutdown wins over queued
     /// work, so a pool dropped with jobs still queued exits promptly; the
     /// tasks it strands are discarded by [`Pool`]'s `Drop` (nothing can be
-    /// waiting on them — streams and handles borrow the pool).
+    /// waiting on them — streams borrow the pool).
     fn worker_loop(&self, home: usize) {
         loop {
             if let Some(task) = self.find_task(home) {
@@ -236,12 +218,6 @@ impl std::fmt::Debug for Pool {
             .field("threads", &self.threads)
             .field("jobs_completed", &self.jobs_completed())
             .finish()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -321,172 +297,53 @@ impl Pool {
         }
     }
 
-    /// Submits one job and returns a handle joined independently of any
-    /// batch. On a serial pool the job runs inline before this returns.
-    pub fn submit<R, F>(&self, f: F) -> JobHandle<'_, R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let id = JobId(0);
-        match &self.core {
-            None => {
-                let r = contain(id, f);
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                JobHandle {
-                    id,
-                    state: HandleState::Ready(r),
-                    _pool: PhantomData,
-                }
-            }
-            Some(core) => {
-                let (tx, rx) = mpsc::channel();
-                let completed = Arc::clone(&self.completed);
-                core.push(Box::new(move || {
-                    let r = contain(id, f);
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    // A dropped handle discards the result on purpose.
-                    let _ = tx.send(r);
-                }));
-                JobHandle {
-                    id,
-                    state: HandleState::Pending(rx),
-                    _pool: PhantomData,
-                }
-            }
-        }
-    }
-
-    /// Runs `f` over every job in `jobs`, returning one result per job **in
-    /// submission order**, with per-job panic containment.
+    /// Runs `f` over every job, returning one result per job **in
+    /// submission order** — the drain helper over [`Pool::stream`].
     ///
-    /// `f` receives the job's [`JobId`] and a reference to its description.
-    /// Results are collected into pre-sized slots keyed by job index — one
-    /// writer per slot, on the caller's thread, no locks — so the output is
-    /// identical for any worker count. A panic inside `f` is caught and
-    /// surfaced as `Err(JobPanic)` for that job only; the batch and the
-    /// process continue.
-    pub fn try_run<J, R, F>(&self, jobs: &[J], f: F) -> Vec<JobResult<R>>
-    where
-        J: Clone + Send + 'static,
-        R: Send + 'static,
-        F: Fn(JobId, &J) -> R + Send + Sync + 'static,
-    {
-        self.try_run_observed(jobs, f, |_| {})
-    }
-
-    /// [`Pool::try_run`] with a per-completion progress observer.
-    ///
-    /// `observe` runs on the caller's thread once per finished job, in
-    /// completion-count order ([`BatchProgress::seq`] goes `1..=total`
-    /// strictly increasing), carrying the finishing job's [`JobId`]. That
-    /// makes progress reporting deterministic in *shape* at any worker
-    /// count; only the `id` field reflects actual scheduling.
+    /// Every job is submitted, every completion drained into a pre-sized
+    /// slot keyed by its [`JobId`] (one writer per slot, on the caller's
+    /// thread, no locks), so the output is identical for any worker count.
+    /// A panic inside `f` is contained to its job; the batch runs to the
+    /// end, and every job counts toward [`Pool::jobs_completed`].
     ///
     /// # Panics
     ///
-    /// Panics if the executor's delivery invariant breaks (a result slot
-    /// filled twice, never filled, or workers gone with jobs outstanding)
-    /// — these indicate a bug in the executor itself, never in `f`.
-    pub fn try_run_observed<J, R, F, O>(
-        &self,
-        jobs: &[J],
-        f: F,
-        mut observe: O,
-    ) -> Vec<JobResult<R>>
-    where
-        J: Clone + Send + 'static,
-        R: Send + 'static,
-        F: Fn(JobId, &J) -> R + Send + Sync + 'static,
-        O: FnMut(BatchProgress),
-    {
-        let total = jobs.len();
-        let Some(core) = &self.core else {
-            // Serial fast path: run inline on the caller's thread. This is
-            // bit-for-bit the pre-pool behaviour (same thread, same order).
-            return jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| {
-                    let id = JobId(i);
-                    let r = contain(id, || f(id, job));
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    observe(BatchProgress {
-                        seq: i + 1,
-                        total,
-                        id,
-                    });
-                    r
-                })
-                .collect();
-        };
-        let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(JobId, JobResult<R>)>();
-        for (i, job) in jobs.iter().enumerate() {
-            let id = JobId(i);
-            let job = job.clone();
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            let completed = Arc::clone(&self.completed);
-            core.push(Box::new(move || {
-                let r = contain(id, move || f(id, &job));
-                completed.fetch_add(1, Ordering::Relaxed);
-                // The batch collector below outlives every task it
-                // submitted, so this send only fails if the collector
-                // already panicked — nothing left to notify either way.
-                let _ = tx.send((id, r));
-            }));
-        }
-        drop(tx);
-        // Pre-sized result slots, written only by this (caller) thread as
-        // completions drain — one writer per index, no locks.
-        let mut slots: Vec<Option<JobResult<R>>> = (0..total).map(|_| None).collect();
-        for seq in 1..=total {
-            let (id, r) = match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => panic!(
-                    "ws-exec invariant violated: workers disconnected with {} of {total} jobs outstanding",
-                    total - (seq - 1)
-                ),
-            };
-            match slots.get_mut(id.0) {
-                Some(slot @ None) => *slot = Some(r),
-                Some(Some(_)) => panic!("ws-exec invariant violated: {id} completed twice"),
-                None => panic!("ws-exec invariant violated: unknown {id} in a batch of {total}"),
-            }
-            observe(BatchProgress { seq, total, id });
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| {
-                    panic!("ws-exec invariant violated: job#{i} never delivered a result")
-                })
-            })
-            .collect()
-    }
-
-    /// Runs `f` over every job, returning plain results in submission
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first failed job (lowest job index) on the caller's
-    /// thread — deterministic regardless of worker count or which worker
-    /// stole the panicking job. Use [`Pool::try_run`] to keep going past
-    /// failures.
+    /// Once the whole batch has drained, re-raises the failed job with the
+    /// lowest index on the caller's thread — deterministic regardless of
+    /// worker count, finish order, or which worker stole the panicking
+    /// job. Also panics if the executor's delivery invariant breaks (a
+    /// result slot filled twice or never filled) — a bug in the executor
+    /// itself, never in `f`.
     pub fn run<J, R, F>(&self, jobs: &[J], f: F) -> Vec<R>
     where
         J: Clone + Send + 'static,
         R: Send + 'static,
-        F: Fn(JobId, &J) -> R + Send + Sync + 'static,
+        F: Fn(&J) -> R + Send + Sync + 'static,
     {
-        self.try_run(jobs, f)
+        let f = Arc::new(f);
+        let mut stream = self.stream();
+        for job in jobs {
+            let (f, job) = (Arc::clone(&f), job.clone());
+            stream.submit(move || f(&job));
+        }
+        let mut slots: Vec<Option<JobResult<R>>> = (0..jobs.len()).map(|_| None).collect();
+        for (id, r) in stream {
+            match slots.get_mut(id.0) {
+                Some(slot @ None) => *slot = Some(r),
+                Some(Some(_)) => panic!("ws-exec invariant violated: {id} completed twice"),
+                None => panic!(
+                    "ws-exec invariant violated: unknown {id} in a batch of {}",
+                    jobs.len()
+                ),
+            }
+        }
+        slots
             .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(p) => panic!("{p}"),
+            .enumerate()
+            .map(|(i, slot)| match slot {
+                Some(Ok(v)) => v,
+                Some(Err(p)) => panic!("{p}"),
+                None => panic!("ws-exec invariant violated: job#{i} never delivered a result"),
             })
             .collect()
     }
@@ -494,8 +351,8 @@ impl Pool {
 
 impl Drop for Pool {
     /// Signals shutdown, joins every worker, and discards tasks still
-    /// queued (no [`Stream`] or [`JobHandle`] can outlive the pool — they
-    /// borrow it — so no result is ever silently lost to a waiter).
+    /// queued (no [`Stream`] can outlive the pool — it borrows it — so no
+    /// result is ever silently lost to a waiter).
     fn drop(&mut self) {
         let Some(core) = self.core.take() else { return };
         {
@@ -520,62 +377,6 @@ impl Drop for Pool {
     }
 }
 
-/// Result plumbing for a single-job [`JobHandle`].
-enum HandleState<R> {
-    /// Serial pool: the job already ran inline.
-    Ready(JobResult<R>),
-    /// Parallel pool: the result arrives on this channel.
-    Pending(mpsc::Receiver<JobResult<R>>),
-}
-
-/// A handle to one job submitted with [`Pool::submit`]; join it to get the
-/// result. Borrows the pool, so the pool cannot shut down underneath it.
-pub struct JobHandle<'p, R> {
-    id: JobId,
-    state: HandleState<R>,
-    _pool: PhantomData<&'p Pool>,
-}
-
-impl<R> JobHandle<'_, R> {
-    /// The submitted job's id (always `job#0` for single submissions).
-    #[must_use]
-    pub fn id(&self) -> JobId {
-        self.id
-    }
-
-    /// Blocks until the job finishes, with panic containment.
-    ///
-    /// # Panics
-    ///
-    /// Panics only on an executor invariant violation (the worker dropped
-    /// the result channel without sending) — a job panic comes back as
-    /// `Err(JobPanic)`.
-    pub fn try_join(self) -> JobResult<R> {
-        match self.state {
-            HandleState::Ready(r) => r,
-            HandleState::Pending(rx) => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => panic!(
-                    "ws-exec invariant violated: result channel for {} closed without a result",
-                    self.id
-                ),
-            },
-        }
-    }
-
-    /// Blocks until the job finishes, re-raising its panic if it failed.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the job's panic on the caller's thread.
-    pub fn join(self) -> R {
-        match self.try_join() {
-            Ok(v) => v,
-            Err(p) => panic!("{p}"),
-        }
-    }
-}
-
 /// A streaming submission session on a [`Pool`].
 ///
 /// Jobs submitted through one stream are numbered `0, 1, 2, ...` in
@@ -596,6 +397,11 @@ pub struct Stream<'p, R: Send + 'static> {
 
 impl<R: Send + 'static> Stream<'_, R> {
     /// Submits one job; returns its stream-local id.
+    ///
+    /// This is the pool's only way in: on a serial pool the job runs
+    /// inline before this returns, otherwise it is queued on the workers.
+    /// Either way a panic is contained to that job's [`JobPanic`], and the
+    /// job counts toward [`Pool::jobs_completed`] once it has run.
     pub fn submit<F>(&mut self, f: F) -> JobId
     where
         F: FnOnce() -> R + Send + 'static,
@@ -621,18 +427,6 @@ impl<R: Send + 'static> Stream<'_, R> {
             }
         }
         id
-    }
-
-    /// Jobs submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.submitted
-    }
-
-    /// Jobs submitted but not yet delivered via [`Stream::next`].
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.submitted - self.delivered - self.ready.len()
     }
 }
 
@@ -660,7 +454,7 @@ impl<R: Send + 'static> Iterator for Stream<'_, R> {
             }
             Err(_) => panic!(
                 "ws-exec invariant violated: stream channel closed with {} jobs in flight",
-                self.in_flight()
+                self.submitted - self.delivered
             ),
         }
     }
@@ -701,21 +495,45 @@ mod tests {
         acc
     }
 
+    /// Drains `stream` and places its results by job id, asserting each of
+    /// its `n` submissions is delivered exactly once.
+    fn drain_by_id<R: Send + 'static>(stream: Stream<'_, R>, n: usize) -> Vec<JobResult<R>> {
+        let mut slots: Vec<Option<JobResult<R>>> = (0..n).map(|_| None).collect();
+        for (id, r) in stream {
+            let slot = slots
+                .get_mut(id.0)
+                .unwrap_or_else(|| panic!("unknown {id}"));
+            assert!(slot.is_none(), "{id} delivered twice");
+            *slot = Some(r);
+        }
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|| panic!("job#{i} never delivered")))
+            .collect()
+    }
+
     #[test]
     fn results_are_ordered_by_job_id_for_any_worker_count() {
         let jobs: Vec<u64> = (0..97).collect();
-        let serial = Pool::new(1).run(&jobs, |_, &j| j * j);
+        let serial = Pool::new(1).run(&jobs, |&j| j * j);
         for threads in [2, 3, 8, 64] {
-            let parallel = Pool::new(threads).run(&jobs, |_, &j| j * j);
+            let parallel = Pool::new(threads).run(&jobs, |&j| j * j);
             assert_eq!(serial, parallel, "{threads} workers reorder results");
         }
     }
 
     #[test]
     fn job_ids_match_submission_indices() {
-        let jobs = vec![(); 40];
-        let ids = Pool::new(4).run(&jobs, |id, ()| id.0);
-        assert_eq!(ids, (0..40).collect::<Vec<_>>());
+        for threads in [1, 4] {
+            let pool = Pool::new(threads);
+            let mut stream = pool.stream::<usize>();
+            let ids: Vec<JobId> = (0..40).map(|i| stream.submit(move || i)).collect();
+            assert_eq!(ids, (0..40).map(JobId).collect::<Vec<_>>());
+            for (id, r) in stream {
+                assert_eq!(r, Ok(id.0), "threads={threads}");
+            }
+        }
     }
 
     #[test]
@@ -725,20 +543,23 @@ mod tests {
         let jobs: Vec<u64> = (0..48)
             .map(|i| if i == 5 { 40_000 } else { 2_000 })
             .collect();
-        let serial = Pool::new(1).run(&jobs, |_, &j| spin(j));
-        let stolen = Pool::new(8).run(&jobs, |_, &j| spin(j));
+        let serial = Pool::new(1).run(&jobs, |&j| spin(j));
+        let stolen = Pool::new(8).run(&jobs, |&j| spin(j));
         assert_eq!(serial, stolen);
     }
 
     #[test]
     fn panicking_job_fails_that_job_not_the_process() {
-        let jobs: Vec<u32> = (0..20).collect();
         for threads in [1, 4] {
-            let results = Pool::new(threads).try_run(&jobs, |_, &j| {
-                assert!(j != 7 && j != 13, "job {j} exploded");
-                j + 100
-            });
-            assert_eq!(results.len(), 20);
+            let pool = Pool::new(threads);
+            let mut stream = pool.stream::<u32>();
+            for j in 0..20u32 {
+                stream.submit(move || {
+                    assert!(j != 7 && j != 13, "job {j} exploded");
+                    j + 100
+                });
+            }
+            let results = drain_by_id(stream, 20);
             for (i, r) in results.iter().enumerate() {
                 match r {
                     Ok(v) if i != 7 && i != 13 => assert_eq!(*v, i as u32 + 100),
@@ -757,12 +578,16 @@ mod tests {
         // A heavy head job pins its owner, so trailing jobs — including
         // the panicking one — get claimed by stealing workers; containment
         // and attribution must be identical to the serial run.
-        let jobs: Vec<u64> = (0..64).map(|i| if i == 0 { 40_000 } else { 200 }).collect();
-        let results = Pool::new(8).try_run(&jobs, |id, &j| {
-            assert!(id.0 != 57, "stolen job exploded");
-            spin(j)
-        });
-        for (i, r) in results.iter().enumerate() {
+        let pool = Pool::new(8);
+        let mut stream = pool.stream::<u64>();
+        for i in 0..64usize {
+            let weight = if i == 0 { 40_000 } else { 200 };
+            stream.submit(move || {
+                assert!(i != 57, "stolen job exploded");
+                spin(weight)
+            });
+        }
+        for (i, r) in drain_by_id(stream, 64).iter().enumerate() {
             match r {
                 Err(p) if i == 57 => assert_eq!(p.id, JobId(57)),
                 Ok(_) if i != 57 => {}
@@ -775,23 +600,66 @@ mod tests {
     #[should_panic(expected = "job#3 panicked")]
     fn run_reraises_the_first_failure_deterministically() {
         let jobs: Vec<u32> = (0..32).collect();
-        let _ = Pool::new(8).run(&jobs, |_, &j| {
+        let _ = Pool::new(8).run(&jobs, |&j| {
             assert!(j < 3 || j % 3 != 0, "multiple of three");
             j
         });
     }
 
     #[test]
+    fn run_drains_every_job_before_reraising() {
+        // Job 2 panics only after job 9 has panicked (it waits for 9's
+        // flag, then lingers), so 9 is the first failure to finish. `run`
+        // must still drain the whole batch and re-raise the lowest index.
+        let pool = Pool::new(8);
+        let light_failed = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<usize> = (0..16).collect();
+        let flag = Arc::clone(&light_failed);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&jobs, move |&j| {
+                if j == 2 {
+                    let start = std::time::Instant::now();
+                    while flag.load(Ordering::Acquire) == 0
+                        && start.elapsed() < std::time::Duration::from_secs(5)
+                    {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("heavy job exploded");
+                }
+                if j == 9 {
+                    flag.store(1, Ordering::Release);
+                    panic!("light job exploded");
+                }
+                spin(200)
+            })
+        }));
+        let payload = match outcome {
+            Ok(v) => panic!("batch should have failed, got {v:?}"),
+            Err(payload) => payload,
+        };
+        let message = panic_message(payload.as_ref());
+        assert!(message.starts_with("job#2 panicked"), "{message}");
+        assert_eq!(light_failed.load(Ordering::Acquire), 1);
+        assert_eq!(pool.jobs_completed(), 16);
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
-        let out: Vec<u8> = Pool::new(4).run(&Vec::<u8>::new(), |_, &j| j);
+        let out: Vec<u8> = Pool::new(4).run(&Vec::<u8>::new(), |&j| j);
         assert!(out.is_empty());
     }
 
     #[test]
     fn jobs_completed_counts_across_batches() {
         let pool = Pool::new(2);
-        let _ = pool.run(&[(); 5], |_, ()| ());
-        let _ = pool.try_run(&[(); 3], |id, ()| assert!(id.0 > 0, "zero"));
+        let _ = pool.run(&[(); 5], |()| ());
+        let mut stream = pool.stream::<()>();
+        for i in 0..3usize {
+            stream.submit(move || assert!(i > 0, "zero"));
+        }
+        let failed = drain_by_id(stream, 3).iter().filter(|r| r.is_err()).count();
+        assert_eq!(failed, 1);
         assert_eq!(pool.jobs_completed(), 8);
     }
 
@@ -810,15 +678,17 @@ mod tests {
     #[test]
     fn worker_count_is_clamped_to_at_least_one() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert!(Pool::default().threads() >= 1);
+        assert!(Pool::from_env().threads() >= 1);
     }
 
     #[test]
     fn non_string_panic_payload_is_reported() {
-        let results = Pool::new(1).try_run(&[0u8], |_, _| -> u8 { std::panic::panic_any(42u32) });
-        match &results[0] {
-            Err(p) => assert!(p.message.contains("non-string")),
-            Ok(v) => panic!("job should have failed, got {v}"),
+        let pool = Pool::new(1);
+        let mut stream = pool.stream::<u8>();
+        stream.submit(|| std::panic::panic_any(42u32));
+        match drain_by_id(stream, 1).first() {
+            Some(Err(p)) => assert!(p.message.contains("non-string")),
+            other => panic!("job should have failed, got {other:?}"),
         }
     }
 
@@ -831,23 +701,13 @@ mod tests {
                 let weight = if j == 3 { 40_000 } else { 2_000 };
                 stream.submit(move || spin(weight).wrapping_add(j));
             }
-            assert_eq!(stream.submitted(), 40);
-            let mut by_id: Vec<Option<u64>> = vec![None; 40];
-            for (id, r) in stream.by_ref() {
-                let slot = by_id
-                    .get_mut(id.0)
-                    .unwrap_or_else(|| panic!("unknown {id}"));
-                assert!(slot.is_none(), "{id} delivered twice");
-                *slot = Some(match r {
-                    Ok(v) => v,
-                    Err(p) => panic!("{p}"),
-                });
-            }
-            assert_eq!(stream.in_flight(), 0);
+            let got: Vec<u64> = drain_by_id(stream, 40)
+                .into_iter()
+                .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
+                .collect();
             let expect: Vec<u64> = (0..40u64)
                 .map(|j| spin(if j == 3 { 40_000 } else { 2_000 }).wrapping_add(j))
                 .collect();
-            let got: Vec<u64> = by_id.into_iter().map(|v| v.unwrap_or(0)).collect();
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -874,51 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn single_submit_handle_joins_inline_and_parallel() {
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let handle = pool.submit(|| spin(2_000));
-            assert_eq!(handle.id(), JobId(0));
-            assert_eq!(handle.join(), spin(2_000));
-        }
-        let pool = Pool::new(4);
-        let failing = pool.submit(|| -> u8 { panic!("handle job exploded") });
-        match failing.try_join() {
-            Err(p) => assert!(p.message.contains("exploded")),
-            Ok(v) => panic!("expected a contained panic, got {v}"),
-        }
-    }
-
-    #[test]
-    fn progress_is_observed_in_completion_count_order() {
-        // Satellite pin: at 1 and at 8 workers the observer sees seq ==
-        // 1..=n; at 1 worker ids arrive in submission order; at 8 workers
-        // the id multiset matches the submissions even under heavy skew.
-        let jobs: Vec<u64> = (0..32)
-            .map(|i| if i == 2 { 40_000 } else { 2_000 })
-            .collect();
-        for threads in [1usize, 8] {
-            let pool = Pool::new(threads);
-            let mut seen: Vec<BatchProgress> = Vec::new();
-            let results = pool.try_run_observed(&jobs, |_, &j| spin(j), |p| seen.push(p));
-            assert_eq!(results.len(), jobs.len());
-            let seqs: Vec<usize> = seen.iter().map(|p| p.seq).collect();
-            assert_eq!(
-                seqs,
-                (1..=jobs.len()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert!(seen.iter().all(|p| p.total == jobs.len()));
-            let mut ids: Vec<usize> = seen.iter().map(|p| p.id.0).collect();
-            if threads == 1 {
-                assert_eq!(ids, (0..jobs.len()).collect::<Vec<_>>());
-            }
-            ids.sort_unstable();
-            assert_eq!(ids, (0..jobs.len()).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn shutdown_with_jobs_still_queued_is_graceful() {
         // Drop the stream (and then the pool) with most of the batch still
         // queued: the pool must join its workers promptly, discarding the
@@ -937,12 +752,12 @@ mod tests {
     #[test]
     fn pool_reuse_across_batches_and_streams() {
         let pool = Pool::new(4);
-        let a = pool.run(&(0..16u64).collect::<Vec<_>>(), |_, &j| j + 1);
+        let a = pool.run(&(0..16u64).collect::<Vec<_>>(), |&j| j + 1);
         assert_eq!(a[15], 16);
         let mut s = pool.stream::<u64>();
         s.submit(|| 7);
         assert!(matches!(s.next(), Some((JobId(0), Ok(7)))));
-        let b = pool.run(&(0..16u64).collect::<Vec<_>>(), |_, &j| j * 2);
+        let b = pool.run(&(0..16u64).collect::<Vec<_>>(), |&j| j * 2);
         assert_eq!(b[15], 30);
         assert_eq!(pool.jobs_completed(), 33);
     }

@@ -4,7 +4,7 @@
 use crate::access::AccessPattern;
 use crate::config::SmConfig;
 use crate::program::Program;
-use crate::verify::{KernelVerifyError, ResourceKind};
+use crate::verify::{eq1_demands, KernelVerifyError};
 
 /// Identifies one of the kernels co-resident in a simulation run.
 ///
@@ -97,34 +97,16 @@ impl KernelDesc {
     /// [`KernelVerifyError::ZeroThreads`] for a threadless CTA, which no
     /// resource arithmetic can make meaningful).
     ///
-    /// All arithmetic is widened to `u64`, so pathological descriptors
-    /// (e.g. `u32::MAX` threads x `u32::MAX` registers) report infeasibility
+    /// Reads the same widened Eq. 1 demand table as
+    /// [`crate::occupancy_breakdown`], so pathological descriptors (e.g.
+    /// `u32::MAX` threads x `u32::MAX` registers) report infeasibility
     /// instead of wrapping or panicking.
     pub fn try_max_ctas_per_sm(&self, sm: &SmConfig) -> Result<u32, KernelVerifyError> {
         if self.threads_per_cta == 0 {
             return Err(KernelVerifyError::ZeroThreads);
         }
-        let wide_regs = u64::from(self.threads_per_cta) * u64::from(self.regs_per_thread);
-        let demands = [
-            (
-                ResourceKind::Threads,
-                u64::from(self.threads_per_cta),
-                u64::from(sm.max_threads),
-            ),
-            (
-                ResourceKind::Registers,
-                wide_regs,
-                u64::from(sm.max_registers),
-            ),
-            (
-                ResourceKind::SharedMem,
-                u64::from(self.shmem_per_cta),
-                u64::from(sm.shared_mem_bytes),
-            ),
-            (ResourceKind::CtaSlots, 1, u64::from(sm.max_ctas)),
-        ];
         let mut limit = u64::from(sm.max_ctas);
-        for (resource, per_cta, available) in demands {
+        for (resource, per_cta, available) in eq1_demands(self, sm) {
             // A zero demand never binds; the resource imposes no limit.
             let Some(quota) = available.checked_div(per_cta) else {
                 continue;

@@ -178,6 +178,34 @@ impl std::fmt::Display for KernelVerifyError {
 
 impl std::error::Error for KernelVerifyError {}
 
+/// The Eq. 1 demand table: for each SM resource, in the order threads /
+/// registers / shared memory / CTA slots, the per-CTA demand and the SM's
+/// capacity, widened to `u64` so pathological descriptors (e.g.
+/// `u32::MAX` threads x `u32::MAX` registers) cannot wrap. A zero demand
+/// never binds. Both occupancy views read this one table:
+/// [`KernelDesc::try_max_ctas_per_sm`] (the launch pre-flight's
+/// feasibility check) and [`occupancy_breakdown`].
+pub(crate) fn eq1_demands(desc: &KernelDesc, sm: &SmConfig) -> [(ResourceKind, u64, u64); 4] {
+    [
+        (
+            ResourceKind::Threads,
+            u64::from(desc.threads_per_cta),
+            u64::from(sm.max_threads),
+        ),
+        (
+            ResourceKind::Registers,
+            u64::from(desc.threads_per_cta) * u64::from(desc.regs_per_thread),
+            u64::from(sm.max_registers),
+        ),
+        (
+            ResourceKind::SharedMem,
+            u64::from(desc.shmem_per_cta),
+            u64::from(sm.shared_mem_bytes),
+        ),
+        (ResourceKind::CtaSlots, 1, u64::from(sm.max_ctas)),
+    ]
+}
+
 /// Per-resource CTA quota under Eq. 1 of the paper, with `u32::MAX` for a
 /// resource the kernel does not demand (it never binds), in the order
 /// threads / registers / shared memory / CTA slots, plus the binding
@@ -185,26 +213,15 @@ impl std::error::Error for KernelVerifyError {}
 ///
 /// This is the feasible-CTA-range computation shared by the launch
 /// pre-flight, the `ws-analyze` occupancy diagnostics, and the static
-/// performance predictor: all three must agree on the Fig. 3a "max allowed
-/// CTAs" for a kernel.
+/// performance predictor: all three read the same demand table, so they
+/// agree on the Fig. 3a "max allowed CTAs" for a kernel.
 #[must_use]
 pub fn occupancy_breakdown(desc: &KernelDesc, sm: &SmConfig) -> ([u32; 4], u32) {
-    let regs_per_cta = u64::from(desc.threads_per_cta) * u64::from(desc.regs_per_thread);
-    let quota = |per_cta: u64, available: u64| -> u32 {
-        match available.checked_div(per_cta) {
-            None => u32::MAX,
-            Some(q) => u32::try_from(q).unwrap_or(u32::MAX),
-        }
-    };
-    let by = [
-        quota(u64::from(desc.threads_per_cta), u64::from(sm.max_threads)),
-        quota(regs_per_cta, u64::from(sm.max_registers)),
-        quota(
-            u64::from(desc.shmem_per_cta),
-            u64::from(sm.shared_mem_bytes),
-        ),
-        sm.max_ctas,
-    ];
+    let by = eq1_demands(desc, sm).map(|(_, per_cta, available)| {
+        available
+            .checked_div(per_cta)
+            .map_or(u32::MAX, |q| u32::try_from(q).unwrap_or(u32::MAX))
+    });
     let max_ctas = by.iter().copied().min().unwrap_or(0);
     (by, max_ctas)
 }
@@ -657,5 +674,114 @@ mod tests {
             available: 49_152,
         };
         assert!(err.to_string().contains("shared memory"));
+    }
+
+    /// The two Eq. 1 bodies as they stood before they shared
+    /// [`eq1_demands`]: the reference the shared table must reproduce.
+    mod reference {
+        use super::*;
+
+        pub fn try_max_ctas_per_sm(
+            desc: &KernelDesc,
+            sm: &SmConfig,
+        ) -> Result<u32, KernelVerifyError> {
+            if desc.threads_per_cta == 0 {
+                return Err(KernelVerifyError::ZeroThreads);
+            }
+            let wide_regs = u64::from(desc.threads_per_cta) * u64::from(desc.regs_per_thread);
+            let demands = [
+                (
+                    ResourceKind::Threads,
+                    u64::from(desc.threads_per_cta),
+                    u64::from(sm.max_threads),
+                ),
+                (
+                    ResourceKind::Registers,
+                    wide_regs,
+                    u64::from(sm.max_registers),
+                ),
+                (
+                    ResourceKind::SharedMem,
+                    u64::from(desc.shmem_per_cta),
+                    u64::from(sm.shared_mem_bytes),
+                ),
+                (ResourceKind::CtaSlots, 1, u64::from(sm.max_ctas)),
+            ];
+            let mut limit = u64::from(sm.max_ctas);
+            for (resource, per_cta, available) in demands {
+                let Some(quota) = available.checked_div(per_cta) else {
+                    continue;
+                };
+                if quota == 0 {
+                    return Err(KernelVerifyError::Infeasible {
+                        resource,
+                        per_cta,
+                        available,
+                    });
+                }
+                limit = limit.min(quota);
+            }
+            Ok(u32::try_from(limit).unwrap_or(u32::MAX))
+        }
+
+        pub fn occupancy_breakdown(desc: &KernelDesc, sm: &SmConfig) -> ([u32; 4], u32) {
+            let regs_per_cta = u64::from(desc.threads_per_cta) * u64::from(desc.regs_per_thread);
+            let quota = |per_cta: u64, available: u64| -> u32 {
+                match available.checked_div(per_cta) {
+                    None => u32::MAX,
+                    Some(q) => u32::try_from(q).unwrap_or(u32::MAX),
+                }
+            };
+            let by = [
+                quota(u64::from(desc.threads_per_cta), u64::from(sm.max_threads)),
+                quota(regs_per_cta, u64::from(sm.max_registers)),
+                quota(
+                    u64::from(desc.shmem_per_cta),
+                    u64::from(sm.shared_mem_bytes),
+                ),
+                sm.max_ctas,
+            ];
+            let max_ctas = by.iter().copied().min().unwrap_or(0);
+            (by, max_ctas)
+        }
+    }
+
+    #[test]
+    fn eq1_demand_table_matches_the_reference_quotas() {
+        // Random descriptors and SM configs where every Eq. 1 field is 0,
+        // u32::MAX or a typical value (max_ctas = 0 included): both views
+        // must return exactly what their pre-table bodies returned,
+        // errors and binding resource included.
+        let mut rng = crate::SimRng::seed_from_u64(0xE01);
+        let mut pick = |typical: u64| -> u32 {
+            match rng.range_u64(4) {
+                0 => 0,
+                1 => u32::MAX,
+                _ => u32::try_from(rng.range_u64(typical)).unwrap_or(u32::MAX),
+            }
+        };
+        for _ in 0..20_000 {
+            let mut d = desc();
+            d.threads_per_cta = pick(2_048);
+            d.regs_per_thread = pick(300);
+            d.shmem_per_cta = pick(64 * 1024);
+            let sm = SmConfig {
+                max_threads: pick(4_096),
+                max_registers: pick(1 << 17),
+                shared_mem_bytes: pick(1 << 17),
+                max_ctas: pick(32),
+                ..sm()
+            };
+            assert_eq!(
+                d.try_max_ctas_per_sm(&sm),
+                reference::try_max_ctas_per_sm(&d, &sm),
+                "{d:?} on {sm:?}"
+            );
+            assert_eq!(
+                occupancy_breakdown(&d, &sm),
+                reference::occupancy_breakdown(&d, &sm),
+                "{d:?} on {sm:?}"
+            );
+        }
     }
 }
