@@ -13,7 +13,8 @@
 //!
 //! The per-kernel report is written as JSONL (one `predict_accuracy` record
 //! per kernel plus a trailing `predict_summary`), by default to
-//! `target/predict-accuracy.jsonl`; CI uploads it as an artifact. The run
+//! `target/predict-accuracy.jsonl` under the working directory; CI uploads
+//! it as an artifact. The run
 //! **fails** (exit 1) when the knee-hit rate drops below the floor recorded
 //! in `results/BENCH_predict.json` (`"knee_hit_floor"`), defaulting to 0.8
 //! when no floor is recorded.
@@ -124,9 +125,10 @@ fn main() {
             }
         }
     }
+    // The default report path is relative to the working directory, so the
+    // `-> PATH` line reads the same from every checkout.
+    let report_path = report_path.unwrap_or_else(|| PathBuf::from("target/predict-accuracy.jsonl"));
     let repo_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report_path =
-        report_path.unwrap_or_else(|| repo_root.join("target").join("predict-accuracy.jsonl"));
 
     let gpu = GpuConfig::isca_baseline();
     let cfg = RunConfig {

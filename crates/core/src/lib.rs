@@ -68,8 +68,7 @@ pub use metrics::{antt, fairness, speedups, system_throughput};
 pub use oracle::{feasible_quotas, run_oracle, OracleResult};
 pub use phase::PhaseMonitor;
 pub use policy::{
-    make_controller, Controller, Decision, EvenController, FcfsController, LeftOverController,
-    PolicyKind, QuotaController, SpatialController, WarpedSlicerConfig, WarpedSlicerController,
+    make_controller, Controller, Decision, PolicyKind, WarpedSlicerConfig, WarpedSlicerController,
 };
 pub use profiler::{
     build_curves, ProfilePlan, ProfilePlanError, ProfileSample, ProfileTiming, SmAssignment,

@@ -1,18 +1,24 @@
 //! Multiprogramming policies (CTA-dispatch controllers).
 //!
 //! The simulator exposes launch primitives; a [`Controller`] decides every
-//! cycle which kernel's CTAs go where. This module implements the paper's
-//! baselines — [`LeftOverController`] (the Hyper-Q/CKE default),
-//! [`FcfsController`] (Fig. 2a), [`EvenController`] (even intra-SM split),
-//! [`SpatialController`] (inter-SM multitasking), [`QuotaController`]
-//! (a fixed CTA-quota intra-SM partition, used by the Oracle search) — and
-//! re-exports the dynamic [`WarpedSlicerController`].
+//! cycle which kernel's CTAs go where. Every policy of the paper's Fig. 2
+//! is one mechanism with different settings: a private `Slicing` (no
+//! windows, an even or quota-sized slice of every SM, an SM-ownership
+//! split, or the Fig. 4 profiling plan) that is installed, released on the
+//! first halt, and launched through. [`make_controller`] maps the
+//! baselines — Left-Over (the Hyper-Q/CKE default), FCFS (Fig. 2a), Even
+//! (even intra-SM split), Spatial (inter-SM multitasking) and Quota (a
+//! fixed CTA-quota intra-SM partition, used by the Oracle search) — onto
+//! one static controller; the dynamic [`WarpedSlicerController`] drives the
+//! same `Slicing` from its phase machine.
 
 mod warped_slicer;
 
 pub use warped_slicer::{WarpedSlicerConfig, WarpedSlicerController};
 
 use gpu_sim::{Gpu, GpuConfig, KernelDesc, KernelId, PartitionWindow, Region};
+
+use crate::profiler::ProfilePlan;
 
 /// Which multiprogramming policy to run.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,14 +103,19 @@ pub trait Controller: std::fmt::Debug {
 /// Builds the controller for `kind`.
 #[must_use]
 pub fn make_controller(kind: &PolicyKind) -> Box<dyn Controller> {
-    match kind {
-        PolicyKind::LeftOver => Box::new(LeftOverController::new()),
-        PolicyKind::Fcfs => Box::new(FcfsController::new()),
-        PolicyKind::Even => Box::new(EvenController::new()),
-        PolicyKind::Spatial => Box::new(SpatialController::new()),
-        PolicyKind::Quota(q) => Box::new(QuotaController::new(q.clone())),
-        PolicyKind::WarpedSlicer(cfg) => Box::new(WarpedSlicerController::new(cfg.clone())),
-    }
+    let slicing = match kind {
+        PolicyKind::LeftOver | PolicyKind::Fcfs => Slicing::Shared,
+        PolicyKind::Even => Slicing::Even,
+        PolicyKind::Spatial => Slicing::Spatial,
+        PolicyKind::Quota(q) => Slicing::Quota(q.clone()),
+        PolicyKind::WarpedSlicer(cfg) => {
+            return Box::new(WarpedSlicerController::new(cfg.clone()));
+        }
+    };
+    Box::new(SliceController::new(
+        slicing,
+        matches!(kind, PolicyKind::Fcfs),
+    ))
 }
 
 /// Cheap change detector: launch opportunities only appear when a CTA
@@ -131,81 +142,167 @@ impl ChangeTracker {
     }
 }
 
-/// A window that blocks a kernel from an SM entirely.
-#[must_use]
-pub(crate) fn blocked_window() -> PartitionWindow {
-    PartitionWindow {
-        regs: Region { start: 0, len: 0 },
-        shmem: Region { start: 0, len: 0 },
-        max_ctas: 0,
-        max_threads: 0,
+/// How a policy slices the SMs between kernels — the one mechanism behind
+/// every policy of Fig. 2. [`Slicing::install`] is the only code that
+/// writes partition windows and [`Slicing::launch`] the only code that
+/// launches CTAs, for the static baselines and the Warped-Slicer alike.
+#[derive(Debug)]
+enum Slicing {
+    /// No windows: kernels share every SM (Left-Over, FCFS, and every
+    /// policy after [`Slicing::release`]).
+    Shared,
+    /// Kernel-slot `i` of `K` gets slice `i` of every SM resource (Fig. 2c).
+    Even,
+    /// No windows; each SM launches only its owner's CTAs ([`owner_of`];
+    /// inter-SM slicing).
+    Spatial,
+    /// Kernel-slot `i` gets a contiguous region sized for `quotas[i]` CTAs
+    /// of its footprint, packed back to back on every SM (Fig. 2d).
+    Quota(Vec<u32>),
+    /// The Fig. 4 profiling plan: each SM holds up to its assignment's
+    /// quota of one kernel, and every other kernel is blocked from it.
+    Profile(ProfilePlan),
+}
+
+impl Slicing {
+    /// Writes the window of every `(sm, kernel)` pair of the current kernel
+    /// set (`None` where this slicing leaves the pair unconstrained).
+    fn install(&self, gpu: &mut Gpu) {
+        let ids = gpu.kernel_ids();
+        for sm in 0..gpu.num_sms() {
+            let descs: Vec<&KernelDesc> = ids.iter().map(|&k| gpu.kernel_desc(k)).collect();
+            let windows = self.windows(gpu.config(), &descs, sm);
+            for (i, &k) in ids.iter().enumerate() {
+                gpu.set_window(sm, k, windows.get(i).copied());
+            }
+        }
+    }
+
+    /// The first-halt rule: once any kernel halts, the survivors may use
+    /// everything, so every window is cleared and the ownership mask
+    /// lifted.
+    fn release(&mut self, gpu: &mut Gpu) {
+        *self = Self::Shared;
+        self.install(gpu);
+    }
+
+    /// Fills every SM with CTAs in kernel order, each SM restricted to its
+    /// owner's kernel while `Spatial` is live. Given FCFS's cursor, kernels
+    /// instead take turns one CTA at a time until nothing fits (Fig. 2a),
+    /// the cursor carrying the turn across calls.
+    fn launch(&self, gpu: &mut Gpu, fcfs_cursor: Option<&mut usize>) {
+        let ids = gpu.kernel_ids();
+        let (n, k) = (gpu.num_sms(), ids.len());
+        if let Some(next) = fcfs_cursor {
+            for sm in 0..n {
+                let mut stuck = 0;
+                while stuck < k {
+                    let kid = ids[*next % k];
+                    *next += 1;
+                    if gpu.try_launch(kid, sm) {
+                        stuck = 0;
+                    } else {
+                        stuck += 1;
+                    }
+                }
+            }
+            return;
+        }
+        let spatial = matches!(self, Self::Spatial);
+        sweep_launch(gpu, &ids, |sm, kid| !spatial || owner_of(sm, n, k) == kid.0);
+    }
+
+    /// The windows of kernel-slots `0..descs.len()` on SM `sm` (empty when
+    /// this slicing installs none).
+    fn windows(&self, cfg: &GpuConfig, descs: &[&KernelDesc], sm: usize) -> Vec<PartitionWindow> {
+        let res = &cfg.sm;
+        match self {
+            Self::Shared | Self::Spatial => Vec::new(),
+            Self::Even => {
+                let k = descs.len() as u32;
+                (0..k)
+                    .map(|i| {
+                        let reg_slice = res.max_registers / k;
+                        let shm_slice = res.shared_mem_bytes / k;
+                        PartitionWindow {
+                            regs: Region {
+                                start: i * reg_slice,
+                                len: reg_slice,
+                            },
+                            shmem: Region {
+                                start: i * shm_slice,
+                                len: shm_slice,
+                            },
+                            max_ctas: (res.max_ctas / k).max(1),
+                            max_threads: (res.max_threads / k).max(1),
+                        }
+                    })
+                    .collect()
+            }
+            Self::Quota(quotas) => {
+                let mut reg_cursor = 0u32;
+                let mut shm_cursor = 0u32;
+                descs
+                    .iter()
+                    .zip(quotas)
+                    .map(|(d, &q)| {
+                        let reg_len = (d.regs_per_cta() * q).min(res.max_registers - reg_cursor);
+                        let shm_len = (d.shmem_per_cta * q).min(res.shared_mem_bytes - shm_cursor);
+                        let w = PartitionWindow {
+                            regs: Region {
+                                start: reg_cursor,
+                                len: reg_len,
+                            },
+                            shmem: Region {
+                                start: shm_cursor,
+                                len: shm_len,
+                            },
+                            max_ctas: q,
+                            max_threads: (d.threads_per_cta * q).min(res.max_threads),
+                        };
+                        reg_cursor += reg_len;
+                        shm_cursor += shm_len;
+                        w
+                    })
+                    .collect()
+            }
+            Self::Profile(plan) => {
+                let Some(a) = plan.assignments.iter().find(|a| a.sm == sm) else {
+                    return Vec::new();
+                };
+                (0..descs.len())
+                    .map(|i| {
+                        if i == a.kernel {
+                            PartitionWindow {
+                                regs: Region::whole(res.max_registers),
+                                shmem: Region::whole(res.shared_mem_bytes),
+                                max_ctas: a.quota,
+                                max_threads: res.max_threads,
+                            }
+                        } else {
+                            PartitionWindow {
+                                regs: Region { start: 0, len: 0 },
+                                shmem: Region { start: 0, len: 0 },
+                                max_ctas: 0,
+                                max_threads: 0,
+                            }
+                        }
+                    })
+                    .collect()
+            }
+        }
     }
 }
 
-/// The even-partitioning window for kernel-slot `i` of `k` kernels: slice
-/// `i` of every resource.
-#[must_use]
-pub(crate) fn even_window(cfg: &GpuConfig, i: usize, k: usize) -> PartitionWindow {
-    let k32 = k as u32;
-    let i32 = i as u32;
-    let reg_slice = cfg.sm.max_registers / k32;
-    let shm_slice = cfg.sm.shared_mem_bytes / k32;
-    PartitionWindow {
-        regs: Region {
-            start: i32 * reg_slice,
-            len: reg_slice,
-        },
-        shmem: Region {
-            start: i32 * shm_slice,
-            len: shm_slice,
-        },
-        max_ctas: (cfg.sm.max_ctas / k32).max(1),
-        max_threads: (cfg.sm.max_threads / k32).max(1),
-    }
+/// The kernel owning SM `sm` out of `k` kernels over `num_sms` SMs under
+/// spatial slicing (contiguous equal groups).
+fn owner_of(sm: usize, num_sms: usize, k: usize) -> usize {
+    (sm * k / num_sms).min(k - 1)
 }
 
-/// Packed quota windows: kernel `i` gets a contiguous region sized for
-/// `quotas[i]` CTAs of its footprint, laid out back to back (Fig. 2d).
-#[must_use]
-pub(crate) fn quota_windows(
-    cfg: &GpuConfig,
-    descs: &[&KernelDesc],
-    quotas: &[u32],
-) -> Vec<PartitionWindow> {
-    let mut reg_cursor = 0u32;
-    let mut shm_cursor = 0u32;
-    descs
-        .iter()
-        .zip(quotas)
-        .map(|(d, &q)| {
-            let reg_len = (d.regs_per_cta() * q).min(cfg.sm.max_registers - reg_cursor);
-            let shm_len = (d.shmem_per_cta * q).min(cfg.sm.shared_mem_bytes - shm_cursor);
-            let w = PartitionWindow {
-                regs: Region {
-                    start: reg_cursor,
-                    len: reg_len,
-                },
-                shmem: Region {
-                    start: shm_cursor,
-                    len: shm_len,
-                },
-                max_ctas: q,
-                max_threads: (d.threads_per_cta * q).min(cfg.sm.max_threads),
-            };
-            reg_cursor += reg_len;
-            shm_cursor += shm_len;
-            w
-        })
-        .collect()
-}
-
-/// Fills every SM with CTAs, trying kernels in `order`, optionally
-/// restricted by `allowed(sm, kernel)`.
-pub(crate) fn sweep_launch(
-    gpu: &mut Gpu,
-    order: &[KernelId],
-    allowed: impl Fn(usize, KernelId) -> bool,
-) {
+/// Fills every SM with CTAs, trying kernels in `order`, restricted by
+/// `allowed(sm, kernel)`.
+fn sweep_launch(gpu: &mut Gpu, order: &[KernelId], allowed: impl Fn(usize, KernelId) -> bool) {
     for sm in 0..gpu.num_sms() {
         for &k in order {
             if !allowed(sm, k) {
@@ -216,226 +313,63 @@ pub(crate) fn sweep_launch(
     }
 }
 
-/// The Left-Over policy: kernels are served strictly in arrival order.
-#[derive(Debug, Default)]
-pub struct LeftOverController {
-    tracker: ChangeTracker,
-}
-
-impl LeftOverController {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Controller for LeftOverController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        if self.tracker.changed(gpu) {
-            let order = gpu.kernel_ids();
-            sweep_launch(gpu, &order, |_, _| true);
-        }
-    }
-}
-
-/// FCFS interleaved allocation: kernels take turns claiming resources, so
-/// their CTAs interleave in the register file and shared memory (Fig. 2a).
-#[derive(Debug, Default)]
-pub struct FcfsController {
-    tracker: ChangeTracker,
-    next: usize,
-}
-
-impl FcfsController {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Controller for FcfsController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        if !self.tracker.changed(gpu) {
-            return;
-        }
-        let ids = gpu.kernel_ids();
-        let k = ids.len();
-        for sm in 0..gpu.num_sms() {
-            // Alternate kernels one CTA at a time until nothing fits.
-            let mut stuck = 0;
-            while stuck < k {
-                let kid = ids[self.next % k];
-                self.next += 1;
-                if gpu.try_launch(kid, sm) {
-                    stuck = 0;
-                } else {
-                    stuck += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Even intra-SM partitioning: each kernel is confined to a `1/K` slice of
-/// every SM resource (Fig. 2c).
-#[derive(Debug, Default)]
-pub struct EvenController {
-    tracker: ChangeTracker,
-    configured: bool,
-    released: bool,
-}
-
-impl EvenController {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Controller for EvenController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        // The kernel list is built only in the branches that use it: this
-        // runs every simulated cycle, and `kernel_ids` allocates.
-        if !self.configured {
-            self.configured = true;
-            let cfg = gpu.config().clone();
-            let ids = gpu.kernel_ids();
-            for sm in 0..gpu.num_sms() {
-                for (i, &k) in ids.iter().enumerate() {
-                    gpu.set_window(sm, k, Some(even_window(&cfg, i, ids.len())));
-                }
-            }
-            self.tracker.invalidate();
-        }
-        // Once any kernel finishes its work, survivors may use everything.
-        if !self.released && gpu.halted_kernels() > 0 {
-            self.released = true;
-            let ids = gpu.kernel_ids();
-            for sm in 0..gpu.num_sms() {
-                for &k in &ids {
-                    gpu.set_window(sm, k, None);
-                }
-            }
-            self.tracker.invalidate();
-        }
-        if self.tracker.changed(gpu) {
-            let ids = gpu.kernel_ids();
-            sweep_launch(gpu, &ids, |_, _| true);
-        }
-    }
-}
-
-/// Spatial multitasking: SMs are split into one group per kernel.
-#[derive(Debug, Default)]
-pub struct SpatialController {
-    tracker: ChangeTracker,
-}
-
-impl SpatialController {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Group assignment: kernel owning SM `sm` out of `k` kernels over
-    /// `num_sms` SMs (contiguous equal groups).
-    #[must_use]
-    pub fn owner_of(sm: usize, num_sms: usize, k: usize) -> usize {
-        (sm * k / num_sms).min(k - 1)
-    }
-}
-
-impl Controller for SpatialController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        if !self.tracker.changed(gpu) {
-            return;
-        }
-        let ids = gpu.kernel_ids();
-        let k = ids.len();
-        let n = gpu.num_sms();
-        let all_alive = gpu.halted_kernels() == 0;
-        sweep_launch(gpu, &ids, |sm, kid| {
-            if all_alive {
-                Self::owner_of(sm, n, k) == kid.0
-            } else {
-                true // survivors expand over the whole GPU
-            }
-        });
-    }
-}
-
-/// Fixed CTA-quota intra-SM partitioning on every SM (Fig. 2d). This is
-/// both the Oracle search's building block and the mechanism the
-/// Warped-Slicer applies after its decision.
+/// Every static policy: its [`Slicing`] is installed on the first cycle
+/// (a kernel that arrives later gets no window), released on the first
+/// halt, and launched through whenever the GPU's launch state changes.
 #[derive(Debug)]
-pub struct QuotaController {
-    quotas: Vec<u32>,
+struct SliceController {
+    slicing: Slicing,
     tracker: ChangeTracker,
-    configured: bool,
+    installed: bool,
     released: bool,
-    decision: Decision,
+    /// FCFS's turn counter; `None` for every other policy.
+    fcfs_cursor: Option<usize>,
+    /// A Quota policy's fixed decision.
+    decision: Option<Decision>,
 }
 
-impl QuotaController {
-    /// Creates a controller enforcing `quotas[i]` CTAs of kernel-slot `i`
-    /// per SM.
-    #[must_use]
-    pub fn new(quotas: Vec<u32>) -> Self {
-        Self {
-            decision: Decision {
-                quotas: Some(quotas.clone()),
+impl SliceController {
+    fn new(slicing: Slicing, fcfs: bool) -> Self {
+        let decision = match &slicing {
+            Slicing::Quota(q) => Some(Decision {
+                quotas: Some(q.clone()),
                 spatial_fallback: false,
                 predicted_perf: Vec::new(),
                 decided_at: 0,
                 measured_curves: Vec::new(),
-            },
-            quotas,
+            }),
+            _ => None,
+        };
+        Self {
+            slicing,
             tracker: ChangeTracker::default(),
-            configured: false,
+            installed: false,
             released: false,
+            fcfs_cursor: fcfs.then_some(0),
+            decision,
         }
     }
 }
 
-impl Controller for QuotaController {
+impl Controller for SliceController {
     fn on_cycle(&mut self, gpu: &mut Gpu) {
-        // As in `EvenController`: no per-cycle `kernel_ids` allocation.
-        if !self.configured {
-            self.configured = true;
-            let cfg = gpu.config().clone();
-            let ids = gpu.kernel_ids();
-            let descs: Vec<KernelDesc> = ids.iter().map(|&k| gpu.kernel_desc(k).clone()).collect();
-            let desc_refs: Vec<&KernelDesc> = descs.iter().collect();
-            let windows = quota_windows(&cfg, &desc_refs, &self.quotas);
-            for sm in 0..gpu.num_sms() {
-                for (&k, w) in ids.iter().zip(&windows) {
-                    gpu.set_window(sm, k, Some(*w));
-                }
-            }
+        if !self.installed {
+            self.installed = true;
+            self.slicing.install(gpu);
             self.tracker.invalidate();
         }
         if !self.released && gpu.halted_kernels() > 0 {
             self.released = true;
-            let ids = gpu.kernel_ids();
-            for sm in 0..gpu.num_sms() {
-                for &k in &ids {
-                    gpu.set_window(sm, k, None);
-                }
-            }
+            self.slicing.release(gpu);
             self.tracker.invalidate();
         }
         if self.tracker.changed(gpu) {
-            let ids = gpu.kernel_ids();
-            sweep_launch(gpu, &ids, |_, _| true);
+            self.slicing.launch(gpu, self.fcfs_cursor.as_mut());
         }
     }
 
     fn decision(&self) -> Option<&Decision> {
-        Some(&self.decision)
+        self.decision.as_ref()
     }
 }
 
@@ -456,7 +390,7 @@ mod tests {
     #[test]
     fn left_over_starves_the_second_kernel() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = LeftOverController::new();
+        let mut c = make_controller(&PolicyKind::LeftOver);
         for _ in 0..2000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -472,7 +406,7 @@ mod tests {
     #[test]
     fn even_splits_resources_in_half() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = EvenController::new();
+        let mut c = make_controller(&PolicyKind::Even);
         for _ in 0..3000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -490,7 +424,7 @@ mod tests {
     #[test]
     fn spatial_separates_sm_groups() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = SpatialController::new();
+        let mut c = make_controller(&PolicyKind::Spatial);
         for _ in 0..1000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -508,7 +442,7 @@ mod tests {
     #[test]
     fn quota_controller_enforces_quotas() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = QuotaController::new(vec![5, 3]);
+        let mut c = make_controller(&PolicyKind::Quota(vec![5, 3]));
         for _ in 0..3000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -526,7 +460,7 @@ mod tests {
     #[test]
     fn quota_release_on_halt_lets_survivor_expand() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = QuotaController::new(vec![4, 4]);
+        let mut c = make_controller(&PolicyKind::Quota(vec![4, 4]));
         for _ in 0..500 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -546,7 +480,7 @@ mod tests {
     #[test]
     fn fcfs_interleaves_both_kernels_immediately() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = FcfsController::new();
+        let mut c = make_controller(&PolicyKind::Fcfs);
         c.on_cycle(&mut gpu);
         let sm = gpu.sm(0);
         assert!(sm.kernel_ctas(0) > 0 && sm.kernel_ctas(1) > 0);
@@ -554,14 +488,10 @@ mod tests {
 
     #[test]
     fn owner_of_partitions_evenly() {
-        let owners: Vec<usize> = (0..16)
-            .map(|s| SpatialController::owner_of(s, 16, 2))
-            .collect();
+        let owners: Vec<usize> = (0..16).map(|s| owner_of(s, 16, 2)).collect();
         assert_eq!(owners.iter().filter(|&&o| o == 0).count(), 8);
         assert_eq!(owners.iter().filter(|&&o| o == 1).count(), 8);
-        let owners3: Vec<usize> = (0..16)
-            .map(|s| SpatialController::owner_of(s, 16, 3))
-            .collect();
+        let owners3: Vec<usize> = (0..16).map(|s| owner_of(s, 16, 3)).collect();
         for k in 0..3 {
             let n = owners3.iter().filter(|&&o| o == k).count();
             assert!(n >= 5, "group {k} too small: {owners3:?}");
@@ -571,8 +501,10 @@ mod tests {
     #[test]
     fn even_window_slices_do_not_overlap() {
         let cfg = GpuConfig::isca_baseline();
-        let w0 = even_window(&cfg, 0, 2);
-        let w1 = even_window(&cfg, 1, 2);
+        let a = by_abbrev("IMG").unwrap().desc;
+        let b = by_abbrev("NN").unwrap().desc;
+        let ws = Slicing::Even.windows(&cfg, &[&a, &b], 0);
+        let (w0, w1) = (ws[0], ws[1]);
         assert_eq!(w0.regs.end(), w1.regs.start);
         assert_eq!(w0.shmem.end(), w1.shmem.start);
         assert_eq!(w0.max_ctas, 4);
@@ -583,7 +515,7 @@ mod tests {
         let cfg = GpuConfig::isca_baseline();
         let a = by_abbrev("IMG").unwrap().desc;
         let b = by_abbrev("NN").unwrap().desc;
-        let ws = quota_windows(&cfg, &[&a, &b], &[5, 3]);
+        let ws = Slicing::Quota(vec![5, 3]).windows(&cfg, &[&a, &b], 0);
         assert_eq!(ws[0].regs.start, 0);
         assert_eq!(ws[0].regs.len, 5 * a.regs_per_cta());
         assert_eq!(ws[1].regs.start, ws[0].regs.end());

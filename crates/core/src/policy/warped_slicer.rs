@@ -7,19 +7,24 @@
 //! `1/K × 120 %`) → *run* (fixed CTA quotas per SM, Fig. 2d/2e), with an
 //! optional phase monitor that re-triggers sampling on sustained IPC shifts.
 
-use gpu_sim::{Gpu, KernelDesc, KernelId};
+use gpu_sim::{Gpu, KernelId};
 
 use crate::audit::{AuditEvent, DecisionAudit};
 use crate::phase::PhaseMonitor;
-use crate::policy::{
-    blocked_window, quota_windows, sweep_launch, ChangeTracker, Controller, Decision,
-    SpatialController,
-};
+use crate::policy::{ChangeTracker, Controller, Decision, Slicing};
 use crate::profiler::{build_curves, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming};
 use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
 use crate::sweep::{predict_default, predicted_window, SweepWindow};
 use crate::waterfill::{water_fill, water_fill_with, KernelCurve};
+
+/// Phase-monitor window length in cycles.
+const PHASE_WINDOW: u64 = 5_000;
+
+/// Windows to wait after a decision before arming the phase monitor, so the
+/// drain of over-quota profile CTAs (Fig. 2e) is not mistaken for a program
+/// phase change.
+const PHASE_SETTLE_WINDOWS: u64 = 4;
 
 /// Tunables for the Warped-Slicer controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,12 +41,6 @@ pub struct WarpedSlicerConfig {
     /// Monitor per-kernel IPC after the decision and re-profile on
     /// sustained change (Sec. IV-B).
     pub enable_phase_monitor: bool,
-    /// Phase-monitor window length in cycles.
-    pub phase_window: u64,
-    /// Windows to wait after a decision before arming the phase monitor,
-    /// so the drain of over-quota profile CTAs (Fig. 2e) is not mistaken
-    /// for a program phase change.
-    pub phase_settle_windows: u32,
     /// Record a [`DecisionAudit`] of every scaling application,
     /// water-filling grant, fallback verdict, and phase-monitor window.
     /// Recording happens only at decision points, so the simulated run is
@@ -73,8 +72,6 @@ impl Default for WarpedSlicerConfig {
             loss_threshold: None,
             enable_scaling: true,
             enable_phase_monitor: true,
-            phase_window: 5_000,
-            phase_settle_windows: 4,
             audit: false,
             predict: None,
             store: None,
@@ -125,10 +122,12 @@ pub struct WarpedSlicerController {
     cfg: WarpedSlicerConfig,
     phase: Phase,
     tracker: ChangeTracker,
-    plan: Option<ProfilePlan>,
+    /// The installed slicing: the profiling plan while sampling, then the
+    /// decision's quotas or spatial split, then `Shared` after the first
+    /// halt.
+    slicing: Slicing,
     snapshots: Vec<SmSnap>,
     decision: Option<Decision>,
-    spatial_mode: bool,
     released: bool,
     monitors: Vec<PhaseMonitor>,
     last_kernel_insts: Vec<u64>,
@@ -151,10 +150,9 @@ impl WarpedSlicerController {
             cfg,
             phase: Phase::Init,
             tracker: ChangeTracker::default(),
-            plan: None,
+            slicing: Slicing::Shared,
             snapshots: Vec::new(),
             decision: None,
-            spatial_mode: false,
             released: false,
             monitors: Vec::new(),
             last_kernel_insts: Vec::new(),
@@ -188,6 +186,16 @@ impl WarpedSlicerController {
     #[must_use]
     pub fn warm_decision_count(&self) -> u32 {
         self.warm_decisions
+    }
+
+    /// The installed profiling plan. Phase-machine invariant: only the
+    /// Warmup and Sampling phases read it, and `enter_profile` installed it
+    /// before entering them.
+    fn profile_plan(&self) -> &ProfilePlan {
+        match &self.slicing {
+            Slicing::Profile(plan) => plan,
+            _ => panic!("sampling requires an installed profile plan"),
+        }
     }
 
     fn max_ctas(gpu: &Gpu) -> Vec<u32> {
@@ -336,25 +344,8 @@ impl WarpedSlicerController {
         }
         let now = gpu.cycle();
         let max = Self::max_ctas(gpu);
-        let plan = self.plan_profile(gpu, &max);
-        let ids = gpu.kernel_ids();
-        for a in &plan.assignments {
-            for &k in &ids {
-                let w = if k.0 == a.kernel {
-                    let cfg = gpu.config();
-                    gpu_sim::PartitionWindow {
-                        regs: gpu_sim::Region::whole(cfg.sm.max_registers),
-                        shmem: gpu_sim::Region::whole(cfg.sm.shared_mem_bytes),
-                        max_ctas: a.quota,
-                        max_threads: cfg.sm.max_threads,
-                    }
-                } else {
-                    blocked_window()
-                };
-                gpu.set_window(a.sm, k, Some(w));
-            }
-        }
-        self.plan = Some(plan);
+        self.slicing = Slicing::Profile(self.plan_profile(gpu, &max));
+        self.slicing.install(gpu);
         self.phase = Phase::Warmup {
             until: now + self.cfg.timing.warmup,
         };
@@ -362,10 +353,8 @@ impl WarpedSlicerController {
     }
 
     fn take_snapshots(&mut self, gpu: &Gpu) {
-        // Phase-machine invariant: only Profiling reaches here, after
-        // `start_profiling` installed a plan. xtask-allow: no-unwrap
-        let plan = self.plan.as_ref().expect("snapshot requires a plan");
-        self.snapshots = plan
+        self.snapshots = self
+            .profile_plan()
             .assignments
             .iter()
             .map(|a| {
@@ -382,9 +371,7 @@ impl WarpedSlicerController {
     }
 
     fn decide(&mut self, gpu: &mut Gpu) {
-        // Phase-machine invariant: Deciding follows Profiling, which
-        // installed the plan. xtask-allow: no-unwrap
-        let plan = self.plan.as_ref().expect("decision requires a plan");
+        let plan = self.profile_plan();
         let num_sched = gpu.config().sm.num_schedulers;
         let sample_cycles = self.cfg.timing.sample.max(1);
         let num_channels = gpu.mem().num_channels() as u64;
@@ -518,35 +505,21 @@ impl WarpedSlicerController {
         }
     }
 
+    /// Installs the decision over the profiling windows: its quotas
+    /// (Fig. 2d), or the spatial split when it fell back.
     fn apply_decision(&mut self, gpu: &mut Gpu) {
-        let ids = gpu.kernel_ids();
-        // Clear the profiling windows.
-        for sm in 0..gpu.num_sms() {
-            for &k in &ids {
-                gpu.set_window(sm, k, None);
-            }
-        }
         // Phase-machine invariant: Applying follows Deciding, which stored
         // the decision. xtask-allow: no-unwrap
         let decision = self.decision.as_ref().expect("apply requires a decision");
-        if let Some(quotas) = decision.quotas.clone() {
-            let cfg = gpu.config().clone();
-            let descs: Vec<KernelDesc> = ids.iter().map(|&k| gpu.kernel_desc(k).clone()).collect();
-            let refs: Vec<&KernelDesc> = descs.iter().collect();
-            let windows = quota_windows(&cfg, &refs, &quotas);
-            for sm in 0..gpu.num_sms() {
-                for (&k, w) in ids.iter().zip(&windows) {
-                    gpu.set_window(sm, k, Some(*w));
-                }
-            }
-            self.spatial_mode = false;
-        } else {
-            self.spatial_mode = true;
-        }
+        self.slicing = match &decision.quotas {
+            Some(quotas) => Slicing::Quota(quotas.clone()),
+            None => Slicing::Spatial,
+        };
+        self.slicing.install(gpu);
+        let ids = gpu.kernel_ids();
         self.phase = Phase::Run;
         self.last_phase_check = gpu.cycle();
-        self.phase_armed_at =
-            gpu.cycle() + u64::from(self.cfg.phase_settle_windows) * self.cfg.phase_window;
+        self.phase_armed_at = gpu.cycle() + PHASE_SETTLE_WINDOWS * PHASE_WINDOW;
         self.last_kernel_insts = ids.iter().map(|&k| gpu.kernel_insts(k)).collect();
         self.monitors = ids.iter().map(|_| PhaseMonitor::paper_default()).collect();
         self.tracker.invalidate();
@@ -554,7 +527,7 @@ impl WarpedSlicerController {
 
     fn run_phase_monitor(&mut self, gpu: &mut Gpu) {
         let now = gpu.cycle();
-        if now - self.last_phase_check < self.cfg.phase_window {
+        if now - self.last_phase_check < PHASE_WINDOW {
             return;
         }
         if now < self.phase_armed_at {
@@ -637,29 +610,13 @@ impl Controller for WarpedSlicerController {
         // Endgame: once any kernel halts, survivors get everything.
         if !self.released && gpu.halted_kernels() > 0 {
             self.released = true;
-            self.spatial_mode = false;
-            let ids = gpu.kernel_ids();
-            for sm in 0..gpu.num_sms() {
-                for &k in &ids {
-                    gpu.set_window(sm, k, None);
-                }
-            }
+            self.slicing.release(gpu);
             self.phase = Phase::Run;
             self.tracker.invalidate();
         }
 
         if self.tracker.changed(gpu) {
-            let ids = gpu.kernel_ids();
-            let n = gpu.num_sms();
-            let k = ids.len();
-            let spatial = self.spatial_mode && !self.released;
-            sweep_launch(gpu, &ids, |sm, kid| {
-                if spatial {
-                    SpatialController::owner_of(sm, n, k) == kid.0
-                } else {
-                    true
-                }
-            });
+            self.slicing.launch(gpu, None);
         }
     }
 
@@ -680,7 +637,7 @@ impl Controller for WarpedSlicerController {
                 Some(until)
             }
             Phase::Run if self.cfg.enable_phase_monitor && !self.released => {
-                Some(self.last_phase_check + self.cfg.phase_window)
+                Some(self.last_phase_check + PHASE_WINDOW)
             }
             Phase::Run => None,
         }
