@@ -1,20 +1,21 @@
 //! Register-dataflow analysis of synthetic loop bodies.
 //!
 //! The analysis is the launch pre-flight's own walk,
-//! [`gpu_sim::verify::program_flow`]: one last-definition pre-pass and one
-//! pass over the body yield the op-class mix, the RAW dependence-distance
+//! [`gpu_sim::Program::flow`]: one last-definition pre-pass and one pass
+//! over the body yield the op-class mix, the RAW dependence-distance
 //! histogram across the loop back-edge, the live-in read count, and every
-//! per-instruction hard error. The analyzer, the predictor and the store
-//! key all read that one [`ProgramFlow`], so no second implementation of
-//! the reaching-definition fixpoint exists (see [`ProgramFlow`] for how
-//! each read is classified).
+//! per-instruction hard error. The program computes it on first read and
+//! keeps it, and the analyzer, the predictor and the store key all borrow
+//! that one [`ProgramFlow`], so no second implementation of the
+//! reaching-definition fixpoint exists (see [`ProgramFlow`] for how each
+//! read is classified).
 //!
 //! The RAW dependence-distance histogram drives the scaling-archetype
 //! consistency rules: a dominant distance of 1 serializes the warp (the
 //! compute-non-saturating shape of Fig. 3a of the paper), while larger
 //! distances expose instruction-level parallelism and saturate early.
 
-pub use gpu_sim::verify::{program_flow, ProgramFlow};
+pub use gpu_sim::verify::ProgramFlow;
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -178,7 +179,7 @@ pub(crate) mod tests {
         let reference = reference_analyze(program);
         ProgramFlow {
             op_counts: reference_op_counts(program),
-            raw_histogram: reference.raw_histogram,
+            raw_histogram: reference.raw_histogram.into(),
             first_iter_uninit_reads: reference.first_iter_uninit_reads,
             violations: Vec::new(),
         }
@@ -263,10 +264,10 @@ pub(crate) mod tests {
         let mut first_kinds = std::collections::BTreeSet::new();
         for case in 0..2_500 {
             let p = random_program(&mut rng);
-            let flow = program_flow(&p);
+            let flow = p.flow();
             let standalone = standalone_analyze(&p);
             assert_eq!(standalone, reference_analyze(&p), "case {case}: {p:?}");
-            assert_eq!(flow.raw_histogram, standalone.raw_histogram, "case {case}");
+            assert_eq!(*flow.raw_histogram, standalone.raw_histogram, "case {case}");
             assert_eq!(
                 flow.first_iter_uninit_reads, standalone.first_iter_uninit_reads,
                 "case {case}"
@@ -336,21 +337,89 @@ pub(crate) mod tests {
         );
     }
 
+    /// The kept walk on random, partly malformed bodies: it is the
+    /// reference walk (violation by violation, that is
+    /// `analyze_matches_the_reference_on_random_programs`), a clone made
+    /// after the first read shares it, and a walked and an unwalked copy
+    /// are equal and print the same bytes.
+    #[test]
+    fn cached_walk_is_the_reference_walk_and_clones_share_it() {
+        let mut rng = SimRng::seed_from_u64(0xf10c_0001);
+        let mut rejected = 0usize;
+        let cases = 2_000;
+        for case in 0..cases {
+            let p = random_program(&mut rng);
+            // Copied before the first read: it has no walk to share.
+            let unwalked = p.clone();
+            let flow = p.flow();
+            let reference = ProgramFlow {
+                violations: flow.violations.clone(),
+                ..reference_flow(&p)
+            };
+            assert_eq!(flow, &reference, "case {case}: {p:?}");
+            assert_eq!(flow.check(), reference_check_program(&p), "case {case}");
+            rejected += usize::from(flow.check().is_err());
+
+            // A clone of a walked program reads the same walk, not a new one.
+            let walked = p.clone();
+            assert!(std::ptr::eq(p.flow(), flow), "case {case}: read twice");
+            assert!(std::ptr::eq(walked.flow(), flow), "case {case}");
+
+            // Equality and Debug see the body only, byte for byte as the
+            // derived impls printed `Program { insts }`.
+            assert_eq!(unwalked, walked, "case {case}");
+            let body: Vec<&Inst> = p.iter().collect();
+            assert_eq!(
+                format!("{unwalked:?}"),
+                format!("Program {{ insts: {body:?} }}")
+            );
+            assert_eq!(format!("{unwalked:?}"), format!("{walked:?}"));
+            assert_eq!(format!("{unwalked:#?}"), format!("{walked:#?}"));
+
+            // The early copy walks on its own read, to the same result.
+            assert_eq!(unwalked.flow(), flow, "case {case}");
+            assert!(
+                !std::ptr::eq(unwalked.flow(), flow),
+                "case {case}: a copy made before the walk walks itself"
+            );
+        }
+        assert!(
+            rejected > 0 && rejected < cases,
+            "the cases mix malformed and clean bodies: {rejected} of {cases} rejected"
+        );
+    }
+
     #[test]
     fn extracted_features_match_the_reference_analysis() {
         let cfg = GpuConfig::isca_baseline();
         for b in ws_workloads::extended_suite() {
-            assert_eq!(reference_check_program(&b.desc.program), Ok(()));
+            let p = &b.desc.program;
+            assert_eq!(reference_check_program(p), Ok(()));
+            let reference = reference_flow(p);
+            assert_eq!(p.flow(), &reference, "{}", b.abbrev);
+            let m = crate::predict::extract_features(&b.desc, &cfg)
+                .expect("catalogue kernels pass the pre-flight")
+                .metrics;
+            let frac = |n: usize| n as f64 / p.len() as f64;
+            let [alu, sfu, gload, gstore, shmem, barrier] = reference.op_counts;
             assert_eq!(
-                crate::predict::extract_features(&b.desc, &cfg),
-                Ok(crate::predict::features_from_flow(
-                    &b.desc,
-                    &cfg,
-                    reference_flow(&b.desc.program)
-                )),
+                [
+                    m.alu_frac,
+                    m.sfu_frac,
+                    m.gload_frac,
+                    m.gstore_frac,
+                    m.shmem_frac
+                ]
+                .map(f64::to_bits),
+                [alu, sfu, gload, gstore, shmem].map(|n| frac(n).to_bits()),
                 "{}",
                 b.abbrev
             );
+            assert_eq!(m.barrier_frac.to_bits(), frac(barrier).to_bits());
+            assert_eq!(m.raw_histogram, reference.raw_histogram, "{}", b.abbrev);
+            assert_eq!(m.first_iter_uninit_reads, reference.first_iter_uninit_reads);
+            assert_eq!(m.median_raw_distance, reference.median_raw_distance());
+            assert_eq!(m.dominant_raw_distance, reference.dominant_raw_distance());
         }
     }
 
@@ -370,8 +439,8 @@ pub(crate) mod tests {
             alu(Some(1), [Some(0), None]),
             alu(Some(2), [Some(0), None]),
         ]);
-        let flow = program_flow(&p);
-        assert_eq!(flow.raw_histogram, vec![1, 1, 0]);
+        let flow = p.flow();
+        assert_eq!(*flow.raw_histogram, [1, 1, 0]);
         assert_eq!(flow.first_iter_uninit_reads, 0);
         assert!(flow.violations.is_empty());
     }
@@ -384,8 +453,8 @@ pub(crate) mod tests {
             alu(Some(0), [Some(1), None]),
             alu(Some(1), [Some(0), None]),
         ]);
-        let flow = program_flow(&p);
-        assert_eq!(flow.raw_histogram, vec![2, 0]);
+        let flow = p.flow();
+        assert_eq!(*flow.raw_histogram, [2, 0]);
         assert_eq!(flow.first_iter_uninit_reads, 1);
     }
 
@@ -394,8 +463,8 @@ pub(crate) mod tests {
         // A single instruction reading its own destination: the value
         // crosses the whole loop, distance = body length = 1.
         let p = Program::new(vec![alu(Some(3), [Some(3), None])]);
-        let flow = program_flow(&p);
-        assert_eq!(flow.raw_histogram, vec![1]);
+        let flow = p.flow();
+        assert_eq!(*flow.raw_histogram, [1]);
         assert_eq!(flow.first_iter_uninit_reads, 1);
     }
 
@@ -405,7 +474,7 @@ pub(crate) mod tests {
             alu(Some(0), [Some(9), None]), // r9 never written
             alu(Some(1), [Some(0), None]),
         ]);
-        let flow = program_flow(&p);
+        let flow = p.flow();
         assert_eq!(
             flow.violations,
             vec![KernelVerifyError::NeverDefinedRead { inst: 0, reg: 9 }]
@@ -417,7 +486,7 @@ pub(crate) mod tests {
     fn median_and_dominant_summarize_the_histogram() {
         let flow = |raw_histogram: Vec<usize>| ProgramFlow {
             op_counts: [0; 6],
-            raw_histogram,
+            raw_histogram: raw_histogram.into(),
             first_iter_uninit_reads: 0,
             violations: Vec::new(),
         };
@@ -445,7 +514,7 @@ pub(crate) mod tests {
             }
             .generate()
             .expect("valid spec");
-            let flow = program_flow(&p);
+            let flow = p.flow();
             assert_eq!(
                 flow.dominant_raw_distance(),
                 Some(dep),

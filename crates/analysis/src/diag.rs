@@ -4,6 +4,7 @@
 //! `cargo xtask lint` findings.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// How severe a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -125,7 +126,8 @@ pub struct StaticMetrics {
     pub dominant_raw_distance: Option<usize>,
     /// RAW dependence-distance histogram: `raw_histogram[d]` counts reads
     /// whose nearest reaching definition is `d + 1` instruction slots away.
-    pub raw_histogram: Vec<usize>,
+    /// Shared with the body's kept walk rather than copied from it.
+    pub raw_histogram: Arc<[usize]>,
     /// Reads with no same-iteration definition (live-ins on iteration 1).
     pub first_iter_uninit_reads: usize,
     /// Maximum resident CTAs per SM by each resource:
@@ -256,7 +258,7 @@ mod tests {
             arithmetic_intensity: 2.0,
             median_raw_distance: Some(2),
             dominant_raw_distance: Some(2),
-            raw_histogram: vec![0, 3],
+            raw_histogram: vec![0, 3].into(),
             first_iter_uninit_reads: 1,
             max_ctas_by: [8, 8, 8, 8],
             max_ctas: 8,

@@ -6,7 +6,7 @@
 //! bound from the RAW dependence-distance histogram, an MLP bound (how many
 //! independent global loads one warp keeps in flight), a
 //! barrier-serialization factor, and the Eq. 1 occupancy-feasible CTA range
-//! (shared with the launch pre-flight via [`gpu_sim::occupancy_breakdown`]).
+//! (the [`gpu_sim::Occupancy`] the launch pre-flight checked).
 //!
 //! The features are composed through an **analytic contention model** into a
 //! predicted [`PerfCurve`]: IPC at every feasible CTA count, plus the
@@ -38,7 +38,6 @@
 //! predicted curve against simulated ground truth and gates the knee-hit
 //! rate in CI.
 
-use crate::dataflow::ProgramFlow;
 use crate::diag::StaticMetrics;
 use crate::rules;
 use gpu_sim::{AccessPattern, GpuConfig, KernelDesc, KernelVerifyError, SmConfig};
@@ -166,21 +165,12 @@ pub fn knee_of(curve: &[f64]) -> u32 {
 ///
 /// Gated on the launch pre-flight: a kernel the simulator would reject (or
 /// execute meaninglessly) has no performance to predict, so the pre-flight
-/// error is surfaced instead of a garbage curve. The pre-flight's walk over
-/// the body is also the feature vector's dataflow and op mix.
+/// error is surfaced instead of a garbage curve. The Eq. 1 evaluation the
+/// pre-flight checked is the feature vector's occupancy range, and the
+/// body's kept walk ([`gpu_sim::Program::flow`]) is its dataflow and op mix.
 pub fn extract_features(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Features, KernelVerifyError> {
-    let flow = gpu_sim::verify::preflight_flow(desc, &cfg.sm)?;
-    Ok(features_from_flow(desc, cfg, flow))
-}
-
-/// The feature vector of a kernel that passed the pre-flight, from the
-/// walk over its body.
-pub(crate) fn features_from_flow(
-    desc: &KernelDesc,
-    cfg: &GpuConfig,
-    flow: ProgramFlow,
-) -> Features {
-    let metrics = rules::compute_metrics(desc, &cfg.sm, flow);
+    let occupancy = gpu_sim::verify::preflight(desc, &cfg.sm)?;
+    let metrics = rules::compute_metrics(desc, &occupancy, desc.program.flow());
     let (max_ctas_by, max_ctas) = (metrics.max_ctas_by, metrics.max_ctas);
     let warps_per_cta = desc.warps_per_cta();
 
@@ -209,7 +199,7 @@ pub(crate) fn features_from_flow(
     let extra_warps = f64::from(warps_per_cta.saturating_sub(1));
     let barrier_eff = 1.0 / (1.0 + metrics.barrier_frac * extra_warps * BARRIER_COST);
 
-    Features {
+    Ok(Features {
         phi_mem: metrics.gload_frac + metrics.gstore_frac,
         traffic_per_inst: metrics.global_traffic,
         metrics,
@@ -219,7 +209,7 @@ pub(crate) fn features_from_flow(
         ilp,
         mlp,
         barrier_eff,
-    }
+    })
 }
 
 /// Composes the features through the analytic contention model into a

@@ -21,12 +21,13 @@
 //! suite (see each constant's documentation) so that the paper's workloads
 //! pass by construction and a regressed instruction mix is caught.
 
-use crate::dataflow::{program_flow, ProgramFlow};
+use crate::dataflow::ProgramFlow;
 use crate::diag::{Diagnostic, Report, Severity, StaticMetrics};
 use gpu_sim::{
-    AccessPattern, GpuConfig, KernelDesc, SmConfig, CTA_REGION_LINES, MAX_DISJOINT_CTAS,
+    AccessPattern, GpuConfig, KernelDesc, Occupancy, SmConfig, CTA_REGION_LINES, MAX_DISJOINT_CTAS,
     SHARED_REGION_LINES,
 };
+use std::sync::Arc;
 use ws_workloads::{Benchmark, ScalingArchetype, Waiver, WorkloadClass};
 
 /// Hard rules, enforced both here and by the launch pre-flight
@@ -95,9 +96,10 @@ const COMPUTE_MAX_GLOBAL_FRAC: f64 = 0.25;
 /// its defects at once.
 #[must_use]
 pub fn analyze_kernel(desc: &KernelDesc, cfg: &GpuConfig) -> Report {
-    let flow = program_flow(&desc.program);
-    let mut diagnostics = hard_diagnostics(desc, &cfg.sm, &flow);
-    let metrics = compute_metrics(desc, &cfg.sm, flow);
+    let occupancy = gpu_sim::occupancy_breakdown(desc, &cfg.sm);
+    let flow = desc.program.flow();
+    let mut diagnostics = hard_diagnostics(desc, &occupancy, flow);
+    let metrics = compute_metrics(desc, &occupancy, flow);
     diagnostics.extend(kernel_warnings(desc, cfg, &metrics));
     let mut report = Report {
         subject: desc.name.clone(),
@@ -138,9 +140,13 @@ fn strip_rule_prefix(rendered: &str) -> String {
 }
 
 /// Collects every hard-rule violation (the launch pre-flight reports only
-/// the first); the per-instruction ones are the walk's
-/// [`ProgramFlow::violations`].
-fn hard_diagnostics(desc: &KernelDesc, sm: &SmConfig, flow: &ProgramFlow) -> Vec<Diagnostic> {
+/// the first); the Eq. 1 one is `occupancy`'s check, the per-instruction
+/// ones are the walk's [`ProgramFlow::violations`].
+fn hard_diagnostics(
+    desc: &KernelDesc,
+    occupancy: &Occupancy,
+    flow: &ProgramFlow,
+) -> Vec<Diagnostic> {
     use gpu_sim::KernelVerifyError as E;
     let mut out = Vec::new();
     if desc.grid_ctas == 0 {
@@ -179,7 +185,7 @@ fn hard_diagnostics(desc: &KernelDesc, sm: &SmConfig, flow: &ProgramFlow) -> Vec
         ));
     }
     if desc.threads_per_cta > 0 {
-        if let Err(err @ E::Infeasible { .. }) = desc.try_max_ctas_per_sm(sm) {
+        if let Err(err @ E::Infeasible { .. }) = occupancy.check() {
             out.push(
                 Diagnostic::error("eq1-infeasible", None, strip_rule_prefix(&err.to_string()))
                     .with_suggestion(
@@ -588,13 +594,14 @@ fn apply_waivers(report: &mut Report, waivers: &[Waiver]) {
     }
 }
 
-/// Derives the static metrics for one kernel. Shared with the performance
-/// predictor ([`crate::predict`]), whose abstract domain starts from these
+/// Derives the static metrics for one kernel from its Eq. 1 `occupancy`
+/// and the body's `flow`. Shared with the performance predictor
+/// ([`crate::predict`]), whose abstract domain starts from these
 /// mix/dataflow/occupancy facts.
 pub(crate) fn compute_metrics(
     desc: &KernelDesc,
-    sm: &SmConfig,
-    flow: ProgramFlow,
+    occupancy: &Occupancy,
+    flow: &ProgramFlow,
 ) -> StaticMetrics {
     let p = &desc.program;
     // The walk counted every op class; each fraction is the same
@@ -612,7 +619,6 @@ pub(crate) fn compute_metrics(
     } else {
         f64::INFINITY
     };
-    let (max_ctas_by, max_ctas) = gpu_sim::occupancy_breakdown(desc, sm);
     StaticMetrics {
         body_len: p.len(),
         iterations: desc.iterations,
@@ -627,10 +633,10 @@ pub(crate) fn compute_metrics(
         arithmetic_intensity,
         median_raw_distance: flow.median_raw_distance(),
         dominant_raw_distance: flow.dominant_raw_distance(),
-        raw_histogram: flow.raw_histogram,
+        raw_histogram: Arc::clone(&flow.raw_histogram),
         first_iter_uninit_reads: flow.first_iter_uninit_reads,
-        max_ctas_by,
-        max_ctas,
+        max_ctas_by: occupancy.by,
+        max_ctas: occupancy.max_ctas,
     }
 }
 
@@ -765,17 +771,18 @@ mod tests {
             report.sort();
             report.diagnostics
         };
+        let occupancy = gpu_sim::occupancy_breakdown(&d, &cfg().sm);
         let mut per_inst = 0usize;
         for case in 0..1_000 {
             d.program = random_program(&mut rng);
-            let flow = program_flow(&d.program);
-            let new = sorted(hard_diagnostics(&d, &cfg().sm, &flow));
+            let flow = d.program.flow();
+            let new = sorted(hard_diagnostics(&d, &occupancy, flow));
             let mut reference = hard_diagnostics(
                 &d,
-                &cfg().sm,
+                &occupancy,
                 &ProgramFlow {
                     violations: Vec::new(),
-                    ..flow
+                    ..flow.clone()
                 },
             );
             reference.extend(reference_instruction_diagnostics(
@@ -899,7 +906,8 @@ mod tests {
 
     #[test]
     fn occupancy_breakdown_marks_unbounded_resources() {
-        let (by, max) = gpu_sim::occupancy_breakdown(&desc(), &cfg().sm);
+        let occupancy = gpu_sim::occupancy_breakdown(&desc(), &cfg().sm);
+        let (by, max) = (occupancy.by, occupancy.max_ctas);
         let [threads, regs, shmem, slots] = by;
         assert_eq!(threads, 12); // 1536 / 128
         assert_eq!(regs, 16); // 32768 / 2048

@@ -216,14 +216,14 @@ fn main() -> ExitCode {
             ),
             "fig10b" => println!(
                 "{}",
-                fig10::render_schedulers(&ctx.observe("fig10b", |_| {
-                    fig10::compute_schedulers(opts.cycles, &sweep_pairs)
+                fig10::render_schedulers(&ctx.observe("fig10b", |c| {
+                    fig10::compute_schedulers_on(c, &sweep_pairs)
                 }))
             ),
             "large-config" => println!(
                 "{}",
-                large_config::render(&ctx.observe("large-config", |_| {
-                    large_config::compute(opts.cycles, &sweep_pairs)
+                large_config::render(&ctx.observe("large-config", |c| {
+                    large_config::compute_on(c, &sweep_pairs)
                 }))
             ),
             "overhead" => println!("{}", overhead::render()),

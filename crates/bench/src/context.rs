@@ -49,7 +49,9 @@ pub struct ExperimentContext {
     /// The run configuration every experiment uses (unless it explicitly
     /// overrides, e.g. the large-configuration study).
     pub cfg: RunConfig,
-    pool: ws_exec::Pool,
+    /// Shared with the contexts [`Self::for_config`] makes, so
+    /// [`Self::observe`] counts their jobs too.
+    pool: Arc<ws_exec::Pool>,
     iso: Mutex<HashMap<String, Arc<IsolationResult>>>,
     progress: Option<ProgressSink>,
 }
@@ -88,7 +90,22 @@ impl ExperimentContext {
     pub fn with_pool(cfg: RunConfig, pool: ws_exec::Pool) -> Self {
         Self {
             cfg,
-            pool,
+            pool: Arc::new(pool),
+            iso: Mutex::new(HashMap::new()),
+            progress: None,
+        }
+    }
+
+    /// A context running `cfg` on this context's pool, for a study that
+    /// overrides the run configuration (a scheduler, the large GPU). It
+    /// keeps its own isolation memo, since isolation results depend on the
+    /// configuration, and reports no progress of its own: jobs it runs
+    /// inside [`Self::observe`] count toward this context's report.
+    #[must_use]
+    pub fn for_config(&self, cfg: RunConfig) -> Self {
+        Self {
+            cfg,
+            pool: Arc::clone(&self.pool),
             iso: Mutex::new(HashMap::new()),
             progress: None,
         }
@@ -322,5 +339,32 @@ mod tests {
         assert_eq!(events[0].label, "iso");
         assert_eq!(events[0].jobs, 1);
         assert!(events[0].to_string().contains("iso: 1 jobs"));
+    }
+
+    #[test]
+    fn observe_counts_the_jobs_of_a_context_for_another_config() {
+        let mut ctx = ExperimentContext::new(2_000);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        ctx.set_progress(Box::new(move |p| {
+            sink.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(p.jobs);
+        }));
+        let img = by_abbrev("IMG").unwrap();
+        ctx.observe("large", |c| {
+            let _ = c.isolation(&img);
+            let large = c.for_config(RunConfig {
+                gpu: gpu_sim::GpuConfig::large(),
+                ..c.cfg.clone()
+            });
+            // Its own memo: IMG on the large GPU is a second simulation.
+            let _ = large.isolation(&img);
+        });
+        assert_eq!(
+            *events.lock().unwrap_or_else(PoisonError::into_inner),
+            [2],
+            "both isolation runs counted on the one pool"
+        );
     }
 }

@@ -122,12 +122,20 @@ pub fn compute_timing(ctx: &ExperimentContext, pairs: &[Pair]) -> Vec<(String, f
 /// Fig. 10b: policy comparison under each warp scheduler. Each scheduler's
 /// `pairs x 4` runs go out as one job batch.
 pub fn compute_schedulers(isolation_cycles: u64, pairs: &[Pair]) -> Vec<(String, f64, f64, f64)> {
+    compute_schedulers_on(&ExperimentContext::new(isolation_cycles), pairs)
+}
+
+/// [`compute_schedulers`] with `ctx`'s run configuration and on its pool,
+/// so an observer of `ctx` sees the simulations it runs.
+pub fn compute_schedulers_on(
+    ctx: &ExperimentContext,
+    pairs: &[Pair],
+) -> Vec<(String, f64, f64, f64)> {
     let mut out = Vec::new();
     for sched in [SchedulerKind::GreedyThenOldest, SchedulerKind::RoundRobin] {
-        let ctx = ExperimentContext::with_config(RunConfig {
-            isolation_cycles,
+        let ctx = ctx.for_config(RunConfig {
             scheduler: sched,
-            ..RunConfig::default()
+            ..ctx.cfg.clone()
         });
         let policies = [
             PolicyKind::LeftOver,

@@ -24,10 +24,16 @@ pub struct LargeRow {
 /// Runs the subset pairs (or any provided list) under the Sec. V-H config,
 /// submitting all `pairs x 2` runs as one job batch.
 pub fn compute(isolation_cycles: u64, pairs: &[Pair]) -> Vec<LargeRow> {
-    let ctx = ExperimentContext::with_config(RunConfig {
+    compute_on(&ExperimentContext::new(isolation_cycles), pairs)
+}
+
+/// [`compute`] with `ctx`'s run configuration (its GPU swapped for the
+/// large one) and on its pool, so an observer of `ctx` sees the
+/// simulations it runs.
+pub fn compute_on(ctx: &ExperimentContext, pairs: &[Pair]) -> Vec<LargeRow> {
+    let ctx = ctx.for_config(RunConfig {
         gpu: GpuConfig::large(),
-        isolation_cycles,
-        ..RunConfig::default()
+        ..ctx.cfg.clone()
     });
     let runs: Vec<(Vec<&ws_workloads::Benchmark>, PolicyKind)> = pairs
         .iter()

@@ -209,7 +209,7 @@ fn kernel_sig(class: &str, archetype: &str, features: &Features) -> u64 {
     h.opt_usize(*median_raw_distance);
     h.opt_usize(*dominant_raw_distance);
     h.usize(raw_histogram.len());
-    for &n in raw_histogram {
+    for &n in raw_histogram.iter() {
         h.usize(n);
     }
     h.0

@@ -355,10 +355,12 @@ fn kernel_sig_changes_with_every_feature_field() {
             f.metrics.dominant_raw_distance = Some(7);
         }),
         ("metrics.raw_histogram[0]", |f| {
-            f.metrics.raw_histogram[0] += 1
+            std::sync::Arc::make_mut(&mut f.metrics.raw_histogram)[0] += 1;
         }),
         ("metrics.raw_histogram.len", |f| {
-            f.metrics.raw_histogram.push(0)
+            let mut h = f.metrics.raw_histogram.to_vec();
+            h.push(0);
+            f.metrics.raw_histogram = h.into();
         }),
         ("metrics.first_iter_uninit_reads", |f| {
             f.metrics.first_iter_uninit_reads += 1;
@@ -428,11 +430,33 @@ fn distinct_suite_kernels_get_distinct_keys() {
     }
 }
 
+/// Every catalogue kernel's `kernel_sig` under `GpuConfig::isca_baseline()`
+/// and `GpuConfig::large()`, in `extended_suite()` order.
+const PINNED_KERNEL_SIGS: [(&str, u64, u64); 11] = [
+    ("BLK", 0x8a9b_4d0f_b1c5_93de, 0x554c_6f07_f016_7ff6),
+    ("BFS", 0x3f0e_b0eb_cbe5_3d19, 0xe4ac_a7e7_1e9d_7d94),
+    ("DXT", 0x93f9_4ebf_1aec_102c, 0x54f0_a4c8_15d8_6c5b),
+    ("HOT", 0xeff8_0962_99a9_2482, 0x1458_6fc1_e844_883b),
+    ("IMG", 0x9262_6f6c_1c42_eb3e, 0xe03f_726c_6bb8_8161),
+    ("KNN", 0xeb3f_952e_053c_9f49, 0xac09_404b_1b45_89e5),
+    ("LBM", 0x0128_2321_236b_53cd, 0xdc06_c2c8_6c0c_e1bc),
+    ("MM", 0xbbaa_1441_1371_1b27, 0x340e_36d1_e50b_dc47),
+    ("MVP", 0x0656_48e9_a44e_8852, 0xa4d4_708c_d06f_436d),
+    ("MUM", 0x5f9d_17b5_051b_3b17, 0x90fb_5ec1_de05_a167),
+    ("NN", 0xfb86_9f55_2593_8ada, 0xb804_8362_8bff_4158),
+];
+
+/// `gpu_sig` of `GpuConfig::isca_baseline()` and of `GpuConfig::large()`.
+const PINNED_GPU_SIGS: [u64; 2] = [0xa89e_3848_fc47_892e, 0xdd3f_45e0_72aa_309b];
+
 #[test]
 fn img_key_is_pinned_to_the_format_version() {
-    // Any change to the key encoding moves this pair, and must come with a
-    // STORE_FORMAT_VERSION bump so persisted stores of the old encoding
-    // are refused instead of silently missing.
+    // Any change to the key encoding moves these keys, and must come with
+    // a STORE_FORMAT_VERSION bump so persisted stores of the old encoding
+    // are refused instead of silently missing. Every catalogue kernel is
+    // pinned, so a change to the static analysis behind the key (the walk,
+    // the Eq. 1 quotas, the feature model) is caught for every body, not
+    // only IMG's.
     assert_eq!(STORE_FORMAT_VERSION, 3);
     let sig = KernelSignature::derive(&by_abbrev("IMG").unwrap().desc, &GpuConfig::isca_baseline())
         .expect("IMG passes pre-flight");
@@ -441,6 +465,25 @@ fn img_key_is_pinned_to_the_format_version() {
         (0x9262_6f6c_1c42_eb3e, 0xa89e_3848_fc47_892e),
         "IMG key under isca_baseline() changed: bump STORE_FORMAT_VERSION"
     );
+    let suite = ws_workloads::extended_suite();
+    assert_eq!(
+        suite.iter().map(|b| b.abbrev).collect::<Vec<_>>(),
+        PINNED_KERNEL_SIGS.map(|(abbrev, ..)| abbrev),
+        "the catalogue changed: pin the new kernels' keys"
+    );
+    let configs = [GpuConfig::isca_baseline(), GpuConfig::large()];
+    for (b, (_, base, large)) in suite.iter().zip(PINNED_KERNEL_SIGS) {
+        for ((cfg, kernel_sig), gpu_sig) in configs.iter().zip([base, large]).zip(PINNED_GPU_SIGS) {
+            let sig = KernelSignature::derive(&b.desc, cfg).expect("catalogue kernels pass");
+            assert_eq!(
+                (sig.key.kernel_sig, sig.key.gpu_sig),
+                (kernel_sig, gpu_sig),
+                "{} key under {} SMs changed: bump STORE_FORMAT_VERSION",
+                b.abbrev,
+                cfg.num_sms
+            );
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use crate::access::AccessPattern;
 use crate::config::SmConfig;
 use crate::program::Program;
-use crate::verify::{eq1_demands, KernelVerifyError};
+use crate::verify::{occupancy_breakdown, KernelVerifyError};
 
 /// Identifies one of the kernels co-resident in a simulation run.
 ///
@@ -97,30 +97,15 @@ impl KernelDesc {
     /// [`KernelVerifyError::ZeroThreads`] for a threadless CTA, which no
     /// resource arithmetic can make meaningful).
     ///
-    /// Reads the same widened Eq. 1 demand table as
-    /// [`crate::occupancy_breakdown`], so pathological descriptors (e.g.
+    /// The check of [`crate::occupancy_breakdown`]'s one Eq. 1 evaluation,
+    /// whose demand table is widened so pathological descriptors (e.g.
     /// `u32::MAX` threads x `u32::MAX` registers) report infeasibility
     /// instead of wrapping or panicking.
     pub fn try_max_ctas_per_sm(&self, sm: &SmConfig) -> Result<u32, KernelVerifyError> {
         if self.threads_per_cta == 0 {
             return Err(KernelVerifyError::ZeroThreads);
         }
-        let mut limit = u64::from(sm.max_ctas);
-        for (resource, per_cta, available) in eq1_demands(self, sm) {
-            // A zero demand never binds; the resource imposes no limit.
-            let Some(quota) = available.checked_div(per_cta) else {
-                continue;
-            };
-            if quota == 0 {
-                return Err(KernelVerifyError::Infeasible {
-                    resource,
-                    per_cta,
-                    available,
-                });
-            }
-            limit = limit.min(quota);
-        }
-        Ok(u32::try_from(limit).unwrap_or(u32::MAX))
+        occupancy_breakdown(self, sm).check()
     }
 }
 

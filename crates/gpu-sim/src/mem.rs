@@ -7,7 +7,7 @@
 //! partitioned.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::access::LineAddr;
 use crate::cache::{ProbeResult, SetAssocCache};
@@ -88,6 +88,67 @@ impl MemStats {
     }
 }
 
+/// One channel's load lines in flight to DRAM, as two parallel flat
+/// arrays: line `lines[i]` is awaited by the SMs `waiters[i]`, one entry
+/// per merged load, in arrival order.
+///
+/// A lookup is a linear scan of `lines`: a channel's reads in flight are
+/// its DRAM queue, at most `dram_queue_entries`, plus the few the data bus
+/// is serving. A completed fill `swap_remove`s its entry, so the entries'
+/// order shifts, but nothing iterates them and each line's waiters keep
+/// their order. Retired waiter vectors return to `pool`, as in
+/// [`crate::mshr::MshrTable`], so a DRAM read miss allocates only while
+/// the pool is still growing toward the peak number of lines in flight.
+#[derive(Debug)]
+struct PendingFills {
+    lines: Vec<LineAddr>,
+    waiters: Vec<Vec<usize>>,
+    pool: Vec<Vec<usize>>,
+}
+
+impl PendingFills {
+    fn with_capacity(lines: usize) -> Self {
+        Self {
+            lines: Vec::with_capacity(lines),
+            waiters: Vec::with_capacity(lines),
+            pool: Vec::with_capacity(lines),
+        }
+    }
+
+    /// The SMs waiting on `line`, if it is in flight.
+    fn waiters_mut(&mut self, line: LineAddr) -> Option<&mut Vec<usize>> {
+        let i = self.lines.iter().position(|&l| l == line)?;
+        self.waiters.get_mut(i)
+    }
+
+    /// Starts tracking `line`, which must not be in flight yet, with SM
+    /// `sm_id` as its first waiter.
+    fn insert(&mut self, line: LineAddr, sm_id: usize) {
+        let mut waiters = self.pool.pop().unwrap_or_default();
+        waiters.push(sm_id);
+        self.lines.push(line);
+        self.waiters.push(waiters);
+    }
+
+    /// Stops tracking `line` and hands its waiting SMs to `wake` in
+    /// arrival order; `false` if the line was not in flight.
+    fn complete(&mut self, line: LineAddr, mut wake: impl FnMut(usize)) -> bool {
+        let Some(i) = self.lines.iter().position(|&l| l == line) else {
+            return false;
+        };
+        self.lines.swap_remove(i);
+        let mut waiters = self.waiters.swap_remove(i);
+        waiters.iter().copied().for_each(&mut wake);
+        waiters.clear();
+        self.pool.push(waiters);
+        true
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Timed<T: Ord> {
     ready: u64,
@@ -108,10 +169,9 @@ pub struct MemSubsystem {
     l2: Vec<SetAssocCache>,
     /// Per-channel DRAM channels.
     dram: Vec<DramChannel>,
-    /// Load lines in flight to DRAM: original line -> waiting requests.
-    /// Ordered by line address (`BTreeMap`, never a hash map) so draining
-    /// and invariant walks are deterministic (`determinism` lint).
-    pending_fills: Vec<BTreeMap<LineAddr, Vec<MemRequest>>>,
+    /// Load lines in flight to DRAM, per channel, with the SMs waiting on
+    /// each.
+    pending_fills: Vec<PendingFills>,
     /// Responses scheduled to arrive at SMs, ordered by ready time.
     responses: BinaryHeap<Reverse<Timed<(LineAddr, usize)>>>,
     /// DRAM completions waiting for their data-ready cycle, per channel.
@@ -150,7 +210,9 @@ impl MemSubsystem {
                 })
                 .collect(),
             dram: (0..n).map(|_| DramChannel::new(&cfg.mem, ratio)).collect(),
-            pending_fills: vec![BTreeMap::new(); n],
+            pending_fills: (0..n)
+                .map(|_| PendingFills::with_capacity(cfg.mem.dram_queue_entries as usize))
+                .collect(),
             responses: BinaryHeap::new(),
             dram_done: BinaryHeap::new(),
             l2_pending: 0,
@@ -221,14 +283,15 @@ impl MemSubsystem {
             }
             self.dram_done.pop();
             let (ch, line) = payload;
-            if let Some(waiters) = self.pending_fills[ch].remove(&line) {
+            let ready = now + self.icnt_latency;
+            let responses = &mut self.responses;
+            if self.pending_fills[ch].complete(line, |sm_id| {
+                responses.push(Reverse(Timed {
+                    ready,
+                    payload: (line, sm_id),
+                }));
+            }) {
                 self.l2[ch].fill(line);
-                for w in waiters {
-                    self.responses.push(Reverse(Timed {
-                        ready: now + self.icnt_latency,
-                        payload: (line, w.sm_id),
-                    }));
-                }
             }
             // Store completions have no waiters and do not allocate.
         }
@@ -256,9 +319,9 @@ impl MemSubsystem {
         // A load whose line is already being fetched merges without a
         // fresh L2 probe (the in-flight fill will satisfy it).
         if !req.is_store {
-            if let Some(waiters) = self.pending_fills[ch].get_mut(&req.line) {
+            if let Some(waiters) = self.pending_fills[ch].waiters_mut(req.line) {
                 self.l2_in[ch].pop_front();
-                waiters.push(req);
+                waiters.push(req.sm_id);
                 return;
             }
         }
@@ -311,10 +374,7 @@ impl MemSubsystem {
                 } else {
                     self.stats.per_kernel[k].dram_reads += 1;
                     self.stats.total.dram_reads += 1;
-                    self.pending_fills[ch]
-                        .entry(req.line)
-                        .or_default()
-                        .push(req);
+                    self.pending_fills[ch].insert(req.line, req.sm_id);
                 }
                 self.stats.dram_by_sm[req.sm_id] += 1;
             }
@@ -404,7 +464,7 @@ impl MemSubsystem {
     pub fn is_quiescent(&self) -> bool {
         self.ingress.is_empty()
             && self.l2_in.iter().all(VecDeque::is_empty)
-            && self.pending_fills.iter().all(BTreeMap::is_empty)
+            && self.pending_fills.iter().all(PendingFills::is_empty)
             && self.responses.is_empty()
             && self.dram_done.is_empty()
             && self.dram.iter().all(|d| d.queue_len() == 0)

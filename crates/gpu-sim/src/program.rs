@@ -9,7 +9,10 @@
 //! and the fraction of global-memory instructions (which drives the memory
 //! system).
 
+use std::sync::{Arc, OnceLock};
+
 use crate::rng::SimRng;
+use crate::verify::ProgramFlow;
 
 /// Virtual register index within a warp's synthetic register window.
 pub type Reg = u8;
@@ -67,9 +70,36 @@ pub struct Inst {
 }
 
 /// A loop body executed repeatedly by every warp of a kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The body is immutable once built, so its [`ProgramFlow`] — the one walk
+/// the launch pre-flight, the analyzer, the predictor and the store key all
+/// read — is a pure function of the value: [`Program::flow`] computes it on
+/// first read and keeps it. Equality and `Debug` see the body only, so a
+/// walked and an unwalked copy compare equal and print the same.
+#[derive(Clone)]
 pub struct Program {
     insts: Vec<Inst>,
+    /// The walk over `insts`, computed on first read. Behind an [`Arc`] so
+    /// a clone of a walked program shares it instead of walking again, and
+    /// so the field adds 16 bytes, not a whole flow, to every `Program`
+    /// the workload builders copy around.
+    flow: OnceLock<Arc<ProgramFlow>>,
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.insts == other.insts
+    }
+}
+
+impl Eq for Program {}
+
+impl std::fmt::Debug for Program {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Program")
+            .field("insts", &self.insts)
+            .finish()
+    }
 }
 
 impl Program {
@@ -82,7 +112,20 @@ impl Program {
     #[must_use]
     pub fn new(insts: Vec<Inst>) -> Self {
         assert!(!insts.is_empty(), "program body must not be empty");
-        Self { insts }
+        Self {
+            insts,
+            flow: OnceLock::new(),
+        }
+    }
+
+    /// The body's op mix, register dataflow and per-instruction hard
+    /// errors, from one walk over it (see [`ProgramFlow`]). The walk runs on
+    /// the first call; later calls, and clones made after it, read its
+    /// result.
+    #[must_use]
+    pub fn flow(&self) -> &ProgramFlow {
+        self.flow
+            .get_or_init(|| Arc::new(crate::verify::walk(&self.insts)))
     }
 
     /// The instruction at `pc` (wrapping semantics are the caller's

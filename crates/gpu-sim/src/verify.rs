@@ -11,18 +11,20 @@
 //!
 //! The checks here are the **hard** rules — conditions under which the
 //! simulator cannot produce a meaningful result. The per-instruction rules
-//! come from one walk over the loop body, [`program_flow`], which also
+//! come from one walk over the loop body, [`Program::flow`], which also
 //! yields the op-class mix and the RAW dependence-distance histogram: the
 //! `ws-analyze` crate takes its dataflow and its hard diagnostics from that
-//! same walk, so a kernel's body is walked once whether it is launched,
-//! analyzed or keyed for the curve store. The richer static analysis
+//! same walk. The program keeps the walk, so a body is walked once per
+//! program value however often it is launched, analyzed or keyed for the
+//! curve store. The richer static analysis
 //! (memory-footprint bounds, declared-vs-derived workload consistency)
 //! lives in `ws-analyze`, which downgrades nothing: every error here is
 //! also an error there.
 
 use crate::config::SmConfig;
 use crate::kernel::KernelDesc;
-use crate::program::{OpClass, Program, Reg, NUM_VIRTUAL_REGS};
+use crate::program::{Inst, OpClass, Program, Reg, NUM_VIRTUAL_REGS};
+use std::sync::Arc;
 
 /// The SM resource dimension that makes a kernel infeasible (Eq. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,15 +180,58 @@ impl std::fmt::Display for KernelVerifyError {
 
 impl std::error::Error for KernelVerifyError {}
 
-/// The Eq. 1 demand table: for each SM resource, in the order threads /
-/// registers / shared memory / CTA slots, the per-CTA demand and the SM's
-/// capacity, widened to `u64` so pathological descriptors (e.g.
-/// `u32::MAX` threads x `u32::MAX` registers) cannot wrap. A zero demand
-/// never binds. Both occupancy views read this one table:
-/// [`KernelDesc::try_max_ctas_per_sm`] (the launch pre-flight's
-/// feasibility check) and [`occupancy_breakdown`].
-pub(crate) fn eq1_demands(desc: &KernelDesc, sm: &SmConfig) -> [(ResourceKind, u64, u64); 4] {
-    [
+/// Eq. 1 of the paper evaluated for one kernel on one SM: the per-resource
+/// CTA quotas, their binding minimum, and the first resource one CTA
+/// exceeds outright.
+///
+/// One value serves every occupancy reader: the launch pre-flight's
+/// feasibility check ([`Occupancy::check`], which
+/// [`KernelDesc::try_max_ctas_per_sm`] and [`preflight`] return through),
+/// the `ws-analyze` occupancy diagnostics and the static performance
+/// predictor's feasible CTA range. [`preflight`] hands back the value it
+/// checked, so a kernel that is checked and then analyzed evaluates Eq. 1
+/// once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Occupancy {
+    /// Per-resource CTA quota, in the order threads / registers / shared
+    /// memory / CTA slots, with `u32::MAX` for a resource the kernel does
+    /// not demand (it never binds).
+    pub by: [u32; 4],
+    /// The binding minimum over [`Self::by`]: the Fig. 3a "max allowed
+    /// CTAs". Zero exactly when [`Self::check`] fails.
+    pub max_ctas: u32,
+    /// The first demanded resource whose quota is zero, with its per-CTA
+    /// demand and the SM's capacity.
+    infeasible: Option<(ResourceKind, u64, u64)>,
+}
+
+impl Occupancy {
+    /// The feasible maximum of resident CTAs.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelVerifyError::Infeasible`] naming the first resource (in
+    /// table order) one CTA exceeds outright.
+    pub fn check(&self) -> Result<u32, KernelVerifyError> {
+        match self.infeasible {
+            Some((resource, per_cta, available)) => Err(KernelVerifyError::Infeasible {
+                resource,
+                per_cta,
+                available,
+            }),
+            None => Ok(self.max_ctas),
+        }
+    }
+}
+
+/// Evaluates Eq. 1 for `desc` on `sm` (see [`Occupancy`]).
+#[must_use]
+pub fn occupancy_breakdown(desc: &KernelDesc, sm: &SmConfig) -> Occupancy {
+    // The demand table: per resource, the per-CTA demand and the SM's
+    // capacity, widened to `u64` so pathological descriptors (e.g.
+    // `u32::MAX` threads x `u32::MAX` registers) cannot wrap. A zero
+    // demand never binds.
+    let table = [
         (
             ResourceKind::Threads,
             u64::from(desc.threads_per_cta),
@@ -203,27 +248,21 @@ pub(crate) fn eq1_demands(desc: &KernelDesc, sm: &SmConfig) -> [(ResourceKind, u
             u64::from(sm.shared_mem_bytes),
         ),
         (ResourceKind::CtaSlots, 1, u64::from(sm.max_ctas)),
-    ]
-}
-
-/// Per-resource CTA quota under Eq. 1 of the paper, with `u32::MAX` for a
-/// resource the kernel does not demand (it never binds), in the order
-/// threads / registers / shared memory / CTA slots, plus the binding
-/// minimum.
-///
-/// This is the feasible-CTA-range computation shared by the launch
-/// pre-flight, the `ws-analyze` occupancy diagnostics, and the static
-/// performance predictor: all three read the same demand table, so they
-/// agree on the Fig. 3a "max allowed CTAs" for a kernel.
-#[must_use]
-pub fn occupancy_breakdown(desc: &KernelDesc, sm: &SmConfig) -> ([u32; 4], u32) {
-    let by = eq1_demands(desc, sm).map(|(_, per_cta, available)| {
+    ];
+    let by = table.map(|(_, per_cta, available)| {
         available
             .checked_div(per_cta)
             .map_or(u32::MAX, |q| u32::try_from(q).unwrap_or(u32::MAX))
     });
-    let max_ctas = by.iter().copied().min().unwrap_or(0);
-    (by, max_ctas)
+    let infeasible = table
+        .into_iter()
+        .zip(by)
+        .find_map(|(demand, quota)| (quota == 0).then_some(demand));
+    Occupancy {
+        by,
+        max_ctas: by.iter().copied().min().unwrap_or(0),
+        infeasible,
+    }
 }
 
 /// Everything one walk over a loop body yields: the op-class mix, the
@@ -250,6 +289,8 @@ pub fn occupancy_breakdown(desc: &KernelDesc, sm: &SmConfig) -> ([u32; 4], u32) 
 ///
 /// Register names map onto the [`NUM_VIRTUAL_REGS`]-slot window modulo its
 /// size, as the simulator's scoreboard does.
+///
+/// [`Program::flow`] computes and keeps it; nothing else walks a body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramFlow {
     /// Instructions per op class, in [`OpClass`] declaration order: ALU,
@@ -257,8 +298,9 @@ pub struct ProgramFlow {
     pub op_counts: [usize; 6],
     /// `raw_histogram[d - 1]` counts register reads whose nearest reaching
     /// definition is `d` instruction slots away (wrapping across the loop
-    /// back-edge). Distances range over `1..=body_len`.
-    pub raw_histogram: Vec<usize>,
+    /// back-edge). Distances range over `1..=body_len`. Shared, so the
+    /// static metrics built from a flow hold it without copying it.
+    pub raw_histogram: Arc<[usize]>,
     /// Loop-carried reads: on iteration 1 these consume a live-in value
     /// rather than a value computed by the body.
     pub first_iter_uninit_reads: usize,
@@ -326,35 +368,36 @@ impl ProgramFlow {
 }
 
 /// Walks a loop body once, after a last-definition pre-pass, and returns
-/// its [`ProgramFlow`].
+/// its [`ProgramFlow`]; [`Program::flow`] is the only caller.
 ///
 /// Definition positions live on a timeline shifted one body length forward:
 /// the previous iteration's definitions sit at `0..len` and this
 /// iteration's at `len..2 * len`. A read at instruction `i` then has
 /// distance `i + len - def` whichever iteration its definition comes from,
 /// and it is loop-carried exactly when `def < len`.
-#[must_use]
-pub fn program_flow(program: &Program) -> ProgramFlow {
+pub(crate) fn walk(body: &[Inst]) -> ProgramFlow {
     /// Position of a register no instruction defines.
     const NEVER: usize = usize::MAX;
     let slot = |reg: Reg| usize::from(reg) % NUM_VIRTUAL_REGS;
-    let len = program.len();
+    let len = body.len();
     // Fixpoint seed: the state entering the body equals the state leaving
     // it, i.e. each register's last definition, one body length back.
     let mut def = [NEVER; NUM_VIRTUAL_REGS];
-    for (i, inst) in program.iter().enumerate() {
+    for (i, inst) in body.iter().enumerate() {
         if let Some(d) = inst.dst.and_then(|dst| def.get_mut(slot(dst))) {
             *d = i;
         }
     }
 
-    let mut flow = ProgramFlow {
-        op_counts: [0; 6],
-        raw_histogram: vec![0; len],
-        first_iter_uninit_reads: 0,
-        violations: Vec::new(),
-    };
-    for (i, inst) in program.iter().enumerate() {
+    let mut op_counts = [0; 6];
+    // Built in its shared allocation: the flow's readers hold it by
+    // reference count, and the fresh `Arc` is unique, so `make_mut` hands
+    // back the buckets without copying them.
+    let mut raw_histogram: Arc<[usize]> = std::iter::repeat_n(0, len).collect();
+    let buckets = Arc::make_mut(&mut raw_histogram);
+    let mut first_iter_uninit_reads = 0;
+    let mut violations = Vec::new();
+    for (i, inst) in body.iter().enumerate() {
         // A table index rather than a branch per class: a generated body's
         // classes are random, so such a branch mispredicts on most
         // instructions.
@@ -366,30 +409,27 @@ pub fn program_flow(program: &Program) -> ProgramFlow {
             OpClass::SharedMem => 4,
             OpClass::Barrier => 5,
         };
-        if let Some(n) = flow.op_counts.get_mut(class) {
+        if let Some(n) = op_counts.get_mut(class) {
             *n += 1;
         }
         if inst.op.is_barrier() && (inst.dst.is_some() || inst.srcs.iter().any(Option::is_some)) {
-            flow.violations
-                .push(KernelVerifyError::BarrierOperands { inst: i });
+            violations.push(KernelVerifyError::BarrierOperands { inst: i });
         }
         if inst.op == OpClass::GlobalLoad && inst.dst.is_none() {
-            flow.violations
-                .push(KernelVerifyError::LoadWithoutDest { inst: i });
+            violations.push(KernelVerifyError::LoadWithoutDest { inst: i });
         }
         let now = i + len;
         for &src in inst.srcs.iter().flatten() {
             let d = def.get(slot(src)).copied().unwrap_or(NEVER);
             if d == NEVER {
-                flow.violations
-                    .push(KernelVerifyError::NeverDefinedRead { inst: i, reg: src });
+                violations.push(KernelVerifyError::NeverDefinedRead { inst: i, reg: src });
                 continue;
             }
-            flow.first_iter_uninit_reads += usize::from(d < len);
+            first_iter_uninit_reads += usize::from(d < len);
             // `d < now` by construction (a same-iteration definition
             // strictly precedes the read; a carried one is at most a full
             // body away), so distances are in 1..=len.
-            if let Some(bucket) = flow.raw_histogram.get_mut(now - 1 - d) {
+            if let Some(bucket) = buckets.get_mut(now - 1 - d) {
                 *bucket += 1;
             }
         }
@@ -397,7 +437,12 @@ pub fn program_flow(program: &Program) -> ProgramFlow {
             *d = now;
         }
     }
-    flow
+    ProgramFlow {
+        op_counts,
+        raw_histogram,
+        first_iter_uninit_reads,
+        violations,
+    }
 }
 
 /// Scans the loop body for per-instruction hard errors and returns the
@@ -413,31 +458,23 @@ pub fn program_flow(program: &Program) -> ProgramFlow {
 ///
 /// Returns the first entry of [`ProgramFlow::violations`].
 pub fn check_program(program: &Program) -> Result<(), KernelVerifyError> {
-    program_flow(program).check()
+    program.flow().check()
 }
 
 /// Verifies a kernel descriptor against the hard launch rules: structural
 /// sanity, the Eq. 1 resource feasibility of a single CTA, and the
 /// per-instruction program checks of [`check_program`].
 ///
-/// This is the pre-flight run by [`crate::Gpu::try_add_kernel`]; `Ok(())`
+/// This is the pre-flight run by [`crate::Gpu::try_add_kernel`]; `Ok`
 /// means the simulator can execute the kernel without panicking on it and
-/// that at least one CTA fits an idle SM.
+/// that at least one CTA fits an idle SM. It carries the Eq. 1 evaluation
+/// the feasibility check read, so a caller that also needs the quotas (the
+/// static predictor) does not evaluate Eq. 1 again.
 ///
 /// # Errors
 ///
 /// Returns the first violated rule, structural checks first.
-pub fn preflight(desc: &KernelDesc, sm: &SmConfig) -> Result<(), KernelVerifyError> {
-    preflight_flow(desc, sm).map(drop)
-}
-
-/// [`preflight`] that hands back the walk its program check made, so a
-/// caller needing the body's dataflow and op mix walks it only once.
-///
-/// # Errors
-///
-/// The same error, in the same order, as [`preflight`].
-pub fn preflight_flow(desc: &KernelDesc, sm: &SmConfig) -> Result<ProgramFlow, KernelVerifyError> {
+pub fn preflight(desc: &KernelDesc, sm: &SmConfig) -> Result<Occupancy, KernelVerifyError> {
     if desc.grid_ctas == 0 {
         return Err(KernelVerifyError::ZeroGrid);
     }
@@ -453,10 +490,10 @@ pub fn preflight_flow(desc: &KernelDesc, sm: &SmConfig) -> Result<ProgramFlow, K
             value: desc.icache_miss_rate,
         });
     }
-    desc.try_max_ctas_per_sm(sm)?;
-    let flow = program_flow(&desc.program);
-    flow.check()?;
-    Ok(flow)
+    let occupancy = occupancy_breakdown(desc, sm);
+    occupancy.check()?;
+    check_program(&desc.program)?;
+    Ok(occupancy)
 }
 
 #[cfg(test)]
@@ -488,7 +525,7 @@ mod tests {
 
     #[test]
     fn well_formed_kernel_passes() {
-        assert_eq!(preflight(&desc(), &sm()), Ok(()));
+        assert_eq!(preflight(&desc(), &sm()).map(|o| o.max_ctas), Ok(8));
     }
 
     #[test]
@@ -566,7 +603,7 @@ mod tests {
         ]);
         let mut d = desc();
         d.program = prog;
-        assert_eq!(preflight(&d, &sm()), Ok(()));
+        assert!(preflight(&d, &sm()).is_ok());
     }
 
     #[test]
@@ -636,9 +673,9 @@ mod tests {
     }
 
     #[test]
-    fn preflight_flow_hands_back_the_walk_it_checked() {
+    fn preflight_hands_back_the_occupancy_it_checked() {
         let d = desc();
-        assert_eq!(preflight_flow(&d, &sm()), Ok(program_flow(&d.program)));
+        assert_eq!(preflight(&d, &sm()), Ok(occupancy_breakdown(&d, &sm())));
         let mut bad = desc();
         bad.iterations = 0;
         bad.program = Program::new(vec![Inst {
@@ -647,12 +684,12 @@ mod tests {
             srcs: [Some(3), None],
         }]);
         assert_eq!(
-            preflight_flow(&bad, &sm()).unwrap_err().rule(),
+            preflight(&bad, &sm()).unwrap_err().rule(),
             "zero-iterations",
             "structural checks come first"
         );
         bad.iterations = 1;
-        let flow = program_flow(&bad.program);
+        let flow = bad.program.flow();
         assert_eq!(
             flow.violations,
             vec![
@@ -660,8 +697,17 @@ mod tests {
                 KernelVerifyError::NeverDefinedRead { inst: 0, reg: 3 },
             ]
         );
-        assert_eq!(preflight_flow(&bad, &sm()), Err(flow.violations[0].clone()));
-        assert_eq!(preflight(&bad, &sm()), check_program(&bad.program));
+        assert_eq!(preflight(&bad, &sm()), Err(flow.violations[0].clone()));
+        assert_eq!(
+            preflight(&bad, &sm()).map(drop),
+            check_program(&bad.program)
+        );
+        bad.regs_per_thread = 300;
+        assert_eq!(
+            preflight(&bad, &sm()).unwrap_err().rule(),
+            "eq1-infeasible",
+            "Eq. 1 comes before the program checks"
+        );
     }
 
     #[test]
@@ -676,8 +722,8 @@ mod tests {
         assert!(err.to_string().contains("shared memory"));
     }
 
-    /// The two Eq. 1 bodies as they stood before they shared
-    /// [`eq1_demands`]: the reference the shared table must reproduce.
+    /// The two Eq. 1 bodies as they stood before they shared one demand
+    /// table: the reference the one evaluation must reproduce.
     mod reference {
         use super::*;
 
@@ -777,8 +823,9 @@ mod tests {
                 reference::try_max_ctas_per_sm(&d, &sm),
                 "{d:?} on {sm:?}"
             );
+            let occupancy = occupancy_breakdown(&d, &sm);
             assert_eq!(
-                occupancy_breakdown(&d, &sm),
+                (occupancy.by, occupancy.max_ctas),
                 reference::occupancy_breakdown(&d, &sm),
                 "{d:?} on {sm:?}"
             );

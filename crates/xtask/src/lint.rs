@@ -55,7 +55,9 @@
 //!
 //! * `no-tick-alloc` — heap allocation (`Vec::new`, `vec![…]`,
 //!   `…::with_capacity`, `Box::new`, `.collect()`, `.to_vec()`,
-//!   `format!`, `String::from`) is forbidden in any function reachable
+//!   `format!`, `String::from`, and the map-entry growth calls
+//!   `.or_default()` / `.or_insert_with(…)`, which insert a fresh value
+//!   and node on every miss) is forbidden in any function reachable
 //!   from a per-cycle tick entry point ([`TICK_SEEDS`]) whose body lives
 //!   under `crates/gpu-sim/src` or in the ws-trace audit channel
 //!   `crates/core/src/audit.rs`. These run millions of times per
@@ -652,7 +654,11 @@ fn tick_alloc_pattern(c: &CallSite) -> Option<String> {
         return matches!(c.name(), "vec!" | "format!").then(|| format!("{}(…)", c.path));
     }
     if c.is_method {
-        return matches!(c.name(), "to_vec" | "collect").then(|| format!(".{}()", c.path));
+        return matches!(
+            c.name(),
+            "to_vec" | "collect" | "or_default" | "or_insert_with"
+        )
+        .then(|| format!(".{}()", c.path));
     }
     let name = c.name();
     let qual = c.path.rsplit("::").nth(1).unwrap_or("");
@@ -1376,6 +1382,8 @@ mod tests {
     const FIX_NO_UNCHECKED_SPAWN: &str = include_str!("../fixtures/rule_no_unchecked_spawn.rs");
     const FIX_DETERMINISM: &str = include_str!("../fixtures/rule_determinism.rs");
     const FIX_NO_TICK_ALLOC: &str = include_str!("../fixtures/rule_no_tick_alloc.rs");
+    const FIX_NO_TICK_ALLOC_MAP_ENTRY: &str =
+        include_str!("../fixtures/rule_no_tick_alloc_map_entry.rs");
     const FIX_NO_TICK_ALLOC_SOA: &str = include_str!("../fixtures/rule_no_tick_alloc_soa.rs");
     const FIX_PANIC_FREE: &str = include_str!("../fixtures/rule_panic_free_accounting.rs");
     const FIX_PANIC_FREE_PREDICTOR: &str = include_str!("../fixtures/rule_panic_free_predictor.rs");
@@ -1564,6 +1572,33 @@ mod tests {
         for v in &v {
             assert_eq!(v.chain, ["Sm::tick", "Sm::issue_stage", "Sm::leaf"]);
         }
+    }
+
+    #[test]
+    fn fixture_no_tick_alloc_map_entry_golden() {
+        let f = FIX_NO_TICK_ALLOC_MAP_ENTRY;
+        let v = scan_source("crates/gpu-sim/src/mem.rs", f);
+        let got: Vec<(&str, usize, &[String])> = v
+            .iter()
+            .map(|v| (v.rule, v.line, v.chain.as_slice()))
+            .collect();
+        let chain = |leaf: &str| vec!["MemSubsystem::tick".to_string(), leaf.to_string()];
+        assert_eq!(
+            got,
+            [
+                (
+                    "no-tick-alloc",
+                    line_of(f, ".or_default().push(sm)"),
+                    chain("MemSubsystem::l2_slice_tick").as_slice()
+                ),
+                (
+                    "no-tick-alloc",
+                    line_of(f, ".or_insert_with(Vec::new)"),
+                    chain("MemSubsystem::count_hit").as_slice()
+                ),
+            ]
+        );
+        assert!(v[0].message.contains(".or_default()"), "{}", v[0].message);
     }
 
     #[test]
