@@ -501,6 +501,120 @@ pub(crate) mod tests {
         assert_eq!(empty.dominant_raw_distance(), None);
     }
 
+    /// The histogram summaries before the walk kept them, verbatim: the
+    /// `ProgramFlow` methods rescanned the buckets on every call.
+    mod reference_summaries {
+        pub(super) fn total_reads(raw_histogram: &[usize]) -> usize {
+            raw_histogram.iter().sum()
+        }
+
+        pub(super) fn median_raw_distance(raw_histogram: &[usize]) -> Option<usize> {
+            let total = total_reads(raw_histogram);
+            if total == 0 {
+                return None;
+            }
+            let midpoint = total.div_ceil(2);
+            let mut seen = 0usize;
+            for (idx, count) in raw_histogram.iter().enumerate() {
+                seen += count;
+                if seen >= midpoint {
+                    return Some(idx + 1);
+                }
+            }
+            None
+        }
+
+        pub(super) fn dominant_raw_distance(raw_histogram: &[usize]) -> Option<usize> {
+            let best = raw_histogram
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
+            if *best.1 == 0 {
+                None
+            } else {
+                Some(best.0 + 1)
+            }
+        }
+    }
+
+    /// Checks `flow`'s kept summaries against the reference scans; returns
+    /// whether the body has no dependent read and whether its most common
+    /// distance is tied.
+    fn check_summaries(case: &str, flow: &ProgramFlow) -> (bool, bool) {
+        let h: &[usize] = &flow.raw_histogram;
+        let expected = (
+            reference_summaries::total_reads(h),
+            reference_summaries::median_raw_distance(h),
+            reference_summaries::dominant_raw_distance(h),
+        );
+        assert_eq!(
+            (
+                flow.total_reads(),
+                flow.median_raw_distance(),
+                flow.dominant_raw_distance()
+            ),
+            expected,
+            "{case}: {h:?}"
+        );
+        let top = h.iter().copied().max().unwrap_or(0);
+        (
+            expected.0 == 0,
+            top > 0 && h.iter().filter(|&&n| n == top).count() > 1,
+        )
+    }
+
+    #[test]
+    fn kept_summaries_are_the_reference_scans() {
+        let mut rng = SimRng::seed_from_u64(0x5a3e_0001);
+        let cfg = GpuConfig::isca_baseline();
+        let template = ws_workloads::suite()[0].desc.clone();
+        let (mut no_reads, mut ties) = (0usize, 0usize);
+        for case in 0..5_000 {
+            let p = random_program(&mut rng);
+            let flow = p.flow();
+            let (none, tie) = check_summaries(&format!("case {case}"), flow);
+            no_reads += usize::from(none);
+            ties += usize::from(tie);
+            // The metrics copy the kept summaries instead of rescanning.
+            let desc = gpu_sim::KernelDesc {
+                program: p.clone(),
+                ..template.clone()
+            };
+            let occupancy = gpu_sim::occupancy_breakdown(&desc, &cfg.sm);
+            let m = crate::rules::compute_metrics(&desc, &occupancy, flow);
+            assert_eq!(
+                (m.median_raw_distance, m.dominant_raw_distance),
+                (flow.median_raw_distance(), flow.dominant_raw_distance()),
+                "case {case}"
+            );
+            assert_eq!(m.raw_histogram, flow.raw_histogram, "case {case}");
+        }
+        assert!(
+            no_reads > 100 && ties > 100,
+            "the cases cover bodies with no dependent read ({no_reads}) and tied \
+             distances ({ties})"
+        );
+        // Hand-built histograms: empty, all zero, and ties first, last and
+        // in the middle.
+        for h in [
+            vec![],
+            vec![0],
+            vec![0, 0, 0],
+            vec![4, 4],
+            vec![0, 3, 3, 1],
+            vec![1, 0, 0, 1],
+            vec![2, 1, 2, 1],
+        ] {
+            let flow = ProgramFlow {
+                op_counts: [0; 6],
+                raw_histogram: h.clone().into(),
+                first_iter_uninit_reads: 0,
+                violations: Vec::new(),
+            };
+            let _ = check_summaries(&format!("{h:?}"), &flow);
+        }
+    }
+
     #[test]
     fn generated_dependence_chain_dominates_the_histogram() {
         for dep in [1usize, 2, 4, 8] {

@@ -3,8 +3,8 @@
 //! rendered in the same `file:line: [rule] message` shape as the
 //! `cargo xtask lint` findings.
 
+use gpu_sim::RawHistogram;
 use std::fmt;
-use std::sync::Arc;
 
 /// How severe a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -127,7 +127,7 @@ pub struct StaticMetrics {
     /// RAW dependence-distance histogram: `raw_histogram[d]` counts reads
     /// whose nearest reaching definition is `d + 1` instruction slots away.
     /// Shared with the body's kept walk rather than copied from it.
-    pub raw_histogram: Arc<[usize]>,
+    pub raw_histogram: RawHistogram,
     /// Reads with no same-iteration definition (live-ins on iteration 1).
     pub first_iter_uninit_reads: usize,
     /// Maximum resident CTAs per SM by each resource:

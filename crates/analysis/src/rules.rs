@@ -27,7 +27,6 @@ use gpu_sim::{
     AccessPattern, GpuConfig, KernelDesc, Occupancy, SmConfig, CTA_REGION_LINES, MAX_DISJOINT_CTAS,
     SHARED_REGION_LINES,
 };
-use std::sync::Arc;
 use ws_workloads::{Benchmark, ScalingArchetype, Waiver, WorkloadClass};
 
 /// Hard rules, enforced both here and by the launch pre-flight
@@ -631,9 +630,9 @@ pub(crate) fn compute_metrics(
         lsu_frac: gload_frac + gstore_frac + shmem_frac,
         global_traffic,
         arithmetic_intensity,
-        median_raw_distance: flow.median_raw_distance(),
-        dominant_raw_distance: flow.dominant_raw_distance(),
-        raw_histogram: Arc::clone(&flow.raw_histogram),
+        median_raw_distance: flow.raw_histogram.median_distance(),
+        dominant_raw_distance: flow.raw_histogram.dominant_distance(),
+        raw_histogram: flow.raw_histogram.clone(),
         first_iter_uninit_reads: flow.first_iter_uninit_reads,
         max_ctas_by: occupancy.by,
         max_ctas: occupancy.max_ctas,

@@ -208,11 +208,17 @@ fn kernel_sig(class: &str, archetype: &str, features: &Features) -> u64 {
     }
     h.opt_usize(*median_raw_distance);
     h.opt_usize(*dominant_raw_distance);
-    h.usize(raw_histogram.len());
-    for &n in raw_histogram.iter() {
-        h.usize(n);
-    }
-    h.0
+    // The histogram goes last and is most of the key's words. It is kept
+    // with the program, so a re-derived kernel reaches it from the same
+    // state and reads back the fold it kept.
+    raw_histogram.key_fold(h.0, |entry, buckets| {
+        let mut h = KeyHasher(entry);
+        h.usize(buckets.len());
+        for &n in buckets {
+            h.usize(n);
+        }
+        h.0
+    })
 }
 
 /// `gpu_sig`: all 40 integers of `cfg`, bound exhaustively like
@@ -459,16 +465,12 @@ impl Default for CurveStore {
     }
 }
 
-/// Whether every curve point survives the JSONL round-trip bit-exactly:
-/// finite, and shortest-roundtrip formatting parses back to the same bits.
+/// Whether every curve point survives the JSONL round-trip bit-exactly.
+/// Rust's `{}` for `f64` prints the shortest digits that parse back to the
+/// same bits, so a finite value always does; a non-finite one has no JSON
+/// number. The check is therefore `is_finite`, with no string per point.
 fn roundtrip_exact(perf: &[f64]) -> bool {
-    // `f64::from_str` (not `str::parse`) keeps the accounting call graph
-    // free of a false edge into the trace parser's identically-named
-    // `parse` method.
-    use std::str::FromStr;
-    perf.iter().all(|&v| {
-        v.is_finite() && f64::from_str(&format!("{v}")).is_ok_and(|p| p.to_bits() == v.to_bits())
-    })
+    perf.iter().all(|v| v.is_finite())
 }
 
 impl CurveStore {
@@ -856,6 +858,171 @@ mod tests {
         assert_ne!(a.key.kernel_sig, other.key.kernel_sig, "kernels differ");
     }
 
+    /// The v3 `kernel_sig` before the histogram kept its fold, verbatim:
+    /// every call absorbed every bucket.
+    fn reference_kernel_sig(class: &str, archetype: &str, features: &Features) -> u64 {
+        let Features {
+            metrics,
+            warps_per_cta,
+            max_ctas,
+            max_ctas_by,
+            phi_mem,
+            ilp,
+            mlp,
+            barrier_eff,
+            traffic_per_inst,
+        } = features;
+        let StaticMetrics {
+            body_len,
+            iterations,
+            alu_frac,
+            sfu_frac,
+            gload_frac,
+            gstore_frac,
+            shmem_frac,
+            barrier_frac,
+            lsu_frac,
+            global_traffic,
+            arithmetic_intensity,
+            median_raw_distance,
+            dominant_raw_distance,
+            raw_histogram,
+            first_iter_uninit_reads,
+            max_ctas_by: metric_max_ctas_by,
+            max_ctas: metric_max_ctas,
+        } = metrics;
+        let mut h = KeyHasher::new();
+        h.bytes(b"ws-store/v");
+        h.u64(STORE_FORMAT_VERSION);
+        h.bytes(class.as_bytes());
+        h.bytes(archetype.as_bytes());
+        for v in [body_len, first_iter_uninit_reads] {
+            h.usize(*v);
+        }
+        for v in [iterations, metric_max_ctas, warps_per_cta, max_ctas]
+            .into_iter()
+            .chain(metric_max_ctas_by)
+            .chain(max_ctas_by)
+        {
+            h.u64(u64::from(*v));
+        }
+        for v in [
+            alu_frac,
+            sfu_frac,
+            gload_frac,
+            gstore_frac,
+            shmem_frac,
+            barrier_frac,
+            lsu_frac,
+            global_traffic,
+            arithmetic_intensity,
+            phi_mem,
+            ilp,
+            mlp,
+            barrier_eff,
+            traffic_per_inst,
+        ] {
+            h.f64(*v);
+        }
+        h.opt_usize(*median_raw_distance);
+        h.opt_usize(*dominant_raw_distance);
+        h.usize(raw_histogram.len());
+        for &n in raw_histogram.iter() {
+            h.usize(n);
+        }
+        h.0
+    }
+
+    /// The reference key of `desc` under `cfg`.
+    fn reference_key(desc: &KernelDesc, cfg: &GpuConfig) -> u64 {
+        let features = extract_features(desc, cfg).expect("IMG passes pre-flight");
+        let (class, archetype) = derived_signature(&features);
+        reference_kernel_sig(class, archetype, &features)
+    }
+
+    #[test]
+    fn kept_histogram_fold_gives_the_reference_key() {
+        // One IMG program under two GPU configs and two access patterns:
+        // four entry states into the histogram's fold, of which it keeps
+        // the first. Every derivation must equal the un-memoised encoder.
+        let img = by_abbrev("IMG").unwrap().desc;
+        let early = img.clone();
+        let mut streaming = img.clone();
+        streaming.pattern = gpu_sim::AccessPattern::Streaming { transactions: 4 };
+        let configs = [GpuConfig::isca_baseline(), GpuConfig::large()];
+        let variants: Vec<(&KernelDesc, &GpuConfig)> = [&img, &streaming]
+            .into_iter()
+            .flat_map(|d| configs.iter().map(move |c| (d, c)))
+            .collect();
+        // The references are computed on clones made apart from the
+        // program under test, so they share no kept fold with it.
+        let expected: Vec<u64> = variants
+            .iter()
+            .map(|(d, c)| {
+                let apart = KernelDesc {
+                    program: gpu_sim::Program::new(d.program.iter().copied().collect()),
+                    ..(*d).clone()
+                };
+                reference_key(&apart, c)
+            })
+            .collect();
+        let mut distinct = expected.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4, "four distinct entry states");
+        let key = |d: &KernelDesc, c: &GpuConfig| {
+            KernelSignature::derive(d, c)
+                .expect("IMG passes pre-flight")
+                .key
+                .kernel_sig
+        };
+        // Interleaved: each variant repeatedly, in both orders.
+        for round in 0..4 {
+            for i in 0..variants.len() {
+                let i = if round % 2 == 0 {
+                    i
+                } else {
+                    variants.len() - 1 - i
+                };
+                let (d, c) = variants[i];
+                assert_eq!(key(d, c), expected[i], "round {round}, variant {i}");
+            }
+        }
+        // A clone made after the first derivation shares the kept fold; one
+        // made before it walks and folds on its own.
+        let late = img.clone();
+        assert!(std::ptr::eq(late.program.flow(), img.program.flow()));
+        assert!(!std::ptr::eq(early.program.flow(), img.program.flow()));
+        for (i, c) in configs.iter().enumerate().rev() {
+            assert_eq!(key(&late, c), expected[i], "late clone, config {i}");
+            assert_eq!(key(&early, c), expected[i], "early clone, config {i}");
+        }
+        // Four threads at once on one fresh program value, each in its own
+        // order, race to keep the first fold.
+        let fresh = KernelDesc {
+            program: gpu_sim::Program::new(img.program.iter().copied().collect()),
+            ..img.clone()
+        };
+        let mut fresh_streaming = fresh.clone();
+        fresh_streaming.pattern = streaming.pattern;
+        let fresh_variants: Vec<(&KernelDesc, &GpuConfig)> = [&fresh, &fresh_streaming]
+            .into_iter()
+            .flat_map(|d| configs.iter().map(move |c| (d, c)))
+            .collect();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (fresh_variants, expected) = (&fresh_variants, &expected);
+                s.spawn(move || {
+                    for n in 0..200 {
+                        let i = (t + n) % fresh_variants.len();
+                        let (d, c) = fresh_variants[i];
+                        assert_eq!(key(d, c), expected[i], "thread {t}, call {n}");
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn derive_reports_why_a_kernel_has_no_key() {
         let mut desc = by_abbrev("IMG").unwrap().desc;
@@ -985,6 +1152,50 @@ mod tests {
             assert!(s.is_empty());
             assert_eq!(s.stats(), StoreStats::default());
         }
+    }
+
+    /// The insert check before it became `is_finite`, verbatim: format and
+    /// re-parse every point.
+    fn reference_roundtrip_exact(perf: &[f64]) -> bool {
+        use std::str::FromStr;
+        perf.iter().all(|&v| {
+            v.is_finite()
+                && f64::from_str(&format!("{v}")).is_ok_and(|p| p.to_bits() == v.to_bits())
+        })
+    }
+
+    #[test]
+    fn roundtrip_check_is_the_reference_format_and_parse() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN,
+            f64::MAX,
+            f64::EPSILON,
+            0.1,
+            1.0 / 3.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = gpu_sim::SimRng::seed_from_u64(0x0f64_0001);
+        let random = (0..1_000_000).map(|_| f64::from_bits(rng.next_u64()));
+        for v in edges.into_iter().chain(random) {
+            assert_eq!(
+                roundtrip_exact(&[v]),
+                reference_roundtrip_exact(&[v]),
+                "{v:e} ({:#018x})",
+                v.to_bits()
+            );
+        }
+        assert!(roundtrip_exact(&[]));
+        assert!(!roundtrip_exact(&[1.0, f64::NAN, 2.0]));
     }
 
     #[test]

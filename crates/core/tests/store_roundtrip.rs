@@ -355,7 +355,9 @@ fn kernel_sig_changes_with_every_feature_field() {
             f.metrics.dominant_raw_distance = Some(7);
         }),
         ("metrics.raw_histogram[0]", |f| {
-            std::sync::Arc::make_mut(&mut f.metrics.raw_histogram)[0] += 1;
+            let mut h = f.metrics.raw_histogram.to_vec();
+            h[0] += 1;
+            f.metrics.raw_histogram = h.into();
         }),
         ("metrics.raw_histogram.len", |f| {
             let mut h = f.metrics.raw_histogram.to_vec();

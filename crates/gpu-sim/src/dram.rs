@@ -72,7 +72,7 @@ impl DramChannel {
             ..
         } = *t;
         Self {
-            queue: VecDeque::new(),
+            queue: VecDeque::with_capacity(cfg.dram_queue_entries as usize),
             banks: vec![Bank { open_row: None }; cfg.banks_per_channel as usize],
             lines_per_row: u64::from(cfg.row_bytes / 128).max(1),
             queue_capacity: cfg.dram_queue_entries as usize,
@@ -85,6 +85,21 @@ impl DramChannel {
             row_hits: 0,
             busy_cycles: 0,
         }
+    }
+
+    /// The most requests the channel holds at once, from `enqueue` to the
+    /// cycle their data is ready: a full queue plus the dispatched ones
+    /// still in flight. Dispatches are at least a burst apart and none
+    /// takes longer than the slowest row access, so at most
+    /// `slowest / burst + 1` are in flight.
+    #[must_use]
+    pub(crate) fn max_outstanding(&self) -> usize {
+        let slowest = self
+            .lat_row_hit
+            .max(self.lat_row_miss)
+            .max(self.lat_row_closed);
+        let in_flight = usize::try_from(slowest / self.burst + 1).unwrap_or(usize::MAX);
+        self.queue_capacity.saturating_add(in_flight)
     }
 
     /// Whether the request queue can accept another entry.

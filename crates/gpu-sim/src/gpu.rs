@@ -90,7 +90,16 @@ impl Gpu {
         let num_sms = cfg.num_sms as usize;
         let sms = (0..num_sms).map(|i| Sm::new(i, &cfg, scheduler)).collect();
         let mem = MemSubsystem::new(&cfg);
+        // The per-cycle buffers start at their bounds: an SM receives at
+        // most one fill per MSHR entry, and retires at most one CTA per
+        // CTA slot, in a cycle.
+        let mshr_entries = cfg.l1.mshr_entries as usize;
         Self {
+            resp_buf: Vec::with_capacity(num_sms * mshr_entries),
+            fill_bufs: (0..num_sms)
+                .map(|_| Vec::with_capacity(mshr_entries))
+                .collect(),
+            completion_buf: Vec::with_capacity(num_sms * cfg.sm.max_ctas as usize),
             cfg,
             sms,
             mem,
@@ -98,9 +107,6 @@ impl Gpu {
             meta: Vec::new(),
             kernel_insts: Vec::new(),
             cycle: 0,
-            resp_buf: Vec::new(),
-            fill_bufs: vec![Vec::new(); num_sms],
-            completion_buf: Vec::new(),
             fast_forward: fast_forward_default(),
             skipped_cycles: 0,
             ff_backoff: 0,
@@ -176,6 +182,12 @@ impl Gpu {
         self.descs.push(desc);
         self.meta.push(KernelMeta::default());
         self.kernel_insts.push(0);
+        // The tick path fills in the kernel's statistics slots; make room
+        // for them here.
+        self.mem.reserve_kernels(self.descs.len());
+        for sm in &mut self.sms {
+            sm.reserve_kernels(self.descs.len());
+        }
         id
     }
 

@@ -82,5 +82,5 @@ pub use scheduler::SchedulerKind;
 pub use sm::{CtaCompletion, Sm};
 pub use stats::{SmKernelStats, SmStats, StallBreakdown, StallReason};
 pub use trace::{TraceEvent, TraceSink};
-pub use verify::{occupancy_breakdown, KernelVerifyError, Occupancy, ResourceKind};
+pub use verify::{occupancy_breakdown, KernelVerifyError, Occupancy, RawHistogram, ResourceKind};
 pub use warp::{IssueClasses, Warp, WarpTable, PENDING_LOAD};

@@ -88,59 +88,96 @@ impl MemStats {
     }
 }
 
-/// One channel's load lines in flight to DRAM, as two parallel flat
-/// arrays: line `lines[i]` is awaited by the SMs `waiters[i]`, one entry
-/// per merged load, in arrival order.
+/// One channel's load lines in flight to DRAM, as flat arrays sized
+/// once: line `lines[i]` is awaited by the `counts[i]` SMs in row `i` of
+/// `waiters`, one per merged load, in arrival order.
 ///
-/// A lookup is a linear scan of `lines`: a channel's reads in flight are
-/// its DRAM queue, at most `dram_queue_entries`, plus the few the data bus
-/// is serving. A completed fill `swap_remove`s its entry, so the entries'
-/// order shifts, but nothing iterates them and each line's waiters keep
-/// their order. Retired waiter vectors return to `pool`, as in
-/// [`crate::mshr::MshrTable`], so a DRAM read miss allocates only while
-/// the pool is still growing toward the peak number of lines in flight.
+/// Two bounds from the config size it, so a DRAM read miss never
+/// allocates:
+///
+/// * **lines** — a pending line is a read the channel holds between
+///   `enqueue` and its data-ready cycle, so there are at most
+///   [`DramChannel::max_outstanding`] of them;
+/// * **waiters per line** — `num_sms`. An SM sends a load request only
+///   when its MSHR allocates an entry for the line, and that entry lives
+///   until the fill reaches the SM, after the pending line completes; so
+///   while a line is pending each SM waits on it at most once.
+///
+/// A lookup is a linear scan of `lines`. A completed fill `swap_remove`s
+/// its entry (moving the last entry's row into its place), so the
+/// entries' order shifts, but nothing iterates them and each line's
+/// waiters keep their order.
 #[derive(Debug)]
 struct PendingFills {
     lines: Vec<LineAddr>,
-    waiters: Vec<Vec<usize>>,
-    pool: Vec<Vec<usize>>,
+    counts: Vec<usize>,
+    /// Row `i` (`width` wide) holds the SMs waiting on `lines[i]`.
+    waiters: Box<[usize]>,
+    width: usize,
 }
 
 impl PendingFills {
-    fn with_capacity(lines: usize) -> Self {
+    /// A table for at most `lines` pending lines with `width` waiters each.
+    fn new(lines: usize, width: usize) -> Self {
         Self {
             lines: Vec::with_capacity(lines),
-            waiters: Vec::with_capacity(lines),
-            pool: Vec::with_capacity(lines),
+            counts: Vec::with_capacity(lines),
+            waiters: vec![0; lines.saturating_mul(width)].into_boxed_slice(),
+            width,
         }
     }
 
-    /// The SMs waiting on `line`, if it is in flight.
-    fn waiters_mut(&mut self, line: LineAddr) -> Option<&mut Vec<usize>> {
-        let i = self.lines.iter().position(|&l| l == line)?;
-        self.waiters.get_mut(i)
+    /// The entry tracking `line`, if it is in flight.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
+    }
+
+    /// Adds SM `sm_id` as the next waiter of entry `i`.
+    fn push_waiter(&mut self, i: usize, sm_id: usize) {
+        let n = self.counts[i];
+        crate::strict_assert!(
+            n < self.width,
+            "pending fill of line {:#x} already has {n} waiters, one per SM",
+            self.lines[i]
+        );
+        // Indexing the row, not the table: a waiter past the bound panics
+        // instead of landing in the next entry's row.
+        self.waiters[i * self.width..(i + 1) * self.width][n] = sm_id;
+        self.counts[i] = n + 1;
     }
 
     /// Starts tracking `line`, which must not be in flight yet, with SM
     /// `sm_id` as its first waiter.
-    fn insert(&mut self, line: LineAddr, sm_id: usize) {
-        let mut waiters = self.pool.pop().unwrap_or_default();
-        waiters.push(sm_id);
+    fn track(&mut self, line: LineAddr, sm_id: usize) {
+        crate::strict_assert!(
+            self.lines.len() < self.lines.capacity(),
+            "{} pending fills exceed the channel's {} outstanding reads",
+            self.lines.len() + 1,
+            self.lines.capacity()
+        );
         self.lines.push(line);
-        self.waiters.push(waiters);
+        self.counts.push(0);
+        self.push_waiter(self.lines.len() - 1, sm_id);
     }
 
     /// Stops tracking `line` and hands its waiting SMs to `wake` in
     /// arrival order; `false` if the line was not in flight.
-    fn complete(&mut self, line: LineAddr, mut wake: impl FnMut(usize)) -> bool {
-        let Some(i) = self.lines.iter().position(|&l| l == line) else {
+    fn complete(&mut self, line: LineAddr, wake: impl FnMut(usize)) -> bool {
+        let Some(i) = self.find(line) else {
             return false;
         };
+        let width = self.width;
+        self.waiters[i * width..i * width + self.counts[i]]
+            .iter()
+            .copied()
+            .for_each(wake);
+        let last = self.lines.len() - 1;
+        if i != last {
+            let moved = last * width..last * width + self.counts[last];
+            self.waiters.copy_within(moved, i * width);
+        }
         self.lines.swap_remove(i);
-        let mut waiters = self.waiters.swap_remove(i);
-        waiters.iter().copied().for_each(&mut wake);
-        waiters.clear();
-        self.pool.push(waiters);
+        self.counts.swap_remove(i);
         true
     }
 
@@ -185,7 +222,20 @@ pub struct MemSubsystem {
 }
 
 impl MemSubsystem {
-    /// Builds the memory subsystem for `cfg`.
+    /// Builds the memory subsystem for `cfg`, with every queue the tick
+    /// path fills sized up front to the bound the config implies, so the
+    /// tick path does not grow them as a fresh GPU warms up:
+    ///
+    /// * `ingress`: each SM submits at most one request per LSU unit per
+    ///   cycle, and a request stays `icnt_latency` cycles;
+    /// * `responses`: every load in the memory system holds one SM's MSHR
+    ///   entry, so there are at most `num_sms x mshr_entries` loads, and
+    ///   as many responses;
+    /// * `dram_done` and the pending fills: at most
+    ///   [`DramChannel::max_outstanding`] requests per channel;
+    /// * `l2_in`: each queue starts with room for every load in the memory
+    ///   system. Stores need no MSHR entry, so nothing bounds them, and a
+    ///   store burst against a full DRAM queue may still grow it.
     #[must_use]
     pub fn new(cfg: &GpuConfig) -> Self {
         let n = cfg.mem.num_channels as usize;
@@ -194,12 +244,20 @@ impl MemSubsystem {
             "l2_pending bitmask holds at most 64 channels, got {n}"
         );
         let ratio = cfg.core_per_dram_clock();
+        let num_sms = cfg.num_sms as usize;
+        let in_transit = num_sms
+            .saturating_mul(cfg.sm.num_schedulers as usize)
+            .saturating_mul(cfg.mem.icnt_latency as usize + 1);
+        let loads = num_sms.saturating_mul(cfg.l1.mshr_entries as usize);
+        let dram: Vec<DramChannel> = (0..n).map(|_| DramChannel::new(&cfg.mem, ratio)).collect();
+        let mut stats = MemStats::default();
+        stats.dram_by_sm.reserve(num_sms);
         Self {
             num_channels: n,
             icnt_latency: u64::from(cfg.mem.icnt_latency),
             l2_latency: u64::from(cfg.l2.latency),
-            ingress: VecDeque::new(),
-            l2_in: vec![VecDeque::new(); n],
+            ingress: VecDeque::with_capacity(in_transit),
+            l2_in: (0..n).map(|_| VecDeque::with_capacity(loads)).collect(),
             l2: (0..n)
                 .map(|_| {
                     SetAssocCache::new(
@@ -209,16 +267,26 @@ impl MemSubsystem {
                     )
                 })
                 .collect(),
-            dram: (0..n).map(|_| DramChannel::new(&cfg.mem, ratio)).collect(),
-            pending_fills: (0..n)
-                .map(|_| PendingFills::with_capacity(cfg.mem.dram_queue_entries as usize))
+            pending_fills: dram
+                .iter()
+                .map(|ch| PendingFills::new(ch.max_outstanding(), num_sms))
                 .collect(),
-            responses: BinaryHeap::new(),
-            dram_done: BinaryHeap::new(),
+            responses: BinaryHeap::with_capacity(loads),
+            dram_done: BinaryHeap::with_capacity(
+                dram.iter().map(DramChannel::max_outstanding).sum(),
+            ),
+            dram,
             l2_pending: 0,
             arrival_clock: 0,
-            stats: MemStats::default(),
+            stats,
         }
+    }
+
+    /// Reserves the per-kernel statistics slots for `kernels` kernels, so
+    /// the tick path indexes them without growing the table.
+    pub(crate) fn reserve_kernels(&mut self, kernels: usize) {
+        let per_kernel = &mut self.stats.per_kernel;
+        per_kernel.reserve(kernels.saturating_sub(per_kernel.len()));
     }
 
     /// Channel a line maps to.
@@ -319,9 +387,10 @@ impl MemSubsystem {
         // A load whose line is already being fetched merges without a
         // fresh L2 probe (the in-flight fill will satisfy it).
         if !req.is_store {
-            if let Some(waiters) = self.pending_fills[ch].waiters_mut(req.line) {
+            let pending = &mut self.pending_fills[ch];
+            if let Some(i) = pending.find(req.line) {
                 self.l2_in[ch].pop_front();
-                waiters.push(req.sm_id);
+                pending.push_waiter(i, req.sm_id);
                 return;
             }
         }
@@ -374,7 +443,7 @@ impl MemSubsystem {
                 } else {
                     self.stats.per_kernel[k].dram_reads += 1;
                     self.stats.total.dram_reads += 1;
-                    self.pending_fills[ch].insert(req.line, req.sm_id);
+                    self.pending_fills[ch].track(req.line, req.sm_id);
                 }
                 self.stats.dram_by_sm[req.sm_id] += 1;
             }

@@ -31,24 +31,30 @@ pub enum MshrOutcome {
     Rejected,
 }
 
-/// MSHR table: line address -> waiters, as two parallel flat arrays.
+/// MSHR table: line address -> waiters, as flat arrays sized once.
 ///
-/// Entry `i` is line `lines[i]` with waiters `waiters[i]`, in registration
-/// order. The table holds a few dozen lines, so a lookup is a linear scan
-/// of `lines`, and a completion `swap_remove`s its entry: the order of the
-/// entries shifts, but nothing result-bearing iterates them (only the
-/// invariant walk does), and each line's waiters keep their order.
+/// Entry `i` is line `lines[i]` with `counts[i]` waiters, kept in
+/// registration order in row `i` of `slots`. The table holds a few dozen
+/// lines, so a lookup is a linear scan of `lines`, and a completion
+/// `swap_remove`s its entry (moving the last entry's row into its place):
+/// the order of the entries shifts, but nothing result-bearing iterates
+/// them (only the invariant walk does), and each line's waiters keep their
+/// order.
+///
+/// The config bounds the table: at most `max_entries` lines, each with at
+/// most `max_merged` waiters, since `register` rejects a miss past either
+/// bound. So `slots` is one `max_entries x max_merged` allocation made by
+/// [`Self::new`], and registering or completing a miss never allocates.
 #[derive(Debug, Clone)]
 pub struct MshrTable {
     /// In-flight line addresses, one per entry.
     lines: Vec<LineAddr>,
     /// Waiters merged into each entry, parallel to `lines`.
-    waiters: Vec<Vec<MshrWaiter>>,
+    counts: Vec<usize>,
+    /// Row `i` (`max_merged` wide) holds entry `i`'s waiters.
+    slots: Box<[MshrWaiter]>,
     max_entries: usize,
     max_merged: usize,
-    /// Retired waiter vectors kept for reuse so the per-miss allocate /
-    /// per-fill free churn disappears from the tick path.
-    pool: Vec<Vec<MshrWaiter>>,
 }
 
 impl MshrTable {
@@ -58,13 +64,19 @@ impl MshrTable {
     pub fn new(max_entries: u32, max_merged: u32) -> Self {
         // u32 -> usize never truncates. xtask-allow: no-lossy-cast
         let max_entries = max_entries as usize;
+        // xtask-allow: no-lossy-cast
+        let max_merged = max_merged.max(1) as usize;
+        let empty = MshrWaiter {
+            warp_slot: 0,
+            warp_gen: 0,
+            load_id: 0,
+        };
         Self {
             lines: Vec::with_capacity(max_entries),
-            waiters: Vec::with_capacity(max_entries),
+            counts: Vec::with_capacity(max_entries),
+            slots: vec![empty; max_entries.saturating_mul(max_merged)].into_boxed_slice(),
             max_entries,
-            // xtask-allow: no-lossy-cast
-            max_merged: max_merged.max(1) as usize,
-            pool: Vec::with_capacity(max_entries),
+            max_merged,
         }
     }
 
@@ -75,25 +87,31 @@ impl MshrTable {
 
     /// Registers a miss on `line` for `waiter`.
     pub fn register(&mut self, line: LineAddr, waiter: MshrWaiter) -> MshrOutcome {
-        if let Some(i) = self.find(line) {
-            let waiters = &mut self.waiters[i];
-            if waiters.len() >= self.max_merged {
-                return MshrOutcome::Rejected;
+        let (entry, outcome) = match self.find(line) {
+            Some(i) if self.counts[i] >= self.max_merged => return MshrOutcome::Rejected,
+            Some(i) => (i, MshrOutcome::Merged),
+            None if self.lines.len() >= self.max_entries => return MshrOutcome::Rejected,
+            None => {
+                self.lines.push(line);
+                self.counts.push(0);
+                (self.lines.len() - 1, MshrOutcome::Allocated)
             }
-            waiters.push(waiter);
-            return MshrOutcome::Merged;
-        }
-        if self.lines.len() >= self.max_entries {
-            return MshrOutcome::Rejected;
-        }
-        let mut waiters = self.pool.pop().unwrap_or_default();
-        waiters.push(waiter);
-        self.lines.push(line);
-        self.waiters.push(waiters);
-        if crate::invariant::enabled() {
+        };
+        // Both bounds were checked above, so the slot lies inside the
+        // entry's row.
+        crate::strict_assert!(
+            entry < self.max_entries && self.counts[entry] < self.max_merged,
+            "MSHR corruption: waiter {} of entry {entry} is past the {}x{} table",
+            self.counts[entry],
+            self.max_entries,
+            self.max_merged
+        );
+        self.slots[entry * self.max_merged + self.counts[entry]] = waiter;
+        self.counts[entry] += 1;
+        if crate::invariant::enabled() && outcome == MshrOutcome::Allocated {
             self.assert_within_bounds();
         }
-        MshrOutcome::Allocated
+        outcome
     }
 
     /// Verifies that the table respects its configured bounds, panicking on
@@ -110,7 +128,7 @@ impl MshrTable {
     pub fn assert_within_bounds(&self) {
         assert_eq!(
             self.lines.len(),
-            self.waiters.len(),
+            self.counts.len(),
             "MSHR corruption: line and waiter arrays out of step"
         );
         assert!(
@@ -119,19 +137,18 @@ impl MshrTable {
             self.lines.len(),
             self.max_entries
         );
-        for (i, (line, waiters)) in self.lines.iter().zip(&self.waiters).enumerate() {
+        for (i, (line, &waiters)) in self.lines.iter().zip(&self.counts).enumerate() {
             assert!(
                 !self.lines[..i].contains(line),
                 "MSHR corruption: line {line:#x} tracked twice"
             );
             assert!(
-                !waiters.is_empty(),
+                waiters > 0,
                 "MSHR corruption: line {line:#x} tracked with no waiters"
             );
             assert!(
-                waiters.len() <= self.max_merged,
-                "MSHR corruption: line {line:#x} holds {} waiters, merge bound is {}",
-                waiters.len(),
+                waiters <= self.max_merged,
+                "MSHR corruption: line {line:#x} holds {waiters} waiters, merge bound is {}",
                 self.max_merged
             );
         }
@@ -139,17 +156,21 @@ impl MshrTable {
 
     /// Completes the fill of `line`, appending every waiter that was merged
     /// into it to `out` in registration order (nothing if the line was not
-    /// tracked) and recycling the entry's storage internally, so the
-    /// per-fill path allocates nothing.
+    /// tracked). The entry's row is reused in place, so the per-fill path
+    /// allocates nothing once `out` holds `max_merged` waiters.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<MshrWaiter>) {
-        if let Some(i) = self.find(line) {
-            self.lines.swap_remove(i);
-            let mut waiters = self.waiters.swap_remove(i);
-            out.append(&mut waiters);
-            if self.pool.len() < self.max_entries {
-                self.pool.push(waiters);
-            }
+        let Some(i) = self.find(line) else {
+            return;
+        };
+        let width = self.max_merged;
+        out.extend_from_slice(&self.slots[i * width..i * width + self.counts[i]]);
+        let last = self.lines.len() - 1;
+        if i != last {
+            let moved = last * width..last * width + self.counts[last];
+            self.slots.copy_within(moved, i * width);
         }
+        self.lines.swap_remove(i);
+        self.counts.swap_remove(i);
     }
 
     /// Whether `line` is already in flight.
@@ -173,7 +194,7 @@ impl MshrTable {
     /// Drops all entries.
     pub fn clear(&mut self) {
         self.lines.clear();
-        self.waiters.clear();
+        self.counts.clear();
     }
 }
 

@@ -2,7 +2,6 @@
 //! functional units, LSU, L1/MSHR front end, and stall accounting.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 use crate::access::LineAddr;
 use crate::alloc::{CtaResources, PartitionWindow, SmResources};
@@ -50,9 +49,16 @@ struct LsuOp {
     warp_gen: u32,
     kernel: KernelId,
     kind: LsuKind,
-    lines: VecDeque<LineAddr>,
+    /// The op's lines are `next..end` of its unit's row in
+    /// [`Sm::lsu_lines`]; `next` advances as each line is processed.
+    next: usize,
+    end: usize,
     cycles_left: u32,
 }
+
+/// Width of one row of [`Sm::lsu_lines`]: the most lines one warp access
+/// generates.
+const WARP_LINES: usize = crate::config::SmConfig::WARP_SIZE as usize;
 
 #[derive(Debug, Default)]
 struct UnitSet {
@@ -87,13 +93,13 @@ pub struct Sm {
     stats: SmStats,
     completions: Vec<CtaCompletion>,
     line_buf: Vec<LineAddr>,
-    /// Recycled line deques for in-flight LSU ops: every op, shared-memory
-    /// ones included, takes its deque from here, and completed, dropped and
-    /// evicted ops return it, so issuing a new memory op never allocates on
-    /// the tick path (`no-tick-alloc`). Pooled deques are empty. A deque
-    /// is made only when the pool is empty, so pooled plus in-flight deques
-    /// never outnumber the scheduler units (at most one LSU op each).
-    lsu_line_pool: Vec<VecDeque<LineAddr>>,
+    /// The lines of the in-flight LSU ops, one [`SmConfig::WARP_SIZE`]-wide
+    /// row per scheduler unit: a unit holds at most one LSU op, and one
+    /// warp access generates at most a warp's worth of transactions
+    /// (`AccessPattern::transactions` clamps to it). Sized once by
+    /// [`Sm::new`], so issuing a memory op never allocates on the tick path
+    /// (`no-tick-alloc`).
+    lsu_lines: Box<[LineAddr]>,
     finished_buf: Vec<usize>,
     waiter_buf: Vec<MshrWaiter>,
     fetch_ptr: usize,
@@ -150,11 +156,13 @@ impl Sm {
             windows: BTreeMap::new(),
             residency: Vec::new(),
             stats: SmStats::default(),
-            completions: Vec::new(),
-            line_buf: Vec::with_capacity(32),
-            lsu_line_pool: Vec::with_capacity(num_sched),
+            // At most every CTA slot retires in one cycle.
+            completions: Vec::with_capacity(cfg.sm.max_ctas as usize),
+            line_buf: Vec::with_capacity(WARP_LINES),
+            lsu_lines: vec![0; num_sched * WARP_LINES].into_boxed_slice(),
             finished_buf: Vec::with_capacity(8),
-            waiter_buf: Vec::with_capacity(8),
+            // One fill hands back at most the MSHR's merge bound.
+            waiter_buf: Vec::with_capacity(cfg.l1.mshr_max_merged.max(1) as usize),
             fetch_ptr: 0,
             last_tick: None,
             table: WarpTable::new(max_warps),
@@ -164,6 +172,13 @@ impl Sm {
             horizon: 0,
             horizon_valid: false,
         }
+    }
+
+    /// Reserves this SM's per-kernel statistics slots for `kernels`
+    /// kernels, so the tick path does not grow the table.
+    pub(crate) fn reserve_kernels(&mut self, kernels: usize) {
+        let per_kernel = &mut self.stats.per_kernel;
+        per_kernel.reserve(kernels.saturating_sub(per_kernel.len()));
     }
 
     /// Statistics accumulated so far.
@@ -372,11 +387,9 @@ impl Sm {
         for cs in cta_slots {
             self.release_cta(cs, desc.threads_per_cta);
         }
-        // Drop LSU work belonging to the evicted kernel, keeping its deques.
+        // Drop LSU work belonging to the evicted kernel.
         for (i, unit) in self.units.iter_mut().enumerate() {
-            if let Some(mut op) = unit.lsu.take_if(|op| op.kernel.0 == slot) {
-                op.lines.clear();
-                self.lsu_line_pool.push(op.lines);
+            if unit.lsu.take_if(|op| op.kernel.0 == slot).is_some() {
                 self.lsu_busy_mask &= !(1u64 << i);
             }
         }
@@ -604,7 +617,8 @@ impl Sm {
                     warp_gen: warp.gen,
                     kernel,
                     kind: LsuKind::Shared,
-                    lines: self.lsu_line_pool.pop().unwrap_or_default(),
+                    next: 0,
+                    end: 0,
                     cycles_left: base * degree,
                 });
             }
@@ -630,16 +644,21 @@ impl Sm {
                 } else {
                     LsuKind::GlobalStore
                 };
-                // Reuse a pooled (empty) deque instead of collecting into a
-                // fresh one: issuing a memory op must not allocate per-op.
-                let mut lines = self.lsu_line_pool.pop().unwrap_or_default();
-                lines.extend(self.line_buf.drain(..));
+                // The lines go into this unit's row of the LSU line table.
+                let n = self.line_buf.len();
+                crate::strict_assert!(
+                    n <= WARP_LINES,
+                    "a warp access generated {n} lines, more than a warp's {WARP_LINES}"
+                );
+                let row = sched_id * WARP_LINES;
+                self.lsu_lines[row..row + WARP_LINES][..n].copy_from_slice(&self.line_buf);
                 unit.lsu = Some(LsuOp {
                     warp_slot: slot,
                     warp_gen: warp.gen,
                     kernel,
                     kind,
-                    lines,
+                    next: 0,
+                    end: n,
                     cycles_left: (warp_size / u64::from(sm_cfg.lsu_width)) as u32,
                 });
             }
@@ -673,12 +692,11 @@ impl Sm {
             self.stats.lsu_busy += 1;
             // A warp evicted mid-operation invalidates the op.
             if self.warp_gens[op.warp_slot] != op.warp_gen {
-                op.lines.clear();
-                self.lsu_line_pool.push(op.lines);
                 self.lsu_busy_mask &= !(1u64 << sched_id);
                 continue;
             }
-            if let Some(&line) = op.lines.front() {
+            if op.next < op.end {
+                let line = self.lsu_lines[sched_id * WARP_LINES + op.next];
                 let is_store = matches!(op.kind, LsuKind::GlobalStore);
                 let probe = self.l1.access(line);
                 let kstats = self.stats.kernel_mut(op.kernel.0);
@@ -749,14 +767,14 @@ impl Sm {
                     }
                 }
                 if processed {
-                    op.lines.pop_front();
+                    op.next += 1;
                     op.cycles_left = op.cycles_left.saturating_sub(1);
                 }
             } else if op.cycles_left > 0 {
                 op.cycles_left -= 1;
             }
 
-            if op.lines.is_empty() && op.cycles_left == 0 {
+            if op.next == op.end && op.cycles_left == 0 {
                 if let LsuKind::GlobalLoad { load_id } = op.kind {
                     if let Some(w) = self.warps[op.warp_slot].as_mut() {
                         if w.finish_load_issue(load_id, now + l1_hit_latency) {
@@ -766,7 +784,6 @@ impl Sm {
                         }
                     }
                 }
-                self.lsu_line_pool.push(op.lines);
                 self.lsu_busy_mask &= !(1u64 << sched_id);
             } else {
                 self.units[sched_id].lsu = Some(op);
@@ -1265,9 +1282,26 @@ mod tests {
         );
     }
 
-    /// LSU ops in flight: the deques they hold.
+    /// LSU ops in flight.
     fn lsu_ops_in_flight(sm: &Sm) -> usize {
         sm.units.iter().filter(|u| u.lsu.is_some()).count()
+    }
+
+    /// The LSU line table is still the allocation `table` it was built as,
+    /// one warp-wide row per scheduler unit, and every in-flight op's lines
+    /// lie inside its row (a shared-memory op has none).
+    fn assert_line_table(sm: &Sm, table: *const LineAddr, num_sched: usize) {
+        assert_eq!(sm.lsu_lines.len(), num_sched * WARP_LINES);
+        assert!(
+            std::ptr::eq(sm.lsu_lines.as_ptr(), table),
+            "the line table was reallocated"
+        );
+        for op in sm.units.iter().filter_map(|u| u.lsu.as_ref()) {
+            assert!(op.next <= op.end && op.end <= WARP_LINES, "{op:?}");
+            if matches!(op.kind, LsuKind::Shared) {
+                assert_eq!(op.end, 0, "shared-memory ops carry no lines");
+            }
+        }
     }
 
     #[test]
@@ -1275,21 +1309,18 @@ mod tests {
         let cfg = GpuConfig::isca_baseline();
         let num_sched = cfg.sm.num_schedulers as usize;
         let mut sm = Sm::new(0, &cfg, SchedulerKind::GreedyThenOldest);
+        let table = sm.lsu_lines.as_ptr();
         let mut mem = MemSubsystem::new(&cfg);
-        // A shared-memory-heavy run: every shared op must take its deque
-        // from the pool, or completions would grow it without bound.
+        // A shared-memory-heavy run: every op, shared ones included, keeps
+        // its lines in its unit's row of the one table.
         let descs = vec![shmem_kernel(1), mem_kernel(1000)];
         for c in 0..4 {
             assert!(sm.launch_cta(&descs[0], KernelId(0), c));
         }
         let insts = run(&mut sm, &mut mem, &descs, 20_000);
         assert!(insts[0] > 10_000, "shared-memory run made progress");
-        assert!(
-            sm.lsu_line_pool.len() <= num_sched,
-            "{} pooled deques after the shared-memory run",
-            sm.lsu_line_pool.len()
-        );
-        // Evict a kernel mid-op: the dropped ops' deques go back to the pool.
+        assert_line_table(&sm, table, num_sched);
+        // Evict a kernel mid-op: its ops go, the table stays.
         for c in 0..2 {
             assert!(sm.launch_cta(&descs[0], KernelId(0), 100 + c));
             assert!(sm.launch_cta(&descs[1], KernelId(1), c));
@@ -1303,17 +1334,18 @@ mod tests {
             let _ = run(&mut sm, &mut mem, &descs, 1);
             steps += 1;
             assert!(steps < 10_000, "no global-memory op ever reached the LSU");
+            assert_line_table(&sm, table, num_sched);
         }
-        let held = sm.lsu_line_pool.len() + lsu_ops_in_flight(&sm);
+        let held = lsu_ops_in_flight(&sm);
         sm.evict_kernel(1, &descs[1]);
-        assert_eq!(
-            sm.lsu_line_pool.len() + lsu_ops_in_flight(&sm),
-            held,
-            "eviction dropped a deque"
-        );
-        assert!(sm.lsu_line_pool.len() <= num_sched);
+        assert!(lsu_ops_in_flight(&sm) < held, "eviction dropped the op");
+        assert!(sm
+            .units
+            .iter()
+            .all(|u| u.lsu.as_ref().is_none_or(|op| op.kernel.0 != 1)));
+        assert_line_table(&sm, table, num_sched);
         let _ = run(&mut sm, &mut mem, &descs, 5_000);
-        assert!(sm.lsu_line_pool.len() <= num_sched);
+        assert_line_table(&sm, table, num_sched);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::config::SmConfig;
 use crate::kernel::KernelDesc;
 use crate::program::{Inst, OpClass, Program, Reg, NUM_VIRTUAL_REGS};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The SM resource dimension that makes a kernel infeasible (Eq. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -296,11 +296,10 @@ pub struct ProgramFlow {
     /// Instructions per op class, in [`OpClass`] declaration order: ALU,
     /// SFU, global load, global store, shared memory, barrier.
     pub op_counts: [usize; 6],
-    /// `raw_histogram[d - 1]` counts register reads whose nearest reaching
-    /// definition is `d` instruction slots away (wrapping across the loop
-    /// back-edge). Distances range over `1..=body_len`. Shared, so the
-    /// static metrics built from a flow hold it without copying it.
-    pub raw_histogram: Arc<[usize]>,
+    /// The RAW dependence-distance histogram and its summaries (see
+    /// [`RawHistogram`]). Shared, so the static metrics built from a flow
+    /// hold it without copying it.
+    pub raw_histogram: RawHistogram,
     /// Loop-carried reads: on iteration 1 these consume a live-in value
     /// rather than a value computed by the body.
     pub first_iter_uninit_reads: usize,
@@ -325,26 +324,14 @@ impl ProgramFlow {
     /// Total register reads that carry a RAW dependence.
     #[must_use]
     pub fn total_reads(&self) -> usize {
-        self.raw_histogram.iter().sum()
+        self.raw_histogram.total_reads()
     }
 
     /// Median RAW distance over all reads, or `None` if the body reads no
     /// defined register.
     #[must_use]
     pub fn median_raw_distance(&self) -> Option<usize> {
-        let total = self.total_reads();
-        if total == 0 {
-            return None;
-        }
-        let midpoint = total.div_ceil(2);
-        let mut seen = 0usize;
-        for (idx, count) in self.raw_histogram.iter().enumerate() {
-            seen += count;
-            if seen >= midpoint {
-                return Some(idx + 1);
-            }
-        }
-        None
+        self.raw_histogram.median_distance()
     }
 
     /// The most common RAW distance (ties break toward the shorter
@@ -354,16 +341,135 @@ impl ProgramFlow {
     /// `dep_distance`, while the random second operands spread thinly.
     #[must_use]
     pub fn dominant_raw_distance(&self) -> Option<usize> {
-        let best = self
-            .raw_histogram
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-        if *best.1 == 0 {
+        self.raw_histogram.dominant_distance()
+    }
+}
+
+/// A body's RAW dependence-distance histogram: `hist[d - 1]` counts the
+/// register reads whose nearest reaching definition is `d` instruction
+/// slots away (wrapping across the loop back-edge), for `d` in
+/// `1..=body_len`. It reads as a `[usize]` slice.
+///
+/// The value is immutable and cheap to clone (one reference count), and it
+/// is built once per program, by the kept walk. So everything that is a
+/// function of the buckets alone is computed once, with them, and kept:
+/// the read total, the median and dominant distances, and the curve-store
+/// key's fold over the buckets ([`Self::key_fold`]). Equality and `Debug`
+/// see the buckets only.
+#[derive(Clone)]
+pub struct RawHistogram(Arc<Buckets>);
+
+/// The shared body of a [`RawHistogram`].
+struct Buckets {
+    counts: Box<[usize]>,
+    total_reads: usize,
+    median: Option<usize>,
+    dominant: Option<usize>,
+    /// `(entry, exit)` of the first [`RawHistogram::key_fold`] call.
+    key_fold: OnceLock<(u64, u64)>,
+}
+
+impl RawHistogram {
+    /// Total register reads that carry a RAW dependence.
+    #[must_use]
+    pub fn total_reads(&self) -> usize {
+        self.0.total_reads
+    }
+
+    /// Median RAW distance over all reads, or `None` if no read carries a
+    /// dependence.
+    #[must_use]
+    pub fn median_distance(&self) -> Option<usize> {
+        self.0.median
+    }
+
+    /// The most common RAW distance, ties broken toward the shorter one, or
+    /// `None` if no read carries a dependence.
+    #[must_use]
+    pub fn dominant_distance(&self) -> Option<usize> {
+        self.0.dominant
+    }
+
+    /// The curve-store key's fold over the buckets, memoised: `fold(entry,
+    /// buckets)` is the hash state after absorbing the histogram from state
+    /// `entry`. The first call's `(entry, result)` pair is kept, and a later
+    /// call from the same `entry` returns the kept result without folding;
+    /// a call from any other state folds afresh (and keeps nothing).
+    ///
+    /// The memo is keyed by the entry state alone, so every call on one
+    /// histogram must pass the same `fold`; the store key is its only
+    /// caller. Entry states differ between GPU configurations (the Eq. 1
+    /// quotas are hashed before the histogram), so a program keyed under
+    /// two configurations folds in full for the second.
+    pub fn key_fold(&self, entry: u64, fold: impl FnOnce(u64, &[usize]) -> u64) -> u64 {
+        if let Some(&(kept_entry, exit)) = self.0.key_fold.get() {
+            if kept_entry == entry {
+                return exit;
+            }
+        }
+        let exit = fold(entry, &self.0.counts);
+        // Two threads folding the first time race to keep their pair; both
+        // pairs are correct, so the loser's is simply dropped.
+        let _ = self.0.key_fold.set((entry, exit));
+        exit
+    }
+}
+
+impl From<Vec<usize>> for RawHistogram {
+    /// Takes the buckets and computes their summaries: one pass for the
+    /// total and the dominant distance, one for the median.
+    fn from(counts: Vec<usize>) -> Self {
+        let (mut total_reads, mut best, mut best_count) = (0usize, 0usize, 0usize);
+        for (idx, &count) in counts.iter().enumerate() {
+            total_reads += count;
+            // Strictly greater: on a tie the earlier, shorter distance
+            // stays.
+            if count > best_count {
+                (best, best_count) = (idx, count);
+            }
+        }
+        let median = if total_reads == 0 {
             None
         } else {
-            Some(best.0 + 1)
-        }
+            let midpoint = total_reads.div_ceil(2);
+            let mut seen = 0usize;
+            counts
+                .iter()
+                .position(|&count| {
+                    seen += count;
+                    seen >= midpoint
+                })
+                .map(|idx| idx + 1)
+        };
+        Self(Arc::new(Buckets {
+            counts: counts.into_boxed_slice(),
+            total_reads,
+            median,
+            dominant: (best_count > 0).then_some(best + 1),
+            key_fold: OnceLock::new(),
+        }))
+    }
+}
+
+impl std::ops::Deref for RawHistogram {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.0.counts
+    }
+}
+
+impl PartialEq for RawHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.counts == other.0.counts
+    }
+}
+
+impl Eq for RawHistogram {}
+
+impl std::fmt::Debug for RawHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.0.counts.iter()).finish()
     }
 }
 
@@ -390,11 +496,7 @@ pub(crate) fn walk(body: &[Inst]) -> ProgramFlow {
     }
 
     let mut op_counts = [0; 6];
-    // Built in its shared allocation: the flow's readers hold it by
-    // reference count, and the fresh `Arc` is unique, so `make_mut` hands
-    // back the buckets without copying them.
-    let mut raw_histogram: Arc<[usize]> = std::iter::repeat_n(0, len).collect();
-    let buckets = Arc::make_mut(&mut raw_histogram);
+    let mut buckets = vec![0; len];
     let mut first_iter_uninit_reads = 0;
     let mut violations = Vec::new();
     for (i, inst) in body.iter().enumerate() {
@@ -439,7 +541,7 @@ pub(crate) fn walk(body: &[Inst]) -> ProgramFlow {
     }
     ProgramFlow {
         op_counts,
-        raw_histogram,
+        raw_histogram: buckets.into(),
         first_iter_uninit_reads,
         violations,
     }
@@ -720,6 +822,43 @@ mod tests {
             available: 49_152,
         };
         assert!(err.to_string().contains("shared memory"));
+    }
+
+    #[test]
+    fn raw_histogram_keeps_its_first_key_fold() {
+        use std::cell::Cell;
+        let hist = RawHistogram::from(vec![0, 2, 2, 1]);
+        assert_eq!(*hist, [0, 2, 2, 1]);
+        assert_eq!(
+            (
+                hist.total_reads(),
+                hist.median_distance(),
+                hist.dominant_distance()
+            ),
+            (5, Some(3), Some(2)),
+            "ties break toward the shorter distance"
+        );
+        assert_eq!(format!("{hist:?}"), "[0, 2, 2, 1]");
+        let folds = Cell::new(0);
+        let fold = |entry: u64, buckets: &[usize]| {
+            folds.set(folds.get() + 1);
+            buckets.iter().fold(entry, |h, &n| h * 31 + n as u64)
+        };
+        let expected = |entry: u64| [0u64, 2, 2, 1].iter().fold(entry, |h, &n| h * 31 + n);
+        assert_eq!(hist.key_fold(7, fold), expected(7));
+        assert_eq!(hist.key_fold(7, fold), expected(7));
+        assert_eq!(folds.get(), 1, "the same entry state reads the kept fold");
+        assert_eq!(hist.key_fold(8, fold), expected(8));
+        assert_eq!(hist.key_fold(8, fold), expected(8));
+        assert_eq!(folds.get(), 3, "another entry state folds every time");
+        // A clone shares the kept fold; an equal histogram built apart
+        // keeps its own.
+        assert_eq!(hist.clone().key_fold(7, fold), expected(7));
+        assert_eq!(folds.get(), 3);
+        let apart = RawHistogram::from(vec![0, 2, 2, 1]);
+        assert_eq!(apart, hist);
+        assert_eq!(apart.key_fold(7, fold), expected(7));
+        assert_eq!(folds.get(), 4);
     }
 
     /// The two Eq. 1 bodies as they stood before they shared one demand

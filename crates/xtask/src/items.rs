@@ -45,6 +45,9 @@ pub struct CallSite {
     /// `m.iter()` and `self.m[k].iter()`), when one is syntactically
     /// evident.
     pub recv: Option<String>,
+    /// For a method call chained directly onto another method call: that
+    /// call's name (`pop` for `pool.pop().unwrap_or_default()`).
+    pub chained_on: Option<String>,
     /// Whether this is a `.name(…)` method call.
     pub is_method: bool,
     /// Whether this is a `name!(…)` macro invocation.
@@ -739,9 +742,34 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
+        // The method a call chains onto: `.` then the previous call's
+        // closing `)`, whose matching `(` follows `.name`.
+        let chained_on = if is_method && s >= 2 && self.text(s - 2) == ")" {
+            let mut depth = 0i64;
+            let mut j = s - 2;
+            loop {
+                match self.text(j) {
+                    ")" => depth += 1,
+                    "(" => depth -= 1,
+                    _ => {}
+                }
+                if depth == 0 || j == 0 {
+                    break;
+                }
+                j -= 1;
+            }
+            (depth == 0
+                && j >= 2
+                && self.kind(j - 1) == Some(TokenKind::Ident)
+                && self.text(j - 2) == ".")
+                .then(|| self.text(j - 1).trim_start_matches("r#").to_string())
+        } else {
+            None
+        };
         Some(CallSite {
             path,
             recv,
+            chained_on,
             is_method,
             is_macro,
             line,

@@ -55,9 +55,11 @@
 //!
 //! * `no-tick-alloc` — heap allocation (`Vec::new`, `vec![…]`,
 //!   `…::with_capacity`, `Box::new`, `.collect()`, `.to_vec()`,
-//!   `format!`, `String::from`, and the map-entry growth calls
+//!   `format!`, `String::from`, the map-entry growth calls
 //!   `.or_default()` / `.or_insert_with(…)`, which insert a fresh value
-//!   and node on every miss) is forbidden in any function reachable
+//!   and node on every miss, and the pool misses
+//!   `.pop().unwrap_or_default()` / `.pop().unwrap_or_else(…)`, which make
+//!   a fresh value whenever the pool is empty) is forbidden in any function reachable
 //!   from a per-cycle tick entry point ([`TICK_SEEDS`]) whose body lives
 //!   under `crates/gpu-sim/src` or in the ws-trace audit channel
 //!   `crates/core/src/audit.rs`. These run millions of times per
@@ -654,6 +656,13 @@ fn tick_alloc_pattern(c: &CallSite) -> Option<String> {
         return matches!(c.name(), "vec!" | "format!").then(|| format!("{}(…)", c.path));
     }
     if c.is_method {
+        // A pool miss: `pool.pop().unwrap_or_default()` (or `_else`) makes
+        // a fresh value whenever the pool has run dry.
+        if matches!(c.name(), "unwrap_or_default" | "unwrap_or_else")
+            && c.chained_on.as_deref() == Some("pop")
+        {
+            return Some(format!(".pop().{}()", c.path));
+        }
         return matches!(
             c.name(),
             "to_vec" | "collect" | "or_default" | "or_insert_with"
@@ -1384,6 +1393,8 @@ mod tests {
     const FIX_NO_TICK_ALLOC: &str = include_str!("../fixtures/rule_no_tick_alloc.rs");
     const FIX_NO_TICK_ALLOC_MAP_ENTRY: &str =
         include_str!("../fixtures/rule_no_tick_alloc_map_entry.rs");
+    const FIX_NO_TICK_ALLOC_POOL_MISS: &str =
+        include_str!("../fixtures/rule_no_tick_alloc_pool_miss.rs");
     const FIX_NO_TICK_ALLOC_SOA: &str = include_str!("../fixtures/rule_no_tick_alloc_soa.rs");
     const FIX_PANIC_FREE: &str = include_str!("../fixtures/rule_panic_free_accounting.rs");
     const FIX_PANIC_FREE_PREDICTOR: &str = include_str!("../fixtures/rule_panic_free_predictor.rs");
@@ -1599,6 +1610,50 @@ mod tests {
             ]
         );
         assert!(v[0].message.contains(".or_default()"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn fixture_no_tick_alloc_pool_miss_golden() {
+        let f = FIX_NO_TICK_ALLOC_POOL_MISS;
+        let v = scan_source("crates/gpu-sim/src/sm.rs", f);
+        let got: Vec<(&str, usize, &[String])> = v
+            .iter()
+            .map(|v| (v.rule, v.line, v.chain.as_slice()))
+            .collect();
+        let chain = |leaf: &str| vec!["Sm::tick".to_string(), leaf.to_string()];
+        assert_eq!(
+            got,
+            [
+                (
+                    "no-tick-alloc",
+                    line_of(
+                        f,
+                        "pool.pop().unwrap_or_default();\n        waiters.push(1)"
+                    ),
+                    chain("Sm::register").as_slice()
+                ),
+                (
+                    "no-tick-alloc",
+                    line_of(f, ".unwrap_or_else(|| Vec::with_capacity(32))"),
+                    chain("Sm::start_op").as_slice()
+                ),
+                (
+                    "no-tick-alloc",
+                    line_of(f, "Vec::with_capacity(32)"),
+                    chain("Sm::start_op").as_slice()
+                ),
+            ]
+        );
+        assert!(
+            v[0].message.contains(".pop().unwrap_or_default()"),
+            "{}",
+            v[0].message
+        );
+        assert!(
+            v[1].message.contains(".pop().unwrap_or_else()"),
+            "{}",
+            v[1].message
+        );
     }
 
     #[test]
