@@ -27,7 +27,11 @@
 //! Both bind their fields by exhaustive destructuring, so a new field is a
 //! compile error until it is hashed. Keys are derived from static analysis
 //! only — no simulated cycle, no string formatting — which is what makes
-//! the warm path cheap.
+//! the warm path cheap. The first successful derivation for a program is
+//! kept with the program, beside its walk
+//! ([`KernelDesc::kept_signature`]): a repeat arrival compares its
+//! descriptor inputs and configuration with the kept ones by value and
+//! derives nothing.
 //!
 //! ## Invalidation and eviction discipline
 //!
@@ -57,7 +61,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::{
-    DramTiming, GpuConfig, KernelDesc, KernelVerifyError, L1Config, L2Config, MemConfig, SmConfig,
+    DramTiming, GpuConfig, KeptSignature, KernelDesc, KernelVerifyError, L1Config, L2Config,
+    MemConfig, SmConfig,
 };
 use ws_analyze::{extract_features, knee_of, Features, StaticMetrics};
 
@@ -208,17 +213,11 @@ fn kernel_sig(class: &str, archetype: &str, features: &Features) -> u64 {
     }
     h.opt_usize(*median_raw_distance);
     h.opt_usize(*dominant_raw_distance);
-    // The histogram goes last and is most of the key's words. It is kept
-    // with the program, so a re-derived kernel reaches it from the same
-    // state and reads back the fold it kept.
-    raw_histogram.key_fold(h.0, |entry, buckets| {
-        let mut h = KeyHasher(entry);
-        h.usize(buckets.len());
-        for &n in buckets {
-            h.usize(n);
-        }
-        h.0
-    })
+    h.usize(raw_histogram.len());
+    for &n in raw_histogram.iter() {
+        h.usize(n);
+    }
+    h.0
 }
 
 /// `gpu_sig`: all 40 integers of `cfg`, bound exhaustively like
@@ -383,7 +382,31 @@ impl KernelSignature {
     ///
     /// Returns the launch pre-flight's error when feature extraction
     /// rejects the kernel: it has no static features, hence no key.
+    ///
+    /// The first successful derivation for a program is kept with it
+    /// ([`KernelDesc::keep_signature`]), and a later call with the same
+    /// program, the same descriptor inputs and the same `cfg` returns it
+    /// without deriving. Any other call derives in full, pre-flight
+    /// included, and keeps nothing new. Under strict invariants a kept
+    /// signature is also derived afresh and the two must agree.
     pub fn derive(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Self, KernelVerifyError> {
+        if let Some(kept) = desc.kept_signature(cfg) {
+            let sig = Self::from(kept);
+            gpu_sim::strict_assert!(
+                Self::derive_in_full(desc, cfg) == Ok(sig),
+                "the signature kept for kernel {} is not its derivation",
+                desc.name
+            );
+            return Ok(sig);
+        }
+        let sig = Self::derive_in_full(desc, cfg)?;
+        desc.keep_signature(cfg, sig.into());
+        Ok(sig)
+    }
+
+    /// Pre-flight, static features, and both hashes: every step, nothing
+    /// read from the program's slot.
+    fn derive_in_full(desc: &KernelDesc, cfg: &GpuConfig) -> Result<Self, KernelVerifyError> {
         let features = extract_features(desc, cfg)?;
         Ok(Self::from_features(&features, cfg))
     }
@@ -399,6 +422,30 @@ impl KernelSignature {
             },
             class,
             archetype,
+        }
+    }
+}
+
+impl From<KeptSignature> for KernelSignature {
+    fn from(kept: KeptSignature) -> Self {
+        Self {
+            key: CurveKey {
+                kernel_sig: kept.kernel_sig,
+                gpu_sig: kept.gpu_sig,
+            },
+            class: kept.class,
+            archetype: kept.archetype,
+        }
+    }
+}
+
+impl From<KernelSignature> for KeptSignature {
+    fn from(sig: KernelSignature) -> Self {
+        Self {
+            kernel_sig: sig.key.kernel_sig,
+            gpu_sig: sig.key.gpu_sig,
+            class: sig.class,
+            archetype: sig.archetype,
         }
     }
 }
@@ -858,8 +905,8 @@ mod tests {
         assert_ne!(a.key.kernel_sig, other.key.kernel_sig, "kernels differ");
     }
 
-    /// The v3 `kernel_sig` before the histogram kept its fold, verbatim:
-    /// every call absorbed every bucket.
+    /// The v3 `kernel_sig`, verbatim as it stood before the histogram kept
+    /// its fold: every call absorbs every bucket.
     fn reference_kernel_sig(class: &str, archetype: &str, features: &Features) -> u64 {
         let Features {
             metrics,
@@ -943,8 +990,8 @@ mod tests {
     #[test]
     fn kept_histogram_fold_gives_the_reference_key() {
         // One IMG program under two GPU configs and two access patterns:
-        // four entry states into the histogram's fold, of which it keeps
-        // the first. Every derivation must equal the un-memoised encoder.
+        // four distinct keys, of which the program keeps the first derived
+        // signature. Every derivation must equal the reference encoder.
         let img = by_abbrev("IMG").unwrap().desc;
         let early = img.clone();
         let mut streaming = img.clone();
@@ -955,7 +1002,7 @@ mod tests {
             .flat_map(|d| configs.iter().map(move |c| (d, c)))
             .collect();
         // The references are computed on clones made apart from the
-        // program under test, so they share no kept fold with it.
+        // program under test, so they share nothing kept with it.
         let expected: Vec<u64> = variants
             .iter()
             .map(|(d, c)| {
@@ -988,8 +1035,8 @@ mod tests {
                 assert_eq!(key(d, c), expected[i], "round {round}, variant {i}");
             }
         }
-        // A clone made after the first derivation shares the kept fold; one
-        // made before it walks and folds on its own.
+        // A clone made after the first derivation shares the kept walk and
+        // signature; one made before it walks and derives on its own.
         let late = img.clone();
         assert!(std::ptr::eq(late.program.flow(), img.program.flow()));
         assert!(!std::ptr::eq(early.program.flow(), img.program.flow()));
@@ -998,7 +1045,7 @@ mod tests {
             assert_eq!(key(&early, c), expected[i], "early clone, config {i}");
         }
         // Four threads at once on one fresh program value, each in its own
-        // order, race to keep the first fold.
+        // order, race to keep the first signature.
         let fresh = KernelDesc {
             program: gpu_sim::Program::new(img.program.iter().copied().collect()),
             ..img.clone()
@@ -1021,6 +1068,340 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// `KernelSignature::derive` before the signature was kept, verbatim:
+    /// every call ran the pre-flight, extracted the features and hashed
+    /// them.
+    fn reference_derive(
+        desc: &KernelDesc,
+        cfg: &GpuConfig,
+    ) -> Result<KernelSignature, KernelVerifyError> {
+        let features = extract_features(desc, cfg)?;
+        Ok(KernelSignature::from_features(&features, cfg))
+    }
+
+    /// `desc` with a program built apart from its own, so deriving it
+    /// shares no kept walk or signature with `desc`.
+    fn apart(desc: &KernelDesc) -> KernelDesc {
+        KernelDesc {
+            program: gpu_sim::Program::new(desc.program.iter().copied().collect()),
+            ..desc.clone()
+        }
+    }
+
+    type ConfigField = (&'static str, fn(&mut GpuConfig) -> &mut u32);
+
+    /// Every integer of a [`GpuConfig`], as a mutable place. `gpu_sig`
+    /// binds the same 40 fields exhaustively; the test checks that the 40
+    /// places are distinct.
+    fn config_fields() -> [ConfigField; 40] {
+        macro_rules! fields {
+            ($($($f:ident).+),* $(,)?) => {
+                [$((
+                    stringify!($($f).+),
+                    (|c: &mut GpuConfig| &mut c.$($f).+) as fn(&mut GpuConfig) -> &mut u32,
+                )),*]
+            };
+        }
+        fields![
+            num_sms,
+            core_clock_mhz,
+            sm.max_threads,
+            sm.max_registers,
+            sm.max_ctas,
+            sm.shared_mem_bytes,
+            sm.num_schedulers,
+            sm.simt_width,
+            sm.sfu_width,
+            sm.lsu_width,
+            sm.alu_latency,
+            sm.sfu_latency,
+            sm.shmem_latency,
+            sm.l1_hit_latency,
+            sm.ibuffer_entries,
+            sm.fetch_latency,
+            sm.icache_miss_penalty,
+            sm.fetch_width,
+            l1.size_bytes,
+            l1.assoc,
+            l1.line_bytes,
+            l1.mshr_entries,
+            l1.mshr_max_merged,
+            l2.size_bytes_per_channel,
+            l2.assoc,
+            l2.line_bytes,
+            l2.latency,
+            mem.num_channels,
+            mem.banks_per_channel,
+            mem.row_bytes,
+            mem.timing.t_cl,
+            mem.timing.t_rp,
+            mem.timing.t_rc,
+            mem.timing.t_ras,
+            mem.timing.t_rcd,
+            mem.timing.t_rrd,
+            mem.timing.t_burst,
+            mem.dram_clock_mhz,
+            mem.icnt_latency,
+            mem.dram_queue_entries,
+        ]
+    }
+
+    /// A seeded descriptor: a generated body under random launch
+    /// parameters, or (one in four) a malformed one that some or every
+    /// configuration rejects.
+    fn random_desc(rng: &mut gpu_sim::SimRng) -> KernelDesc {
+        use gpu_sim::{AccessPattern, Inst, OpClass, Program, ProgramSpec};
+        let [sfu_frac, gload_frac, gstore_frac, shmem_frac, barrier_frac] =
+            [0.2, 0.3, 0.1, 0.2, 0.1].map(|max| rng.unit_f64() * max);
+        let spec = ProgramSpec {
+            body_len: 1 + rng.range_usize(96),
+            sfu_frac,
+            gload_frac,
+            gstore_frac,
+            shmem_frac,
+            barrier_frac,
+            dep_distance: 1 + rng.range_usize(8),
+            seed: rng.next_u64(),
+        };
+        let transactions = 1 + u32::try_from(rng.range_usize(40)).expect("small");
+        let mut desc = KernelDesc {
+            name: format!("R{}", rng.next_u64() % 1000),
+            grid_ctas: 1 + rng.range_u64(512),
+            threads_per_cta: 32 * (1 + u32::try_from(rng.range_usize(16)).expect("small")),
+            regs_per_thread: 1 + u32::try_from(rng.range_usize(48)).expect("small"),
+            shmem_per_cta: 256 * u32::try_from(rng.range_usize(64)).expect("small"),
+            program: spec.generate().expect("fractions sum below 1"),
+            iterations: 1 + u32::try_from(rng.range_usize(8)).expect("small"),
+            pattern: match rng.range_usize(3) {
+                0 => AccessPattern::Streaming { transactions },
+                1 => AccessPattern::Random {
+                    footprint_lines: 1 + rng.range_u64(1 << 20),
+                    transactions,
+                },
+                _ => AccessPattern::HotCold {
+                    hot_lines: 1 + u32::try_from(rng.range_usize(64)).expect("small"),
+                    hot_frac: rng.unit_f64(),
+                    transactions,
+                },
+            },
+            icache_miss_rate: if rng.range_usize(2) == 0 {
+                0.0
+            } else {
+                rng.unit_f64() * 0.2
+            },
+            shmem_conflict_degree: 1 + u32::try_from(rng.range_usize(4)).expect("small"),
+            seed: rng.next_u64(),
+        };
+        if rng.range_usize(4) == 0 {
+            let load = |dst| Inst {
+                op: OpClass::GlobalLoad,
+                dst,
+                srcs: [None, None],
+            };
+            match rng.range_usize(9) {
+                0 => desc.grid_ctas = 0,
+                1 => desc.threads_per_cta = 0,
+                2 => desc.iterations = 0,
+                3 => desc.icache_miss_rate = 1.5,
+                4 => desc.icache_miss_rate = f64::NAN,
+                // Over the baseline's 1 536 threads, within the large
+                // configuration's: rejected under one config only.
+                5 => desc.threads_per_cta = 2048,
+                6 => desc.shmem_per_cta = 1 << 20,
+                7 => desc.program = Program::new(vec![load(Some(0)), load(None)]),
+                _ => {
+                    desc.program = Program::new(vec![Inst {
+                        srcs: [Some(5), None],
+                        ..load(Some(1))
+                    }]);
+                }
+            }
+        }
+        desc
+    }
+
+    #[test]
+    fn kept_signature_is_the_reference_derive() {
+        let base = GpuConfig::isca_baseline();
+        let mut slow_dram = base.clone();
+        slow_dram.mem.timing.t_rcd += 1;
+        let configs = [base, GpuConfig::large(), slow_dram];
+        let fields = config_fields();
+        let mut places: Vec<u64> = fields
+            .iter()
+            .map(|(_, field)| {
+                let mut c = configs[0].clone();
+                *field(&mut c) ^= 1;
+                gpu_sig(&c)
+            })
+            .chain([gpu_sig(&configs[0])])
+            .collect();
+        places.sort_unstable();
+        places.dedup();
+        assert_eq!(places.len(), fields.len() + 1, "40 distinct config fields");
+
+        // Every field a signature reads, changed while the program (and
+        // so its slot) stays the same.
+        type Mutator = (&'static str, fn(&mut KernelDesc));
+        let inputs: [Mutator; 8] = [
+            ("grid_ctas", |d| d.grid_ctas ^= 1),
+            ("threads_per_cta", |d| d.threads_per_cta ^= 32),
+            ("regs_per_thread", |d| d.regs_per_thread ^= 1),
+            ("shmem_per_cta", |d| d.shmem_per_cta ^= 256),
+            ("iterations", |d| d.iterations ^= 1),
+            ("pattern transactions", |d| {
+                let t = d.pattern.transactions();
+                d.pattern = gpu_sim::AccessPattern::Streaming {
+                    transactions: if t == 32 { 31 } else { t + 1 },
+                };
+            }),
+            ("icache_miss_rate", |d| {
+                d.icache_miss_rate = f64::from_bits(d.icache_miss_rate.to_bits() ^ 1);
+            }),
+            ("icache_miss_rate sign", |d| {
+                d.icache_miss_rate = -d.icache_miss_rate;
+            }),
+        ];
+        // Fields no signature reads: the kept signature still answers.
+        let others: [Mutator; 4] = [
+            ("name", |d| d.name.push('\'')),
+            ("seed", |d| d.seed ^= 1),
+            ("shmem_conflict_degree", |d| d.shmem_conflict_degree ^= 1),
+            ("pattern detail", |d| {
+                d.pattern = gpu_sim::AccessPattern::Tiled {
+                    tile_lines: 3,
+                    reuse: 2,
+                    transactions: d.pattern.transactions(),
+                };
+            }),
+        ];
+
+        // Errors compare by their `Debug` text: a NaN rate is an error
+        // value that `==` never matches.
+        let derived = |d: &KernelDesc, c: &GpuConfig| {
+            KernelSignature::derive(d, c).map_err(|e| format!("{e:?}"))
+        };
+        let reference = |d: &KernelDesc, c: &GpuConfig| {
+            reference_derive(&apart(d), c).map_err(|e| format!("{e:?}"))
+        };
+        let mut rng = gpu_sim::SimRng::seed_from_u64(0x51_6e47);
+        let (mut kept_count, mut rejected) = (0, 0);
+        for n in 0..2_000 {
+            let desc = random_desc(&mut rng);
+            let early = desc.clone();
+            // Each config goes first in turn, so each is the kept one for
+            // some descriptors.
+            let order: Vec<usize> = (0..configs.len())
+                .map(|j| (n + j) % configs.len())
+                .collect();
+            let want: Vec<_> = configs.iter().map(|c| reference(&desc, c)).collect();
+            for round in 0..2 {
+                for &j in &order {
+                    assert_eq!(
+                        derived(&desc, &configs[j]),
+                        want[j],
+                        "desc {n}, config {j}, round {round}"
+                    );
+                }
+            }
+            // Only the first success in call order is kept, for its config.
+            let keeps = |d: &KernelDesc, first: Option<usize>, what: &str| {
+                for (j, c) in configs.iter().enumerate() {
+                    let answer =
+                        (Some(j) == first).then(|| want[j].clone().map(KeptSignature::from));
+                    assert_eq!(d.kept_signature(c).map(Ok), answer, "desc {n}: {what}");
+                }
+            };
+            let kept = order.iter().copied().find(|&j| want[j].is_ok());
+            keeps(&desc, kept, "the first success");
+            let Some(k) = kept else {
+                rejected += 1;
+                continue;
+            };
+            kept_count += 1;
+            let cfg = &configs[k];
+
+            // A clone made after the first derivation shares the slot; one
+            // made before it derives and keeps on its own.
+            assert_eq!(desc.clone().kept_signature(cfg), desc.kept_signature(cfg));
+            keeps(&early, None, "an early clone");
+            for &j in order.iter().rev() {
+                assert_eq!(derived(&early, &configs[j]), want[j]);
+            }
+            let early_kept = order.iter().rev().copied().find(|&j| want[j].is_ok());
+            keeps(&early, early_kept, "an early clone's own first success");
+
+            for (name, mutate) in inputs {
+                let mut changed = desc.clone();
+                mutate(&mut changed);
+                let expected = reference(&changed, cfg);
+                for _ in 0..2 {
+                    assert_eq!(changed.kept_signature(cfg), None, "desc {n}: {name}");
+                    assert_eq!(derived(&changed, cfg), expected, "desc {n}: {name}");
+                }
+            }
+            for (name, field) in &fields {
+                let mut c = cfg.clone();
+                *field(&mut c) ^= 1;
+                let expected = reference(&desc, &c);
+                for _ in 0..2 {
+                    assert_eq!(desc.kept_signature(&c), None, "desc {n}: {name}");
+                    assert_eq!(derived(&desc, &c), expected, "desc {n}: {name}");
+                }
+            }
+            for (name, mutate) in others {
+                let mut changed = desc.clone();
+                mutate(&mut changed);
+                assert_eq!(
+                    changed.kept_signature(cfg),
+                    desc.kept_signature(cfg),
+                    "desc {n}: {name}"
+                );
+                assert_eq!(
+                    derived(&changed, cfg),
+                    reference(&changed, cfg),
+                    "desc {n}: {name}"
+                );
+            }
+            keeps(&desc, kept, "nothing above kept anything new");
+        }
+        assert!(
+            kept_count >= 1_000 && rejected >= 100,
+            "{kept_count} kept, {rejected} rejected"
+        );
+
+        // Four threads at once on one fresh program value, each in its own
+        // order, race to keep the first signature.
+        let fresh = apart(&by_abbrev("IMG").unwrap().desc);
+        let want: Vec<KernelSignature> = configs
+            .iter()
+            .map(|c| reference_derive(&apart(&fresh), c).expect("IMG passes pre-flight"))
+            .collect();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (fresh, configs, want) = (&fresh, &configs, &want);
+                s.spawn(move || {
+                    for n in 0..200 {
+                        let j = (t + n) % configs.len();
+                        assert_eq!(
+                            KernelSignature::derive(fresh, &configs[j]),
+                            Ok(want[j]),
+                            "thread {t}, call {n}"
+                        );
+                    }
+                });
+            }
+        });
+        let answering: Vec<usize> = (0..configs.len())
+            .filter(|&j| fresh.kept_signature(&configs[j]).is_some())
+            .collect();
+        assert_eq!(answering.len(), 1, "one writer won: {answering:?}");
+        assert_eq!(
+            fresh.kept_signature(&configs[answering[0]]),
+            Some(want[answering[0]].into())
+        );
     }
 
     #[test]

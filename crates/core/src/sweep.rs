@@ -42,6 +42,8 @@ use ws_analyze::{predict_kernel, PerfCurve};
 /// comparing against the unpruned Fig. 3 sweep.
 #[must_use]
 pub fn predict_default() -> bool {
+    // One flag read from the environment once per process, the same for
+    // every run; xtask-allow: no-global-state
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| match std::env::var("WS_PREDICT") {
         Ok(v) => !matches!(

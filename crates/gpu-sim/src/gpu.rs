@@ -25,6 +25,8 @@ use crate::verify::{self, KernelVerifyError};
 /// bisecting any suspected divergence against the naive tick loop.
 #[must_use]
 pub fn fast_forward_default() -> bool {
+    // One flag read from the environment once per process, the same for
+    // every run; xtask-allow: no-global-state
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| match std::env::var("WS_SIM_FASTFORWARD") {
         Ok(v) => !matches!(

@@ -1,8 +1,10 @@
 //! Kernel descriptors: everything the simulator needs to launch and execute
 //! one grid.
 
+use std::sync::OnceLock;
+
 use crate::access::AccessPattern;
-use crate::config::SmConfig;
+use crate::config::{GpuConfig, SmConfig};
 use crate::program::Program;
 use crate::verify::{occupancy_breakdown, KernelVerifyError};
 
@@ -107,7 +109,111 @@ impl KernelDesc {
         }
         occupancy_breakdown(self, sm).check()
     }
+
+    /// The curve-store signature kept with this descriptor's program, if it
+    /// was kept for exactly this descriptor's signature inputs under exactly
+    /// `cfg`; `None` for any other inputs.
+    ///
+    /// The program is the slot's owner, so its body is matched by
+    /// construction. Every other field a signature reads (all but the name,
+    /// the bank-conflict degree and the address seed) and every field of
+    /// `cfg` is compared by value on every read, floats by their bits.
+    #[must_use]
+    pub fn kept_signature(&self, cfg: &GpuConfig) -> Option<KeptSignature> {
+        let kept = self.program.signature_slot().get()?;
+        (kept.inputs == SignatureInputs::of(self) && kept.cfg == *cfg).then_some(kept.signature)
+    }
+
+    /// Keeps `signature` as this descriptor's curve-store signature under
+    /// `cfg`, unless the program already keeps one: the first writer wins,
+    /// and a later read answers only for the first writer's inputs.
+    pub fn keep_signature(&self, cfg: &GpuConfig, signature: KeptSignature) {
+        // A full slot refuses the value. Of two threads keeping the first
+        // time, each has derived its own inputs, so the loser's is simply
+        // dropped.
+        let _ = self.program.signature_slot().set(KeptFor {
+            inputs: SignatureInputs::of(self),
+            cfg: cfg.clone(),
+            signature,
+        });
+    }
 }
+
+/// A curve-store signature of one kernel under one GPU configuration: the
+/// store key's two hashes and the class/archetype tags that went into them.
+/// The curve store derives it from static analysis; the simulator only
+/// keeps it, with the program ([`KernelDesc::keep_signature`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeptSignature {
+    /// Hash over the kernel's static features.
+    pub kernel_sig: u64,
+    /// Hash over the GPU configuration.
+    pub gpu_sig: u64,
+    /// Derived workload class tag.
+    pub class: &'static str,
+    /// Derived scaling-archetype tag.
+    pub archetype: &'static str,
+}
+
+/// The descriptor fields besides the program that a store signature reads:
+/// the launch pre-flight's structural and Eq. 1 fields, the iteration
+/// count, the access pattern's transactions per instruction (all of the
+/// pattern the static features read) and the i-cache miss rate, by its
+/// bits. The name, the bank-conflict degree and the address seed feed no
+/// signature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SignatureInputs {
+    grid_ctas: u64,
+    threads_per_cta: u32,
+    regs_per_thread: u32,
+    shmem_per_cta: u32,
+    iterations: u32,
+    transactions: u32,
+    icache_miss_rate: u64,
+}
+
+impl SignatureInputs {
+    /// Binds every field by name with no `..`, so a field added to
+    /// [`KernelDesc`] fails to compile here until it is sorted into or out
+    /// of the inputs.
+    fn of(desc: &KernelDesc) -> Self {
+        let KernelDesc {
+            name: _,
+            grid_ctas,
+            threads_per_cta,
+            regs_per_thread,
+            shmem_per_cta,
+            // The slot's owner: matched by construction.
+            program: _,
+            iterations,
+            pattern,
+            icache_miss_rate,
+            shmem_conflict_degree: _,
+            seed: _,
+        } = desc;
+        Self {
+            grid_ctas: *grid_ctas,
+            threads_per_cta: *threads_per_cta,
+            regs_per_thread: *regs_per_thread,
+            shmem_per_cta: *shmem_per_cta,
+            iterations: *iterations,
+            transactions: pattern.transactions(),
+            icache_miss_rate: icache_miss_rate.to_bits(),
+        }
+    }
+}
+
+/// The first signature kept with a program and the inputs it was derived
+/// from. The configuration is compared with its derived equality, which
+/// covers every field, including any added later.
+pub(crate) struct KeptFor {
+    inputs: SignatureInputs,
+    cfg: GpuConfig,
+    signature: KeptSignature,
+}
+
+/// A program's first-writer signature slot; reads are one atomic load.
+pub(crate) type SignatureSlot = OnceLock<KeptFor>;
 
 #[cfg(test)]
 mod tests {

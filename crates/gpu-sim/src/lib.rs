@@ -74,7 +74,7 @@ pub use alloc::{CtaResources, LinearAllocator, PartitionWindow, Region, SmResour
 pub use cache::{ProbeResult, SetAssocCache};
 pub use config::{DramTiming, GpuConfig, L1Config, L2Config, MemConfig, SmConfig};
 pub use gpu::{fast_forward_default, Gpu, KernelMeta};
-pub use kernel::{KernelDesc, KernelId};
+pub use kernel::{KeptSignature, KernelDesc, KernelId};
 pub use mem::{KernelMemStats, MemRequest, MemResponse, MemStats, MemSubsystem};
 pub use program::{Inst, OpClass, Program, ProgramSpec, ProgramSpecError, Reg, NUM_VIRTUAL_REGS};
 pub use rng::SimRng;

@@ -11,6 +11,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use crate::kernel::SignatureSlot;
 use crate::rng::SimRng;
 use crate::verify::ProgramFlow;
 
@@ -74,16 +75,25 @@ pub struct Inst {
 /// The body is immutable once built, so its [`ProgramFlow`] — the one walk
 /// the launch pre-flight, the analyzer, the predictor and the store key all
 /// read — is a pure function of the value: [`Program::flow`] computes it on
-/// first read and keeps it. Equality and `Debug` see the body only, so a
-/// walked and an unwalked copy compare equal and print the same.
+/// first read and keeps it, together with a slot for the first curve-store
+/// signature derived from it ([`crate::KernelDesc::kept_signature`]).
+/// Equality and `Debug` see the body only, so a walked and an unwalked copy
+/// compare equal and print the same.
 #[derive(Clone)]
 pub struct Program {
     insts: Vec<Inst>,
-    /// The walk over `insts`, computed on first read. Behind an [`Arc`] so
-    /// a clone of a walked program shares it instead of walking again, and
-    /// so the field adds 16 bytes, not a whole flow, to every `Program`
+    /// What is kept of `insts`, computed on first read. Behind an [`Arc`]
+    /// so a clone of a walked program shares it instead of walking again,
+    /// and so the field adds 16 bytes, not a whole flow, to every `Program`
     /// the workload builders copy around.
-    flow: OnceLock<Arc<ProgramFlow>>,
+    kept: OnceLock<Arc<Kept>>,
+}
+
+/// Everything a program keeps of its body: the walk, and the signature slot
+/// that lives and dies with it.
+struct Kept {
+    flow: ProgramFlow,
+    signature: SignatureSlot,
 }
 
 impl PartialEq for Program {
@@ -114,8 +124,18 @@ impl Program {
         assert!(!insts.is_empty(), "program body must not be empty");
         Self {
             insts,
-            flow: OnceLock::new(),
+            kept: OnceLock::new(),
         }
+    }
+
+    /// What is kept of the body, walked on the first call.
+    fn kept(&self) -> &Kept {
+        self.kept.get_or_init(|| {
+            Arc::new(Kept {
+                flow: crate::verify::walk(&self.insts),
+                signature: SignatureSlot::default(),
+            })
+        })
     }
 
     /// The body's op mix, register dataflow and per-instruction hard
@@ -124,8 +144,13 @@ impl Program {
     /// result.
     #[must_use]
     pub fn flow(&self) -> &ProgramFlow {
-        self.flow
-            .get_or_init(|| Arc::new(crate::verify::walk(&self.insts)))
+        &self.kept().flow
+    }
+
+    /// The curve-store signature slot kept beside the walk: shared by the
+    /// clones that share the walk, and dropped with the last of them.
+    pub(crate) fn signature_slot(&self) -> &SignatureSlot {
+        &self.kept().signature
     }
 
     /// The instruction at `pc` (wrapping semantics are the caller's

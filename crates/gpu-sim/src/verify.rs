@@ -24,7 +24,7 @@
 use crate::config::SmConfig;
 use crate::kernel::KernelDesc;
 use crate::program::{Inst, OpClass, Program, Reg, NUM_VIRTUAL_REGS};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The SM resource dimension that makes a kernel infeasible (Eq. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -351,11 +351,9 @@ impl ProgramFlow {
 /// `1..=body_len`. It reads as a `[usize]` slice.
 ///
 /// The value is immutable and cheap to clone (one reference count), and it
-/// is built once per program, by the kept walk. So everything that is a
-/// function of the buckets alone is computed once, with them, and kept:
-/// the read total, the median and dominant distances, and the curve-store
-/// key's fold over the buckets ([`Self::key_fold`]). Equality and `Debug`
-/// see the buckets only.
+/// is built once per program, by the kept walk. So its summaries — the read
+/// total, the median and dominant distances — are computed once, with the
+/// buckets, and kept. Equality and `Debug` see the buckets only.
 #[derive(Clone)]
 pub struct RawHistogram(Arc<Buckets>);
 
@@ -365,8 +363,6 @@ struct Buckets {
     total_reads: usize,
     median: Option<usize>,
     dominant: Option<usize>,
-    /// `(entry, exit)` of the first [`RawHistogram::key_fold`] call.
-    key_fold: OnceLock<(u64, u64)>,
 }
 
 impl RawHistogram {
@@ -388,30 +384,6 @@ impl RawHistogram {
     #[must_use]
     pub fn dominant_distance(&self) -> Option<usize> {
         self.0.dominant
-    }
-
-    /// The curve-store key's fold over the buckets, memoised: `fold(entry,
-    /// buckets)` is the hash state after absorbing the histogram from state
-    /// `entry`. The first call's `(entry, result)` pair is kept, and a later
-    /// call from the same `entry` returns the kept result without folding;
-    /// a call from any other state folds afresh (and keeps nothing).
-    ///
-    /// The memo is keyed by the entry state alone, so every call on one
-    /// histogram must pass the same `fold`; the store key is its only
-    /// caller. Entry states differ between GPU configurations (the Eq. 1
-    /// quotas are hashed before the histogram), so a program keyed under
-    /// two configurations folds in full for the second.
-    pub fn key_fold(&self, entry: u64, fold: impl FnOnce(u64, &[usize]) -> u64) -> u64 {
-        if let Some(&(kept_entry, exit)) = self.0.key_fold.get() {
-            if kept_entry == entry {
-                return exit;
-            }
-        }
-        let exit = fold(entry, &self.0.counts);
-        // Two threads folding the first time race to keep their pair; both
-        // pairs are correct, so the loser's is simply dropped.
-        let _ = self.0.key_fold.set((entry, exit));
-        exit
     }
 }
 
@@ -446,7 +418,6 @@ impl From<Vec<usize>> for RawHistogram {
             total_reads,
             median,
             dominant: (best_count > 0).then_some(best + 1),
-            key_fold: OnceLock::new(),
         }))
     }
 }
@@ -825,8 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_histogram_keeps_its_first_key_fold() {
-        use std::cell::Cell;
+    fn raw_histogram_reads_as_its_buckets() {
         let hist = RawHistogram::from(vec![0, 2, 2, 1]);
         assert_eq!(*hist, [0, 2, 2, 1]);
         assert_eq!(
@@ -839,26 +809,10 @@ mod tests {
             "ties break toward the shorter distance"
         );
         assert_eq!(format!("{hist:?}"), "[0, 2, 2, 1]");
-        let folds = Cell::new(0);
-        let fold = |entry: u64, buckets: &[usize]| {
-            folds.set(folds.get() + 1);
-            buckets.iter().fold(entry, |h, &n| h * 31 + n as u64)
-        };
-        let expected = |entry: u64| [0u64, 2, 2, 1].iter().fold(entry, |h, &n| h * 31 + n);
-        assert_eq!(hist.key_fold(7, fold), expected(7));
-        assert_eq!(hist.key_fold(7, fold), expected(7));
-        assert_eq!(folds.get(), 1, "the same entry state reads the kept fold");
-        assert_eq!(hist.key_fold(8, fold), expected(8));
-        assert_eq!(hist.key_fold(8, fold), expected(8));
-        assert_eq!(folds.get(), 3, "another entry state folds every time");
-        // A clone shares the kept fold; an equal histogram built apart
-        // keeps its own.
-        assert_eq!(hist.clone().key_fold(7, fold), expected(7));
-        assert_eq!(folds.get(), 3);
-        let apart = RawHistogram::from(vec![0, 2, 2, 1]);
-        assert_eq!(apart, hist);
-        assert_eq!(apart.key_fold(7, fold), expected(7));
-        assert_eq!(folds.get(), 4);
+        // A clone shares the buckets; an equal histogram built apart
+        // compares equal.
+        assert_eq!(hist.clone(), hist);
+        assert_eq!(RawHistogram::from(vec![0, 2, 2, 1]), hist);
     }
 
     /// The two Eq. 1 bodies as they stood before they shared one demand

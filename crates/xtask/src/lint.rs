@@ -48,6 +48,16 @@
 //!   `BTreeMap`/`BTreeSet` or an index-keyed `Vec`. Waivers for this rule
 //!   **require a justification** (`// <why>; xtask-allow: determinism` or
 //!   `// xtask-allow: determinism -- <why>`).
+//! * `no-global-state` — in the simulator, the accounting layer and the
+//!   analyzer (`crates/gpu-sim/src`, `crates/core/src`,
+//!   `crates/analysis/src`), `thread_local!`, `static mut`, and `static`
+//!   items of an interior-mutable type (`Mutex`, `RwLock`, `RefCell`,
+//!   `Cell`, `OnceLock`/`LazyLock`, atomics, …) are forbidden. Such state
+//!   outlives the values it describes and is shared by every run in the
+//!   process: a cache kept there grows with every fresh input and can
+//!   answer one run with another's state. Keep it in the value it describes
+//!   (as the kept program walk and signature are). Waivers require a
+//!   justification, as for `determinism`.
 //!
 //! Transitive (call-graph) rules — seeded at entry points and applied to
 //! every function reachable from a seed, with the concrete call chain
@@ -84,8 +94,8 @@
 //! Any finding is suppressed by a `// xtask-allow: <rule>` comment on the
 //! same line or the line immediately above (for `module-docs`: on the first
 //! line of the file). Multiple rules may be listed, comma-separated; the
-//! `determinism` rule additionally requires the waiver to carry a
-//! justification.
+//! `determinism` and `no-global-state` rules additionally require the
+//! waiver to carry a justification.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -98,7 +108,7 @@ use crate::items::{self, CallSite, FileItems};
 use crate::lex::TokenKind;
 
 /// Names of every rule, for help text.
-pub const RULE_NAMES: [&str; 9] = [
+pub const RULE_NAMES: [&str; 10] = [
     "no-unwrap",
     "no-lossy-cast",
     "no-float-eq",
@@ -107,8 +117,12 @@ pub const RULE_NAMES: [&str; 9] = [
     "no-unchecked-spawn",
     "no-tick-alloc",
     "determinism",
+    "no-global-state",
     "panic-free-accounting",
 ];
+
+/// Rules whose waivers must carry a justification.
+const JUSTIFIED_RULES: [&str; 2] = ["determinism", "no-global-state"];
 
 /// Functions on the simulator's per-cycle hot path. Every name here must be
 /// reachable from [`TICK_SEEDS`] in the workspace call graph (a unit test
@@ -218,6 +232,20 @@ const UNORDERED_ITER_METHODS: [&str; 10] = [
     "retain",
 ];
 
+/// Standard types with interior mutability: a `static` of one is mutable
+/// process-global state. Atomics (`Atomic*`) are matched by prefix.
+const INTERIOR_MUTABLE_TYPES: [&str; 9] = [
+    "Mutex",
+    "RwLock",
+    "RefCell",
+    "Cell",
+    "UnsafeCell",
+    "OnceCell",
+    "OnceLock",
+    "LazyCell",
+    "LazyLock",
+];
+
 /// Keywords that may legitimately precede a `[` starting an array literal or
 /// slice pattern; a `[` after one of these is not an index expression.
 const INDEX_EXEMPT_KEYWORDS: [&str; 14] = [
@@ -309,9 +337,9 @@ impl<'a> Toks<'a> {
     }
 }
 
-/// Pushes a finding unless a waiver covers it. `determinism` waivers must
-/// carry a justification; a bare one converts the finding instead of
-/// silencing it.
+/// Pushes a finding unless a waiver covers it. Waivers of the
+/// [`JUSTIFIED_RULES`] must carry a justification; a bare one converts the
+/// finding instead of silencing it.
 fn emit(
     out: &mut Vec<Violation>,
     items: &FileItems,
@@ -322,15 +350,15 @@ fn emit(
     chain: Vec<String>,
 ) {
     if let Some(allow) = items.allow_for(line, rule) {
-        if rule == "determinism" && allow.justification.is_none() {
+        if JUSTIFIED_RULES.contains(&rule) && allow.justification.is_none() {
             out.push(Violation {
                 rule,
                 file: file.to_string(),
                 line: line as usize,
                 message: format!(
-                    "{message} — the waiver is present but `determinism` waivers require a \
-                     justification (`// <why>; xtask-allow: determinism` or \
-                     `// xtask-allow: determinism -- <why>`)"
+                    "{message} — the waiver is present but `{rule}` waivers require a \
+                     justification (`// <why>; xtask-allow: {rule}` or \
+                     `// xtask-allow: {rule} -- <why>`)"
                 ),
                 chain,
             });
@@ -374,6 +402,35 @@ fn float_operand(t: &Toks<'_>, i: usize) -> bool {
     left || t.kind(r) == Some(TokenKind::Float)
 }
 
+/// The process-global state the item at sig index `i` declares, if it is a
+/// `thread_local!`, a `static mut`, or a `static` whose type names an
+/// interior-mutable type; rendered for the diagnostic.
+fn global_state(t: &Toks<'_>, i: usize) -> Option<String> {
+    if t.kind(i) != Some(TokenKind::Ident) {
+        return None;
+    }
+    match t.text(i) {
+        "thread_local" if t.text(i + 1) == "!" => Some("`thread_local!`".to_string()),
+        "static" if t.text(i + 1) == "mut" => Some("`static mut`".to_string()),
+        "static" => {
+            // The name, the `:` and the type run up to the initializer's
+            // `=` (or the `;` of an extern static).
+            let mut j = i + 1;
+            loop {
+                let ty = t.text(j);
+                if matches!(ty, "=" | ";" | "") {
+                    return None;
+                }
+                if INTERIOR_MUTABLE_TYPES.contains(&ty) || ty.starts_with("Atomic") {
+                    return Some(format!("`static` of type `{ty}`"));
+                }
+                j += 1;
+            }
+        }
+        _ => None,
+    }
+}
+
 /// The per-file (token-level) rules.
 fn per_file_rules(label: &str, src: &str, items: &FileItems, out: &mut Vec<Violation>) {
     let t = Toks { src, items };
@@ -389,6 +446,7 @@ fn per_file_rules(label: &str, src: &str, items: &FileItems, out: &mut Vec<Viola
     let check_spawn = label.contains("crates/exec/");
     let check_det =
         !is_bin && (label.contains("crates/gpu-sim/src") || label.contains("crates/core/src"));
+    let check_state = check_det || (!is_bin && label.contains("crates/analysis/src"));
 
     // module-docs: a `//!` must appear before the first item.
     if !items.has_module_docs && !items.sig.is_empty() {
@@ -550,6 +608,24 @@ fn per_file_rules(label: &str, src: &str, items: &FileItems, out: &mut Vec<Viola
                         Vec::new(),
                     );
                 }
+            }
+        }
+        if check_state {
+            if let Some(what) = global_state(&t, i) {
+                emit(
+                    out,
+                    items,
+                    "no-global-state",
+                    label,
+                    line,
+                    format!(
+                        "{what} is process-global state: it outlives the values it \
+                         describes and is shared by every run, so a cache there grows with \
+                         every fresh input; keep the state in the value it describes, or \
+                         justify with `// <why>; xtask-allow: no-global-state`"
+                    ),
+                    Vec::new(),
+                );
             }
         }
         if check_det {
@@ -1396,10 +1472,11 @@ mod tests {
     const FIX_NO_TICK_ALLOC_POOL_MISS: &str =
         include_str!("../fixtures/rule_no_tick_alloc_pool_miss.rs");
     const FIX_NO_TICK_ALLOC_SOA: &str = include_str!("../fixtures/rule_no_tick_alloc_soa.rs");
+    const FIX_NO_GLOBAL_STATE: &str = include_str!("../fixtures/rule_no_global_state.rs");
     const FIX_PANIC_FREE: &str = include_str!("../fixtures/rule_panic_free_accounting.rs");
     const FIX_PANIC_FREE_PREDICTOR: &str = include_str!("../fixtures/rule_panic_free_predictor.rs");
 
-    const ALL_FIXTURES: [(&str, &str); 13] = [
+    const ALL_FIXTURES: [(&str, &str); 14] = [
         ("masker_raw_strings.rs", FIX_RAW_STRINGS),
         ("masker_nested_comments.rs", FIX_NESTED_COMMENTS),
         ("rule_no_unwrap.rs", FIX_NO_UNWRAP),
@@ -1411,6 +1488,7 @@ mod tests {
         ("rule_determinism.rs", FIX_DETERMINISM),
         ("rule_no_tick_alloc.rs", FIX_NO_TICK_ALLOC),
         ("rule_no_tick_alloc_soa.rs", FIX_NO_TICK_ALLOC_SOA),
+        ("rule_no_global_state.rs", FIX_NO_GLOBAL_STATE),
         ("rule_panic_free_accounting.rs", FIX_PANIC_FREE),
         ("rule_panic_free_predictor.rs", FIX_PANIC_FREE_PREDICTOR),
     ];
@@ -1610,6 +1688,39 @@ mod tests {
             ]
         );
         assert!(v[0].message.contains(".or_default()"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn fixture_no_global_state_golden() {
+        let f = FIX_NO_GLOBAL_STATE;
+        let bare = "    // xtask-allow: no-global-state\n    static BARE";
+        assert_eq!(
+            golden("crates/analysis/src/cache.rs", f),
+            [
+                ("no-global-state", line_of(f, "thread_local! {")),
+                ("no-global-state", line_of(f, "static SEEN")),
+                ("no-global-state", line_of(f, "static CALLS")),
+                ("no-global-state", line_of(f, "static CACHE")),
+                ("no-global-state", line_of(f, "static TABLE")),
+                ("no-global-state", line_of(f, "static mut LAST")),
+                ("no-global-state", line_of(f, "static MEMO")),
+                ("no-global-state", line_of(f, bare) + 1),
+            ],
+            "the thread-local and its cell, every interior-mutable or mutable \
+             static and the barely waived one fire; the plain static, the lifetimes, the \
+             const, the justified waiver and the test module stay silent"
+        );
+        let v = scan_source("crates/gpu-sim/src/gpu.rs", f);
+        assert!(v
+            .last()
+            .is_some_and(|v| v.message.contains("require a justification")));
+        for label in ["crates/gpu-sim/src/gpu.rs", "crates/core/src/sweep.rs"] {
+            assert_eq!(golden(label, f).len(), 8, "{label}");
+        }
+        assert!(
+            golden("crates/workloads/src/suite.rs", f).is_empty(),
+            "out of scope"
+        );
     }
 
     #[test]
