@@ -8,8 +8,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use warped_slicer::{
-    execute_batch, profile_curves_planned, CorunResult, IsolationResult, PolicyKind, RunConfig,
-    SimJob, SweepPlan, WarpedSlicerConfig,
+    execute, profile_curves_planned, CorunResult, IsolationResult, PolicyKind, RunConfig, SimJob,
+    SweepPlan, WarpedSlicerConfig,
 };
 use ws_workloads::Benchmark;
 
@@ -173,7 +173,7 @@ impl ExperimentContext {
                 .iter()
                 .map(|b| SimJob::isolation(&b.desc, &self.cfg))
                 .collect();
-            let results = execute_batch(&self.pool, &jobs);
+            let results = self.pool.run(&jobs, execute);
             let mut iso = self.iso.lock().unwrap_or_else(PoisonError::into_inner);
             for (b, outcome) in missing.iter().zip(results) {
                 iso.entry(b.abbrev.to_string())
@@ -238,7 +238,8 @@ impl ExperimentContext {
             .iter()
             .map(|(bs, policy)| self.corun_job(bs, policy))
             .collect();
-        execute_batch(&self.pool, &jobs)
+        self.pool
+            .run(&jobs, execute)
             .into_iter()
             .zip(&jobs)
             .map(|(outcome, job)| outcome.into_corun(job))

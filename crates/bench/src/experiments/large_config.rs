@@ -7,7 +7,6 @@ use warped_slicer::{fairness, PolicyKind, RunConfig};
 use ws_workloads::Pair;
 
 use crate::context::ExperimentContext;
-use crate::experiments::fig10::subset_pairs;
 use crate::report::{f2, gmean, Table};
 
 /// One pair's outcome under the large configuration.
@@ -62,11 +61,6 @@ pub fn compute_on(ctx: &ExperimentContext, pairs: &[Pair]) -> Vec<LargeRow> {
         .collect()
 }
 
-/// Convenience: the default subset.
-pub fn compute_default(isolation_cycles: u64) -> Vec<LargeRow> {
-    compute(isolation_cycles, &subset_pairs())
-}
-
 /// Renders Sec. V-H.
 #[must_use]
 pub fn render(rows: &[LargeRow]) -> String {
@@ -90,6 +84,7 @@ pub fn render(rows: &[LargeRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig10::subset_pairs;
 
     #[test]
     fn large_config_still_benefits_from_slicing() {

@@ -1,13 +1,11 @@
 //! The execution layer's determinism contract, pinned end to end: rendered
 //! experiment tables must be byte-identical whether the pool runs with one
-//! worker (the historical serial harness) or many — including under
-//! work-stealing with heavily skewed job sizes, and for the streaming
-//! profiling sweep that resubmits rejected kernels mid-drain.
+//! worker (the historical serial harness) or many — including with heavily
+//! skewed job sizes, and for the streaming profiling sweep that resubmits
+//! rejected kernels mid-drain.
 
 use gpu_sim::KernelDesc;
-use warped_slicer::{
-    execute_batch, profile_curves_planned, PolicyKind, RunConfig, SimJob, SweepPlan,
-};
+use warped_slicer::{execute, profile_curves_planned, PolicyKind, RunConfig, SimJob, SweepPlan};
 use ws_bench::experiments::{fig3, fig6};
 use ws_bench::ExperimentContext;
 use ws_workloads::{all_pairs, by_abbrev, Pair, PairCategory};
@@ -45,9 +43,9 @@ fn corun_experiment_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn skewed_sim_batch_is_byte_identical_under_stealing() {
-    // One 40k-cycle isolation job among 2k-cycle ones: the long job pins
-    // its worker while the stolen short ones finish around it. Outcomes
+fn skewed_sim_batch_is_byte_identical_in_parallel() {
+    // One 40k-cycle job among 2k-cycle ones: the long job pins its worker
+    // while the other workers finish the short ones around it. Outcomes
     // must match the serial run field for field.
     let img = by_abbrev("IMG").expect("suite");
     let lbm = by_abbrev("LBM").expect("suite");
@@ -61,9 +59,9 @@ fn skewed_sim_batch_is_byte_identical_under_stealing() {
             SimJob::cta_cap(desc, (i % 4) + 1, cycles, &RunConfig::default())
         })
         .collect();
-    let serial = execute_batch(&ws_exec::Pool::new(1), &jobs);
-    let stolen = execute_batch(&ws_exec::Pool::new(8), &jobs);
-    for (i, (a, b)) in serial.iter().zip(&stolen).enumerate() {
+    let serial = ws_exec::Pool::new(1).run(&jobs, execute);
+    let parallel = ws_exec::Pool::new(8).run(&jobs, execute);
+    for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(a.end_insts, b.end_insts, "job {i} insts");
         assert_eq!(a.total_cycles, b.total_cycles, "job {i} cycles");
         assert!((a.measured_ipc() - b.measured_ipc()).abs() < f64::EPSILON);
@@ -88,10 +86,10 @@ fn planned_sweep_is_identical_at_any_worker_count() {
         profile_curves_planned(&ws_exec::Pool::new(threads), &descs, &plan, 1_500, &cfg)
     };
     let serial = sweep(1);
-    let stolen = sweep(8);
-    assert_eq!(serial.curves, stolen.curves);
-    assert_eq!(serial.pruned, stolen.pruned);
-    assert_eq!(serial.samples_run, stolen.samples_run);
+    let parallel = sweep(8);
+    assert_eq!(serial.curves, parallel.curves);
+    assert_eq!(serial.pruned, parallel.pruned);
+    assert_eq!(serial.samples_run, parallel.samples_run);
     assert!(serial.samples_run >= plan.planned_samples());
 }
 

@@ -338,7 +338,7 @@ fn predict(desc: &KernelDesc, cfg: &GpuConfig) -> ExitCode {
             let max = curve.max_ctas();
             println!("  predicted knee   : {} of 1..={max} CTAs/SM", curve.knee);
             println!(
-                "  profiling window : dense 1..={} + guard at {max} (WS_PREDICT=0 for the full sweep)",
+                "  profiling window : dense 1..={} + guard at {max}",
                 curve.knee.saturating_add(1).min(max),
             );
             ExitCode::SUCCESS

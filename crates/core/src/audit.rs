@@ -201,17 +201,6 @@ impl DecisionAudit {
         })
     }
 
-    /// The most recent sampled curve recorded for kernel `kernel` (the
-    /// scaled profile curve handed to the partitioner), paired with
-    /// [`DecisionAudit::predicted_curve`] for predicted-vs-sampled audits.
-    #[must_use]
-    pub fn sampled_curve(&self, kernel: usize) -> Option<&[f64]> {
-        self.events.iter().rev().find_map(|e| match e {
-            AuditEvent::Curve { kernel: k, perf } if *k == kernel => Some(perf.as_slice()),
-            _ => None,
-        })
-    }
-
     /// Scaled-point records for kernel `kernel` (sampled vs. scaled IPC
     /// with the `φ_mem`/`ψ` inputs), in recording order.
     pub fn scaled_points(&self, kernel: usize) -> impl Iterator<Item = &AuditEvent> {

@@ -75,15 +75,13 @@ pub use profiler::{
 };
 pub use resources::ResourceVec;
 pub use runner::{
-    collect_stats, execute, execute_batch, run_corun, run_isolation, run_with_cta_cap,
-    AggregateStats, CacheStats, CorunResult, IsolationResult, RunConfig, SimJob, SimOutcome,
-    SimStream, StopCondition, TraceOptions, UtilizationStats,
+    collect_stats, execute, run_corun, run_isolation, run_with_cta_cap, AggregateStats, CacheStats,
+    CorunResult, IsolationResult, RunConfig, SimJob, SimOutcome, StopCondition, TraceOptions,
+    UtilizationStats,
 };
 pub use scaling::{psi, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};
-pub use sweep::{
-    accept_pruned, predict_default, profile_curves_planned, PlannedSweep, SweepPlan, SweepWindow,
-};
+pub use sweep::{accept_pruned, profile_curves_planned, PlannedSweep, SweepPlan, SweepWindow};
 pub use tracefmt::{chrome_trace, jsonl, validate_jsonl};
 pub use waterfill::{brute_force, water_fill, KernelCurve, Partition, WaterFillStep};
 

@@ -15,7 +15,7 @@ use crate::policy::{ChangeTracker, Controller, Decision, Slicing};
 use crate::profiler::{build_curves, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming};
 use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
-use crate::sweep::{predict_default, predicted_window, SweepWindow};
+use crate::sweep::{predicted_window, SweepWindow};
 use crate::waterfill::{water_fill, water_fill_with, KernelCurve};
 
 /// Phase-monitor window length in cycles.
@@ -50,10 +50,8 @@ pub struct WarpedSlicerConfig {
     /// Plan the profiling ramp from `ws-predict` static curves: each
     /// kernel's SM group concentrates its CTA counts in a window around the
     /// predicted knee (guarding the feasibility bound) instead of the plain
-    /// `1..=N` ramp. `None` defers to the `WS_PREDICT` environment variable
-    /// ([`crate::sweep::predict_default`]); `Some` pins the behavior
-    /// regardless of the environment.
-    pub predict: Option<bool>,
+    /// `1..=N` ramp. On by default; `false` profiles the plain ramp.
+    pub predict: bool,
     /// Attach a shared ws-store performance-curve cache. Before installing
     /// profiling windows the controller looks every kernel's signature up
     /// in the store; when all of them hit, the memoized curves go straight
@@ -73,7 +71,7 @@ impl Default for WarpedSlicerConfig {
             enable_scaling: true,
             enable_phase_monitor: true,
             audit: false,
-            predict: None,
+            predict: true,
             store: None,
         }
     }
@@ -209,7 +207,6 @@ impl WarpedSlicerController {
     /// prediction is enabled, and audits each predicted curve with the
     /// window it produced.
     fn plan_profile(&mut self, gpu: &Gpu, max: &[u32]) -> ProfilePlan {
-        let predict = self.cfg.predict.unwrap_or_else(predict_default);
         let cfg = gpu.config();
         let windows: Vec<SweepWindow> = gpu
             .kernel_ids()
@@ -217,7 +214,7 @@ impl WarpedSlicerController {
             .zip(max)
             .enumerate()
             .map(|(i, (&k, &m))| {
-                if !predict {
+                if !self.cfg.predict {
                     return SweepWindow::full(m);
                 }
                 let (w, curve) = predicted_window(gpu.kernel_desc(k), m, cfg);
@@ -657,9 +654,8 @@ mod tests {
                 sample: 2_000,
                 algorithm_delay: 0,
             },
-            // Pin the plain 1..=N ramp so these tests are independent of
-            // the ambient WS_PREDICT environment.
-            predict: Some(false),
+            // The plain 1..=N ramp: these tests pin its CTA counts.
+            predict: false,
             ..WarpedSlicerConfig::default()
         }
     }
@@ -696,7 +692,7 @@ mod tests {
     #[test]
     fn predicted_windows_shape_the_profiling_ramp() {
         let cfg = WarpedSlicerConfig {
-            predict: Some(true),
+            predict: true,
             audit: true,
             ..fast_cfg()
         };
@@ -725,7 +721,7 @@ mod tests {
     #[test]
     fn predicted_windows_still_reach_a_co_location_decision() {
         let cfg = WarpedSlicerConfig {
-            predict: Some(true),
+            predict: true,
             ..fast_cfg()
         };
         let (_, c) = run_pair("IMG", "NN", 40_000, cfg);

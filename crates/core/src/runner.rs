@@ -8,8 +8,8 @@
 //! config + kernels + policy + warm-up + stop condition) executed by the
 //! single [`execute`] entry point. Because a job is pure data and
 //! `execute` is a pure function of it, batches of jobs run on the
-//! [`ws_exec::Pool`] with byte-identical results at any worker count; see
-//! [`execute_batch`]. The historical entry points ([`run_isolation`],
+//! [`ws_exec::Pool`] (`pool.run(&jobs, execute)`) with byte-identical
+//! results at any worker count. The historical entry points ([`run_isolation`],
 //! [`run_with_cta_cap`], [`run_corun`]) are thin wrappers over `execute`.
 
 use gpu_sim::{Gpu, GpuConfig, KernelDesc, KernelId, SchedulerKind, StallBreakdown, TraceEvent};
@@ -107,28 +107,6 @@ pub struct CacheStats {
     pub l2_accesses: u64,
     /// L2 misses.
     pub l2_misses: u64,
-}
-
-impl CacheStats {
-    /// L1 miss rate (0 when never accessed).
-    #[must_use]
-    pub fn l1_miss_rate(&self) -> f64 {
-        if self.l1_accesses == 0 {
-            0.0
-        } else {
-            self.l1_misses as f64 / self.l1_accesses as f64
-        }
-    }
-
-    /// L2 miss rate (0 when never accessed).
-    #[must_use]
-    pub fn l2_miss_rate(&self) -> f64 {
-        if self.l2_accesses == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 / self.l2_accesses as f64
-        }
-    }
 }
 
 /// Everything measured over one simulation run.
@@ -590,56 +568,6 @@ pub fn execute(job: &SimJob) -> SimOutcome {
         last_progress_cycle: last_progress,
         trace: gpu.take_trace().map(|t| t.events().copied().collect()),
         audit: controller.audit().cloned(),
-    }
-}
-
-/// Executes a batch of jobs on `pool`, returning outcomes in job order —
-/// byte-identical to a serial loop for any worker count.
-///
-/// # Panics
-///
-/// Re-raises the first job panic deterministically (lowest job index); see
-/// [`ws_exec::Pool::run`].
-#[must_use]
-pub fn execute_batch(pool: &ws_exec::Pool, jobs: &[SimJob]) -> Vec<SimOutcome> {
-    pool.run(jobs, execute)
-}
-
-/// A streaming simulation session: submit [`SimJob`]s one at a time, drain
-/// [`SimOutcome`]s in finish order. This is the overlap primitive behind
-/// the pipelined profiling sweep — curve acceptance and fallback
-/// resubmission for one kernel run on the drain thread while other
-/// kernels' sampling windows still simulate.
-pub struct SimStream<'p> {
-    inner: ws_exec::Stream<'p, SimOutcome>,
-}
-
-impl<'p> SimStream<'p> {
-    /// Opens a stream on `pool`. Jobs are numbered from 0 per stream.
-    #[must_use]
-    pub fn new(pool: &'p ws_exec::Pool) -> Self {
-        Self {
-            inner: pool.stream(),
-        }
-    }
-
-    /// Submits one simulation; returns its stream-local id. (Named
-    /// `submit_job` rather than `submit` so the xtask call graph — which
-    /// resolves method calls by name — never links the memory subsystem's
-    /// tick-path `submit` to this entry point into whole-GPU construction.)
-    pub fn submit_job(&mut self, job: &SimJob) -> ws_exec::JobId {
-        let job = job.clone();
-        self.inner.submit(move || execute(&job))
-    }
-}
-
-impl Iterator for SimStream<'_> {
-    type Item = (ws_exec::JobId, ws_exec::JobResult<SimOutcome>);
-
-    /// Blocks for the next finished simulation; `None` once every
-    /// submitted job has been delivered (more may be submitted after).
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
     }
 }
 

@@ -22,37 +22,17 @@
 //!    (`curve[hi] <= curve[hi-1]`), i.e. the knee is visibly behind us.
 //!
 //! When either check fails the kernel falls back to the full sweep
-//! (a second batch round in [`profile_curves_planned`]); the escape hatch
-//! `WS_PREDICT=0` disables pruning globally. Accepted gaps are filled by
+//! (a second batch round in [`profile_curves_planned`]); [`SweepPlan::full`]
+//! turns pruning off for a whole sweep. Accepted gaps are filled by
 //! linear interpolation between sampled points — interpolated values are
 //! bounded by their sampled endpoints, so they can never introduce a new
 //! staircase step, which is what makes the accepted-pruned curve
 //! water-fill-equivalent to the full sweep.
 
-use std::sync::OnceLock;
-
 use crate::profiler::interpolate_counts;
-use crate::runner::{RunConfig, SimJob, SimStream};
+use crate::runner::{execute, RunConfig, SimJob, SimOutcome};
 use gpu_sim::{GpuConfig, KernelDesc};
 use ws_analyze::{predict_kernel, PerfCurve};
-
-/// Whether prediction-driven sweep pruning is enabled by default, read
-/// once from the `WS_PREDICT` environment variable. On unless the
-/// variable is set to `0`, `false`, or `off` — the escape hatch for
-/// comparing against the unpruned Fig. 3 sweep.
-#[must_use]
-pub fn predict_default() -> bool {
-    // One flag read from the environment once per process, the same for
-    // every run; xtask-allow: no-global-state
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("WS_PREDICT") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
-}
 
 /// One kernel's profiling window over the CTA axis: sample CTA counts
 /// `lo..=hi` densely, guard the skipped tail, interpolate the rest.
@@ -323,7 +303,7 @@ impl KernelProgress {
 /// simulated time for sampling noise.
 ///
 /// The sweep is **pipelined**, not staged: all planned samples go into one
-/// [`SimStream`], acceptance for a kernel runs on the drain thread the
+/// [`ws_exec::Stream`], acceptance for a kernel runs on the drain thread the
 /// moment its last window sample finishes, and a rejected kernel's
 /// full-sweep fallback jobs are re-submitted into the same stream
 /// immediately — no global barrier between the rounds, so kernel A's
@@ -351,7 +331,7 @@ pub fn profile_curves_planned(
         plan.windows.len(),
         "one sweep window per kernel"
     );
-    let mut stream = SimStream::new(pool);
+    let mut stream = pool.stream::<SimOutcome>();
     // tags[job id] = (kernel index, cta cap) — stream ids are sequential.
     let mut tags: Vec<(usize, u32)> = Vec::new();
     let mut kernels: Vec<KernelProgress> = vec![KernelProgress::default(); descs.len()];
@@ -362,7 +342,8 @@ pub fn profile_curves_planned(
         }
         for &cap in &caps {
             tags.push((i, cap));
-            stream.submit_job(&SimJob::cta_cap(desc, cap, window, cfg));
+            let job = SimJob::cta_cap(desc, cap, window, cfg);
+            stream.submit(move || execute(&job));
         }
     }
     let mut samples_run = tags.len();
@@ -416,7 +397,8 @@ pub fn profile_curves_planned(
                 for cap in 1..=w.max.max(1) {
                     if !have.contains(&cap) {
                         tags.push((i, cap));
-                        stream.submit_job(&SimJob::cta_cap(desc, cap, window, cfg));
+                        let job = SimJob::cta_cap(desc, cap, window, cfg);
+                        stream.submit(move || execute(&job));
                         missing += 1;
                     }
                 }
@@ -585,12 +567,6 @@ mod tests {
             .expect("feasible")
         };
         assert_eq!(with(pruned).ctas, with(cache.to_vec()).ctas);
-    }
-
-    #[test]
-    fn predict_default_reads_env_once() {
-        // Whatever the ambient value, the gate is stable across calls.
-        assert_eq!(predict_default(), predict_default());
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn desc(abbrev: &str) -> KernelDesc {
 
 fn ws(predict: bool) -> PolicyKind {
     PolicyKind::WarpedSlicer(WarpedSlicerConfig {
-        predict: Some(predict),
+        predict,
         ..WarpedSlicerConfig::scaled_for(ISOLATION)
     })
 }
@@ -165,7 +165,7 @@ fn predicted_warped_slicer_outcomes_are_pinned() {
 fn spatial_fallback_outcomes_are_pinned() {
     let policy = PolicyKind::WarpedSlicer(WarpedSlicerConfig {
         loss_threshold: Some(0.001),
-        predict: Some(false),
+        predict: false,
         ..WarpedSlicerConfig::scaled_for(ISOLATION)
     });
     let d = corun(PAIRS[1], &policy, true)

@@ -19,13 +19,11 @@
 //! ## Execution model
 //!
 //! A pool with `threads > 1` spawns its workers once, at construction, and
-//! keeps them parked until work arrives. Submissions are distributed
-//! round-robin across **per-worker deques**; a worker pops the *front* of
-//! its own deque and, when that runs dry, **steals from the back** of its
-//! siblings' deques. Stealing is what keeps heavily skewed batches (one
-//! 40k-cycle simulation among 2k-cycle ones — the shape prediction-pruned
-//! sweeps and fleet traces produce) from head-of-line blocking behind a
-//! single dispatch counter. Determinism is unaffected: scheduling order
+//! keeps them waiting until work arrives. Every submission goes onto **one
+//! shared FIFO queue**; any idle worker takes the job at its front. Each
+//! job is a whole simulation (milliseconds long), so the one lock sees no
+//! contention worth spreading out, and a job never waits behind a busy
+//! worker while another sits idle. Determinism is unaffected: finish order
 //! may vary run to run, but results are keyed by submission index and
 //! every job is pure.
 //!
@@ -42,8 +40,8 @@
 //! available parallelism; `1` forces serial execution). A panicking job
 //! fails *that job*, not the process: a stream yields `Err(JobPanic)` for
 //! it, and [`Pool::run`] drains the whole batch before re-raising the
-//! failure with the lowest job index — deterministic even when the
-//! panicking job was stolen by another worker or finished first.
+//! failure with the lowest job index — deterministic whichever worker ran
+//! the panicking job and whenever it finished.
 //!
 //! The crate is deliberately `std`-only and free of simulator types: the
 //! job model (`SimJob`) lives in `warped-slicer`'s runner, which depends on
@@ -57,8 +55,8 @@
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable controlling the worker count.
 pub const THREADS_ENV: &str = "WS_EXEC_THREADS";
@@ -109,97 +107,58 @@ pub fn threads_from_env(value: Option<&str>) -> usize {
 /// A queued unit of work: the job closure plus its result plumbing.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Predicate state protected by the park mutex: the shutdown flag and the
-/// number of queued (not yet claimed) tasks across every deque.
-#[derive(Debug, Default)]
-struct ParkState {
-    shutdown: bool,
-    queued: usize,
-}
-
-/// Shared state between the pool handle and its persistent workers.
+/// What the pool handle and its workers share: the queued tasks and the
+/// shutdown flag under one lock, and the condvar idle workers wait on.
+#[derive(Default)]
 struct Core {
-    /// One deque per worker; submissions round-robin, owners pop the
-    /// front, thieves steal the back.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Round-robin cursor for external submissions.
-    rr: AtomicUsize,
-    /// Park predicate (queued count + shutdown flag).
-    state: Mutex<ParkState>,
-    /// Wakes parked workers when work arrives or shutdown begins.
+    queue: Mutex<Queue>,
     cond: Condvar,
 }
 
+/// The state guarded by [`Core`]'s lock.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
 impl Core {
-    /// Enqueues a task on the next deque in round-robin order and wakes
-    /// the workers.
+    /// Locks the queue. Tasks run outside the lock, so a poisoned lock
+    /// still guards a consistent queue.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends a task and wakes one waiting worker.
     fn push(&self, task: Task) {
-        let n = self.deques.len().max(1);
-        let w = self.rr.fetch_add(1, Ordering::Relaxed) % n;
-        if let Some(dq) = self.deques.get(w) {
-            dq.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(task);
-        }
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.queued += 1;
-        drop(state);
-        self.cond.notify_all();
+        self.lock().tasks.push_back(task);
+        self.cond.notify_one();
     }
 
-    /// Claims one task: the front of `home`'s own deque first, then a
-    /// back-steal over the other deques in ring order.
-    fn find_task(&self, home: usize) -> Option<Task> {
-        let n = self.deques.len();
-        for k in 0..n {
-            let Some(dq) = self.deques.get((home + k) % n) else {
-                continue;
-            };
-            let mut dq = dq.lock().unwrap_or_else(PoisonError::into_inner);
-            let task = if k == 0 {
-                dq.pop_front()
-            } else {
-                dq.pop_back()
-            };
-            if task.is_some() {
-                drop(dq);
-                let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.queued = state.queued.saturating_sub(1);
-                return task;
-            }
-        }
-        None
-    }
-
-    /// The persistent worker body: claim-and-run until shutdown, parking
-    /// on the condvar while no work is queued. Shutdown wins over queued
-    /// work, so a pool dropped with jobs still queued exits promptly; the
-    /// tasks it strands are discarded by [`Pool`]'s `Drop` (nothing can be
-    /// waiting on them — streams borrow the pool).
-    fn worker_loop(&self, home: usize) {
+    /// The persistent worker body: take the front task and run it until
+    /// shutdown, waiting on the condvar while the queue is empty. Shutdown
+    /// wins over queued work, so a pool dropped with jobs still queued
+    /// exits promptly; the tasks it strands are discarded by [`Pool`]'s
+    /// `Drop` (nothing can be waiting on them — streams borrow the pool).
+    fn worker_loop(&self) {
         loop {
-            if let Some(task) = self.find_task(home) {
-                task();
-                continue;
+            let mut queue = self
+                .cond
+                .wait_while(self.lock(), |q| !q.shutdown && q.tasks.is_empty())
+                .unwrap_or_else(PoisonError::into_inner);
+            if queue.shutdown {
+                return;
             }
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.queued > 0 {
-                    break;
-                }
-                state = self
-                    .cond
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
+            let task = queue.tasks.pop_front();
+            drop(queue);
+            if let Some(task) = task {
+                task();
             }
         }
     }
 }
 
-/// A deterministic persistent work-stealing worker pool.
+/// A deterministic persistent worker pool over one shared job queue.
 ///
 /// Workers are spawned once at construction and live until the pool is
 /// dropped; `Drop` signals shutdown and joins every worker handle. With
@@ -227,38 +186,27 @@ impl Pool {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let completed = Arc::new(AtomicU64::new(0));
-        if threads == 1 {
-            return Self {
-                threads,
-                core: None,
-                workers: Vec::new(),
-                completed,
-            };
-        }
-        let core = Arc::new(Core {
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            rr: AtomicUsize::new(0),
-            state: Mutex::new(ParkState::default()),
-            cond: Condvar::new(),
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let core = Arc::clone(&core);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("ws-exec-{i}"))
-                    .spawn(move || core.worker_loop(i));
-                match spawned {
-                    Ok(handle) => handle,
-                    Err(e) => panic!("ws-exec: could not spawn worker thread {i}: {e}"),
-                }
-            })
-            .collect();
+        let core = (threads > 1).then(|| Arc::new(Core::default()));
+        let workers = match &core {
+            None => Vec::new(),
+            Some(core) => (0..threads)
+                .map(|i| {
+                    let core = Arc::clone(core);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("ws-exec-{i}"))
+                        .spawn(move || core.worker_loop());
+                    match spawned {
+                        Ok(handle) => handle,
+                        Err(e) => panic!("ws-exec: could not spawn worker thread {i}: {e}"),
+                    }
+                })
+                .collect(),
+        };
         Self {
             threads,
-            core: Some(core),
+            core,
             workers,
-            completed,
+            completed: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -291,7 +239,6 @@ impl Pool {
             pool: self,
             tx,
             rx,
-            ready: VecDeque::new(),
             submitted: 0,
             delivered: 0,
         }
@@ -310,10 +257,10 @@ impl Pool {
     ///
     /// Once the whole batch has drained, re-raises the failed job with the
     /// lowest index on the caller's thread — deterministic regardless of
-    /// worker count, finish order, or which worker stole the panicking
-    /// job. Also panics if the executor's delivery invariant breaks (a
-    /// result slot filled twice or never filled) — a bug in the executor
-    /// itself, never in `f`.
+    /// worker count, finish order, or which worker ran the panicking job.
+    /// Also panics if the executor's delivery invariant breaks (a result
+    /// slot filled twice or never filled) — a bug in the executor itself,
+    /// never in `f`.
     pub fn run<J, R, F>(&self, jobs: &[J], f: F) -> Vec<R>
     where
         J: Clone + Send + 'static,
@@ -355,10 +302,7 @@ impl Drop for Pool {
     /// result is ever silently lost to a waiter).
     fn drop(&mut self) {
         let Some(core) = self.core.take() else { return };
-        {
-            let mut state = core.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.shutdown = true;
-        }
+        core.lock().shutdown = true;
         core.cond.notify_all();
         let mut worker_panic = None;
         for handle in self.workers.drain(..) {
@@ -366,9 +310,7 @@ impl Drop for Pool {
                 worker_panic = Some(payload);
             }
         }
-        for dq in &core.deques {
-            dq.lock().unwrap_or_else(PoisonError::into_inner).clear();
-        }
+        core.lock().tasks.clear();
         if let Some(payload) = worker_panic {
             // Workers contain job panics with catch_unwind, so a panic
             // escaping the worker loop is an executor bug: surface it.
@@ -382,15 +324,13 @@ impl Drop for Pool {
 /// Jobs submitted through one stream are numbered `0, 1, 2, ...` in
 /// submission order; [`Stream::next`] yields `(JobId, JobResult)` pairs in
 /// **completion order**, which lets callers overlap downstream computation
-/// with jobs still in flight. On a serial pool each submission runs inline
-/// and completions are queued in submission order — the degenerate
+/// with jobs still in flight. On a serial pool each submission runs inline,
+/// so completions arrive in submission order — the degenerate
 /// (deterministically ordered) case of the same API.
 pub struct Stream<'p, R: Send + 'static> {
     pool: &'p Pool,
     tx: mpsc::Sender<(JobId, JobResult<R>)>,
     rx: mpsc::Receiver<(JobId, JobResult<R>)>,
-    /// Completions from inline (serial) execution, in submission order.
-    ready: VecDeque<(JobId, JobResult<R>)>,
     submitted: usize,
     delivered: usize,
 }
@@ -400,31 +340,27 @@ impl<R: Send + 'static> Stream<'_, R> {
     ///
     /// This is the pool's only way in: on a serial pool the job runs
     /// inline before this returns, otherwise it is queued on the workers.
-    /// Either way a panic is contained to that job's [`JobPanic`], and the
-    /// job counts toward [`Pool::jobs_completed`] once it has run.
+    /// Either way a panic is contained to that job's [`JobPanic`], the job
+    /// counts toward [`Pool::jobs_completed`] once it has run, and its
+    /// result goes through the stream's channel.
     pub fn submit<F>(&mut self, f: F) -> JobId
     where
         F: FnOnce() -> R + Send + 'static,
     {
         let id = JobId(self.submitted);
         self.submitted += 1;
+        let tx = self.tx.clone();
+        let completed = Arc::clone(&self.pool.completed);
+        let task = move || {
+            let r = contain(id, f);
+            completed.fetch_add(1, Ordering::Relaxed);
+            // A dropped stream discards in-flight results on purpose;
+            // completion accounting already happened.
+            let _ = tx.send((id, r));
+        };
         match &self.pool.core {
-            None => {
-                let r = contain(id, f);
-                self.pool.completed.fetch_add(1, Ordering::Relaxed);
-                self.ready.push_back((id, r));
-            }
-            Some(core) => {
-                let tx = self.tx.clone();
-                let completed = Arc::clone(&self.pool.completed);
-                core.push(Box::new(move || {
-                    let r = contain(id, f);
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    // A dropped stream discards in-flight results on
-                    // purpose; completion accounting already happened.
-                    let _ = tx.send((id, r));
-                }));
-            }
+            None => task(),
+            Some(core) => core.push(Box::new(task)),
         }
         id
     }
@@ -439,10 +375,6 @@ impl<R: Send + 'static> Iterator for Stream<'_, R> {
     fn next(&mut self) -> Option<(JobId, JobResult<R>)> {
         if self.delivered == self.submitted {
             return None;
-        }
-        if let Some(done) = self.ready.pop_front() {
-            self.delivered += 1;
-            return Some(done);
         }
         // The stream holds its own sender clone, so the channel can never
         // disconnect while jobs are outstanding: recv blocks until a
@@ -484,6 +416,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     /// Deterministic busy-work whose cost scales with `n` — the exec-level
     /// stand-in for a simulation window of `n` cycles.
@@ -537,15 +470,60 @@ mod tests {
     }
 
     #[test]
-    fn skewed_job_sizes_stay_deterministic_under_stealing() {
-        // One 40k-unit job among 2k-unit jobs: the shape that head-of-line
-        // blocks a counter-dispatch pool and exercises back-stealing here.
+    fn skewed_job_sizes_stay_deterministic_in_parallel() {
+        // One 40k-unit job among 2k-unit jobs: the other workers drain the
+        // queue while one runs the heavy job, so finish order diverges
+        // from submission order.
         let jobs: Vec<u64> = (0..48)
             .map(|i| if i == 5 { 40_000 } else { 2_000 })
             .collect();
         let serial = Pool::new(1).run(&jobs, |&j| spin(j));
-        let stolen = Pool::new(8).run(&jobs, |&j| spin(j));
-        assert_eq!(serial, stolen);
+        let parallel = Pool::new(8).run(&jobs, |&j| spin(j));
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn a_blocked_job_holds_back_no_other_job() {
+        // Job 0 blocks until every other job of its stream has finished,
+        // so the batch completes only if the second worker takes all of
+        // them while the first is pinned. The wait is bounded: a job stuck
+        // behind job 0 fails the test instead of hanging it.
+        const JOBS: usize = 12;
+        let pool = Pool::new(2);
+        let finished = Arc::new(Mutex::new(Vec::new()));
+        let mut stream = pool.stream::<usize>();
+        for i in 0..JOBS {
+            let finished = Arc::clone(&finished);
+            stream.submit(move || {
+                let count = || {
+                    finished
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .len()
+                };
+                let start = std::time::Instant::now();
+                while i == 0 && count() < JOBS - 1 {
+                    assert!(
+                        start.elapsed() < std::time::Duration::from_secs(10),
+                        "job 0 waited 10 s for the other jobs: {} of {} finished",
+                        count(),
+                        JOBS - 1
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                finished
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(i);
+                i * 10
+            });
+        }
+        for (i, r) in drain_by_id(stream, JOBS).into_iter().enumerate() {
+            assert_eq!(r, Ok(i * 10), "job {i}");
+        }
+        let order = finished.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(order.len(), JOBS);
+        assert_eq!(order.last(), Some(&0), "job 0 finished last: {order:?}");
     }
 
     #[test]
@@ -574,16 +552,16 @@ mod tests {
     }
 
     #[test]
-    fn stolen_panicking_job_is_contained_and_attributed() {
-        // A heavy head job pins its owner, so trailing jobs — including
-        // the panicking one — get claimed by stealing workers; containment
+    fn panicking_job_behind_a_heavy_one_is_contained_and_attributed() {
+        // A heavy head job pins one worker, so the trailing jobs —
+        // including the panicking one — run on the others; containment
         // and attribution must be identical to the serial run.
         let pool = Pool::new(8);
         let mut stream = pool.stream::<u64>();
         for i in 0..64usize {
             let weight = if i == 0 { 40_000 } else { 200 };
             stream.submit(move || {
-                assert!(i != 57, "stolen job exploded");
+                assert!(i != 57, "trailing job exploded");
                 spin(weight)
             });
         }

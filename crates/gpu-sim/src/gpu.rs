@@ -143,12 +143,6 @@ impl Gpu {
         self.fast_forward = on;
     }
 
-    /// Whether event-horizon fast-forwarding is enabled on this instance.
-    #[must_use]
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.fast_forward
-    }
-
     /// Total dead cycles skipped (rather than naively ticked) so far.
     #[must_use]
     pub fn skipped_cycles(&self) -> u64 {

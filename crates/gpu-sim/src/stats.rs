@@ -235,16 +235,6 @@ impl SmStats {
         }
         self.warps_active_acc as f64 / (u128::from(self.cycles) * u128::from(max_warps)) as f64
     }
-
-    /// Fraction of cycles the named unit class was busy, normalizing by
-    /// `num_schedulers` unit pipelines.
-    #[must_use]
-    pub fn unit_utilization(&self, busy: u64, num_schedulers: u32) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        busy as f64 / (self.cycles * u64::from(num_schedulers)) as f64
-    }
 }
 
 #[cfg(test)]
