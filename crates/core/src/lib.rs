@@ -82,7 +82,7 @@ pub use runner::{
 pub use scaling::{psi, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};
 pub use sweep::{accept_pruned, profile_curves_planned, PlannedSweep, SweepPlan, SweepWindow};
-pub use tracefmt::{chrome_trace, jsonl, validate_jsonl};
+pub use tracefmt::{audit_jsonl, chrome_trace, jsonl, validate_jsonl};
 pub use waterfill::{brute_force, water_fill, KernelCurve, Partition, WaterFillStep};
 
 #[cfg(test)]

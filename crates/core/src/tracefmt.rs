@@ -23,7 +23,7 @@
 
 use gpu_sim::TraceEvent;
 
-use crate::audit::AuditEvent;
+use crate::audit::{AuditEvent, DecisionAudit};
 use crate::resources::ResourceVec;
 use crate::runner::SimOutcome;
 
@@ -276,6 +276,18 @@ fn event_line(e: &TraceEvent) -> String {
     }
 }
 
+/// Serializes a decision audit as JSONL, one record per event in
+/// recording order: the audit section of [`jsonl`].
+#[must_use]
+pub fn audit_jsonl(audit: &DecisionAudit) -> String {
+    let mut out = String::new();
+    for e in &audit.events {
+        out.push_str(&audit_line(e));
+        out.push('\n');
+    }
+    out
+}
+
 /// Serializes a traced run as JSONL: a `meta` record, the decision-audit
 /// records, the simulator events, and one `finish` record per kernel.
 /// Works on untraced outcomes too (the audit/event sections are simply
@@ -298,10 +310,7 @@ pub fn jsonl(outcome: &SimOutcome, label: &str, policy: &str, kernel_names: &[&s
         outcome.timed_out,
     ));
     if let Some(audit) = &outcome.audit {
-        for e in &audit.events {
-            out.push_str(&audit_line(e));
-            out.push('\n');
-        }
+        out.push_str(&audit_jsonl(audit));
     }
     if let Some(events) = &outcome.trace {
         for e in events {

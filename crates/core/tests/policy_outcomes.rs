@@ -10,14 +10,19 @@
 //! and both must hit the same pinned constant, so the suite also checks
 //! the event-horizon contract per policy.
 //!
+//! The Warped-Slicer's decision audit is pinned the same way: FNV-1a 64
+//! over its JSONL records ([`audit_jsonl`]), so the order of every
+//! prediction, scaling, water-filling, fallback, phase-monitor and store
+//! record is part of the pin, not only the decision it ends in.
+//!
 //! The constants pin the controllers' behaviour; a change that moves one is
 //! a behaviour change, not a refactor. On a mismatch the test prints every
 //! case's actual digest.
 
 use gpu_sim::{Gpu, KernelDesc, KernelId};
 use warped_slicer::{
-    collect_stats, execute, make_controller, run_isolation, PolicyKind, RunConfig, SimJob,
-    SimOutcome, WarpedSlicerConfig,
+    audit_jsonl, collect_stats, execute, make_controller, run_isolation, Controller, DecisionAudit,
+    PolicyKind, RunConfig, SharedCurveStore, SimJob, SimOutcome, WarpedSlicerConfig,
 };
 use ws_workloads::by_abbrev;
 
@@ -38,6 +43,10 @@ fn outcome_digest(o: &SimOutcome) -> u64 {
         "{:?}|{:?}|{}|{:?}|{:?}|{:?}",
         o.stats, o.finish_cycle, o.total_cycles, o.end_insts, o.last_progress_cycle, o.decision
     ))
+}
+
+fn audit_digest(audit: Option<&DecisionAudit>) -> u64 {
+    fnv1a(&audit_jsonl(audit.expect("an audited Warped-Slicer run")))
 }
 
 fn run_cfg(fast_forward: bool) -> RunConfig {
@@ -184,7 +193,7 @@ fn spatial_fallback_outcomes_are_pinned() {
 /// runner's rule: skip only while the launch signature is unchanged, never
 /// past the controller's next intervention or the next scripted event, so
 /// every scripted event happens at the top of an iteration.
-fn late_arrival_digest(policy: &PolicyKind, fast_forward: bool) -> u64 {
+fn late_arrival(policy: &PolicyKind, fast_forward: bool) -> (Gpu, Box<dyn Controller>) {
     const ARRIVE: u64 = 6_000;
     const HALT: u64 = 14_000;
     const END: u64 = 20_000;
@@ -217,6 +226,11 @@ fn late_arrival_digest(policy: &PolicyKind, fast_forward: bool) -> u64 {
         }
         sig = now;
     }
+    (gpu, controller)
+}
+
+fn late_arrival_digest(policy: &PolicyKind, fast_forward: bool) -> u64 {
+    let (gpu, controller) = late_arrival(policy, fast_forward);
     let insts: Vec<u64> = gpu
         .kernel_ids()
         .iter()
@@ -246,6 +260,62 @@ fn late_arrival_outcomes_are_pinned() {
                     "{name} ff={ff}: got {got:#018x}, pinned {want:#018x}"
                 ));
             }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+fn audited(predict: bool, store: Option<SharedCurveStore>) -> PolicyKind {
+    PolicyKind::WarpedSlicer(WarpedSlicerConfig {
+        predict,
+        audit: true,
+        store,
+        ..WarpedSlicerConfig::scaled_for(ISOLATION)
+    })
+}
+
+/// Checks every audited case, fast-forward on and off, against its pinned
+/// audit digest: both pairs with prediction off and on, the mid-run
+/// arrival's re-profile, and a store-attached cold run followed by a warm
+/// run of the same pair (a fresh store per fast-forward cell).
+#[test]
+fn warped_slicer_audit_trails_are_pinned() {
+    let mut failures = Vec::new();
+    let mut check = |case: String, got: u64, want: u64| {
+        if got != want {
+            failures.push(format!("{case}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    };
+    for ff in [true, false] {
+        let pinned = [
+            (false, [0x2903_6e7c_d0a4_c884_u64, 0x5a69_0484_0789_05de]),
+            (true, [0xec03_183d_4342_b20e, 0x9b0c_9211_e0ac_52fe]),
+        ];
+        for (predict, expected) in pinned {
+            for (pair, want) in PAIRS.into_iter().zip(expected) {
+                let o = corun(pair, &audited(predict, None), ff);
+                let case = format!("{}+{} predict={predict} ff={ff}", pair.0, pair.1);
+                check(case, audit_digest(o.audit.as_ref()), want);
+            }
+        }
+        let (_, controller) = late_arrival(&audited(false, None), ff);
+        check(
+            format!("late arrival ff={ff}"),
+            audit_digest(controller.audit()),
+            0x5855_8e84_634d_8b52,
+        );
+        let store = SharedCurveStore::with_capacity(8);
+        let pinned = [
+            ("cold", 0x29f1_14e3_b0f1_69b2_u64),
+            ("warm", 0xf968_e373_8126_9280),
+        ];
+        for (run, want) in pinned {
+            let o = corun(PAIRS[0], &audited(true, Some(store.clone())), ff);
+            check(
+                format!("store {run} ff={ff}"),
+                audit_digest(o.audit.as_ref()),
+                want,
+            );
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
