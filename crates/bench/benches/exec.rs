@@ -1,5 +1,5 @@
 //! Execution-layer scaling bench: wall-clock of the Fig. 3a suite sweep at
-//! 1/2/4/8 workers, written machine-readably to `results/BENCH_exec.json`.
+//! 1/2/4/8 workers, written to `target/bench-reports/BENCH_exec.json`.
 //!
 //! The sweep fans out one CTA-capped simulation per (benchmark, CTA count)
 //! point — the workload the persistent [`ws_exec::Pool`] exists for. Every
@@ -124,7 +124,7 @@ fn main() {
         floor.map_or("null".to_string(), |f| format!("{f}")),
     );
 
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-reports");
     let path = dir.join("BENCH_exec.json");
     if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
         eprintln!("failed to write {}: {e}", path.display());

@@ -1,6 +1,6 @@
 //! Simulator-core fast-forward baseline: wall-clock of memory-bound
 //! co-runs with the event-horizon fast-forward on vs. off, written
-//! machine-readably to `results/BENCH_sim.json`.
+//! machine-readably to `target/bench-reports/BENCH_sim.json`.
 //!
 //! Two scenarios bracket the regimes documented in DESIGN.md §9:
 //!
@@ -173,7 +173,7 @@ fn main() {
         cap.skipped_frac
     );
 
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-reports");
     let path = dir.join("BENCH_sim.json");
     if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
         eprintln!("failed to write {}: {e}", path.display());

@@ -1,7 +1,8 @@
 //! Regenerates the Warped-Slicer paper's tables and figures.
 //!
 //! ```text
-//! experiments <artifact> [--cycles N] [--oracle] [--full]
+//! experiments <artifact> [--cycles N] [--oracle] [--full] [--csv DIR]
+//! experiments -h | --help
 //!
 //! artifacts:
 //!   table1 table2 table3 fig1 fig2 fig3a fig3b fig5 fig6 fig7 fig8 fig9
@@ -31,9 +32,21 @@ struct Options {
     csv_dir: Option<std::path::PathBuf>,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Every artifact, in the order `all` renders them.
+const ARTIFACTS: &str = "table1 table2 fig1 fig2 fig3a fig3b fig5 fig6 table3 fig7 fig8 fig9 \
+                         energy fig10a fig10b large-config overhead ablation";
+
+/// Parses the command line; `Ok(None)` asks for the usage (`-h`/`--help`).
+/// An unknown artifact or flag is an error before any work starts.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut args = std::env::args().skip(1);
     let artifact = args.next().ok_or_else(usage)?;
+    if artifact == "-h" || artifact == "--help" {
+        return Ok(None);
+    }
+    if artifact != "all" && !ARTIFACTS.split_whitespace().any(|a| a == artifact) {
+        return Err(format!("unknown artifact: {artifact}\n{}", usage()));
+    }
     let mut opts = Options {
         artifact,
         cycles: 100_000,
@@ -47,6 +60,7 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--cycles needs a value")?;
                 opts.cycles = v.parse().map_err(|_| format!("bad cycle count: {v}"))?;
             }
+            "-h" | "--help" => return Ok(None),
             "--oracle" => opts.oracle = true,
             "--full" => opts.full = true,
             "--csv" => {
@@ -56,11 +70,12 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown flag: {other}\n{}", usage())),
         }
     }
-    Ok(opts)
+    Ok(Some(opts))
 }
 
 fn usage() -> String {
-    "usage: experiments <table1|table2|table3|fig1|fig2|fig3a|fig3b|fig5|fig6|fig7|fig8|fig9|fig10a|fig10b|energy|large-config|overhead|ablation|all> [--cycles N] [--oracle] [--full] [--csv DIR]".to_string()
+    let artifacts = ARTIFACTS.split_whitespace().collect::<Vec<_>>().join("|");
+    format!("usage: experiments <{artifacts}|all> [--cycles N] [--oracle] [--full] [--csv DIR]")
 }
 
 fn need_fig6(
@@ -100,7 +115,11 @@ fn write_csv(dir: &Option<std::path::PathBuf>, name: &str, contents: &str) {
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
@@ -126,26 +145,7 @@ fn main() -> ExitCode {
     let mut fig8_cache: Option<Vec<fig8::TripleResult>> = None;
 
     let artifacts: Vec<&str> = if opts.artifact == "all" {
-        vec![
-            "table1",
-            "table2",
-            "fig1",
-            "fig2",
-            "fig3a",
-            "fig3b",
-            "fig5",
-            "fig6",
-            "table3",
-            "fig7",
-            "fig8",
-            "fig9",
-            "energy",
-            "fig10a",
-            "fig10b",
-            "large-config",
-            "overhead",
-            "ablation",
-        ]
+        ARTIFACTS.split_whitespace().collect()
     } else {
         vec![opts.artifact.as_str()]
     };
@@ -231,10 +231,7 @@ fn main() -> ExitCode {
                 "{}",
                 ablation::render(&ctx.observe("ablation", |c| ablation::compute(c, &sweep_pairs)))
             ),
-            other => {
-                eprintln!("unknown artifact: {other}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
+            other => unreachable!("parse_args rejected artifact {other}"),
         }
     }
     ExitCode::SUCCESS

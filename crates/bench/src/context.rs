@@ -226,6 +226,32 @@ impl ExperimentContext {
             .swap_remove(0)
     }
 
+    /// Runs every workload under the four compared policies (Left-Over,
+    /// Spatial, Even and [`Self::dynamic_policy`]) as one job batch,
+    /// returning each workload's four results in that order.
+    pub fn policy_batch(&self, workloads: &[Vec<&Benchmark>]) -> Vec<[CorunResult; 4]> {
+        let policies = [
+            PolicyKind::LeftOver,
+            PolicyKind::Spatial,
+            PolicyKind::Even,
+            self.dynamic_policy(),
+        ];
+        let runs: Vec<(Vec<&Benchmark>, PolicyKind)> = workloads
+            .iter()
+            .flat_map(|w| policies.iter().map(move |p| (w.clone(), p.clone())))
+            .collect();
+        let mut results = self.corun_batch(&runs).into_iter();
+        let mut next = || {
+            results
+                .next()
+                .unwrap_or_else(|| unreachable!("corun_batch returns one result per run"))
+        };
+        workloads
+            .iter()
+            .map(|_| [next(), next(), next(), next()])
+            .collect()
+    }
+
     /// Runs every `(workload, policy)` pair as one job batch on the pool,
     /// returning results in submission order.
     ///

@@ -2,7 +2,7 @@
 //! the bandwidth-interference scaling factor on/off, the spatial-fallback
 //! threshold sweep, and the phase monitor on/off.
 
-use warped_slicer::{water_fill, KernelCurve, PolicyKind, ResourceVec, WarpedSlicerConfig};
+use warped_slicer::{Decider, PolicyKind, WarpedSlicerConfig};
 use ws_workloads::{Benchmark, Pair};
 
 use crate::context::ExperimentContext;
@@ -48,24 +48,14 @@ pub fn offline_curve_policies(ctx: &ExperimentContext, pairs: &[Pair]) -> Vec<Po
         .iter()
         .map(|b| b.desc.max_ctas_per_sm(&ctx.cfg.gpu.sm).max(1))
         .collect();
-    let curves: Vec<KernelCurve> = ctx
-        .cta_sweeps(&kernels, &max_ctas, window)
-        .into_iter()
-        .zip(&kernels)
-        .map(|(perf, b)| KernelCurve {
-            perf,
-            cta_cost: ResourceVec::cta_cost(&b.desc),
-        })
-        .collect();
-    let cap = ResourceVec::sm_capacity(&ctx.cfg.gpu.sm);
+    let curves = ctx.cta_sweeps(&kernels, &max_ctas, window);
     members
         .iter()
         .map(|ids| {
-            let pair_curves = ids.map(|i| curves[i].clone());
-            match water_fill(&pair_curves, cap) {
-                Some(p) => PolicyKind::Quota(p.ctas),
-                None => PolicyKind::Spatial,
-            }
+            let descs = ids.map(|i| &kernels[i].desc);
+            let pair_curves = ids.map(|i| curves[i].clone()).to_vec();
+            let d = Decider::WITHOUT_FALLBACK.decide(&descs, &ctx.cfg.gpu.sm, pair_curves, 0, None);
+            d.quotas.map_or(PolicyKind::Spatial, PolicyKind::Quota)
         })
         .collect()
 }

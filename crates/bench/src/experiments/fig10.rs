@@ -6,6 +6,7 @@ use warped_slicer::{PolicyKind, ProfileTiming, RunConfig, WarpedSlicerConfig};
 use ws_workloads::{suite, Benchmark, Pair, PairCategory};
 
 use crate::context::ExperimentContext;
+use crate::experiments::fig6::{self, Fig6Data};
 use crate::report::{f2, gmean, Table};
 
 /// A representative subset of pairs (one per category) used for the
@@ -137,34 +138,11 @@ pub fn compute_schedulers_on(
             scheduler: sched,
             ..ctx.cfg.clone()
         });
-        let policies = [
-            PolicyKind::LeftOver,
-            PolicyKind::Spatial,
-            PolicyKind::Even,
-            ctx.dynamic_policy(),
-        ];
-        let runs: Vec<(Vec<&Benchmark>, PolicyKind)> = pairs
-            .iter()
-            .flat_map(|p| {
-                policies
-                    .iter()
-                    .map(move |policy| (vec![&p.a, &p.b], policy.clone()))
-            })
-            .collect();
-        let results = ctx.corun_batch(&runs);
-        let mut sp = Vec::new();
-        let mut ev = Vec::new();
-        let mut dy = Vec::new();
-        for chunk in results.chunks(4) {
-            let [lo, s, e, d] = chunk else {
-                unreachable!("corun_batch returns four results per pair")
-            };
-            let lo = lo.combined_ipc;
-            sp.push(s.combined_ipc / lo);
-            ev.push(e.combined_ipc / lo);
-            dy.push(d.combined_ipc / lo);
-        }
-        out.push((sched.to_string(), gmean(&sp), gmean(&ev), gmean(&dy)));
+        let data = Fig6Data {
+            pairs: fig6::run_pairs(&ctx, pairs, false),
+        };
+        let (sp, ev, dy, _) = data.gmeans();
+        out.push((sched.to_string(), sp, ev, dy));
     }
     out
 }

@@ -1,7 +1,7 @@
 //! Fig. 3a: normalized performance vs. CTA occupancy per benchmark, and
 //! Fig. 3b: the sweet-spot identification for the IMG + NN pair.
 
-use warped_slicer::{water_fill, KernelCurve, ResourceVec};
+use warped_slicer::Decider;
 #[cfg(test)]
 use ws_workloads::ScalingArchetype;
 use ws_workloads::{by_abbrev, suite, Benchmark};
@@ -128,25 +128,21 @@ pub fn compute_sweet_spot(ctx: &ExperimentContext, window: u64) -> SweetSpot {
     let mut curves = sweep_all(ctx, &[&img_bench, &nn_bench], window);
     let nn = curves.swap_remove(1);
     let img = curves.swap_remove(0);
-    let kernels = [
-        KernelCurve {
-            perf: img.ipc.clone(),
-            cta_cost: ResourceVec::cta_cost(&img.bench.desc),
-        },
-        KernelCurve {
-            perf: nn.ipc.clone(),
-            cta_cost: ResourceVec::cta_cost(&nn.bench.desc),
-        },
-    ];
-    let cap = ResourceVec::sm_capacity(&ctx.cfg.gpu.sm);
-    // Invariant: both kernels fit one CTA each on the ISCA baseline SM.
-    // xtask-allow: no-unwrap
-    let p = water_fill(&kernels, cap).expect("IMG+NN is feasible");
+    let d = Decider::WITHOUT_FALLBACK.decide(
+        &[&img.bench.desc, &nn.bench.desc],
+        &ctx.cfg.gpu.sm,
+        vec![img.ipc.clone(), nn.ipc.clone()],
+        0,
+        None,
+    );
     SweetSpot {
         img,
         nn,
-        chosen: p.ctas,
-        perf: p.perf,
+        // Invariant: both kernels fit one CTA each on the ISCA baseline SM,
+        // and a Decider without fallback keeps every feasible partition.
+        // xtask-allow: no-unwrap
+        chosen: d.quotas.expect("IMG+NN is feasible"),
+        perf: d.predicted_perf,
     }
 }
 

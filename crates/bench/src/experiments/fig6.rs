@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use gpu_sim::KernelDesc;
-use warped_slicer::{run_oracle, CorunResult, PolicyKind, RunConfig};
+use warped_slicer::{run_oracle, CorunResult, RunConfig};
 use ws_workloads::{all_pairs, Benchmark, Pair, PairCategory};
 
 use crate::context::ExperimentContext;
@@ -97,21 +97,8 @@ pub fn run_pair(ctx: &ExperimentContext, pair: &Pair, with_oracle: bool) -> Pair
 /// jobs), then — when requested — fans the per-pair exhaustive Oracle
 /// searches out over the pool.
 pub fn run_pairs(ctx: &ExperimentContext, pairs: &[Pair], with_oracle: bool) -> Vec<PairResult> {
-    let policies = [
-        PolicyKind::LeftOver,
-        PolicyKind::Spatial,
-        PolicyKind::Even,
-        ctx.dynamic_policy(),
-    ];
-    let runs: Vec<(Vec<&Benchmark>, PolicyKind)> = pairs
-        .iter()
-        .flat_map(|p| {
-            policies
-                .iter()
-                .map(move |policy| (vec![&p.a, &p.b], policy.clone()))
-        })
-        .collect();
-    let mut results = ctx.corun_batch(&runs).into_iter();
+    let workloads: Vec<Vec<&Benchmark>> = pairs.iter().map(|p| vec![&p.a, &p.b]).collect();
+    let results = ctx.policy_batch(&workloads);
     let oracle: Vec<Option<f64>> = if with_oracle {
         // Targets are already memoized by the corun batch, so each job is
         // pure search over one pair's quota grid. The pool's job closures
@@ -138,28 +125,23 @@ pub fn run_pairs(ctx: &ExperimentContext, pairs: &[Pair], with_oracle: bool) -> 
     };
     pairs
         .iter()
+        .zip(results)
         .zip(oracle)
-        .map(|(pair, oracle_best)| {
-            let (Some(left_over), Some(spatial), Some(even), Some(dynamic)) = (
-                results.next(),
-                results.next(),
-                results.next(),
-                results.next(),
-            ) else {
-                unreachable!("corun_batch returns four results per pair")
-            };
-            // The Oracle is the best of *everything*, including Dynamic
-            // itself.
-            let oracle_ipc = oracle_best.map(|o| o.max(dynamic.combined_ipc));
-            PairResult {
-                pair: pair.clone(),
-                left_over,
-                spatial,
-                even,
-                dynamic,
-                oracle_ipc,
-            }
-        })
+        .map(
+            |((pair, [left_over, spatial, even, dynamic]), oracle_best)| {
+                // The Oracle is the best of *everything*, including Dynamic
+                // itself.
+                let oracle_ipc = oracle_best.map(|o| o.max(dynamic.combined_ipc));
+                PairResult {
+                    pair: pair.clone(),
+                    left_over,
+                    spatial,
+                    even,
+                    dynamic,
+                    oracle_ipc,
+                }
+            },
+        )
         .collect()
 }
 

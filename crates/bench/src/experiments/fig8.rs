@@ -1,7 +1,7 @@
 //! Fig. 8: three kernels sharing an SM — all 15 combinations of one
 //! memory/cache benchmark with two compute benchmarks.
 
-use warped_slicer::{CorunResult, PolicyKind};
+use warped_slicer::CorunResult;
 use ws_workloads::{all_triples, Benchmark, Triple};
 
 use crate::context::ExperimentContext;
@@ -42,40 +42,19 @@ pub fn run_triple(ctx: &ExperimentContext, triple: &Triple) -> TripleResult {
 
 /// Runs every triple under every policy as one `triples x 4` job batch.
 pub fn run_triples(ctx: &ExperimentContext, triples: &[Triple]) -> Vec<TripleResult> {
-    let policies = [
-        PolicyKind::LeftOver,
-        PolicyKind::Spatial,
-        PolicyKind::Even,
-        ctx.dynamic_policy(),
-    ];
-    let runs: Vec<(Vec<&Benchmark>, PolicyKind)> = triples
-        .iter()
-        .flat_map(|t| {
-            policies
-                .iter()
-                .map(move |policy| (vec![&t.a, &t.b, &t.c], policy.clone()))
-        })
-        .collect();
-    let mut results = ctx.corun_batch(&runs).into_iter();
+    let workloads: Vec<Vec<&Benchmark>> = triples.iter().map(|t| vec![&t.a, &t.b, &t.c]).collect();
     triples
         .iter()
-        .map(|triple| {
-            let (Some(left_over), Some(spatial), Some(even), Some(dynamic)) = (
-                results.next(),
-                results.next(),
-                results.next(),
-                results.next(),
-            ) else {
-                unreachable!("corun_batch returns four results per triple")
-            };
-            TripleResult {
+        .zip(ctx.policy_batch(&workloads))
+        .map(
+            |(triple, [left_over, spatial, even, dynamic])| TripleResult {
                 triple: triple.clone(),
                 left_over,
                 spatial,
                 even,
                 dynamic,
-            }
-        })
+            },
+        )
         .collect()
 }
 

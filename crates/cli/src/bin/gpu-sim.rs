@@ -339,7 +339,7 @@ fn predict(desc: &KernelDesc, cfg: &GpuConfig) -> ExitCode {
             println!("  predicted knee   : {} of 1..={max} CTAs/SM", curve.knee);
             println!(
                 "  profiling window : dense 1..={} + guard at {max}",
-                curve.knee.saturating_add(1).min(max),
+                warped_slicer::SweepWindow::around_knee(curve.knee, max).hi,
             );
             ExitCode::SUCCESS
         }

@@ -12,6 +12,8 @@
 //! * [`profiler`] — the parallel-SM online profiling strategy (Fig. 4);
 //! * [`sweep`] — `ws-predict`-driven pruning of the profiling sweep, with
 //!   the checked fall-back that keeps water-filling exact;
+//! * [`decider`] — the one Sec. IV decision body (sweep plan, sample
+//!   rounds, water-fill and fallback) every decision path drives;
 //! * [`phase`] — sustained-IPC-change detection (Sec. IV-B);
 //! * [`policy`] — CTA-dispatch controllers for Left-Over, FCFS, Even,
 //!   Spatial, fixed-quota, and the dynamic Warped-Slicer;
@@ -48,6 +50,7 @@
 #![warn(clippy::all)]
 
 pub mod audit;
+pub mod decider;
 pub mod energy;
 pub mod metrics;
 pub mod oracle;
@@ -63,6 +66,7 @@ pub mod tracefmt;
 pub mod waterfill;
 
 pub use audit::{AuditEvent, DecisionAudit};
+pub use decider::Decider;
 pub use energy::{EnergyModel, EnergyReport};
 pub use metrics::{antt, fairness, speedups, system_throughput};
 pub use oracle::{feasible_quotas, run_oracle, OracleResult};

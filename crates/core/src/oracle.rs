@@ -59,10 +59,10 @@ fn enumerate(
 pub struct OracleResult {
     /// The best run found.
     pub best: CorunResult,
-    /// The policy that achieved it (printable form).
-    pub best_policy: String,
+    /// The policy that achieved it (a `Quota` carries its quota vector).
+    pub best_policy: PolicyKind,
     /// Combined IPC of every candidate tried, for inspection.
-    pub candidates: Vec<(String, f64)>,
+    pub candidates: Vec<(PolicyKind, f64)>,
 }
 
 /// Exhaustively searches Left-Over, Spatial, Even and every feasible CTA
@@ -82,16 +82,16 @@ pub fn run_oracle(descs: &[&KernelDesc], targets: &[u64], cfg: &RunConfig) -> Or
             .map(PolicyKind::Quota),
     );
     let mut candidates = Vec::with_capacity(policies.len());
-    let mut best: Option<(CorunResult, String)> = None;
+    let mut best: Option<(CorunResult, PolicyKind)> = None;
     for p in policies {
         let r = run_corun(descs, targets, &p, cfg);
-        candidates.push((p.to_string(), r.combined_ipc));
+        candidates.push((p.clone(), r.combined_ipc));
         let better = match &best {
             None => true,
             Some((b, _)) => r.combined_ipc > b.combined_ipc,
         };
         if better {
-            best = Some((r, p.to_string()));
+            best = Some((r, p));
         }
     }
     // Invariant: the candidate list always contains the spatial fallback,
@@ -158,7 +158,7 @@ mod tests {
         let lo = oracle
             .candidates
             .iter()
-            .find(|(p, _)| p == "Left-Over")
+            .find(|(p, _)| *p == PolicyKind::LeftOver)
             .expect("left-over evaluated");
         assert!(oracle.best.combined_ipc >= lo.1);
         assert!(oracle.candidates.len() > 3, "quota combos were searched");

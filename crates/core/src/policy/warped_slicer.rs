@@ -7,16 +7,14 @@
 //! `1/K × 120 %`) → *run* (fixed CTA quotas per SM, Fig. 2d/2e), with an
 //! optional phase monitor that re-triggers sampling on sustained IPC shifts.
 
-use gpu_sim::{Gpu, KernelId};
+use gpu_sim::{Gpu, KernelDesc};
 
 use crate::audit::{AuditEvent, DecisionAudit};
+use crate::decider::Decider;
 use crate::phase::PhaseMonitor;
 use crate::policy::{ChangeTracker, Controller, Decision, Slicing};
 use crate::profiler::{build_curves, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming};
-use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
-use crate::sweep::{predicted_window, SweepWindow};
-use crate::waterfill::{water_fill, water_fill_with, KernelCurve};
 
 /// Phase-monitor window length in cycles.
 const PHASE_WINDOW: u64 = 5_000;
@@ -118,6 +116,8 @@ struct SmSnap {
 #[derive(Debug)]
 pub struct WarpedSlicerController {
     cfg: WarpedSlicerConfig,
+    /// The decision rules `cfg` configures.
+    decider: Decider,
     phase: Phase,
     tracker: ChangeTracker,
     /// The installed slicing: the profiling plan while sampling, then the
@@ -145,6 +145,10 @@ impl WarpedSlicerController {
     #[must_use]
     pub fn new(cfg: WarpedSlicerConfig) -> Self {
         Self {
+            decider: Decider {
+                predict: cfg.predict,
+                loss_threshold: cfg.loss_threshold,
+            },
             cfg,
             phase: Phase::Init,
             tracker: ChangeTracker::default(),
@@ -196,45 +200,18 @@ impl WarpedSlicerController {
         }
     }
 
-    fn max_ctas(gpu: &Gpu) -> Vec<u32> {
-        gpu.kernel_ids()
-            .iter()
-            .map(|&k| gpu.kernel_desc(k).max_ctas_per_sm(&gpu.config().sm).max(1))
-            .collect()
-    }
-
-    /// Builds the profiling plan, windowed by [`predicted_window`] when
-    /// prediction is enabled, and audits each predicted curve with the
-    /// window it produced.
-    fn plan_profile(&mut self, gpu: &Gpu, max: &[u32]) -> ProfilePlan {
-        let cfg = gpu.config();
-        let windows: Vec<SweepWindow> = gpu
+    /// The current kernels' descriptors and Eq. 1 CTA bounds.
+    fn kernels(gpu: &Gpu) -> (Vec<&KernelDesc>, Vec<u32>) {
+        let descs: Vec<&KernelDesc> = gpu
             .kernel_ids()
             .iter()
-            .zip(max)
-            .enumerate()
-            .map(|(i, (&k, &m))| {
-                if !self.cfg.predict {
-                    return SweepWindow::full(m);
-                }
-                let (w, curve) = predicted_window(gpu.kernel_desc(k), m, cfg);
-                if let (true, Some(curve)) = (self.cfg.audit, curve) {
-                    self.audit.record(AuditEvent::PredictedCurve {
-                        kernel: i,
-                        perf: curve.ipc,
-                        knee: curve.knee,
-                    });
-                    self.audit.record(AuditEvent::SweepWindow {
-                        kernel: i,
-                        lo: w.lo,
-                        hi: w.hi,
-                        max: w.max,
-                    });
-                }
-                w
-            })
+            .map(|&k| gpu.kernel_desc(k))
             .collect();
-        ProfilePlan::build_windowed(gpu.num_sms(), &windows)
+        let max = descs
+            .iter()
+            .map(|d| d.max_ctas_per_sm(&gpu.config().sm).max(1))
+            .collect();
+        (descs, max)
     }
 
     /// Derives the per-kernel store signatures for the current kernel set
@@ -245,12 +222,13 @@ impl WarpedSlicerController {
         if self.store_keys.len() == gpu.num_kernels() {
             return;
         }
-        let cfg = gpu.config();
         // A kernel the launch pre-flight rejects has no static features and
         // so no key: it gets no store, and counts as a permanent miss
         // rather than failing the decision, which then profiles as usual.
-        self.store_keys = (0..gpu.num_kernels())
-            .map(|k| KernelSignature::derive(gpu.kernel_desc(KernelId(k)), cfg).ok())
+        let (descs, _) = Self::kernels(gpu);
+        self.store_keys = descs
+            .iter()
+            .map(|d| KernelSignature::derive(d, gpu.config()).ok())
             .collect();
     }
 
@@ -297,7 +275,7 @@ impl WarpedSlicerController {
         // Warm hit: no samples back this decision.
         self.last_samples.clear();
         self.warm_decisions += 1;
-        self.decide_from_curves(gpu, curves);
+        self.conclude(gpu, curves);
         true
     }
 
@@ -340,8 +318,10 @@ impl WarpedSlicerController {
             return;
         }
         let now = gpu.cycle();
-        let max = Self::max_ctas(gpu);
-        self.slicing = Slicing::Profile(self.plan_profile(gpu, &max));
+        let (descs, max) = Self::kernels(gpu);
+        let audit = self.cfg.audit.then_some(&mut self.audit);
+        let plan = self.decider.plan(&descs, &max, gpu.config(), audit);
+        self.slicing = Slicing::Profile(ProfilePlan::build_windowed(gpu.num_sms(), &plan.windows));
         self.slicing.install(gpu);
         self.phase = Phase::Warmup {
             until: now + self.cfg.timing.warmup,
@@ -408,91 +388,25 @@ impl WarpedSlicerController {
             .collect();
 
         self.last_samples = samples.clone();
-        let max = Self::max_ctas(gpu);
+        let (_, max) = Self::kernels(gpu);
         let curves = build_curves(&samples, &max, self.cfg.audit.then_some(&mut self.audit));
         self.store_insert(gpu, &curves);
-        self.decide_from_curves(gpu, curves);
+        self.conclude(gpu, curves);
     }
 
-    /// The shared decision tail: runs Algorithm 1 water-filling over
-    /// per-kernel performance curves, applies the fallback-threshold test,
-    /// and installs (or schedules) the decision. Both the cold path
-    /// (freshly measured curves) and the ws-store warm path (memoized
-    /// curves) end here, which is what makes a warm-hit decision
-    /// byte-identical to the cold-path decision for the same curves.
-    fn decide_from_curves(&mut self, gpu: &mut Gpu, curves: Vec<Vec<f64>>) {
+    /// Hands per-kernel curves to the Decider's decision tail and installs
+    /// (or schedules) its decision. Both the cold path (freshly measured
+    /// curves) and the ws-store warm path (memoized curves) end here, which
+    /// is what makes a warm-hit decision byte-identical to the cold-path
+    /// decision for the same curves.
+    fn conclude(&mut self, gpu: &mut Gpu, curves: Vec<Vec<f64>>) {
         let now = gpu.cycle();
-        let measured_curves = curves.clone();
-        let ids = gpu.kernel_ids();
-        let kernels: Vec<KernelCurve> = ids
-            .iter()
-            .zip(curves)
-            .map(|(&k, perf)| KernelCurve {
-                perf,
-                cta_cost: ResourceVec::cta_cost(gpu.kernel_desc(k)),
-            })
-            .collect();
-        let capacity = ResourceVec::sm_capacity(&gpu.config().sm);
-        let threshold = self.cfg.loss_threshold.unwrap_or(1.2 / ids.len() as f64);
-
-        let partition = if self.cfg.audit {
-            self.audit.record(AuditEvent::WaterFillInputs {
-                cta_costs: kernels.iter().map(|k| k.cta_cost).collect(),
-                capacity,
-            });
-            for (i, k) in kernels.iter().enumerate() {
-                self.audit.record(AuditEvent::Curve {
-                    kernel: i,
-                    perf: k.perf.clone(),
-                });
-            }
-            let audit = &mut self.audit;
-            let p = water_fill_with(&kernels, capacity, &mut |s| {
-                audit.record(AuditEvent::WaterFillStep {
-                    kernel: s.kernel,
-                    ctas: s.ctas,
-                    perf: s.perf,
-                });
-            });
-            if let Some(p) = &p {
-                self.audit.record(AuditEvent::WaterFillDecision {
-                    quotas: p.ctas.clone(),
-                    water_level: p.min_perf(),
-                    predicted: p.perf.clone(),
-                });
-            }
-            p
-        } else {
-            water_fill(&kernels, capacity)
-        };
-        if self.cfg.audit {
-            let max_loss = partition
-                .as_ref()
-                .map(|p| p.losses().iter().copied().fold(f64::NEG_INFINITY, f64::max));
-            let spatial = match &partition {
-                Some(p) => p.losses().iter().any(|&l| l > threshold),
-                None => true,
-            };
-            self.audit.record(AuditEvent::FallbackVerdict {
-                threshold,
-                max_loss,
-                spatial,
-            });
-        }
-        let (quotas, predicted, spatial) = match partition {
-            Some(p) if p.losses().iter().all(|&l| l <= threshold) => {
-                (Some(p.ctas.clone()), p.perf, false)
-            }
-            Some(p) => (None, p.perf, true),
-            None => (None, Vec::new(), true),
-        };
-        self.decision = Some(Decision {
-            quotas: quotas.clone(),
-            spatial_fallback: spatial,
-            predicted_perf: predicted,
-            decided_at: now,
-            measured_curves,
-        });
+        let (descs, _) = Self::kernels(gpu);
+        let audit = self.cfg.audit.then_some(&mut self.audit);
+        self.decision = Some(
+            self.decider
+                .decide(&descs, &gpu.config().sm, curves, now, audit),
+        );
         if self.cfg.timing.algorithm_delay > 0 {
             self.phase = Phase::Deciding {
                 until: now + self.cfg.timing.algorithm_delay,

@@ -1,38 +1,21 @@
 //! Prediction-driven pruning of the Fig. 3 profiling sweep.
 //!
-//! The full Fig. 3 sweep samples every CTA count `1..=N` per kernel. The
-//! `ws-predict` static analyzer ([`ws_analyze::predict_kernel`]) predicts
-//! each kernel's performance knee without simulating a cycle, which lets
-//! the profiler concentrate its samples in a ±1 window around the
-//! predicted knee and skip most of the tail.
-//!
-//! ## The sweep-pruning contract
-//!
-//! Water-filling consumes curves through `staircase`, which normalizes by
-//! the curve's peak and keeps only *strictly increasing* prefix steps. A
-//! pruned curve therefore yields **bit-identical quotas** to the full
-//! sweep iff no unsampled point exceeds the maximum of the sampled prefix.
-//! Statically that cannot be guaranteed — predictions err — so pruning is
-//! *checked, never trusted*: every pruned sweep samples a guard point at
-//! the feasibility bound `N` (plus a midpoint when the skipped gap is
-//! wide), and [`accept_pruned`] only accepts when
-//!
-//! 1. every guard sample is at or below the sampled prefix maximum, and
-//! 2. the curve is non-rising at the window's right edge
-//!    (`curve[hi] <= curve[hi-1]`), i.e. the knee is visibly behind us.
-//!
-//! When either check fails the kernel falls back to the full sweep
-//! (a second batch round in [`profile_curves_planned`]); [`SweepPlan::full`]
-//! turns pruning off for a whole sweep. Accepted gaps are filled by
-//! linear interpolation between sampled points — interpolated values are
-//! bounded by their sampled endpoints, so they can never introduce a new
-//! staircase step, which is what makes the accepted-pruned curve
-//! water-fill-equivalent to the full sweep.
+//! The full sweep samples every CTA count `1..=N` per kernel. A pruned
+//! [`SweepWindow`] samples the dense prefix up to one past the `ws-predict`
+//! knee, a guard at `N` and a midpoint guard when the skipped gap is wide.
+//! Pruning is *checked, never trusted*: [`accept_pruned`] accepts only
+//! when the curve is non-rising at the window's right edge and every guard
+//! sample stays at or below the sampled prefix maximum. Water-filling
+//! keeps only strictly increasing staircase steps, and interpolated points
+//! are bounded by their sampled endpoints, so an accepted curve yields the
+//! full sweep's quotas bit for bit (DESIGN.md §12). A rejected kernel
+//! falls back to the full sweep (a second round in
+//! [`profile_curves_planned`]); [`SweepPlan::full`] turns pruning off.
 
+use crate::decider::{Decider, SampleRounds};
 use crate::profiler::interpolate_counts;
 use crate::runner::{execute, RunConfig, SimJob, SimOutcome};
 use gpu_sim::{GpuConfig, KernelDesc};
-use ws_analyze::{predict_kernel, PerfCurve};
 
 /// One kernel's profiling window over the CTA axis: sample CTA counts
 /// `lo..=hi` densely, guard the skipped tail, interpolate the rest.
@@ -110,22 +93,6 @@ impl SweepWindow {
     }
 }
 
-/// The one predict → window rule: a kernel whose `ws-predict` static
-/// curve resolves gets a ±1 window around the predicted knee, returned
-/// with that curve; a kernel the prediction's pre-flight rejects keeps its
-/// full `1..=max` window — pruning is an optimization, never a gate.
-#[must_use]
-pub fn predicted_window(
-    desc: &KernelDesc,
-    max: u32,
-    cfg: &GpuConfig,
-) -> (SweepWindow, Option<PerfCurve>) {
-    match predict_kernel(desc, cfg) {
-        Ok(curve) => (SweepWindow::around_knee(curve.knee, max), Some(curve)),
-        Err(_) => (SweepWindow::full(max), None),
-    }
-}
-
 /// A per-kernel set of [`SweepWindow`]s for one profiling sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPlan {
@@ -143,15 +110,14 @@ impl SweepPlan {
     }
 
     /// Builds a pruned plan from `ws-predict` static predictions: each
-    /// kernel gets the window [`predicted_window`] picks for it.
+    /// kernel gets the window the `Decider::plan` rule picks for it.
     #[must_use]
     pub fn from_predictions(descs: &[&KernelDesc], max_ctas: &[u32], cfg: &GpuConfig) -> Self {
-        let windows = descs
-            .iter()
-            .zip(max_ctas)
-            .map(|(desc, &max)| predicted_window(desc, max, cfg).0)
-            .collect();
-        Self { windows }
+        let decider = Decider {
+            predict: true,
+            loss_threshold: None,
+        };
+        decider.plan(descs, max_ctas, cfg, None)
     }
 
     /// Total simulation samples this plan schedules (first round).
@@ -242,77 +208,19 @@ pub struct PlannedSweep {
     pub samples_run: usize,
 }
 
-/// Per-kernel bookkeeping for the pipelined sweep drain loop.
-#[derive(Debug, Default, Clone)]
-struct KernelProgress {
-    /// Samples collected so far, `(cta_count, ipc)`.
-    samples: Vec<(u32, f64)>,
-    /// Outstanding jobs of the kernel's current round.
-    pending: usize,
-    /// Whether the full-sweep fallback round has been submitted.
-    fallback: bool,
-    /// The finished full-length curve, once decided.
-    curve: Option<Vec<f64>>,
-    /// Whether the pruned window was accepted.
-    pruned: bool,
-}
-
-impl KernelProgress {
-    /// Finalizes a fully sampled kernel: sort by CTA count, strip counts.
-    fn finalize_full(&mut self) {
-        let mut full = self.samples.clone();
-        full.sort_by_key(|&(c, _)| c);
-        self.curve = Some(full.iter().map(|&(_, v)| v).collect());
-    }
-
-    /// Accounts one delivered (kernel, cap) result against the current
-    /// round; returns whether that delivery completed the round. A
-    /// delivery with nothing outstanding is a double-delivery of some
-    /// (kernel, cap) result — a checked invariant, because a saturating
-    /// decrement would report it as a *spurious round completion* and
-    /// re-run acceptance (or re-submit a fallback) on a half-sampled
-    /// round. In release builds the duplicate is dropped instead.
-    fn deliver(&mut self) -> bool {
-        if self.pending == 0 {
-            gpu_sim::strict_assert!(
-                false,
-                "duplicate delivery: sweep result arrived with no round outstanding"
-            );
-            return false;
-        }
-        self.pending -= 1;
-        self.pending == 0
-    }
-}
-
-/// Samples per-kernel performance-vs-CTA curves *offline*: the one
-/// profile → [`accept_pruned`] → full-sweep-fallback loop. Each kernel's
-/// [`SweepWindow::planned_caps`] run as independent [`SimJob::cta_cap`]
-/// simulations of `window` cycles on `pool`; [`accept_pruned`] runs per
-/// kernel, and every kernel whose pruning was rejected samples its
-/// remaining CTA counts. Accepted kernels get interpolated full-length
-/// curves; rejected kernels get fully sampled ones — either way
-/// `curves[i]` has length `max(1, windows[i].max)`. Under
-/// [`SweepPlan::full`] this is the dense Fig. 3 sweep: every count
-/// `1..=max` is sampled and `curves[i][j]` is the measured IPC at `j + 1`
-/// CTAs.
+/// Samples per-kernel performance-vs-CTA curves *offline*: a stream
+/// driver over each kernel's `SampleRounds`, the one profile →
+/// [`accept_pruned`] → full-sweep-fallback rule. Every sample is an
+/// independent [`SimJob::cta_cap`] simulation of `window` cycles on
+/// `pool`. `curves[i]` has length `max(1, windows[i].max)`: interpolated
+/// for an accepted window, fully sampled for a rejected or full one. Under
+/// [`SweepPlan::full`] this is the dense Fig. 3 sweep.
 ///
-/// This is the batch analogue of the online profiling phase: where the
-/// live controller samples all points simultaneously on disjoint SM groups
-/// of one GPU, each point here gets its own dedicated simulation, trading
-/// simulated time for sampling noise.
-///
-/// The sweep is **pipelined**, not staged: all planned samples go into one
-/// [`ws_exec::Stream`], acceptance for a kernel runs on the drain thread the
-/// moment its last window sample finishes, and a rejected kernel's
-/// full-sweep fallback jobs are re-submitted into the same stream
-/// immediately — no global barrier between the rounds, so kernel A's
-/// fallback simulates while kernel B's first-round windows are still in
-/// flight. The result is byte-identical to draining each round as a
-/// barriered batch, and to any worker count: samples are keyed by
-/// `(kernel, cta_count)` and the acceptance check is order-insensitive.
-/// The barriered shape was measured slower on cold co-run decisions, which
-/// is why this loop streams.
+/// All planned samples go into one [`ws_exec::Stream`]; each result is
+/// delivered to the rounds on the drain thread, and a rejected window's
+/// fallback samples are submitted into the same stream at once, with no
+/// barrier between rounds (DESIGN.md §14). The result is byte-identical at
+/// any worker count.
 ///
 /// # Panics
 ///
@@ -331,100 +239,56 @@ pub fn profile_curves_planned(
         plan.windows.len(),
         "one sweep window per kernel"
     );
+    let mut rounds = Vec::with_capacity(plan.windows.len());
+    let mut queue = Vec::new();
+    for (kernel, w) in plan.windows.iter().enumerate() {
+        let (r, caps) = SampleRounds::open(w);
+        rounds.push(r);
+        queue.extend(caps.into_iter().map(|cap| (kernel, cap)));
+    }
     let mut stream = pool.stream::<SimOutcome>();
     // tags[job id] = (kernel index, cta cap) — stream ids are sequential.
     let mut tags: Vec<(usize, u32)> = Vec::new();
-    let mut kernels: Vec<KernelProgress> = vec![KernelProgress::default(); descs.len()];
-    for ((i, desc), w) in descs.iter().enumerate().zip(&plan.windows) {
-        let caps = w.planned_caps();
-        if let Some(k) = kernels.get_mut(i) {
-            k.pending = caps.len();
-        }
-        for &cap in &caps {
-            tags.push((i, cap));
-            let job = SimJob::cta_cap(desc, cap, window, cfg);
-            stream.submit(move || execute(&job));
-        }
-    }
-    let mut samples_run = tags.len();
     let mut first_panic: Option<ws_exec::JobPanic> = None;
-
-    while let Some((id, result)) = stream.next() {
-        let Some(&(i, cap)) = tags.get(id.0) else {
+    loop {
+        for (kernel, cap) in queue.drain(..) {
+            tags.push((kernel, cap));
+            if let Some(desc) = descs.get(kernel) {
+                let job = SimJob::cta_cap(desc, cap, window, cfg);
+                stream.submit(move || execute(&job));
+            }
+        }
+        let Some((id, result)) = stream.next() else {
+            break;
+        };
+        let Some(&(kernel, cap)) = tags.get(id.0) else {
             continue;
         };
-        match result {
-            Ok(out) => {
-                if let Some(k) = kernels.get_mut(i) {
-                    k.samples.push((cap, out.measured_ipc()));
-                }
-            }
+        let ipc = match result {
+            Ok(out) => Some(out.measured_ipc()),
             Err(p) => {
                 if first_panic.as_ref().is_none_or(|q| p.id < q.id) {
                     first_panic = Some(p);
                 }
+                None
             }
-        }
-        let round_done = kernels.get_mut(i).is_some_and(KernelProgress::deliver);
-        if !round_done {
-            continue;
-        }
-        let (Some(k), Some(w), Some(desc)) =
-            (kernels.get_mut(i), plan.windows.get(i), descs.get(i))
-        else {
+        };
+        let (Some(r), Some(w)) = (rounds.get_mut(kernel), plan.windows.get(kernel)) else {
             continue;
         };
-        if k.fallback {
-            // The fallback round just finished: the kernel is fully
-            // sampled.
-            k.finalize_full();
-            continue;
-        }
-        let mut sorted = k.samples.clone();
-        sorted.sort_by_key(|&(c, _)| c);
-        match accept_pruned(&sorted, w) {
-            Some(curve) => {
-                k.pruned = !w.is_full();
-                k.curve = Some(curve);
-            }
-            None => {
-                // Rejected: re-submit the missing counts into the same
-                // stream, right now — other kernels' windows keep
-                // simulating underneath this drain loop.
-                k.fallback = true;
-                let have: Vec<u32> = sorted.iter().map(|&(c, _)| c).collect();
-                let mut missing = 0usize;
-                for cap in 1..=w.max.max(1) {
-                    if !have.contains(&cap) {
-                        tags.push((i, cap));
-                        let job = SimJob::cta_cap(desc, cap, window, cfg);
-                        stream.submit(move || execute(&job));
-                        missing += 1;
-                    }
-                }
-                samples_run += missing;
-                if let Some(k) = kernels.get_mut(i) {
-                    k.pending = missing;
-                    if missing == 0 {
-                        // Every count was already sampled (a window whose
-                        // guards rejected but whose caps covered 1..=max).
-                        k.finalize_full();
-                    }
-                }
-            }
-        }
+        // A rejected window's fallback round goes into the same stream at
+        // the top of the next iteration, while other kernels' windows keep
+        // simulating underneath.
+        queue.extend(r.sample(w, cap, ipc).into_iter().map(|c| (kernel, c)));
     }
     if let Some(p) = first_panic {
         panic!("{p}");
     }
-
+    let (curves, pruned) = rounds.into_iter().map(SampleRounds::finish).unzip();
     PlannedSweep {
-        curves: kernels
-            .iter()
-            .map(|k| k.curve.clone().unwrap_or_default())
-            .collect(),
-        pruned: kernels.iter().map(|k| k.pruned).collect(),
-        samples_run,
+        curves,
+        pruned,
+        samples_run: tags.len(),
     }
 }
 
@@ -578,31 +442,5 @@ mod tests {
         assert_eq!(SweepWindow::full(1).knee_cap(), 1);
         // A knee at 1 keeps the cap at least 1.
         assert_eq!(window(1, 8).knee_cap(), 1);
-    }
-
-    #[test]
-    fn deliver_counts_down_and_completes_the_round_once() {
-        let mut k = KernelProgress {
-            pending: 2,
-            ..KernelProgress::default()
-        };
-        assert!(!k.deliver(), "first of two results: round still open");
-        assert!(k.deliver(), "second result completes the round");
-    }
-
-    #[test]
-    fn duplicate_delivery_is_a_checked_invariant() {
-        let mut k = KernelProgress {
-            pending: 1,
-            ..KernelProgress::default()
-        };
-        assert!(k.deliver());
-        // A second delivery of the same (kernel, cap) result must not be
-        // reported as another round completion: strict builds panic,
-        // release builds drop the duplicate.
-        if let Some(completed) = crate::strict::violation("duplicate delivery", || k.deliver()) {
-            assert!(!completed);
-            assert_eq!(k.pending, 0);
-        }
     }
 }

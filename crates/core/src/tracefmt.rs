@@ -280,12 +280,7 @@ fn event_line(e: &TraceEvent) -> String {
 /// recording order: the audit section of [`jsonl`].
 #[must_use]
 pub fn audit_jsonl(audit: &DecisionAudit) -> String {
-    let mut out = String::new();
-    for e in &audit.events {
-        out.push_str(&audit_line(e));
-        out.push('\n');
-    }
-    out
+    audit.events.iter().map(|e| audit_line(e) + "\n").collect()
 }
 
 /// Serializes a traced run as JSONL: a `meta` record, the decision-audit

@@ -184,12 +184,13 @@ pub const TICK_SEEDS: [(&str, &str); 11] = [
 ];
 
 /// Seed functions for the transitive `panic-free-accounting` rule: the
-/// water-filling partitioner, the headline metrics, the resource
-/// allocator, the ws-predict analyzer, and the ws-store curve cache and its
-/// key encoder — the call trees that compute the paper's numbers, decide
+/// water-filling partitioner, the Decider's plan, sample-round and
+/// decision rules, the headline metrics, the resource allocator, the
+/// ws-predict analyzer, and the ws-store curve cache and its key encoder —
+/// the call trees that compute the paper's numbers, decide
 /// how much of the sweep gets sampled, and serve memoized curves on the
 /// decision path.
-pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 25] = [
+pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 28] = [
     (Some("LinearAllocator"), "alloc"),
     (Some("LinearAllocator"), "alloc_in_window"),
     (Some("LinearAllocator"), "free"),
@@ -199,6 +200,9 @@ pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 25] = [
     (Some("SmResources"), "try_alloc"),
     (Some("SmResources"), "free"),
     (Some("SweepPlan"), "from_predictions"),
+    (Some("Decider"), "plan"),
+    (Some("Decider"), "decide"),
+    (Some("SampleRounds"), "deliver"),
     (None, "water_fill"),
     (None, "brute_force"),
     (None, "speedups"),
