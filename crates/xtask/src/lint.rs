@@ -202,7 +202,7 @@ pub const ACCOUNTING_SEEDS: [(Option<&str>, &str); 28] = [
     (Some("SweepPlan"), "from_predictions"),
     (Some("Decider"), "plan"),
     (Some("Decider"), "decide"),
-    (Some("SampleRounds"), "deliver"),
+    (Some("SampleRounds"), "sample"),
     (None, "water_fill"),
     (None, "brute_force"),
     (None, "speedups"),
