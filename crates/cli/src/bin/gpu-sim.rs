@@ -12,7 +12,7 @@
 //!   same findings that fail the `Gpu` launch pre-flight).
 //! * **`--predict`**: no simulation; the ws-predict static performance
 //!   analyzer prints the predicted IPC-vs-CTA curve, the predicted knee,
-//!   and the pruned profiling window the dynamic controller would use.
+//!   and the CTA counts the dynamic controller's profiling window samples.
 //!   Exits non-zero on error-severity diagnostics.
 //! * **`--corun A,B[,C]`**: run the named benchmark workloads (Table II
 //!   abbreviations) concurrently under the paper's equal-work methodology
@@ -337,10 +337,14 @@ fn predict(desc: &KernelDesc, cfg: &GpuConfig) -> ExitCode {
             }
             let max = curve.max_ctas();
             println!("  predicted knee   : {} of 1..={max} CTAs/SM", curve.knee);
-            println!(
-                "  profiling window : dense 1..={} + guard at {max}",
-                warped_slicer::SweepWindow::around_knee(curve.knee, max).hi,
-            );
+            let plan = warped_slicer::SweepPlan::from_predictions(&[desc], &[max], cfg);
+            let caps: Vec<String> = plan
+                .windows
+                .iter()
+                .flat_map(|w| w.planned_caps())
+                .map(|c| c.to_string())
+                .collect();
+            println!("  profiling window : {} CTAs/SM", caps.join(", "));
             ExitCode::SUCCESS
         }
         Err(err) => {

@@ -55,6 +55,27 @@ fn predict_clean_kernel_prints_a_curve_and_exits_zero() {
 }
 
 #[test]
+fn predict_prints_the_planned_sample_caps() {
+    // Knee 4 of 8 plans the dense prefix 1..=5, the midpoint guard 6 and
+    // the guard 8.
+    let out = gpu_sim(&["--predict", "--threads", "128", "--gload", "0.1"]);
+    let text = stdout(&out);
+    assert!(text.contains("predicted knee   : 4 of 1..=8"), "{text}");
+    assert!(
+        text.contains("profiling window : 1, 2, 3, 4, 5, 6, 8 CTAs/SM\n"),
+        "{text}"
+    );
+    // A knee at the feasibility bound keeps the full window: no guard.
+    let out = gpu_sim(&["--predict", "--threads", "64"]);
+    let text = stdout(&out);
+    assert!(text.contains("predicted knee   : 8 of 1..=8"), "{text}");
+    assert!(
+        text.contains("profiling window : 1, 2, 3, 4, 5, 6, 7, 8 CTAs/SM\n"),
+        "{text}"
+    );
+}
+
+#[test]
 fn predict_rejected_kernel_exits_nonzero() {
     let out = gpu_sim(&["--predict", "--threads", "2000"]);
     assert!(!out.status.success(), "rejected kernel must exit non-zero");

@@ -101,12 +101,10 @@ pub enum AuditEvent {
         knee: u32,
     },
     /// The profiling window the controller chose for one kernel from its
-    /// static prediction (dense sampling `lo..=hi` out of `1..=max`).
+    /// static prediction (dense sampling `1..=hi` out of `1..=max`).
     SweepWindow {
         /// Kernel slot.
         kernel: usize,
-        /// First densely sampled CTA count.
-        lo: u32,
         /// Last densely sampled CTA count.
         hi: u32,
         /// The kernel's Eq. 1 feasibility bound.

@@ -75,9 +75,8 @@ impl Decider {
                     });
                     audit.record(AuditEvent::SweepWindow {
                         kernel,
-                        lo: w.lo,
-                        hi: w.hi,
-                        max: w.max,
+                        hi: w.hi(),
+                        max: w.max(),
                     });
                 }
                 w
@@ -168,8 +167,12 @@ impl Decider {
 /// planned caps and, when [`accept_pruned`] rejects the window, a fallback
 /// round over the CTA counts still missing. Samples are keyed by CTA count
 /// and acceptance is order-insensitive, so arrival order changes nothing.
-#[derive(Debug, Default, Clone)]
+/// A failed sample closes the rounds: no acceptance and no fallback round
+/// follow it.
+#[derive(Debug, Clone)]
 pub(crate) struct SampleRounds {
+    /// The window the first round samples.
+    window: SweepWindow,
     /// Samples collected so far, `(cta_count, ipc)`, in CTA order once the
     /// current round closes.
     samples: Vec<(u32, f64)>,
@@ -177,6 +180,8 @@ pub(crate) struct SampleRounds {
     pending: usize,
     /// Whether the current round is the full-sweep fallback.
     fallback: bool,
+    /// Whether a sample failed.
+    failed: bool,
     /// The finished full-length curve.
     curve: Option<Vec<f64>>,
     /// Whether the pruned window was accepted.
@@ -190,31 +195,39 @@ impl SampleRounds {
     pub(crate) fn open(window: &SweepWindow) -> (Self, Vec<u32>) {
         let caps = window.planned_caps();
         let rounds = Self {
+            window: *window,
+            samples: Vec::new(),
             pending: caps.len(),
-            ..Self::default()
+            fallback: false,
+            failed: false,
+            curve: None,
+            pruned: false,
         };
         (rounds, caps)
     }
 
-    /// Takes the sample at `cap` of the kernel profiled over `window`: its
-    /// IPC, or `None` for a failed sample, which still closes its slot.
-    /// Returns the fallback round's CTA counts, ascending, when this sample
-    /// closes a rejected window; otherwise nothing.
-    pub(crate) fn sample(&mut self, window: &SweepWindow, cap: u32, ipc: Option<f64>) -> Vec<u32> {
+    /// Takes the sample at `cap`: its IPC, or `None` for a failed sample,
+    /// which still closes its slot. Returns the fallback round's CTA
+    /// counts, ascending, when this sample closes a rejected window;
+    /// otherwise nothing. After a failed sample nothing more is returned:
+    /// only a panicked job fails, and its panic is re-raised once the
+    /// sweep drains, so a fallback round would only re-run it.
+    pub(crate) fn sample(&mut self, cap: u32, ipc: Option<f64>) -> Vec<u32> {
         self.samples.extend(ipc.map(|ipc| (cap, ipc)));
-        if !self.deliver() {
+        self.failed |= ipc.is_none();
+        if !self.deliver() || self.failed {
             return Vec::new();
         }
         self.samples.sort_by_key(|&(c, _)| c);
         let mut missing = Vec::new();
         if !self.fallback {
-            if let Some(curve) = accept_pruned(&self.samples, window) {
-                self.pruned = !window.is_full();
+            if let Some(curve) = accept_pruned(&self.samples, &self.window) {
+                self.pruned = !self.window.is_full();
                 self.curve = Some(curve);
                 return missing;
             }
             self.fallback = true;
-            missing = (1..=window.max.max(1))
+            missing = (1..=self.window.max())
                 .filter(|&cap| !self.samples.iter().any(|&(c, _)| c == cap))
                 .collect();
             self.pending = missing.len();
@@ -260,20 +273,14 @@ mod tests {
 
     #[test]
     fn deliver_counts_down_and_completes_the_round_once() {
-        let mut k = SampleRounds {
-            pending: 2,
-            ..SampleRounds::default()
-        };
+        let (mut k, _) = SampleRounds::open(&SweepWindow::full(2));
         assert!(!k.deliver(), "first of two results: round still open");
         assert!(k.deliver(), "second result completes the round");
     }
 
     #[test]
     fn duplicate_delivery_is_a_checked_invariant() {
-        let mut k = SampleRounds {
-            pending: 1,
-            ..SampleRounds::default()
-        };
+        let (mut k, _) = SampleRounds::open(&SweepWindow::full(1));
         assert!(k.deliver());
         // A second delivery of the same (kernel, cap) result must not be
         // reported as another round completion: strict builds panic,
@@ -282,5 +289,19 @@ mod tests {
             assert!(!completed);
             assert_eq!(k.pending, 0);
         }
+    }
+
+    #[test]
+    fn a_failed_sample_opens_no_fallback_round() {
+        // Knee 2 of 8 plans 1, 2, 3, 5, 8. The sample at 2 fails: its job
+        // panicked, and re-running it and the rest of the ramp would only
+        // panic again.
+        let (mut k, caps) = SampleRounds::open(&SweepWindow::around_knee(2, 8));
+        let fallback: Vec<u32> = caps
+            .into_iter()
+            .flat_map(|cap| k.sample(cap, (cap != 2).then_some(1.0)))
+            .collect();
+        assert_eq!(fallback, Vec::<u32>::new());
+        assert_eq!(k.finish(), (Vec::new(), false));
     }
 }

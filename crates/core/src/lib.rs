@@ -74,9 +74,7 @@ pub use phase::PhaseMonitor;
 pub use policy::{
     make_controller, Controller, Decision, PolicyKind, WarpedSlicerConfig, WarpedSlicerController,
 };
-pub use profiler::{
-    build_curves, ProfilePlan, ProfilePlanError, ProfileSample, ProfileTiming, SmAssignment,
-};
+pub use profiler::{build_curves, ProfilePlan, ProfileSample, ProfileTiming, SmAssignment};
 pub use resources::ResourceVec;
 pub use runner::{
     collect_stats, execute, run_corun, run_isolation, run_with_cta_cap, AggregateStats, CacheStats,

@@ -321,7 +321,7 @@ impl WarpedSlicerController {
         let (descs, max) = Self::kernels(gpu);
         let audit = self.cfg.audit.then_some(&mut self.audit);
         let plan = self.decider.plan(&descs, &max, gpu.config(), audit);
-        self.slicing = Slicing::Profile(ProfilePlan::build_windowed(gpu.num_sms(), &plan.windows));
+        self.slicing = Slicing::Profile(ProfilePlan::build(gpu.num_sms(), &plan.windows));
         self.slicing.install(gpu);
         self.phase = Phase::Warmup {
             until: now + self.cfg.timing.warmup,

@@ -52,31 +52,6 @@ pub struct SmAssignment {
     pub quota: u32,
 }
 
-/// A structural defect in a prediction-windowed profiling plan: one
-/// kernel's [`SweepWindow`] plans no CTA caps at all, so its SM group
-/// would have nothing to probe. Historically this was papered over by
-/// silently assigning the group 1 CTA — a degenerate plan that profiles
-/// the wrong point; now it is a first-class planning error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfilePlanError {
-    /// Kernel slot whose window was empty.
-    pub kernel: usize,
-    /// The offending window.
-    pub window: SweepWindow,
-}
-
-impl std::fmt::Display for ProfilePlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "kernel {} window {}..={} (max {}) plans no CTA caps",
-            self.kernel, self.window.lo, self.window.hi, self.window.max
-        )
-    }
-}
-
-impl std::error::Error for ProfilePlanError {}
-
 /// The profiling plan: one assignment per SM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfilePlan {
@@ -105,47 +80,32 @@ impl ProfilePlan {
     /// use warped_slicer::sweep::SweepWindow;
     ///
     /// // Two kernels on 16 SMs: kernel 0 profiles 1..=8 CTAs on SMs 0-7.
-    /// let full = [SweepWindow::full(8), SweepWindow::full(8)];
-    /// let plan = ProfilePlan::try_build_windowed(16, &full).expect("full windows plan");
+    /// let plan = ProfilePlan::build(16, &[SweepWindow::full(8), SweepWindow::full(8)]);
     /// let quotas: Vec<u32> = plan.for_kernel(0).map(|a| a.quota).collect();
     /// assert_eq!(quotas, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     /// ```
     ///
-    /// # Errors
-    ///
-    /// Returns [`ProfilePlanError`] when a window plans no CTA caps at
-    /// all (e.g. an inverted `lo > hi` range with no guard) — there would
-    /// be nothing for that kernel's SM group to probe.
-    ///
     /// # Panics
     ///
     /// Panics if there are no kernels or more kernels than SMs.
-    pub fn try_build_windowed(
-        num_sms: usize,
-        windows: &[SweepWindow],
-    ) -> Result<Self, ProfilePlanError> {
+    #[must_use]
+    pub fn build(num_sms: usize, windows: &[SweepWindow]) -> Self {
         let k = windows.len();
         assert!(k > 0, "at least one kernel required");
         assert!(k <= num_sms, "more kernels than SMs");
         let mut assignments = Vec::with_capacity(num_sms);
         let base = num_sms / k;
         let extra = num_sms % k;
-        let mut sm = 0;
         for (i, w) in windows.iter().enumerate() {
             let group = base + usize::from(i < extra);
+            // Never empty: every window plans `1..=hi`.
             let caps = w.planned_caps();
-            if caps.is_empty() {
-                return Err(ProfilePlanError {
-                    kernel: i,
-                    window: *w,
-                });
-            }
             let last = caps.len() - 1;
             for j in 0..group {
-                let idx = if group == 1 {
+                let quota = if group == 1 {
                     // One sample for the whole kernel: probe the predicted
                     // knee, not the guard.
-                    caps.iter().position(|&c| c == w.knee_cap()).unwrap_or(last)
+                    w.knee_cap()
                 } else {
                     // Evenly spread the planned caps over the group: the
                     // cap nearest `j * last / span`, ties rounding up, in
@@ -153,54 +113,16 @@ impl ProfilePlan {
                     // group has 23 or more SMs). The last SM probes the
                     // guard.
                     let span = group - 1;
-                    (2 * j * last + span) / (2 * span)
+                    caps[(2 * j * last + span) / (2 * span)]
                 };
-                let quota = caps.get(idx).copied().unwrap_or(1);
                 assignments.push(SmAssignment {
-                    sm,
+                    sm: assignments.len(),
                     kernel: i,
-                    quota: quota.max(1),
+                    quota,
                 });
-                sm += 1;
             }
         }
-        Ok(Self { assignments })
-    }
-
-    /// The panic-on-defect wrapper around [`ProfilePlan::try_build_windowed`]
-    /// for callers on the hot decision path. An empty window is an
-    /// invariant violation under strict-invariants; release builds widen
-    /// every empty window to its full `1..=max` ramp and retry, so the
-    /// profile degrades to the unpruned plan instead of probing a
-    /// fabricated 1-CTA point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no kernels or more kernels than SMs, and —
-    /// under `debug_assertions` or the `strict-invariants` feature — if
-    /// any window plans no CTA caps.
-    #[must_use]
-    pub fn build_windowed(num_sms: usize, windows: &[SweepWindow]) -> Self {
-        match Self::try_build_windowed(num_sms, windows) {
-            Ok(plan) => plan,
-            Err(e) => {
-                gpu_sim::strict_assert!(false, "windowed profile plan invalid: {e}");
-                let widened: Vec<SweepWindow> = windows
-                    .iter()
-                    .map(|w| {
-                        if w.planned_caps().is_empty() {
-                            SweepWindow::full(w.max)
-                        } else {
-                            *w
-                        }
-                    })
-                    .collect();
-                // Full windows always plan caps, so the retry cannot fail.
-                Self::try_build_windowed(num_sms, &widened).unwrap_or(Self {
-                    assignments: Vec::new(),
-                })
-            }
-        }
+        Self { assignments }
     }
 
     /// Assignments belonging to kernel `kernel`.
@@ -354,8 +276,7 @@ mod tests {
 
     /// The unpruned Fig. 4 plan: a full `1..=max` window per kernel.
     fn ramp(num_sms: usize, max_ctas: &[u32]) -> ProfilePlan {
-        let full = crate::sweep::SweepPlan::full(max_ctas);
-        ProfilePlan::try_build_windowed(num_sms, &full.windows).expect("full windows always plan")
+        ProfilePlan::build(num_sms, &crate::sweep::SweepPlan::full(max_ctas).windows)
     }
 
     #[test]
@@ -441,7 +362,7 @@ mod tests {
         // Kernel 0: knee predicted at 2 out of 8 -> dense 1..=3, midpoint
         // 5, guard 8. Kernel 1: full window.
         let windows = [SweepWindow::around_knee(2, 8), SweepWindow::full(8)];
-        let plan = ProfilePlan::build_windowed(16, &windows);
+        let plan = ProfilePlan::build(16, &windows);
         assert_eq!(plan.assignments.len(), 16);
         let quotas: Vec<u32> = plan.for_kernel(0).map(|a| a.quota).collect();
         // 8 SMs over caps [1, 2, 3, 5, 8]: starts at 1, ends at the guard,
@@ -633,12 +554,12 @@ mod tests {
             SweepWindow::around_knee(2, 8),
             SweepWindow::around_knee(4, 8),
         ];
-        let plan = ProfilePlan::build_windowed(2, &windows);
+        let plan = ProfilePlan::build(2, &windows);
         let quotas: Vec<u32> = plan.assignments.iter().map(|a| a.quota).collect();
         assert_eq!(quotas, vec![2, 4]);
         // Full windows keep probing the feasibility bound.
         let full = [SweepWindow::full(8), SweepWindow::full(6)];
-        let plan = ProfilePlan::build_windowed(2, &full);
+        let plan = ProfilePlan::build(2, &full);
         let quotas: Vec<u32> = plan.assignments.iter().map(|a| a.quota).collect();
         assert_eq!(quotas, vec![8, 6]);
     }
@@ -662,35 +583,33 @@ mod tests {
     }
 
     #[test]
-    fn empty_window_is_a_structured_planning_error() {
-        // An inverted window with no guard plans nothing to probe.
-        let empty = SweepWindow {
-            lo: 9,
-            hi: 8,
-            max: 8,
-        };
-        assert!(empty.planned_caps().is_empty());
-        let err = ProfilePlan::try_build_windowed(16, &[SweepWindow::full(8), empty])
-            .expect_err("empty window is rejected");
-        assert_eq!(err.kernel, 1, "the offending kernel is named");
-        assert_eq!(err.window, empty);
-        assert!(err.to_string().contains("kernel 1"), "{err}");
-    }
-
-    #[test]
-    fn build_windowed_panics_on_empty_window_under_strict_invariants() {
-        let empty = SweepWindow {
-            lo: 9,
-            hi: 8,
-            max: 8,
-        };
-        // Release builds widen the empty window to its full ramp instead.
-        if let Some(plan) = crate::strict::violation("plans no CTA caps", || {
-            ProfilePlan::build_windowed(16, &[SweepWindow::full(8), empty])
-        }) {
-            let full = ProfilePlan::try_build_windowed(16, &[SweepWindow::full(8); 2])
-                .expect("full windows always plan");
-            assert_eq!(plan, full);
+    fn every_window_mix_plans_each_sm_once_within_its_caps() {
+        let mut rng = gpu_sim::SimRng::seed_from_u64(0x9a0f_11e5);
+        for _ in 0..2000 {
+            let num_sms = 1 + rng.range_usize(80);
+            let k = 1 + rng.range_usize(4.min(num_sms));
+            let windows: Vec<SweepWindow> = (0..k)
+                .map(|_| {
+                    let max = 1 + rng.range_u64(32) as u32;
+                    if rng.range_u64(3) == 0 {
+                        SweepWindow::full(max)
+                    } else {
+                        SweepWindow::around_knee(rng.range_u64(41) as u32, max)
+                    }
+                })
+                .collect();
+            let plan = ProfilePlan::build(num_sms, &windows);
+            let mut sms: Vec<usize> = plan.assignments.iter().map(|a| a.sm).collect();
+            sms.sort_unstable();
+            assert_eq!(sms, (0..num_sms).collect::<Vec<_>>(), "{windows:?}");
+            for (i, w) in windows.iter().enumerate() {
+                let quotas: Vec<u32> = plan.for_kernel(i).map(|a| a.quota).collect();
+                let caps = w.planned_caps();
+                assert!(quotas.iter().all(|q| caps.contains(q)), "{w:?}: {quotas:?}");
+                if let [only] = quotas[..] {
+                    assert_eq!(only, w.knee_cap(), "{w:?}");
+                }
+            }
         }
     }
 }

@@ -18,15 +18,15 @@ use crate::runner::{execute, RunConfig, SimJob, SimOutcome};
 use gpu_sim::{GpuConfig, KernelDesc};
 
 /// One kernel's profiling window over the CTA axis: sample CTA counts
-/// `lo..=hi` densely, guard the skipped tail, interpolate the rest.
+/// `1..=hi` densely, guard the skipped tail, interpolate the rest.
+/// [`SweepWindow::full`] and [`SweepWindow::around_knee`] are the only
+/// constructors, so `1 <= hi <= max` always holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepWindow {
-    /// First CTA count of the dense window (>= 1).
-    pub lo: u32,
-    /// Last CTA count of the dense window (`lo <= hi <= max`).
-    pub hi: u32,
+    /// Last CTA count of the dense prefix.
+    hi: u32,
     /// The kernel's Eq. 1 feasibility bound `N` (curve length).
-    pub max: u32,
+    max: u32,
 }
 
 impl SweepWindow {
@@ -34,11 +34,7 @@ impl SweepWindow {
     #[must_use]
     pub fn full(max: u32) -> Self {
         let max = max.max(1);
-        Self {
-            lo: 1,
-            hi: max,
-            max,
-        }
+        Self { hi: max, max }
     }
 
     /// A ±1 window around a predicted knee, clamped to `[1, max]`. The
@@ -48,16 +44,27 @@ impl SweepWindow {
     pub fn around_knee(knee: u32, max: u32) -> Self {
         let max = max.max(1);
         Self {
-            lo: 1,
             hi: knee.saturating_add(1).clamp(1, max),
             max,
         }
     }
 
+    /// Last CTA count of the dense prefix `1..=hi`.
+    #[must_use]
+    pub fn hi(&self) -> u32 {
+        self.hi
+    }
+
+    /// The kernel's Eq. 1 feasibility bound `N` (curve length).
+    #[must_use]
+    pub fn max(&self) -> u32 {
+        self.max
+    }
+
     /// Whether this window samples the whole curve.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.lo <= 1 && self.hi >= self.max
+        self.hi == self.max
     }
 
     /// The single most informative CTA count when only one sample can be
@@ -69,18 +76,18 @@ impl SweepWindow {
     #[must_use]
     pub fn knee_cap(&self) -> u32 {
         if self.is_full() {
-            self.max.max(1)
+            self.max
         } else {
-            self.hi.saturating_sub(1).max(self.lo).max(1)
+            self.hi.saturating_sub(1).max(1)
         }
     }
 
     /// The CTA counts a pruned offline sweep actually simulates: the dense
-    /// prefix `lo..=hi`, a guard at `max`, and a midpoint guard when the
-    /// skipped gap spans more than two counts. Sorted, deduplicated.
+    /// prefix `1..=hi`, a guard at `max`, and a midpoint guard when the
+    /// skipped gap spans more than two counts. Strictly increasing.
     #[must_use]
     pub fn planned_caps(&self) -> Vec<u32> {
-        let mut caps: Vec<u32> = (self.lo.max(1)..=self.hi.min(self.max)).collect();
+        let mut caps: Vec<u32> = (1..=self.hi).collect();
         if self.hi < self.max {
             let gap = self.max - self.hi;
             if gap > 2 {
@@ -88,7 +95,6 @@ impl SweepWindow {
             }
             caps.push(self.max);
         }
-        caps.dedup();
         caps
     }
 }
@@ -129,7 +135,7 @@ impl SweepPlan {
     /// Samples the full (unpruned) sweep would schedule.
     #[must_use]
     pub fn full_samples(&self) -> usize {
-        self.windows.iter().map(|w| w.max.max(1) as usize).sum()
+        self.windows.iter().map(|w| w.max as usize).sum()
     }
 
     /// Samples the plan avoids relative to the full sweep (before any
@@ -150,7 +156,7 @@ impl SweepPlan {
 /// must sample the remaining counts to preserve water-fill equivalence.
 #[must_use]
 pub fn accept_pruned(samples: &[(u32, f64)], window: &SweepWindow) -> Option<Vec<f64>> {
-    let n = window.max.max(1) as usize;
+    let n = window.max as usize;
     let value_at =
         |cap: u32| -> Option<f64> { samples.iter().find(|(c, _)| *c == cap).map(|(_, v)| *v) };
     if window.is_full() {
@@ -158,8 +164,8 @@ pub fn accept_pruned(samples: &[(u32, f64)], window: &SweepWindow) -> Option<Vec
         let curve: Option<Vec<f64>> = (1..=window.max).map(value_at).collect();
         return curve;
     }
-    let prefix: Vec<f64> = (window.lo..=window.hi).map_while(value_at).collect();
-    if prefix.len() != (window.hi - window.lo + 1) as usize || prefix.len() < 2 {
+    let prefix: Vec<f64> = (1..=window.hi).map_while(value_at).collect();
+    if prefix.len() != window.hi as usize || prefix.len() < 2 {
         return None;
     }
     let prefix_max = prefix.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -212,7 +218,7 @@ pub struct PlannedSweep {
 /// driver over each kernel's `SampleRounds`, the one profile →
 /// [`accept_pruned`] → full-sweep-fallback rule. Every sample is an
 /// independent [`SimJob::cta_cap`] simulation of `window` cycles on
-/// `pool`. `curves[i]` has length `max(1, windows[i].max)`: interpolated
+/// `pool`. `curves[i]` has length `windows[i].max()`: interpolated
 /// for an accepted window, fully sampled for a rejected or full one. Under
 /// [`SweepPlan::full`] this is the dense Fig. 3 sweep.
 ///
@@ -273,13 +279,13 @@ pub fn profile_curves_planned(
                 None
             }
         };
-        let (Some(r), Some(w)) = (rounds.get_mut(kernel), plan.windows.get(kernel)) else {
+        let Some(r) = rounds.get_mut(kernel) else {
             continue;
         };
         // A rejected window's fallback round goes into the same stream at
         // the top of the next iteration, while other kernels' windows keep
         // simulating underneath.
-        queue.extend(r.sample(w, cap, ipc).into_iter().map(|c| (kernel, c)));
+        queue.extend(r.sample(cap, ipc).into_iter().map(|c| (kernel, c)));
     }
     if let Some(p) = first_panic {
         panic!("{p}");
@@ -321,14 +327,7 @@ mod tests {
     #[test]
     fn knee_window_samples_prefix_guard_and_midpoint() {
         let w = window(2, 8);
-        assert_eq!(
-            w,
-            SweepWindow {
-                lo: 1,
-                hi: 3,
-                max: 8
-            }
-        );
+        assert_eq!((w.hi(), w.max()), (3, 8));
         // Dense prefix 1..=3, midpoint (3 + 5/2 = 5), guard at 8.
         assert_eq!(w.planned_caps(), vec![1, 2, 3, 5, 8]);
         let plan = SweepPlan {
@@ -442,5 +441,23 @@ mod tests {
         assert_eq!(SweepWindow::full(1).knee_cap(), 1);
         // A knee at 1 keeps the cap at least 1.
         assert_eq!(window(1, 8).knee_cap(), 1);
+    }
+
+    #[test]
+    fn every_constructible_window_plans_a_valid_ramp() {
+        for max in 1..=32u32 {
+            let windows = std::iter::once(SweepWindow::full(max))
+                .chain((0..=40).map(|knee| SweepWindow::around_knee(knee, max)));
+            for w in windows {
+                let caps = w.planned_caps();
+                assert_eq!(caps.first(), Some(&1), "{w:?}");
+                assert_eq!(caps.last(), Some(&w.max()), "{w:?}");
+                assert_eq!(w.max(), max, "{w:?}");
+                assert!(caps.windows(2).all(|p| p[0] < p[1]), "{w:?}: {caps:?}");
+                assert!((1..=w.hi()).all(|c| caps.contains(&c)), "{w:?}");
+                assert!(caps.contains(&w.knee_cap()), "{w:?}");
+                assert_eq!(w.is_full(), w.hi() == w.max(), "{w:?}");
+            }
+        }
     }
 }

@@ -183,8 +183,10 @@ fn audit_line(e: &AuditEvent) -> String {
             "{{\"type\":\"predicted_curve\",\"kernel\":{kernel},\"perf\":{},\"knee\":{knee}}}",
             num_array(perf)
         ),
-        AuditEvent::SweepWindow { kernel, lo, hi, max } => format!(
-            "{{\"type\":\"sweep_window\",\"kernel\":{kernel},\"lo\":{lo},\"hi\":{hi},\"max\":{max}}}"
+        // Every window's dense prefix starts at 1; `lo` stays on the wire
+        // because the published `sweep_window` schema requires it.
+        AuditEvent::SweepWindow { kernel, hi, max } => format!(
+            "{{\"type\":\"sweep_window\",\"kernel\":{kernel},\"lo\":1,\"hi\":{hi},\"max\":{max}}}"
         ),
         AuditEvent::WaterFillStep { kernel, ctas, perf } => format!(
             "{{\"type\":\"water_fill_step\",\"kernel\":{kernel},\"ctas\":{ctas},\"perf\":{}}}",
