@@ -1,15 +1,16 @@
 //! Integration tests tying the static verifier to the simulator.
 //!
-//! The contract under test: a kernel the analyzer accepts must launch
-//! through [`Gpu::try_add_kernel`] and simulate to completion, and a kernel
-//! the analyzer rejects must be rejected by the launch pre-flight too, for
-//! the *same* rule. Randomized descriptors use [`SimRng`] with fixed seeds
+//! The contract under test: a kernel the analyzer accepts must pass the
+//! launch pre-flight ([`Gpu::try_add_kernel`]'s check) and simulate to
+//! completion, and a kernel the analyzer rejects must be rejected by the
+//! launch pre-flight too, for the *same* rule. Randomized descriptors use [`SimRng`] with fixed seeds
 //! so failures reproduce.
 
 use gpu_sim::{
-    AccessPattern, Gpu, GpuConfig, Inst, KernelDesc, OpClass, Program, ProgramSpec, SchedulerKind,
-    SimRng,
+    AccessPattern, Gpu, GpuConfig, Inst, KernelDesc, KernelId, OpClass, Program, ProgramSpec,
+    SchedulerKind, SimRng,
 };
+use warped_slicer::{Driver, PolicyKind, RunConfig};
 use ws_analyze::{analyze_benchmark, analyze_kernel, Severity};
 use ws_workloads::{
     by_abbrev, extended_suite, Benchmark, PaperRow, ScalingArchetype, Waiver, WorkloadClass,
@@ -122,6 +123,10 @@ fn verifier_clean_descriptors_simulate_to_completion() {
     // Property: over SimRng-drawn descriptors the analyzer passes, the
     // launch pre-flight agrees and the simulation retires every CTA.
     let cfg = GpuConfig::isca_baseline();
+    let run_cfg = RunConfig {
+        gpu: cfg.clone(),
+        ..RunConfig::default()
+    };
     let mut rng = SimRng::seed_from_u64(0xC0FFEE);
     for trial in 0..4u64 {
         let mut desc = clean_desc(100 + trial);
@@ -142,25 +147,14 @@ fn verifier_clean_descriptors_simulate_to_completion() {
             report.is_clean(),
             "trial {trial} expected a clean report, got {report}"
         );
-        let grid = desc.grid_ctas;
-        let cap = desc.max_ctas_per_sm(&cfg.sm);
-        let mut gpu = Gpu::new(cfg.clone(), SchedulerKind::GreedyThenOldest);
-        let k = gpu
-            .try_add_kernel(desc)
+        gpu_sim::verify::preflight(&desc, &cfg.sm)
             .expect("analyzer-clean kernel must pass the launch pre-flight");
-        let mut done = false;
-        for _ in 0..30_000 {
-            for s in 0..gpu.num_sms() {
-                while gpu.sm(s).kernel_ctas(0) < cap && gpu.try_launch(k, s) {}
-            }
-            gpu.tick();
-            if gpu.kernel_meta(k).completed_ctas >= grid {
-                done = true;
-                break;
-            }
-        }
+        let grid = desc.grid_ctas;
+        let policy = PolicyKind::Quota(vec![desc.max_ctas_per_sm(&cfg.sm)]);
+        let mut run = Driver::new(&run_cfg, &[desc], &policy);
+        run.advance_to(30_000);
         assert!(
-            done,
+            run.gpu().kernel_meta(KernelId(0)).completed_ctas >= grid,
             "trial {trial}: analyzer-clean kernel did not retire its {grid}-CTA grid"
         );
     }

@@ -114,6 +114,10 @@ fn write_csv(dir: &Option<std::path::PathBuf>, name: &str, contents: &str) {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = ws_bench::check_env_knobs() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     let opts = match parse_args() {
         Ok(Some(o)) => o,
         Ok(None) => {

@@ -107,6 +107,10 @@ fn committed_floor(repo_root: &Path) -> f64 {
 }
 
 fn main() {
+    if let Err(e) = ws_bench::check_env_knobs() {
+        eprintln!("verify-predictions: {e}");
+        std::process::exit(2);
+    }
     let mut report_path: Option<PathBuf> = None;
     let mut cycles = DEFAULT_CYCLES;
     let mut args = std::env::args().skip(1);

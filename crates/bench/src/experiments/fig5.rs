@@ -5,8 +5,8 @@
 //! benchmark in isolation and reporting windowed IPC / `φ_mem` series plus
 //! the deviation of the first window from the long-run mean.
 
-use gpu_sim::{Gpu, GpuConfig, SchedulerKind};
-use warped_slicer::PolicyKind;
+use gpu_sim::KernelId;
+use warped_slicer::{Driver, PolicyKind, RunConfig};
 use ws_workloads::{suite, Benchmark};
 
 use crate::context::ExperimentContext;
@@ -38,32 +38,24 @@ impl WindowSeries {
     }
 }
 
-/// Runs `bench` for `windows * window` cycles, recording per-window stats.
-pub fn series(
-    ctx: &ExperimentContext,
-    bench: &Benchmark,
-    window: u64,
-    windows: usize,
-) -> WindowSeries {
-    series_on(&ctx.cfg.gpu, bench, window, windows)
-}
-
-/// [`series`] against an explicit hardware config — the owned-input form
-/// the pool's `'static` job closures capture.
-fn series_on(gpu_cfg: &GpuConfig, bench: &Benchmark, window: u64, windows: usize) -> WindowSeries {
-    let mut gpu = Gpu::new(gpu_cfg.clone(), SchedulerKind::GreedyThenOldest);
-    let k = gpu.add_kernel(bench.desc.clone());
-    let mut controller = warped_slicer::make_controller(&PolicyKind::LeftOver);
+/// Runs `bench` alone under Left-Over and `cfg` for `windows * window`
+/// cycles, recording per-window stats. Each window is one
+/// [`Driver::advance_to`], so fast-forward may skip dead cycles inside a
+/// window but never across its edge.
+fn series_on(cfg: &RunConfig, bench: &Benchmark, window: u64, windows: usize) -> WindowSeries {
+    let mut run = Driver::new(
+        cfg,
+        std::slice::from_ref(&bench.desc),
+        &PolicyKind::LeftOver,
+    );
     let mut ipc = Vec::with_capacity(windows);
     let mut phi = Vec::with_capacity(windows);
     let mut last_insts = 0u64;
     let mut last_mem = 0u64;
     for _ in 0..windows {
-        for _ in 0..window {
-            controller.on_cycle(&mut gpu);
-            gpu.tick();
-        }
-        let insts = gpu.kernel_insts(k);
+        run.advance_to(run.gpu().cycle() + window);
+        let gpu = run.gpu();
+        let insts = gpu.kernel_insts(KernelId(0));
         let mem: u64 = gpu.sms().map(|s| s.stats().stalls.mem).sum();
         let sched_cycles = window * gpu.num_sms() as u64 * 2;
         ipc.push((insts - last_insts) as f64 / window as f64);
@@ -80,9 +72,9 @@ fn series_on(gpu_cfg: &GpuConfig, bench: &Benchmark, window: u64, windows: usize
 
 /// Computes the series for the whole suite, one pool job per benchmark.
 pub fn compute(ctx: &ExperimentContext, window: u64, windows: usize) -> Vec<WindowSeries> {
-    let gpu_cfg = ctx.cfg.gpu.clone();
+    let cfg = ctx.cfg.clone();
     ctx.pool()
-        .run(&suite(), move |b| series_on(&gpu_cfg, b, window, windows))
+        .run(&suite(), move |b| series_on(&cfg, b, window, windows))
 }
 
 /// Renders the windowed characterization.
@@ -117,12 +109,64 @@ pub fn render(series: &[WindowSeries], window: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::{Gpu, GpuConfig, SchedulerKind};
     use ws_workloads::by_abbrev;
+
+    /// The naive per-cycle loop `series_on` replaced: Left-Over ticked
+    /// cycle by cycle, never fast-forwarded.
+    fn reference_series(
+        gpu_cfg: &GpuConfig,
+        bench: &Benchmark,
+        window: u64,
+        windows: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut gpu = Gpu::new(gpu_cfg.clone(), SchedulerKind::GreedyThenOldest);
+        let k = gpu.add_kernel(bench.desc.clone());
+        let mut controller = warped_slicer::make_controller(&PolicyKind::LeftOver);
+        let mut ipc = Vec::with_capacity(windows);
+        let mut phi = Vec::with_capacity(windows);
+        let mut last_insts = 0u64;
+        let mut last_mem = 0u64;
+        for _ in 0..windows {
+            for _ in 0..window {
+                controller.on_cycle(&mut gpu);
+                gpu.tick();
+            }
+            let insts = gpu.kernel_insts(k);
+            let mem: u64 = gpu.sms().map(|s| s.stats().stalls.mem).sum();
+            let sched_cycles = window * gpu.num_sms() as u64 * 2;
+            ipc.push((insts - last_insts) as f64 / window as f64);
+            phi.push((mem - last_mem) as f64 / sched_cycles as f64);
+            last_insts = insts;
+            last_mem = mem;
+        }
+        (ipc, phi)
+    }
+
+    #[test]
+    fn series_matches_the_naive_tick_loop_bit_for_bit() {
+        let gpu = GpuConfig::isca_baseline();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for abbrev in ["LBM", "NN", "IMG", "BFS"] {
+            let bench = by_abbrev(abbrev).unwrap();
+            let (ipc, phi) = reference_series(&gpu, &bench, 2_000, 4);
+            for ff in [true, false] {
+                let cfg = RunConfig {
+                    gpu: gpu.clone(),
+                    fast_forward: Some(ff),
+                    ..RunConfig::default()
+                };
+                let s = series_on(&cfg, &bench, 2_000, 4);
+                assert_eq!(bits(&s.ipc), bits(&ipc), "{abbrev} IPC, ff={ff}");
+                assert_eq!(bits(&s.phi_mem), bits(&phi), "{abbrev} phi_mem, ff={ff}");
+            }
+        }
+    }
 
     #[test]
     fn first_window_characterizes_the_run() {
         let ctx = ExperimentContext::new(5_000);
-        let s = series(&ctx, &by_abbrev("IMG").unwrap(), 5_000, 6);
+        let s = series_on(&ctx.cfg, &by_abbrev("IMG").unwrap(), 5_000, 6);
         assert_eq!(s.ipc.len(), 6);
         // The paper's claim: the sampling window is representative.
         assert!(
@@ -136,7 +180,7 @@ mod tests {
     #[test]
     fn memory_kernels_show_high_phi() {
         let ctx = ExperimentContext::new(5_000);
-        let s = series(&ctx, &by_abbrev("LBM").unwrap(), 5_000, 3);
+        let s = series_on(&ctx.cfg, &by_abbrev("LBM").unwrap(), 5_000, 3);
         assert!(s.phi_mem.iter().all(|&p| p > 0.3), "{:?}", s.phi_mem);
     }
 }

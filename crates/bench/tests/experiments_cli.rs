@@ -39,3 +39,39 @@ fn unknown_artifact_is_rejected_before_any_work() {
     );
     assert!(!stderr.contains("[pool:"), "no context was built: {stderr}");
 }
+
+#[test]
+fn unrecognised_env_knobs_exit_two_before_any_work() {
+    let cases = [
+        ("WS_EXEC_THREADS", "0", "positive integer"),
+        ("WS_EXEC_THREADS", "four", "positive integer"),
+        ("WS_EXEC_THREADS", "-3", "positive integer"),
+        ("WS_SIM_FASTFORWARD", "no", "0, false, off"),
+    ];
+    for bin in [
+        env!("CARGO_BIN_EXE_experiments"),
+        env!("CARGO_BIN_EXE_verify-predictions"),
+    ] {
+        for (var, value, accepted) in cases {
+            let out = Command::new(bin)
+                .env(var, value)
+                .arg("--help")
+                .output()
+                .expect("the binary runs");
+            assert_eq!(out.status.code(), Some(2), "{bin} {var}={value}");
+            assert!(out.stdout.is_empty(), "{bin} {var}={value}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&format!("{var}=")), "{stderr}");
+            assert!(stderr.contains(accepted), "{stderr}");
+        }
+    }
+    // The values CI and the benchmark set stay valid.
+    for (var, value) in [("WS_EXEC_THREADS", "2"), ("WS_SIM_FASTFORWARD", "0")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .env(var, value)
+            .arg("--help")
+            .output()
+            .expect("the binary runs");
+        assert_eq!(out.status.code(), Some(0), "{var}={value}");
+    }
+}

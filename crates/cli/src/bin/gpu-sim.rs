@@ -43,11 +43,14 @@
 
 use std::process::ExitCode;
 
-use gpu_sim::{AccessPattern, Gpu, GpuConfig, KernelDesc, ProgramSpec, SchedulerKind, StallReason};
+use gpu_sim::{
+    AccessPattern, GpuConfig, KernelDesc, KernelId, ProgramSpec, SchedulerKind, StallReason,
+};
 use warped_slicer::store::DEFAULT_STORE_CAPACITY;
 use warped_slicer::{
-    antt, chrome_trace, execute, fairness, jsonl, run_isolation, validate_jsonl, CurveStore,
-    PolicyKind, RunConfig, SharedCurveStore, SimJob, TraceOptions, WarpedSlicerConfig,
+    antt, chrome_trace, collect_stats, execute, fairness, jsonl, run_isolation, validate_jsonl,
+    CurveStore, Driver, PolicyKind, RunConfig, SharedCurveStore, SimJob, TraceOptions,
+    WarpedSlicerConfig,
 };
 use ws_analyze::Severity;
 use ws_workloads::by_abbrev;
@@ -621,6 +624,14 @@ fn store_cmd(argv: &[String]) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
+    // The one knob the simulator reads; the library would fall back to
+    // fast-forward on, so an unrecognised value is rejected here.
+    if let Some(v) = std::env::var_os(gpu_sim::FAST_FORWARD_ENV) {
+        if let Err(e) = gpu_sim::parse_fast_forward(&v.to_string_lossy()) {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("store") {
         return match store_cmd(argv.get(1..).unwrap_or(&[])) {
@@ -695,59 +706,49 @@ fn main() -> ExitCode {
     if args.predict {
         return predict(&desc, &cfg);
     }
-    let mut gpu = Gpu::new(cfg.clone(), args.sched);
-    let k = match gpu.try_add_kernel(desc) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("error: kernel rejected by the launch pre-flight: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let desc = gpu.kernel_desc(k);
+    if let Err(e) = gpu_sim::verify::preflight(&desc, &cfg.sm) {
+        eprintln!("error: kernel rejected by the launch pre-flight: {e}");
+        return ExitCode::FAILURE;
+    }
     let max_ctas = desc.max_ctas_per_sm(&cfg.sm);
     println!(
         "kernel: {} threads/CTA, {} regs/thread, {} B shmem/CTA -> max {} CTAs/SM",
         desc.threads_per_cta, desc.regs_per_thread, desc.shmem_per_cta, max_ctas
     );
-    let cap = args.ctas_per_sm.min(max_ctas);
-    for _ in 0..args.cycles {
-        for s in 0..gpu.num_sms() {
-            while gpu.sm(s).kernel_ctas(0) < cap && gpu.try_launch(k, s) {}
-        }
-        gpu.tick();
-    }
-
+    // `--ctas-per-sm` is the Quota policy with one cap.
+    let policy = PolicyKind::Quota(vec![args.ctas_per_sm.min(max_ctas)]);
+    let run_cfg = RunConfig {
+        gpu: cfg.clone(),
+        scheduler: args.sched,
+        ..RunConfig::default()
+    };
+    let mut run = Driver::new(&run_cfg, std::slice::from_ref(&desc), &policy);
+    run.advance_to(args.cycles);
+    let gpu = run.gpu();
+    let stats = collect_stats(gpu);
+    let c = &stats.cache;
     println!("after {} cycles ({}):", args.cycles, args.sched);
-    println!("  warp instructions : {}", gpu.kernel_insts(k));
+    println!("  warp instructions : {}", stats.insts);
     println!("  IPC (GPU-wide)    : {:.3}", gpu.total_ipc());
     println!(
         "  CTAs completed    : {}",
-        gpu.kernel_meta(k).completed_ctas
+        gpu.kernel_meta(KernelId(0)).completed_ctas
     );
-    let mem = gpu.mem_stats();
-    let mut l1a = 0u64;
-    let mut l1m = 0u64;
-    for sm in gpu.sms() {
-        l1a += sm.stats().kernel(0).l1_accesses;
-        l1m += sm.stats().kernel(0).l1_misses;
-    }
     println!(
         "  L1 miss rate      : {:.1}%  ({} accesses)",
-        100.0 * l1m as f64 / l1a.max(1) as f64,
-        l1a
+        100.0 * c.l1_misses as f64 / c.l1_accesses.max(1) as f64,
+        c.l1_accesses
     );
     println!(
         "  L2 miss rate      : {:.1}%  (MPKI {:.1})",
-        100.0 * mem.total.l2_misses as f64 / mem.total.l2_accesses.max(1) as f64,
-        mem.total.l2_misses as f64 * 1000.0 / gpu.kernel_insts(k).max(1) as f64
+        100.0 * c.l2_misses as f64 / c.l2_accesses.max(1) as f64,
+        c.l2_misses as f64 * 1000.0 / stats.insts.max(1) as f64
     );
     println!(
         "  DRAM              : {} transactions, {:.1}% bus busy",
-        gpu.mem().dram_serviced(),
-        100.0 * gpu.mem().dram_busy_fraction(args.cycles)
+        stats.dram_transactions,
+        100.0 * stats.dram_busy
     );
-    let sched_cycles =
-        (args.cycles * gpu.num_sms() as u64 * u64::from(cfg.sm.num_schedulers)) as f64;
     let mut stall_line = String::new();
     for (name, reason) in [
         ("mem", StallReason::LongMemoryLatency),
@@ -756,8 +757,8 @@ fn main() -> ExitCode {
         ("ibuf", StallReason::IbufferEmpty),
         ("barrier", StallReason::Barrier),
     ] {
-        let c: u64 = gpu.sms().map(|s| s.stats().stalls.get(reason)).sum();
-        stall_line.push_str(&format!("{name} {:.1}%  ", 100.0 * c as f64 / sched_cycles));
+        let share = stats.stalls.get(reason) as f64 / stats.sched_cycles as f64;
+        stall_line.push_str(&format!("{name} {:.1}%  ", 100.0 * share));
     }
     println!("  stalls            : {stall_line}");
     ExitCode::SUCCESS

@@ -159,3 +159,24 @@ fn icache_miss_rate_outside_unit_interval_is_rejected() {
     rejects(&["--icache-miss", "-1"], "--icache-miss");
     rejects(&["--icache-miss", "1.5"], "--icache-miss");
 }
+
+#[test]
+fn unrecognised_fast_forward_knob_exits_two_before_any_work() {
+    for bad in ["no", "2", ""] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gpu-sim"))
+            .env("WS_SIM_FASTFORWARD", bad)
+            .output()
+            .expect("gpu-sim binary runs");
+        assert_eq!(out.status.code(), Some(2), "WS_SIM_FASTFORWARD={bad:?}");
+        assert!(out.stdout.is_empty(), "no run: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(err.contains("WS_SIM_FASTFORWARD="), "{err}");
+        assert!(err.contains("0, false, off"), "{err}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_gpu-sim"))
+        .env("WS_SIM_FASTFORWARD", "off")
+        .arg("--help")
+        .output()
+        .expect("gpu-sim binary runs");
+    assert!(out.status.success(), "a recognised value runs");
+}

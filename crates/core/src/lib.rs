@@ -78,8 +78,8 @@ pub use profiler::{build_curves, ProfilePlan, ProfileSample, ProfileTiming, SmAs
 pub use resources::ResourceVec;
 pub use runner::{
     collect_stats, execute, run_corun, run_isolation, run_with_cta_cap, AggregateStats, CacheStats,
-    CorunResult, IsolationResult, RunConfig, SimJob, SimOutcome, StopCondition, TraceOptions,
-    UtilizationStats,
+    CorunResult, Driver, IsolationResult, RunConfig, SimJob, SimOutcome, StopCondition,
+    TraceOptions, UtilizationStats,
 };
 pub use scaling::{psi, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};

@@ -11,11 +11,16 @@
 //! [`ws_exec::Pool`] (`pool.run(&jobs, execute)`) with byte-identical
 //! results at any worker count. The historical entry points ([`run_isolation`],
 //! [`run_with_cta_cap`], [`run_corun`]) are thin wrappers over `execute`.
+//!
+//! `execute` runs on the [`Driver`], the one stepping loop (and the one
+//! copy of the fast-forward skip rule) behind every controller-driven
+//! simulation outside `gpu-sim`; runs with scripted events between steps —
+//! a late kernel, a halt, windowed statistics — drive it directly.
 
 use gpu_sim::{Gpu, GpuConfig, KernelDesc, KernelId, SchedulerKind, StallBreakdown, TraceEvent};
 
 use crate::audit::DecisionAudit;
-use crate::policy::{make_controller, Decision, PolicyKind};
+use crate::policy::{make_controller, Controller, Decision, PolicyKind};
 
 /// Global run parameters.
 #[derive(Debug, Clone)]
@@ -158,14 +163,7 @@ pub fn collect_stats(gpu: &Gpu) -> AggregateStats {
     let mut l1_miss_k = vec![0u64; num_kernels];
     for sm in gpu.sms() {
         let st = sm.stats();
-        stalls = StallBreakdown {
-            mem: stalls.mem + st.stalls.mem,
-            raw: stalls.raw + st.stalls.raw,
-            exec: stalls.exec + st.stalls.exec,
-            ibuffer: stalls.ibuffer + st.stalls.ibuffer,
-            barrier: stalls.barrier + st.stalls.barrier,
-            idle: stalls.idle + st.stalls.idle,
-        };
+        stalls.accumulate(&st.stalls);
         alu += st.alu_busy;
         sfu += st.sfu_busy;
         lsu += st.lsu_busy;
@@ -439,45 +437,160 @@ impl SimOutcome {
     }
 }
 
-/// One fast-forward attempt after a `gpu.tick()`.
-///
-/// Skipping an `on_cycle` call is only sound if that call would have been a
-/// no-op, so the skip is gated on the controller-visible change signature
-/// — `(completed CTAs, halted kernels)`, the same key
-/// [`crate::policy`]'s `ChangeTracker` watches — being unchanged since the
-/// previous iteration, and the jump is clamped to both the stop-condition
-/// `boundary` and the controller's own
-/// [`Controller::next_intervention`](crate::policy::Controller::next_intervention)
-/// timer. See `DESIGN.md` §9 for the full contract.
-fn fast_forward_step(
-    gpu: &mut Gpu,
-    controller: &dyn crate::policy::Controller,
-    last_sig: &mut (u64, usize),
-    boundary: u64,
-) {
-    let sig = (gpu.total_completed(), gpu.halted_kernels());
-    if sig == *last_sig {
-        let limit = controller
-            .next_intervention()
-            .map_or(boundary, |iv| iv.min(boundary));
-        let _ = gpu.fast_forward(limit);
-    }
-    *last_sig = sig;
+/// The one stepping loop of every controller-driven simulation: it owns
+/// the [`Gpu`], the controller (`C`: `dyn Controller`, or a concrete one
+/// whose own accessors the caller reads), the fast-forward signature and
+/// each kernel's last-progress cycle. [`Driver::advance_to`] stops exactly
+/// on its target, so events scripted between steps (a late kernel, a halt,
+/// a statistics read) land at the top of an iteration, and a run advanced
+/// in chunks equals one advanced in a single call. It is the only home of
+/// the `DESIGN.md` §9 skip rule.
+#[derive(Debug)]
+pub struct Driver<C: Controller + ?Sized = dyn Controller> {
+    gpu: Gpu,
+    controller: Box<C>,
+    /// `(completed CTAs, halted kernels)` after the previous iteration.
+    sig: (u64, usize),
+    /// Per kernel slot: instructions at the last progress, and its cycle.
+    last_insts: Vec<u64>,
+    last_progress: Vec<u64>,
 }
 
-/// Updates each kernel's last-progress cycle after a tick: any kernel whose
-/// instruction count moved issued at the just-ticked cycle. Instruction
-/// counts are frozen inside fast-forwarded spans, so this is exact under
-/// fast-forward too.
-fn note_progress(gpu: &Gpu, ids: &[KernelId], last_insts: &mut [u64], last_cycle: &mut [u64]) {
-    for (i, &k) in ids.iter().enumerate() {
-        let insts = gpu.kernel_insts(k);
-        if let (Some(prev), Some(cell)) = (last_insts.get_mut(i), last_cycle.get_mut(i)) {
-            if insts > *prev {
-                *prev = insts;
-                *cell = gpu.cycle();
+impl Driver {
+    /// A driver for `kernels` (in slot order, no launch pre-flight) under
+    /// `policy`. A traced Warped-Slicer run also records its decision
+    /// audit, which happens only at decision points and changes nothing.
+    #[must_use]
+    pub fn new(cfg: &RunConfig, kernels: &[KernelDesc], policy: &PolicyKind) -> Self {
+        let policy = match (&cfg.trace, policy) {
+            (Some(_), PolicyKind::WarpedSlicer(ws)) if !ws.audit => {
+                PolicyKind::WarpedSlicer(crate::policy::WarpedSlicerConfig {
+                    audit: true,
+                    ..ws.clone()
+                })
+            }
+            _ => policy.clone(),
+        };
+        let mut driver = Self::with_controller(cfg, make_controller(&policy));
+        for desc in kernels {
+            driver.add_kernel(desc.clone());
+        }
+        driver
+    }
+}
+
+impl<C: Controller + ?Sized> Driver<C> {
+    /// A driver with no kernels yet, running `controller` on the GPU `cfg`
+    /// describes.
+    #[must_use]
+    pub fn with_controller(cfg: &RunConfig, controller: Box<C>) -> Self {
+        let mut gpu = Gpu::new(cfg.gpu.clone(), cfg.scheduler);
+        if let Some(on) = cfg.fast_forward {
+            gpu.set_fast_forward(on);
+        }
+        if let Some(t) = &cfg.trace {
+            gpu.enable_trace(t.ring_capacity, t.stall_window);
+        }
+        Self {
+            sig: (gpu.total_completed(), gpu.halted_kernels()),
+            gpu,
+            controller,
+            last_insts: Vec::new(),
+            last_progress: Vec::new(),
+        }
+    }
+
+    /// Registers a kernel in the next slot ([`Gpu::add_kernel`]).
+    pub fn add_kernel(&mut self, desc: KernelDesc) -> KernelId {
+        self.last_insts.push(0);
+        self.last_progress.push(0);
+        self.gpu.add_kernel(desc)
+    }
+
+    /// Halts kernel `k` ([`Gpu::halt_kernel`]).
+    pub fn halt_kernel(&mut self, k: KernelId) {
+        self.gpu.halt_kernel(k);
+    }
+
+    /// Runs the cycle loop until the clock reaches `end`.
+    pub fn advance_to(&mut self, end: u64) {
+        self.step_until(end, |_| false);
+    }
+
+    /// The cycle loop: `on_cycle`, `tick`, progress, `after_tick` (which
+    /// may halt kernels and says whether to stop), then the skip.
+    fn step_until(&mut self, end: u64, mut after_tick: impl FnMut(&mut Gpu) -> bool) {
+        while self.gpu.cycle() < end {
+            self.controller.on_cycle(&mut self.gpu);
+            self.gpu.tick();
+            self.note_progress();
+            let stop = after_tick(&mut self.gpu);
+            // Safe after `after_tick`: instruction counts are frozen inside
+            // a dead span, so no instruction target can be crossed mid-skip.
+            self.fast_forward_step(end);
+            if stop {
+                return;
             }
         }
+    }
+
+    /// One fast-forward attempt after a tick.
+    ///
+    /// Skipping an `on_cycle` call is only sound if that call would have
+    /// been a no-op, so the skip is gated on the controller-visible change
+    /// signature — `(completed CTAs, halted kernels)`, the same key
+    /// [`crate::policy`]'s `ChangeTracker` watches — being unchanged since
+    /// the previous iteration, and the jump is clamped to both the step's
+    /// `boundary` and the controller's own
+    /// [`Controller::next_intervention`] timer. See `DESIGN.md` §9 for the
+    /// full contract.
+    fn fast_forward_step(&mut self, boundary: u64) {
+        let sig = (self.gpu.total_completed(), self.gpu.halted_kernels());
+        if sig == self.sig {
+            let limit = self
+                .controller
+                .next_intervention()
+                .map_or(boundary, |iv| iv.min(boundary));
+            let _ = self.gpu.fast_forward(limit);
+        }
+        self.sig = sig;
+    }
+
+    /// Any kernel whose instruction count moved issued at the just-ticked
+    /// cycle; counts are frozen inside skipped spans, so this is exact.
+    fn note_progress(&mut self) {
+        let now = self.gpu.cycle();
+        for (k, (prev, cell)) in self
+            .last_insts
+            .iter_mut()
+            .zip(&mut self.last_progress)
+            .enumerate()
+        {
+            let insts = self.gpu.kernel_insts(KernelId(k));
+            if insts > *prev {
+                *prev = insts;
+                *cell = now;
+            }
+        }
+    }
+
+    /// The simulated GPU.
+    #[must_use]
+    pub fn gpu(&self) -> &Gpu {
+        &self.gpu
+    }
+
+    /// The controller.
+    #[must_use]
+    pub fn controller(&self) -> &C {
+        &self.controller
+    }
+
+    /// Per-slot instructions issued so far.
+    fn insts(&self) -> Vec<u64> {
+        (0..self.gpu.num_kernels())
+            .map(|k| self.gpu.kernel_insts(KernelId(k)))
+            .collect()
     }
 }
 
@@ -486,88 +599,50 @@ fn note_progress(gpu: &Gpu, ids: &[KernelId], last_insts: &mut [u64], last_cycle
 /// event-horizon contract, regardless of whether fast-forward is on.
 #[must_use]
 pub fn execute(job: &SimJob) -> SimOutcome {
-    let mut gpu = Gpu::new(job.cfg.gpu.clone(), job.cfg.scheduler);
-    if let Some(on) = job.cfg.fast_forward {
-        gpu.set_fast_forward(on);
-    }
-    if let Some(t) = &job.cfg.trace {
-        gpu.enable_trace(t.ring_capacity, t.stall_window);
-    }
-    let ids: Vec<KernelId> = job
-        .kernels
-        .iter()
-        .map(|d| gpu.add_kernel(d.clone()))
-        .collect();
-    // A traced Warped-Slicer run implies the decision audit: recording only
-    // happens at decision points, so the simulated run is unchanged.
-    let policy = match (&job.cfg.trace, &job.policy) {
-        (Some(_), PolicyKind::WarpedSlicer(ws)) if !ws.audit => {
-            PolicyKind::WarpedSlicer(crate::policy::WarpedSlicerConfig {
-                audit: true,
-                ..ws.clone()
-            })
-        }
-        _ => job.policy.clone(),
-    };
-    let mut controller = make_controller(&policy);
-    let mut sig = (gpu.total_completed(), gpu.halted_kernels());
-    let mut last_insts = vec![0u64; ids.len()];
-    let mut last_progress = vec![0u64; ids.len()];
-    while gpu.cycle() < job.warmup {
-        controller.on_cycle(&mut gpu);
-        gpu.tick();
-        note_progress(&gpu, &ids, &mut last_insts, &mut last_progress);
-        fast_forward_step(&mut gpu, controller.as_ref(), &mut sig, job.warmup);
-    }
-    let start_insts: Vec<u64> = ids.iter().map(|&k| gpu.kernel_insts(k)).collect();
-    let warm_end = gpu.cycle();
-    let mut finish: Vec<Option<u64>> = vec![None; ids.len()];
-    let mut timed_out = false;
-    match &job.stop {
+    let mut run = Driver::new(&job.cfg, &job.kernels, &job.policy);
+    run.advance_to(job.warmup);
+    let start_insts = run.insts();
+    let warm_end = run.gpu.cycle();
+    let mut finish: Vec<Option<u64>> = vec![None; job.kernels.len()];
+    let timed_out = match &job.stop {
         StopCondition::Cycles(cycles) => {
-            let end = warm_end + cycles;
-            while gpu.cycle() < end {
-                controller.on_cycle(&mut gpu);
-                gpu.tick();
-                note_progress(&gpu, &ids, &mut last_insts, &mut last_progress);
-                fast_forward_step(&mut gpu, controller.as_ref(), &mut sig, end);
-            }
+            run.advance_to(warm_end + cycles);
+            false
         }
         StopCondition::Targets(targets) => {
             let max_cycles = job.cfg.isolation_cycles * job.cfg.max_cycle_factor;
-            let mut done = 0usize;
-            while done < ids.len() && gpu.cycle() < max_cycles {
-                controller.on_cycle(&mut gpu);
-                gpu.tick();
-                note_progress(&gpu, &ids, &mut last_insts, &mut last_progress);
-                for (i, &k) in ids.iter().enumerate() {
-                    if finish[i].is_none() && gpu.kernel_insts(k) >= targets[i] {
-                        finish[i] = Some(gpu.cycle());
-                        gpu.halt_kernel(k);
-                        done += 1;
+            let mut left = finish.len();
+            if left > 0 {
+                run.step_until(max_cycles, |gpu| {
+                    for (i, cell) in finish.iter_mut().enumerate() {
+                        let k = KernelId(i);
+                        if cell.is_none() && gpu.kernel_insts(k) >= targets[i] {
+                            *cell = Some(gpu.cycle());
+                            gpu.halt_kernel(k);
+                            left -= 1;
+                        }
                     }
-                }
-                // Safe after the target checks: instruction counts are
-                // frozen inside a dead span, so no target can be crossed
-                // mid-skip.
-                fast_forward_step(&mut gpu, controller.as_ref(), &mut sig, max_cycles);
+                    left == 0
+                });
             }
-            timed_out = finish.iter().any(Option::is_none);
+            finish.iter().any(Option::is_none)
         }
-    }
+    };
+    let end_insts = run.insts();
+    let mut gpu = run.gpu;
     SimOutcome {
-        end_insts: ids.iter().map(|&k| gpu.kernel_insts(k)).collect(),
+        end_insts,
         start_insts,
         measured_cycles: gpu.cycle() - warm_end,
         total_cycles: gpu.cycle(),
         finish_cycle: finish,
         timed_out,
         stats: collect_stats(&gpu),
-        decision: controller.decision().cloned(),
+        decision: run.controller.decision().cloned(),
         ff_skipped_cycles: gpu.skipped_cycles(),
-        last_progress_cycle: last_progress,
+        last_progress_cycle: run.last_progress,
         trace: gpu.take_trace().map(|t| t.events().copied().collect()),
-        audit: controller.audit().cloned(),
+        audit: run.controller.audit().cloned(),
     }
 }
 
@@ -757,6 +832,121 @@ mod tests {
         let audit = t.audit.expect("Warped-Slicer audit implied by tracing");
         assert!(audit.scaled_points(0).count() >= 1);
         assert!(audit.scaled_points(1).count() >= 1);
+    }
+
+    /// Everything a run computed, as text: statistics, clock, instruction
+    /// counts, progress cycles, decision and audit.
+    fn fingerprint<C: Controller + ?Sized>(run: &Driver<C>) -> String {
+        let c = run.controller();
+        format!(
+            "{:?}|{}|{:?}|{:?}|{:?}|{:?}",
+            collect_stats(run.gpu()),
+            run.gpu().cycle(),
+            run.insts(),
+            run.last_progress,
+            c.decision(),
+            c.audit()
+        )
+    }
+
+    /// Runs `kernels` under `policy` for 1 000 warm-up plus 11 000 measured
+    /// cycles four ways — `execute` and the driver in uneven steps (1, 2,
+    /// 3, ... cycles), each with fast-forward off and on — and requires one
+    /// fingerprint. With fast-forward on the run must skip something.
+    fn assert_steps_and_skips_are_exact(
+        gpu: GpuConfig,
+        kernels: &[KernelDesc],
+        policy: &PolicyKind,
+    ) {
+        const END: u64 = 12_000;
+        let mut want = None;
+        for ff in [false, true] {
+            let job = SimJob {
+                kernels: kernels.to_vec(),
+                policy: policy.clone(),
+                cfg: RunConfig {
+                    gpu: gpu.clone(),
+                    fast_forward: Some(ff),
+                    ..quick_cfg()
+                },
+                warmup: 1_000,
+                stop: StopCondition::Cycles(END - 1_000),
+            };
+            let whole = execute(&job);
+            assert_eq!(whole.ff_skipped_cycles > 0, ff, "{policy}: skips");
+            let whole = format!(
+                "{:?}|{}|{:?}|{:?}|{:?}|{:?}",
+                whole.stats,
+                whole.total_cycles,
+                whole.end_insts,
+                whole.last_progress_cycle,
+                whole.decision,
+                whole.audit
+            );
+            let mut run = Driver::new(&job.cfg, &job.kernels, &job.policy);
+            let mut step = 0;
+            while run.gpu().cycle() < END {
+                step += 1;
+                run.advance_to((run.gpu().cycle() + step).min(END));
+            }
+            assert_eq!(fingerprint(&run), whole, "{policy} ff={ff}: uneven steps");
+            assert_eq!(want.get_or_insert(whole.clone()), &whole, "{policy}: ff");
+        }
+    }
+
+    #[test]
+    fn uneven_driver_steps_equal_one_execute() {
+        // Grids cut short so the machine drains mid-run: fast-forward then
+        // has dead spans to skip, and a skip must never cross a step's end.
+        let kernels: Vec<KernelDesc> = [("IMG", 40), ("NN", 56)]
+            .into_iter()
+            .map(|(abbrev, grid)| KernelDesc {
+                grid_ctas: grid,
+                ..by_abbrev(abbrev).unwrap().desc
+            })
+            .collect();
+        for policy in [
+            PolicyKind::LeftOver,
+            PolicyKind::Fcfs,
+            PolicyKind::Even,
+            PolicyKind::Spatial,
+            PolicyKind::Quota(vec![3, 2]),
+            PolicyKind::WarpedSlicer(crate::policy::WarpedSlicerConfig {
+                audit: true,
+                ..crate::policy::WarpedSlicerConfig::scaled_for(11_000)
+            }),
+        ] {
+            assert_steps_and_skips_are_exact(GpuConfig::isca_baseline(), &kernels, &policy);
+        }
+    }
+
+    #[test]
+    fn skips_wait_for_launches_and_controller_timers() {
+        // One SM, one CTA at a time: each CTA's retirement empties the
+        // machine, so only the signature guard keeps the skip from jumping
+        // over the next launch.
+        let one_sm = GpuConfig {
+            num_sms: 1,
+            ..GpuConfig::isca_baseline()
+        };
+        let img = KernelDesc {
+            grid_ctas: 8,
+            ..by_abbrev("IMG").unwrap().desc
+        };
+        assert_steps_and_skips_are_exact(one_sm, &[img], &PolicyKind::Quota(vec![1]));
+        // Two one-iteration CTAs per kernel drain before the profile ends, so
+        // the Warped-Slicer's phase timers run on a dead machine: only the
+        // `next_intervention` clamp keeps the skip from jumping over them.
+        let tiny: Vec<KernelDesc> = ["IMG", "NN"]
+            .into_iter()
+            .map(|abbrev| KernelDesc {
+                grid_ctas: 2,
+                iterations: 1,
+                ..by_abbrev(abbrev).unwrap().desc
+            })
+            .collect();
+        let ws = PolicyKind::WarpedSlicer(crate::policy::WarpedSlicerConfig::scaled_for(11_000));
+        assert_steps_and_skips_are_exact(GpuConfig::isca_baseline(), &tiny, &ws);
     }
 
     #[test]

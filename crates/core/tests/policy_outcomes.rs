@@ -19,10 +19,10 @@
 //! a behaviour change, not a refactor. On a mismatch the test prints every
 //! case's actual digest.
 
-use gpu_sim::{Gpu, KernelDesc, KernelId};
+use gpu_sim::{KernelDesc, KernelId};
 use warped_slicer::{
-    audit_jsonl, collect_stats, execute, make_controller, run_isolation, Controller, DecisionAudit,
-    PolicyKind, RunConfig, SharedCurveStore, SimJob, SimOutcome, WarpedSlicerConfig,
+    audit_jsonl, collect_stats, execute, run_isolation, DecisionAudit, Driver, PolicyKind,
+    RunConfig, SharedCurveStore, SimJob, SimOutcome, WarpedSlicerConfig,
 };
 use ws_workloads::by_abbrev;
 
@@ -188,49 +188,26 @@ fn spatial_fallback_outcomes_are_pinned() {
     );
 }
 
-/// Drives `policy` by hand: IMG and NN from cycle 0, MM arriving at
-/// `ARRIVE`, IMG halted at `HALT`, stop at `END`. Fast-forward follows the
-/// runner's rule: skip only while the launch signature is unchanged, never
-/// past the controller's next intervention or the next scripted event, so
-/// every scripted event happens at the top of an iteration.
-fn late_arrival(policy: &PolicyKind, fast_forward: bool) -> (Gpu, Box<dyn Controller>) {
+/// Drives `policy` through the runner's [`Driver`]: IMG and NN from cycle
+/// 0, MM arriving at `ARRIVE`, IMG halted at `HALT`, stop at `END`. Each
+/// step stops exactly on its target cycle, so every scripted event happens
+/// at the top of an iteration whether or not fast-forward is on.
+fn late_arrival(policy: &PolicyKind, fast_forward: bool) -> Driver {
     const ARRIVE: u64 = 6_000;
     const HALT: u64 = 14_000;
     const END: u64 = 20_000;
-    let cfg = run_cfg(fast_forward);
-    let mut gpu = Gpu::new(cfg.gpu.clone(), cfg.scheduler);
-    gpu.set_fast_forward(fast_forward);
-    gpu.add_kernel(desc("IMG"));
-    gpu.add_kernel(desc("NN"));
-    let mut controller = make_controller(policy);
-    let mut sig = (gpu.total_completed(), gpu.halted_kernels());
-    while gpu.cycle() < END {
-        if gpu.cycle() == ARRIVE {
-            gpu.add_kernel(desc("MM"));
-        }
-        if gpu.cycle() == HALT {
-            gpu.halt_kernel(KernelId(0));
-        }
-        controller.on_cycle(&mut gpu);
-        gpu.tick();
-        let now = (gpu.total_completed(), gpu.halted_kernels());
-        if now == sig {
-            let boundary = [ARRIVE, HALT, END]
-                .into_iter()
-                .find(|&c| c > gpu.cycle())
-                .unwrap_or(END);
-            let limit = controller
-                .next_intervention()
-                .map_or(boundary, |iv| iv.min(boundary));
-            let _ = gpu.fast_forward(limit);
-        }
-        sig = now;
-    }
-    (gpu, controller)
+    let mut run = Driver::new(&run_cfg(fast_forward), &[desc("IMG"), desc("NN")], policy);
+    run.advance_to(ARRIVE);
+    run.add_kernel(desc("MM"));
+    run.advance_to(HALT);
+    run.halt_kernel(KernelId(0));
+    run.advance_to(END);
+    run
 }
 
 fn late_arrival_digest(policy: &PolicyKind, fast_forward: bool) -> u64 {
-    let (gpu, controller) = late_arrival(policy, fast_forward);
+    let run = late_arrival(policy, fast_forward);
+    let (gpu, controller) = (run.gpu(), run.controller());
     let insts: Vec<u64> = gpu
         .kernel_ids()
         .iter()
@@ -238,7 +215,7 @@ fn late_arrival_digest(policy: &PolicyKind, fast_forward: bool) -> u64 {
         .collect();
     fnv1a(&format!(
         "{:?}|{}|{:?}|{:?}",
-        collect_stats(&gpu),
+        collect_stats(gpu),
         gpu.cycle(),
         insts,
         controller.decision()
@@ -298,7 +275,8 @@ fn warped_slicer_audit_trails_are_pinned() {
                 check(case, audit_digest(o.audit.as_ref()), want);
             }
         }
-        let (_, controller) = late_arrival(&audited(false, None), ff);
+        let run = late_arrival(&audited(false, None), ff);
+        let controller = run.controller();
         check(
             format!("late arrival ff={ff}"),
             audit_digest(controller.audit()),

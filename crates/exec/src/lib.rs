@@ -91,17 +91,28 @@ impl std::error::Error for JobPanic {}
 /// Per-job result a [`Stream`] yields: the job's value, or its panic.
 pub type JobResult<R> = Result<R, JobPanic>;
 
-/// Parses a `WS_EXEC_THREADS`-style value into a worker count.
-///
-/// `None`, an empty string, `0`, or an unparsable value fall back to the
-/// machine's available parallelism (itself falling back to 1), so a
-/// misconfigured environment degrades to the default rather than erroring.
+/// Parses a [`THREADS_ENV`] value: a positive worker count (surrounding
+/// whitespace allowed); anything else is `Err`, naming the variable and
+/// the accepted values.
+pub fn parse_threads(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "{THREADS_ENV}={value:?} is not a worker count; accepted values: a positive \
+             integer (1 runs serially; unset uses every core)"
+        )),
+    }
+}
+
+/// Turns a [`THREADS_ENV`] value into a worker count through
+/// [`parse_threads`]. `None` or a rejected value (`0`, empty, unparsable)
+/// falls back to the machine's available parallelism (itself falling back
+/// to 1); the binaries reject such a value at start-up instead.
 #[must_use]
 pub fn threads_from_env(value: Option<&str>) -> usize {
-    match value.map(str::trim).and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-    }
+    value
+        .and_then(|v| parse_threads(v).ok())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// A queued unit of work: the job closure plus its result plumbing.
@@ -651,6 +662,17 @@ mod tests {
         assert_eq!(threads_from_env(Some("")), default);
         assert_eq!(threads_from_env(Some("lots")), default);
         assert_eq!(threads_from_env(Some("-3")), default);
+    }
+
+    #[test]
+    fn strict_thread_parsing_names_the_variable() {
+        assert_eq!(parse_threads("1"), Ok(1));
+        assert_eq!(parse_threads(" 8 "), Ok(8));
+        for bad in ["0", "", "four", "-3", "2.5"] {
+            let err = parse_threads(bad).expect_err(bad);
+            assert!(err.starts_with("WS_EXEC_THREADS="), "{err}");
+            assert!(err.contains("positive integer"), "{err}");
+        }
     }
 
     #[test]

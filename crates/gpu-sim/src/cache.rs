@@ -144,16 +144,6 @@ impl SetAssocCache {
         self.misses
     }
 
-    /// Miss rate over the cache's lifetime, or 0 if never accessed.
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Drops all lines and statistics.
     pub fn reset(&mut self) {
         for w in &mut self.sets {
@@ -181,7 +171,6 @@ mod tests {
         assert_eq!(c.access(42), ProbeResult::Hit);
         assert_eq!(c.accesses(), 2);
         assert_eq!(c.misses(), 1);
-        assert!((c.miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

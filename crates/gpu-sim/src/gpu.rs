@@ -19,21 +19,38 @@ use crate::stats::StallBreakdown;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::verify::{self, KernelVerifyError};
 
+/// The environment variable that gates event-horizon fast-forward.
+pub const FAST_FORWARD_ENV: &str = "WS_SIM_FASTFORWARD";
+
+/// Parses a [`FAST_FORWARD_ENV`] value (trimmed, any case): `1`/`true`/`on`
+/// or `0`/`false`/`off`; anything else is `Err`, naming the variable and
+/// the accepted values.
+pub fn parse_fast_forward(value: &str) -> Result<bool, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" => Ok(true),
+        "0" | "false" | "off" => Ok(false),
+        _ => Err(format!(
+            "{FAST_FORWARD_ENV}={value:?} is not recognised; accepted values: \
+             1, true, on (fast-forward on) or 0, false, off (off)"
+        )),
+    }
+}
+
 /// Whether event-horizon fast-forwarding is enabled by default, read once
-/// from the `WS_SIM_FASTFORWARD` environment variable. It is on unless the
-/// variable is set to `0`, `false`, or `off` — the escape hatch for
-/// bisecting any suspected divergence against the naive tick loop.
+/// from [`FAST_FORWARD_ENV`] through [`parse_fast_forward`]. It is on
+/// unless the variable turns it off — the escape hatch for bisecting any
+/// suspected divergence against the naive tick loop; an unrecognised value
+/// leaves it on (the binaries reject one at start-up).
 #[must_use]
 pub fn fast_forward_default() -> bool {
     // One flag read from the environment once per process, the same for
     // every run; xtask-allow: no-global-state
     static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("WS_SIM_FASTFORWARD") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
+    *DEFAULT.get_or_init(|| {
+        std::env::var(FAST_FORWARD_ENV)
+            .ok()
+            .and_then(|v| parse_fast_forward(&v).ok())
+            .unwrap_or(true)
     })
 }
 
@@ -219,24 +236,6 @@ impl Gpu {
     #[must_use]
     pub fn kernel_insts(&self, k: KernelId) -> u64 {
         self.kernel_insts[k.0]
-    }
-
-    /// CTAs of kernel `k` not yet dispatched.
-    #[must_use]
-    pub fn remaining_ctas(&self, k: KernelId) -> u64 {
-        let m = &self.meta[k.0];
-        if m.halted {
-            0
-        } else {
-            self.descs[k.0].grid_ctas - m.dispatched_ctas
-        }
-    }
-
-    /// Whether kernel `k` has work left (undispatched CTAs) and is not
-    /// halted.
-    #[must_use]
-    pub fn kernel_has_work(&self, k: KernelId) -> bool {
-        self.remaining_ctas(k) > 0
     }
 
     /// Total CTAs completed across all kernels. Controllers use this as a
@@ -463,14 +462,6 @@ impl Gpu {
         to - from
     }
 
-    /// One tick followed by a fast-forward bounded by `limit`: the
-    /// event-horizon equivalent of a naive tick loop iteration. Returns the
-    /// number of dead cycles skipped after the tick.
-    pub fn tick_fast_forward(&mut self, limit: u64) -> u64 {
-        self.tick();
-        self.fast_forward(limit)
-    }
-
     /// Runs `cycles` cycles with no controller intervention, fast-forwarding
     /// over dead spans when enabled (statistics are identical either way).
     pub fn run(&mut self, cycles: u64) {
@@ -481,7 +472,8 @@ impl Gpu {
             // xtask-allow: no-unwrap
             .expect("cycle budget overflow");
         while self.cycle < end {
-            self.tick_fast_forward(end);
+            self.tick();
+            self.fast_forward(end);
         }
     }
 
@@ -499,6 +491,18 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Gpu {
+        /// CTAs of kernel `k` not yet dispatched.
+        fn remaining_ctas(&self, k: KernelId) -> u64 {
+            let m = &self.meta[k.0];
+            if m.halted {
+                0
+            } else {
+                self.descs[k.0].grid_ctas - m.dispatched_ctas
+            }
+        }
+    }
     use crate::access::AccessPattern;
     use crate::program::ProgramSpec;
 
@@ -583,7 +587,6 @@ mod tests {
         assert!(before > 0);
         gpu.halt_kernel(k);
         assert_eq!(gpu.remaining_ctas(k), 0);
-        assert!(!gpu.kernel_has_work(k));
         gpu.run(500);
         assert_eq!(gpu.kernel_insts(k), before, "no progress after halt");
         for sm in gpu.sms() {
@@ -642,6 +645,21 @@ mod tests {
             format!("{:?}", gpu.sms().map(Sm::stats).collect::<Vec<_>>()),
             format!("{:?}", gpu.mem_stats()),
         )
+    }
+
+    #[test]
+    fn fast_forward_knob_parses_strictly() {
+        for (v, on) in [("1", true), ("on", true), (" TRUE ", true), ("0", false)] {
+            assert_eq!(parse_fast_forward(v), Ok(on), "{v}");
+        }
+        for v in ["off", "False"] {
+            assert_eq!(parse_fast_forward(v), Ok(false), "{v}");
+        }
+        for bad in ["no", "", "2", "yes"] {
+            let err = parse_fast_forward(bad).expect_err(bad);
+            assert!(err.starts_with("WS_SIM_FASTFORWARD="), "{err}");
+            assert!(err.contains("0, false, off"), "{err}");
+        }
     }
 
     #[test]

@@ -73,12 +73,6 @@ impl KernelDesc {
         self.program.len() as u64 * u64::from(self.iterations)
     }
 
-    /// Dynamic warp instructions one CTA executes before completing.
-    #[must_use]
-    pub fn insts_per_cta(&self) -> u64 {
-        self.insts_per_warp() * u64::from(self.warps_per_cta())
-    }
-
     /// Maximum CTAs of this kernel that fit on one SM with the full SM to
     /// itself, considering every resource limit (threads, registers, shared
     /// memory, CTA slots) — the "max allowed CTAs" of Fig. 3a.
@@ -276,7 +270,6 @@ mod tests {
     fn instruction_budgets_multiply() {
         let d = desc(128, 16, 0);
         assert_eq!(d.insts_per_warp(), d.program.len() as u64 * 10);
-        assert_eq!(d.insts_per_cta(), d.insts_per_warp() * 4);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use access::{
 pub use alloc::{CtaResources, LinearAllocator, PartitionWindow, Region, SmResources};
 pub use cache::{ProbeResult, SetAssocCache};
 pub use config::{DramTiming, GpuConfig, L1Config, L2Config, MemConfig, SmConfig};
-pub use gpu::{fast_forward_default, Gpu, KernelMeta};
+pub use gpu::{fast_forward_default, parse_fast_forward, Gpu, KernelMeta, FAST_FORWARD_ENV};
 pub use kernel::{KeptSignature, KernelDesc, KernelId};
 pub use mem::{KernelMemStats, MemRequest, MemResponse, MemStats, MemSubsystem};
 pub use program::{Inst, OpClass, Program, ProgramSpec, ProgramSpecError, Reg, NUM_VIRTUAL_REGS};

@@ -180,10 +180,6 @@ impl PendingFills {
         self.counts.swap_remove(i);
         true
     }
-
-    fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -527,22 +523,23 @@ impl MemSubsystem {
         let busy: u64 = self.dram.iter().map(DramChannel::busy_cycles).sum();
         busy as f64 / (cycles * self.dram.len() as u64) as f64
     }
-
-    /// Whether any request is still in flight anywhere in the subsystem.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.ingress.is_empty()
-            && self.l2_in.iter().all(VecDeque::is_empty)
-            && self.pending_fills.iter().all(PendingFills::is_empty)
-            && self.responses.is_empty()
-            && self.dram_done.is_empty()
-            && self.dram.iter().all(|d| d.queue_len() == 0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemSubsystem {
+        /// Whether any request is still in flight anywhere in the subsystem.
+        fn is_quiescent(&self) -> bool {
+            self.ingress.is_empty()
+                && self.l2_in.iter().all(VecDeque::is_empty)
+                && self.pending_fills.iter().all(|p| p.lines.is_empty())
+                && self.responses.is_empty()
+                && self.dram_done.is_empty()
+                && self.dram.iter().all(|d| d.queue_len() == 0)
+        }
+    }
 
     fn mem() -> MemSubsystem {
         MemSubsystem::new(&GpuConfig::isca_baseline())

@@ -40,22 +40,10 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// Whether the instruction occupies the load/store unit.
-    #[must_use]
-    pub fn uses_lsu(self) -> bool {
-        matches!(self, Self::GlobalLoad | Self::GlobalStore | Self::SharedMem)
-    }
-
     /// Whether the instruction is a CTA-wide barrier.
     #[must_use]
     pub fn is_barrier(self) -> bool {
         self == Self::Barrier
-    }
-
-    /// Whether the instruction produces global-memory traffic.
-    #[must_use]
-    pub fn is_global(self) -> bool {
-        matches!(self, Self::GlobalLoad | Self::GlobalStore)
     }
 }
 
@@ -513,10 +501,7 @@ mod tests {
 
     #[test]
     fn op_class_predicates() {
-        assert!(OpClass::GlobalLoad.uses_lsu());
-        assert!(OpClass::SharedMem.uses_lsu());
-        assert!(!OpClass::Alu.uses_lsu());
-        assert!(OpClass::GlobalStore.is_global());
-        assert!(!OpClass::SharedMem.is_global());
+        assert!(OpClass::Barrier.is_barrier());
+        assert!(!OpClass::Alu.is_barrier());
     }
 }

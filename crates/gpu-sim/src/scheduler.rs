@@ -1,8 +1,6 @@
 //! Warp schedulers: greedy-then-oldest (GPGPU-Sim's `gto`, the Table I
 //! default) and loose round-robin (the Fig. 10b alternative).
 
-use crate::warp::Warp;
-
 /// Warp scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
@@ -125,43 +123,6 @@ impl SchedulerState {
         }
     }
 
-    /// Fills `out` with this scheduler's occupied warp slots in issue-
-    /// priority order.
-    pub fn fill_order(&self, warps: &[Option<Warp>], out: &mut Vec<usize>) {
-        out.clear();
-        match self.kind {
-            SchedulerKind::GreedyThenOldest => {
-                if let Some(g) = self.last_issued {
-                    if warps.get(g).is_some_and(Option::is_some) {
-                        out.push(g);
-                    }
-                }
-                let greedy = self.last_issued;
-                let mut rest: Vec<usize> = (self.sched_id..warps.len())
-                    .step_by(self.num_schedulers)
-                    .filter(|&s| Some(s) != greedy && warps[s].is_some())
-                    .collect();
-                rest.sort_by_key(|&s| warps[s].as_ref().map_or(u64::MAX, |w| w.launch_seq));
-                out.extend(rest);
-            }
-            SchedulerKind::RoundRobin => {
-                let slots: Vec<usize> = (self.sched_id..warps.len())
-                    .step_by(self.num_schedulers)
-                    .collect();
-                let start = self
-                    .last_issued
-                    .and_then(|l| slots.iter().position(|&s| s == l).map(|p| p + 1))
-                    .unwrap_or(0);
-                for i in 0..slots.len() {
-                    let s = slots[(start + i) % slots.len()];
-                    if warps[s].is_some() {
-                        out.push(s);
-                    }
-                }
-            }
-        }
-    }
-
     /// Records that `slot` issued this cycle.
     pub fn note_issue(&mut self, slot: usize) {
         self.last_issued = Some(slot);
@@ -183,6 +144,46 @@ impl SchedulerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warp::Warp;
+
+    impl SchedulerState {
+        /// Fills `out` with this scheduler's occupied warp slots in issue-
+        /// priority order: the slot-scan reference `select` must agree with.
+        fn fill_order(&self, warps: &[Option<Warp>], out: &mut Vec<usize>) {
+            out.clear();
+            match self.kind {
+                SchedulerKind::GreedyThenOldest => {
+                    if let Some(g) = self.last_issued {
+                        if warps.get(g).is_some_and(Option::is_some) {
+                            out.push(g);
+                        }
+                    }
+                    let greedy = self.last_issued;
+                    let mut rest: Vec<usize> = (self.sched_id..warps.len())
+                        .step_by(self.num_schedulers)
+                        .filter(|&s| Some(s) != greedy && warps[s].is_some())
+                        .collect();
+                    rest.sort_by_key(|&s| warps[s].as_ref().map_or(u64::MAX, |w| w.launch_seq));
+                    out.extend(rest);
+                }
+                SchedulerKind::RoundRobin => {
+                    let slots: Vec<usize> = (self.sched_id..warps.len())
+                        .step_by(self.num_schedulers)
+                        .collect();
+                    let start = self
+                        .last_issued
+                        .and_then(|l| slots.iter().position(|&s| s == l).map(|p| p + 1))
+                        .unwrap_or(0);
+                    for i in 0..slots.len() {
+                        let s = slots[(start + i) % slots.len()];
+                        if warps[s].is_some() {
+                            out.push(s);
+                        }
+                    }
+                }
+            }
+        }
+    }
     use crate::access::AccessPattern;
     use crate::kernel::{KernelDesc, KernelId};
     use crate::program::ProgramSpec;

@@ -91,12 +91,6 @@ impl StallBreakdown {
         }
     }
 
-    /// Total stalled scheduler-cycles, excluding idle.
-    #[must_use]
-    pub fn total_non_idle(&self) -> u64 {
-        self.mem + self.raw + self.exec + self.ibuffer + self.barrier
-    }
-
     /// Adds `other` component-wise — used to aggregate per-SM breakdowns
     /// into a GPU-wide total (e.g. for trace stall windows).
     pub fn accumulate(&mut self, other: &StallBreakdown) {
@@ -251,7 +245,6 @@ mod tests {
         for r in StallReason::ALL {
             assert_eq!(b.get(r), 2);
         }
-        assert_eq!(b.total_non_idle(), 10);
     }
 
     #[test]

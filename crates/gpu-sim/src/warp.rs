@@ -162,12 +162,6 @@ impl Warp {
         (self.ib_len != 0).then_some(self.head_inst)
     }
 
-    /// Whether the i-buffer is empty (front-end starved).
-    #[must_use]
-    pub fn ibuffer_empty(&self) -> bool {
-        self.ib_len == 0
-    }
-
     /// Consumes the head instruction at issue and decodes the next one from
     /// `program`, the warp's kernel body. For ALU/SFU/shared-memory ops the
     /// destination becomes ready at `now + latency`; for global loads the
@@ -296,12 +290,6 @@ impl Warp {
             ready = ready.max(self.reg_ready[dst as usize]);
         }
         Some((ready, inst.op))
-    }
-
-    /// Outstanding-load count (for occupancy introspection/tests).
-    #[must_use]
-    pub fn outstanding_loads(&self) -> usize {
-        self.loads.len()
     }
 
     /// Total dynamic instructions this warp will issue.
@@ -936,6 +924,13 @@ impl WarpTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Warp {
+        /// Whether the i-buffer is empty (front-end starved).
+        fn ibuffer_empty(&self) -> bool {
+            self.ib_len == 0
+        }
+    }
     use crate::access::AccessPattern;
     use crate::program::{Inst, Program};
 
@@ -1111,7 +1106,6 @@ mod tests {
         let inst = w.issue(0, 0, &desc.program);
         let id = w.begin_load(inst.dst.unwrap());
         assert!(w.finish_load_issue(id, 28));
-        assert_eq!(w.outstanding_loads(), 0);
         assert_eq!(w.head_state(), None, "ALU not fetched yet");
         w.fetch(1, &desc, 1, 0);
         assert_eq!(w.head_state(), Some((28, OpClass::Alu)));

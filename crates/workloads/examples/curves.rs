@@ -2,31 +2,8 @@
 //! (the raw data behind Fig. 3a) so the synthetic parameterization can be
 //! eyeballed quickly. The real figure generator lives in `ws-bench`.
 
-use gpu_sim::{Gpu, GpuConfig, KernelId, SchedulerKind};
+use warped_slicer::{run_with_cta_cap, RunConfig};
 use ws_workloads::suite;
-
-fn run_with_cap(bench: &ws_workloads::Benchmark, cap: u32, cycles: u64) -> f64 {
-    let mut gpu = Gpu::new(GpuConfig::isca_baseline(), SchedulerKind::GreedyThenOldest);
-    let k = gpu.add_kernel(bench.desc.clone());
-    let top_up = |gpu: &mut Gpu, k: KernelId| {
-        for s in 0..gpu.num_sms() {
-            while gpu.sm(s).kernel_ctas(0) < cap && gpu.try_launch(k, s) {}
-        }
-    };
-    top_up(&mut gpu, k);
-    // Warm up, then measure.
-    let warm = cycles / 4;
-    for _ in 0..warm {
-        gpu.tick();
-        top_up(&mut gpu, k);
-    }
-    let start_insts = gpu.kernel_insts(k);
-    for _ in 0..cycles {
-        gpu.tick();
-        top_up(&mut gpu, k);
-    }
-    (gpu.kernel_insts(k) - start_insts) as f64 / cycles as f64
-}
 
 fn main() {
     let cycles: u64 = std::env::args()
@@ -38,7 +15,7 @@ fn main() {
         print!("{:4} (max {max}): ", b.abbrev);
         let mut ipcs = Vec::new();
         for n in 1..=max {
-            ipcs.push(run_with_cap(&b, n, cycles));
+            ipcs.push(run_with_cta_cap(&b.desc, n, cycles, &RunConfig::default()));
         }
         let best = ipcs.iter().fold(0.0f64, |a, &x| a.max(x));
         for ipc in &ipcs {

@@ -1,19 +1,19 @@
 //! Scratch: per-benchmark CTA lifetime at full isolation occupancy.
-use gpu_sim::{Gpu, GpuConfig, SchedulerKind};
+use gpu_sim::KernelId;
+use warped_slicer::{Driver, PolicyKind, RunConfig};
 use ws_workloads::suite;
 
 fn main() {
     for b in suite() {
-        let mut gpu = Gpu::new(GpuConfig::isca_baseline(), SchedulerKind::GreedyThenOldest);
-        let k = gpu.add_kernel(b.desc.clone());
         let cycles = 60_000u64;
-        for _ in 0..cycles {
-            for s in 0..gpu.num_sms() {
-                while gpu.try_launch(k, s) {}
-            }
-            gpu.tick();
-        }
-        let meta = gpu.kernel_meta(k);
+        let mut run = Driver::new(
+            &RunConfig::default(),
+            std::slice::from_ref(&b.desc),
+            &PolicyKind::LeftOver,
+        );
+        run.advance_to(cycles);
+        let gpu = run.gpu();
+        let meta = gpu.kernel_meta(KernelId(0));
         let resident: u32 = gpu.sms().map(|s| s.resident_ctas()).sum();
         let avg_life = if meta.completed_ctas > 0 {
             (f64::from(resident) * cycles as f64) / meta.completed_ctas as f64

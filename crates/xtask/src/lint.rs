@@ -58,6 +58,10 @@
 //!   answer one run with another's state. Keep it in the value it describes
 //!   (as the kept program walk and signature are). Waivers require a
 //!   justification, as for `determinism`.
+//! * `no-direct-dispatch` — `.try_launch(` / `.set_window(` (or their
+//!   `::` path form) outside `crates/gpu-sim/` and
+//!   `crates/core/src/policy/`, whose `Slicing` is the only launcher; the
+//!   only rule that also reads `tests/`, `examples/` and `benches/`.
 //!
 //! Transitive (call-graph) rules — seeded at entry points and applied to
 //! every function reachable from a seed, with the concrete call chain
@@ -108,7 +112,7 @@ use crate::items::{self, CallSite, FileItems};
 use crate::lex::TokenKind;
 
 /// Names of every rule, for help text.
-pub const RULE_NAMES: [&str; 10] = [
+pub const RULE_NAMES: [&str; 11] = [
     "no-unwrap",
     "no-lossy-cast",
     "no-float-eq",
@@ -118,6 +122,7 @@ pub const RULE_NAMES: [&str; 10] = [
     "no-tick-alloc",
     "determinism",
     "no-global-state",
+    "no-direct-dispatch",
     "panic-free-accounting",
 ];
 
@@ -129,9 +134,8 @@ const JUSTIFIED_RULES: [&str; 2] = ["determinism", "no-global-state"];
 /// asserts it), so the transitive `no-tick-alloc` rule covers at least the
 /// surface the old per-name rule did.
 #[cfg_attr(not(test), allow(dead_code))]
-pub const TICK_PATH_FNS: [&str; 33] = [
+pub const TICK_PATH_FNS: [&str; 32] = [
     "tick",
-    "tick_fast_forward",
     "fast_forward",
     "on_fill",
     "on_fill_batch",
@@ -169,10 +173,9 @@ pub const TICK_PATH_FNS: [&str; 33] = [
 /// entry points of the simulator core and the trace/audit record sinks.
 /// Everything reachable from these inside `crates/gpu-sim/src` (plus
 /// `crates/core/src/audit.rs`) is tick-path.
-pub const TICK_SEEDS: [(&str, &str); 11] = [
+pub const TICK_SEEDS: [(&str, &str); 10] = [
     ("Gpu", "tick"),
     ("Gpu", "fast_forward"),
-    ("Gpu", "tick_fast_forward"),
     ("Sm", "tick"),
     ("Sm", "on_fill"),
     ("Sm", "on_fill_batch"),
@@ -432,6 +435,42 @@ fn global_state(t: &Toks<'_>, i: usize) -> Option<String> {
             }
         }
         _ => None,
+    }
+}
+
+/// Whether `label` is library source (`crates/*/src`, the root `src`).
+/// Every rule but `no-direct-dispatch` reads only these.
+fn is_library(label: &str) -> bool {
+    label.starts_with("src/") || label.contains("/src/")
+}
+
+/// `no-direct-dispatch`: a launch-side `Gpu` call outside the simulator
+/// and the policy layer, test code included.
+fn direct_dispatch_rule(label: &str, src: &str, items: &FileItems, out: &mut Vec<Violation>) {
+    if label.starts_with("crates/gpu-sim/") || label.starts_with("crates/core/src/policy/") {
+        return;
+    }
+    let t = Toks { src, items };
+    for i in 0..t.len() {
+        let method = t.text(i + 1);
+        if matches!(t.text(i), "." | "::")
+            && matches!(method, "try_launch" | "set_window")
+            && t.text(i + 2) == "("
+        {
+            emit(
+                out,
+                items,
+                "no-direct-dispatch",
+                label,
+                t.line(i + 1),
+                format!(
+                    "`{method}` outside the policy layer: only `Slicing` launches CTAs and \
+                     writes partition windows; run the simulation through \
+                     `warped_slicer::Driver` or `execute` under a `PolicyKind`"
+                ),
+                Vec::new(),
+            );
+        }
     }
 }
 
@@ -891,11 +930,13 @@ fn graph_rules(
     }
 }
 
-/// Lints a set of (path label, source text) files as one workspace: all
-/// per-file rules plus the call-graph rules, findings sorted by path, line,
+/// Lints a set of (path label, source text) files as one workspace: the
+/// per-file and call-graph rules over the library sources among them,
+/// `no-direct-dispatch` over all of them; findings sorted by path, line,
 /// and rule, deduplicated.
 #[must_use]
 pub fn lint_files(files: &[(String, String)]) -> Vec<Violation> {
+    let (files, other): (Vec<_>, Vec<_>) = files.iter().cloned().partition(|(l, _)| is_library(l));
     let parsed: Vec<(String, FileItems)> = files
         .iter()
         .map(|(p, s)| (p.clone(), items::parse(s)))
@@ -903,8 +944,12 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Violation> {
     let mut out = Vec::new();
     for ((label, src), (_, items)) in files.iter().zip(&parsed) {
         per_file_rules(label, src, items, &mut out);
+        direct_dispatch_rule(label, src, items, &mut out);
     }
-    graph_rules(files, &parsed, &mut out);
+    for (label, src) in &other {
+        direct_dispatch_rule(label, src, &items::parse(src), &mut out);
+    }
+    graph_rules(&files, &parsed, &mut out);
     out.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -943,20 +988,27 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads every library source under `<root>/crates/*/src` and `<root>/src`
-/// as (workspace-relative label, text) pairs, sorted by path.
+/// Source directories of a package the lint reads: the library sources
+/// every rule checks, and the test, example and bench targets only
+/// `no-direct-dispatch` checks.
+const SOURCE_DIRS: [&str; 4] = ["src", "tests", "examples", "benches"];
+
+/// Reads every Rust source under `<root>/crates/*/` and `<root>/` in the
+/// [`SOURCE_DIRS`] as (workspace-relative label, text) pairs, sorted by
+/// path.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut paths = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            collect_rs_files(&src, &mut paths)?;
-        }
+    let mut packages = vec![root.to_path_buf()];
+    for entry in fs::read_dir(root.join("crates"))? {
+        packages.push(entry?.path());
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        collect_rs_files(&root_src, &mut paths)?;
+    let mut paths = Vec::new();
+    for package in packages {
+        for dir in SOURCE_DIRS {
+            let dir = package.join(dir);
+            if dir.is_dir() {
+                collect_rs_files(&dir, &mut paths)?;
+            }
+        }
     }
     paths.sort();
     let mut files = Vec::new();
@@ -972,8 +1024,8 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(files)
 }
 
-/// Lints every library source under `<root>/crates/*/src` and `<root>/src`,
-/// returning findings sorted by path and line.
+/// Lints every source [`workspace_files`] reads, returning findings sorted
+/// by path and line.
 #[cfg_attr(not(test), allow(dead_code))]
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(lint_files(&workspace_files(root)?))
@@ -1477,10 +1529,11 @@ mod tests {
         include_str!("../fixtures/rule_no_tick_alloc_pool_miss.rs");
     const FIX_NO_TICK_ALLOC_SOA: &str = include_str!("../fixtures/rule_no_tick_alloc_soa.rs");
     const FIX_NO_GLOBAL_STATE: &str = include_str!("../fixtures/rule_no_global_state.rs");
+    const FIX_NO_DIRECT_DISPATCH: &str = include_str!("../fixtures/rule_no_direct_dispatch.rs");
     const FIX_PANIC_FREE: &str = include_str!("../fixtures/rule_panic_free_accounting.rs");
     const FIX_PANIC_FREE_PREDICTOR: &str = include_str!("../fixtures/rule_panic_free_predictor.rs");
 
-    const ALL_FIXTURES: [(&str, &str); 14] = [
+    const ALL_FIXTURES: [(&str, &str); 15] = [
         ("masker_raw_strings.rs", FIX_RAW_STRINGS),
         ("masker_nested_comments.rs", FIX_NESTED_COMMENTS),
         ("rule_no_unwrap.rs", FIX_NO_UNWRAP),
@@ -1493,6 +1546,7 @@ mod tests {
         ("rule_no_tick_alloc.rs", FIX_NO_TICK_ALLOC),
         ("rule_no_tick_alloc_soa.rs", FIX_NO_TICK_ALLOC_SOA),
         ("rule_no_global_state.rs", FIX_NO_GLOBAL_STATE),
+        ("rule_no_direct_dispatch.rs", FIX_NO_DIRECT_DISPATCH),
         ("rule_panic_free_accounting.rs", FIX_PANIC_FREE),
         ("rule_panic_free_predictor.rs", FIX_PANIC_FREE_PREDICTOR),
     ];
@@ -1692,6 +1746,38 @@ mod tests {
             ]
         );
         assert!(v[0].message.contains(".or_default()"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn fixture_no_direct_dispatch_golden() {
+        let f = FIX_NO_DIRECT_DISPATCH;
+        let want = [
+            (
+                "no-direct-dispatch",
+                line_of(f, "while gpu.try_launch(k, s)"),
+            ),
+            ("no-direct-dispatch", line_of(f, "gpu.set_window(0")),
+            ("no-direct-dispatch", line_of(f, "Gpu::try_launch(gpu")),
+            (
+                "no-direct-dispatch",
+                line_of(f, "while gpu.try_launch(k, 0)"),
+            ),
+        ];
+        // Library code, a test target and an example alike; only the
+        // dispatch rule reads the last two.
+        for label in [
+            "crates/bench/src/a.rs",
+            "crates/core/tests/a.rs",
+            "examples/a.rs",
+        ] {
+            assert_eq!(golden(label, f), want, "{label}");
+        }
+        // The simulator and the policy layer own the launch interface.
+        for label in ["crates/gpu-sim/src/gpu.rs", "crates/core/src/policy/mod.rs"] {
+            assert!(golden(label, f).is_empty(), "{label}");
+        }
+        // Outside the policy module the core crate is covered.
+        assert_eq!(golden("crates/core/src/runner.rs", f), want);
     }
 
     #[test]

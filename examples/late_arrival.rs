@@ -6,9 +6,11 @@
 //! cargo run --release --example late_arrival [FIRST] [SECOND] [ARRIVAL_CYCLE]
 //! ```
 
-use warped_slicer_repro::gpu_sim::{Gpu, GpuConfig, KernelId, SchedulerKind};
+use warped_slicer_repro::gpu_sim::KernelId;
 use warped_slicer_repro::warped_slicer::policy::Controller;
-use warped_slicer_repro::warped_slicer::{WarpedSlicerConfig, WarpedSlicerController};
+use warped_slicer_repro::warped_slicer::{
+    Driver, RunConfig, WarpedSlicerConfig, WarpedSlicerController,
+};
 use warped_slicer_repro::ws_workloads::by_abbrev;
 
 fn main() {
@@ -22,9 +24,9 @@ fn main() {
         std::process::exit(1);
     };
 
-    let mut gpu = Gpu::new(GpuConfig::isca_baseline(), SchedulerKind::GreedyThenOldest);
-    let ka = gpu.add_kernel(a.desc.clone());
-    let mut controller = WarpedSlicerController::new(WarpedSlicerConfig::scaled_for(60_000));
+    let controller = WarpedSlicerController::new(WarpedSlicerConfig::scaled_for(60_000));
+    let mut run = Driver::with_controller(&RunConfig::default(), Box::new(controller));
+    let ka = run.add_kernel(a.desc.clone());
 
     println!("cycle {:>6}: {} launches alone", 0, a.abbrev);
     let mut kb: Option<KernelId> = None;
@@ -32,12 +34,12 @@ fn main() {
     let total = arrival * 3;
     for now in 0..total {
         if now == arrival {
-            kb = Some(gpu.add_kernel(b.desc.clone()));
+            kb = Some(run.add_kernel(b.desc.clone()));
             println!("cycle {now:>6}: {} arrives -> re-profiling", b.abbrev);
         }
-        controller.on_cycle(&mut gpu);
-        gpu.tick();
-        if let Some(d) = controller.decision() {
+        // One cycle per step, so every decision is seen as it is made.
+        run.advance_to(now + 1);
+        if let Some(d) = run.controller().decision() {
             if d.decided_at != last_decision_at {
                 last_decision_at = d.decided_at;
                 match (&d.quotas, d.spatial_fallback) {
@@ -56,6 +58,7 @@ fn main() {
         }
     }
 
+    let gpu = run.gpu();
     println!("\nAfter {total} cycles:");
     println!(
         "  {}: {:>10} warp instructions (ran the whole time)",
@@ -69,7 +72,10 @@ fn main() {
             gpu.kernel_insts(kb)
         );
     }
-    println!("  re-profiles triggered: {}", controller.reprofile_count());
+    println!(
+        "  re-profiles triggered: {}",
+        run.controller().reprofile_count()
+    );
     let sm0 = gpu.sm(0);
     println!(
         "  SM0 residency: {} x {} CTAs + {} x {} CTAs",

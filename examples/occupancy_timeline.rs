@@ -9,9 +9,8 @@
 //! cargo run --release --example occupancy_timeline [BENCH_A] [BENCH_B]
 //! ```
 
-use warped_slicer_repro::gpu_sim::{Gpu, GpuConfig, SchedulerKind};
-use warped_slicer_repro::warped_slicer::policy::Controller;
-use warped_slicer_repro::warped_slicer::{WarpedSlicerConfig, WarpedSlicerController};
+use warped_slicer_repro::gpu_sim::KernelId;
+use warped_slicer_repro::warped_slicer::{Driver, PolicyKind, RunConfig, WarpedSlicerConfig};
 use warped_slicer_repro::ws_workloads::by_abbrev;
 
 fn main() {
@@ -23,17 +22,19 @@ fn main() {
         std::process::exit(1);
     };
 
-    let mut gpu = Gpu::new(GpuConfig::isca_baseline(), SchedulerKind::GreedyThenOldest);
-    gpu.add_kernel(ba.desc.clone());
-    gpu.add_kernel(bb.desc.clone());
-    let mut controller = WarpedSlicerController::new(WarpedSlicerConfig::scaled_for(60_000));
+    let mut run = Driver::new(
+        &RunConfig::default(),
+        &[ba.desc.clone(), bb.desc.clone()],
+        &PolicyKind::WarpedSlicer(WarpedSlicerConfig::scaled_for(60_000)),
+    );
+    let num_sms = run.gpu().num_sms();
 
     println!(
         "{}:{} residency per SM over time ({} = kernel 0, {} = kernel 1)\n",
         ba.abbrev, bb.abbrev, ba.abbrev, bb.abbrev
     );
     print!("{:>7} ", "cycle");
-    for s in 0..gpu.num_sms() {
+    for s in 0..num_sms {
         print!("{s:^5}");
     }
     println!(" phase");
@@ -42,17 +43,17 @@ fn main() {
     let step = 4_000u64;
     let mut decided_at = None;
     for now in 0..total {
-        controller.on_cycle(&mut gpu);
-        gpu.tick();
+        // One cycle per step, so the first decision is seen as it is made.
+        run.advance_to(now + 1);
         if decided_at.is_none() {
-            if let Some(d) = controller.decision() {
+            if let Some(d) = run.controller().decision() {
                 decided_at = Some((d.decided_at, d.quotas.clone(), d.spatial_fallback));
             }
         }
         if now % step == step - 1 {
             print!("{:>7} ", now + 1);
-            for s in 0..gpu.num_sms() {
-                let sm = gpu.sm(s);
+            for s in 0..num_sms {
+                let sm = run.gpu().sm(s);
                 print!("{:>2}:{:<2}", sm.kernel_ctas(0), sm.kernel_ctas(1));
             }
             let phase = match &decided_at {
@@ -68,15 +69,12 @@ fn main() {
             println!(" {phase}");
         }
     }
+    let gpu = run.gpu();
     println!(
         "\nkernel instructions: {} = {}, {} = {}",
         ba.abbrev,
-        gpu.kernel_insts(gpu_sim_id(0)),
+        gpu.kernel_insts(KernelId(0)),
         bb.abbrev,
-        gpu.kernel_insts(gpu_sim_id(1)),
+        gpu.kernel_insts(KernelId(1)),
     );
-}
-
-fn gpu_sim_id(i: usize) -> warped_slicer_repro::gpu_sim::KernelId {
-    warped_slicer_repro::gpu_sim::KernelId(i)
 }

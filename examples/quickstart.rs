@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart [BENCH] [CYCLES]
 //! ```
 
-use warped_slicer_repro::gpu_sim::{Gpu, GpuConfig, SchedulerKind, StallReason};
+use warped_slicer_repro::gpu_sim::KernelId;
+use warped_slicer_repro::warped_slicer::{collect_stats, Driver, PolicyKind, RunConfig};
 use warped_slicer_repro::ws_workloads::by_abbrev;
 
 fn main() {
@@ -23,16 +24,15 @@ fn main() {
         bench.abbrev, bench.full_name, cycles
     );
 
-    let mut gpu = Gpu::new(GpuConfig::isca_baseline(), SchedulerKind::GreedyThenOldest);
-    let k = gpu.add_kernel(bench.desc.clone());
-
-    // Simple Left-Over-style driver: keep every SM as full as it can be.
-    for _ in 0..cycles {
-        for s in 0..gpu.num_sms() {
-            while gpu.try_launch(k, s) {}
-        }
-        gpu.tick();
-    }
+    // Left-Over keeps every SM as full as it can be.
+    let mut run = Driver::new(
+        &RunConfig::default(),
+        std::slice::from_ref(&bench.desc),
+        &PolicyKind::LeftOver,
+    );
+    run.advance_to(cycles);
+    let gpu = run.gpu();
+    let k = KernelId(0);
 
     println!("  instructions : {}", gpu.kernel_insts(k));
     println!("  IPC (GPU)    : {:.2}", gpu.total_ipc());
@@ -49,39 +49,18 @@ fn main() {
         100.0 * gpu.mem().dram_busy_fraction(cycles)
     );
 
-    let mut stalls = gpu_stall_fractions(&gpu, cycles);
-    stalls.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let stalls = collect_stats(gpu).stalls;
+    let total = (cycles * 16 * 2) as f64;
+    let mut profile = [
+        ("long memory", stalls.mem),
+        ("short RAW", stalls.raw),
+        ("exec resource", stalls.exec),
+        ("ibuffer empty", stalls.ibuffer),
+    ]
+    .map(|(name, n)| (name, n as f64 / total));
+    profile.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("  stall profile (scheduler-cycles):");
-    for (name, frac) in stalls {
+    for (name, frac) in profile {
         println!("    {name:<18} {:5.1}%", frac * 100.0);
     }
-}
-
-fn gpu_stall_fractions(gpu: &Gpu, cycles: u64) -> Vec<(&'static str, f64)> {
-    let total = (cycles * 16 * 2) as f64;
-    let mut sum = gpu_sim_stalls(gpu);
-    for (_, v) in &mut sum {
-        *v /= total;
-    }
-    sum
-}
-
-fn gpu_sim_stalls(gpu: &Gpu) -> Vec<(&'static str, f64)> {
-    let mut mem = 0.0;
-    let mut raw = 0.0;
-    let mut exec = 0.0;
-    let mut ib = 0.0;
-    for sm in gpu.sms() {
-        let s = &sm.stats().stalls;
-        mem += s.get(StallReason::LongMemoryLatency) as f64;
-        raw += s.get(StallReason::ShortRawHazard) as f64;
-        exec += s.get(StallReason::ExecResource) as f64;
-        ib += s.get(StallReason::IbufferEmpty) as f64;
-    }
-    vec![
-        ("long memory", mem),
-        ("short RAW", raw),
-        ("exec resource", exec),
-        ("ibuffer empty", ib),
-    ]
 }
