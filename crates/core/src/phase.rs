@@ -90,12 +90,6 @@ impl PhaseMonitor {
         false
     }
 
-    /// Clears the baseline (e.g., after an externally triggered re-profile).
-    pub fn reset(&mut self) {
-        self.baseline = None;
-        self.deviant_windows = 0;
-    }
-
     /// The current baseline IPC, if established.
     #[must_use]
     pub fn baseline(&self) -> Option<f64> {
@@ -175,15 +169,6 @@ mod tests {
             m.observe(1.0),
             "any activity after a dead window is a change"
         );
-    }
-
-    #[test]
-    fn reset_forgets_baseline() {
-        let mut m = PhaseMonitor::new(0.3, 1);
-        let _ = m.observe(2.0);
-        m.reset();
-        assert_eq!(m.baseline(), None);
-        assert!(!m.observe(10.0), "first window after reset is the baseline");
     }
 
     #[test]

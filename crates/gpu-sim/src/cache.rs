@@ -38,6 +38,9 @@ pub enum ProbeResult {
 pub struct SetAssocCache {
     sets: Vec<CacheLine>,
     num_sets: u64,
+    /// `log2(num_sets)` when the set count is a power of two, so a line
+    /// splits into set and tag with a mask and a shift.
+    set_bits: Option<u32>,
     assoc: usize,
     clock: u64,
     accesses: u64,
@@ -69,6 +72,9 @@ impl SetAssocCache {
                 (lines) as usize
             ],
             num_sets,
+            set_bits: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
             assoc: assoc as usize,
             clock: 0,
             accesses: 0,
@@ -76,8 +82,16 @@ impl SetAssocCache {
         }
     }
 
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let set = (line % self.num_sets) as usize;
+    /// The set `line` maps to (`line % num_sets`) and its tag
+    /// (`line / num_sets`).
+    fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
+        match self.set_bits {
+            Some(bits) => ((line & (self.num_sets - 1)) as usize, line >> bits),
+            None => ((line % self.num_sets) as usize, line / self.num_sets),
+        }
+    }
+
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
         set * self.assoc..(set + 1) * self.assoc
     }
 
@@ -85,9 +99,9 @@ impl SetAssocCache {
     pub fn access(&mut self, line: LineAddr) -> ProbeResult {
         self.clock += 1;
         self.accesses += 1;
-        let tag = line / self.num_sets;
+        let (set, tag) = self.set_and_tag(line);
         let clock = self.clock;
-        let range = self.set_range(line);
+        let range = self.set_range(set);
         for way in &mut self.sets[range] {
             if way.valid && way.tag == tag {
                 way.last_use = clock;
@@ -101,8 +115,8 @@ impl SetAssocCache {
     /// Probes without touching LRU or statistics.
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> bool {
-        let tag = line / self.num_sets;
-        self.sets[self.set_range(line)]
+        let (set, tag) = self.set_and_tag(line);
+        self.sets[self.set_range(set)]
             .iter()
             .any(|w| w.valid && w.tag == tag)
     }
@@ -111,9 +125,9 @@ impl SetAssocCache {
     /// an already-present line refreshes its LRU position.
     pub fn fill(&mut self, line: LineAddr) {
         self.clock += 1;
-        let tag = line / self.num_sets;
+        let (set, tag) = self.set_and_tag(line);
         let clock = self.clock;
-        let range = self.set_range(line);
+        let range = self.set_range(set);
         let set = &mut self.sets[range];
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.last_use = clock;
@@ -142,15 +156,6 @@ impl SetAssocCache {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Drops all lines and statistics.
-    pub fn reset(&mut self) {
-        for w in &mut self.sets {
-            w.valid = false;
-        }
-        self.accesses = 0;
-        self.misses = 0;
     }
 }
 
@@ -233,15 +238,45 @@ mod tests {
         }
     }
 
+    /// The division-based set and tag the mask-and-shift split replaced.
+    fn reference_set_and_tag(num_sets: u64, line: LineAddr) -> (usize, u64) {
+        ((line % num_sets) as usize, line / num_sets)
+    }
+
     #[test]
-    fn reset_clears_everything() {
-        let mut c = small();
-        c.fill(1);
-        let _ = c.access(1);
-        c.reset();
-        assert!(!c.peek(1));
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.misses(), 0);
+    fn set_and_tag_is_the_reference_division() {
+        let cfg = crate::config::GpuConfig::isca_baseline();
+        let geometries = [
+            (cfg.l1.size_bytes, cfg.l1.assoc, cfg.l1.line_bytes, Some(5)),
+            (
+                cfg.l2.size_bytes_per_channel,
+                cfg.l2.assoc,
+                cfg.l2.line_bytes,
+                Some(7),
+            ),
+            // 48 sets: not a power of two, so the division stays.
+            (48 * 4 * 128, 4, 128, None),
+        ];
+        let mut rng = crate::rng::SimRng::seed_from_u64(0xcac4e);
+        for (size, assoc, line_bytes, set_bits) in geometries {
+            let c = SetAssocCache::new(size, assoc, line_bytes);
+            assert_eq!(c.set_bits, set_bits, "{size} B / {assoc}-way");
+            for i in 0..100_000u64 {
+                // Small lines (the simulator's footprints), full-width ones
+                // and the edges.
+                let line = match i % 4 {
+                    0 => i,
+                    1 => u64::MAX - i,
+                    2 => rng.range_u64(1 << 24),
+                    _ => rng.next_u64(),
+                };
+                assert_eq!(
+                    c.set_and_tag(line),
+                    reference_set_and_tag(c.num_sets, line),
+                    "line {line:#x} in {size} B / {assoc}-way"
+                );
+            }
+        }
     }
 
     #[test]

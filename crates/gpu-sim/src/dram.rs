@@ -36,10 +36,19 @@ struct Bank {
     open_row: Option<u64>,
 }
 
+/// A queued request with the bank and row its line maps to, computed once
+/// at [`DramChannel::enqueue`].
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    req: DramRequest,
+    bank: usize,
+    row: u64,
+}
+
 /// One GDDR5 channel: bounded queue, banks, row-buffer state.
 #[derive(Debug)]
 pub struct DramChannel {
-    queue: VecDeque<DramRequest>,
+    queue: VecDeque<Queued>,
     banks: Vec<Bank>,
     lines_per_row: u64,
     queue_capacity: usize,
@@ -115,7 +124,8 @@ impl DramChannel {
     /// Panics if the queue is full; callers must check [`Self::can_accept`].
     pub fn enqueue(&mut self, req: DramRequest) {
         assert!(self.can_accept(), "DRAM queue overflow");
-        self.queue.push_back(req);
+        let (bank, row) = self.bank_and_row(req.line);
+        self.queue.push_back(Queued { req, bank, row });
     }
 
     fn bank_and_row(&self, line: LineAddr) -> (usize, u64) {
@@ -135,19 +145,10 @@ impl DramChannel {
         if self.queue.is_empty() {
             return None;
         }
-        // FR-FCFS: oldest row-hit first, else the oldest request.
-        let pick = self
-            .queue
-            .iter()
-            .position(|r| {
-                let (bank, row) = self.bank_and_row(r.line);
-                self.banks[bank].open_row == Some(row)
-            })
-            .unwrap_or(0);
-        // Invariant: `pick` came from enumerating this queue above.
+        let pick = self.fr_fcfs_pick();
+        // Invariant: `pick` came from enumerating this queue.
         // xtask-allow: no-unwrap
-        let req = self.queue.remove(pick).expect("index in range");
-        let (bank, row) = self.bank_and_row(req.line);
+        let Queued { req, bank, row } = self.queue.remove(pick).expect("index in range");
         let latency = match self.banks[bank].open_row {
             Some(open) if open == row => {
                 self.row_hits += 1;
@@ -164,6 +165,15 @@ impl DramChannel {
             req,
             ready_at: now + latency,
         })
+    }
+
+    /// The queue index FR-FCFS serves next: the oldest request hitting its
+    /// bank's open row, else the oldest request (index 0).
+    fn fr_fcfs_pick(&self) -> usize {
+        self.queue
+            .iter()
+            .position(|q| self.banks[q.bank].open_row == Some(q.row))
+            .unwrap_or(0)
     }
 
     /// The earliest cycle `>= from` at which this channel can dispatch a
@@ -331,6 +341,56 @@ mod tests {
             ch.enqueue(req(i, i));
         }
         assert!(!ch.can_accept());
+    }
+
+    /// The FR-FCFS pick the stored `(bank, row)` replaced: it recomputes
+    /// each queued line's bank and row on every scan.
+    fn reference_pick(ch: &DramChannel) -> usize {
+        let banks = ch.banks.len() as u64;
+        ch.queue
+            .iter()
+            .position(|q| {
+                let bank = (q.req.line % banks) as usize;
+                let row = q.req.line / banks / ch.lines_per_row;
+                ch.banks[bank].open_row == Some(row)
+            })
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn fr_fcfs_pick_is_the_reference_scan() {
+        let mut rng = crate::rng::SimRng::seed_from_u64(0xd7a3);
+        // Picks that skipped older requests for a row hit, and picks that
+        // found no row hit and fell back to the oldest.
+        let (mut reordered, mut fallback) = (0, 0);
+        for trial in 0..5_000u64 {
+            let mut ch = channel();
+            let banks = ch.banks.len() as u64;
+            // Four rows per bank, so queued lines often meet an open row.
+            let rows = 4;
+            for bank in &mut ch.banks {
+                bank.open_row = (rng.range_u64(4) != 0).then(|| rng.range_u64(rows));
+            }
+            let len = 1 + rng.range_usize(ch.queue_capacity);
+            for i in 0..len as u64 {
+                let line = rng.range_u64(banks * ch.lines_per_row * rows);
+                ch.enqueue(req(line, i));
+            }
+            let pick = reference_pick(&ch);
+            assert_eq!(ch.fr_fcfs_pick(), pick, "trial {trial}");
+            let served = ch.queue[pick].req;
+            let row_hit = ch.banks[(served.line % banks) as usize].open_row
+                == Some(served.line / banks / ch.lines_per_row);
+            reordered += usize::from(pick > 0);
+            fallback += usize::from(!row_hit);
+            let done = ch.tick(trial).expect("a free bus dispatches");
+            assert_eq!(done.req, served, "trial {trial}");
+            assert_eq!(ch.row_hits(), u64::from(row_hit), "trial {trial}");
+        }
+        assert!(
+            reordered > 1_000 && fallback > 500,
+            "{reordered} reordered, {fallback} fell back to the oldest"
+        );
     }
 
     #[test]

@@ -102,6 +102,12 @@ pub struct Sm {
     lsu_lines: Box<[LineAddr]>,
     finished_buf: Vec<usize>,
     waiter_buf: Vec<MshrWaiter>,
+    /// Initiation intervals of the ALU, SFU and LSU pipelines: the cycles
+    /// one warp instruction occupies the unit (`WARP_SIZE / width`).
+    /// Fixed by the configuration, so [`Sm::new`] divides once.
+    alu_ii: u64,
+    sfu_ii: u64,
+    lsu_ii: u32,
     fetch_ptr: usize,
     /// Cycle stamp of the most recent `tick`, for the strict monotonicity
     /// check (`None` before the first tick).
@@ -128,13 +134,37 @@ pub struct Sm {
     /// change (fetch/issue/LSU work, fill, launch, eviction) occurred.
     horizon: u64,
     horizon_valid: bool,
+    /// The live mask last counted into the occupancy accumulator and its
+    /// popcount, so a cycle whose mask did not change adds the count kept.
+    live_seen: u64,
+    live_count: u32,
 }
 
 impl Sm {
     /// Creates SM `id` under configuration `cfg` with the given warp
     /// scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics ("invalid functional-unit width") if the SIMT, SFU or LSU
+    /// width is zero or above [`SmConfig::WARP_SIZE`]: a zero width has no
+    /// initiation interval, and a wider unit would take a warp instruction
+    /// in zero cycles and never be busy.
+    ///
+    /// [`SmConfig::WARP_SIZE`]: crate::config::SmConfig::WARP_SIZE
     #[must_use]
     pub fn new(id: usize, cfg: &GpuConfig, scheduler: SchedulerKind) -> Self {
+        let warp_size = crate::config::SmConfig::WARP_SIZE;
+        let ii = |unit: &str, width: u32| {
+            assert!(
+                (1..=warp_size).contains(&width),
+                "invalid functional-unit width: {unit} width {width} is not in 1..={warp_size}"
+            );
+            warp_size / width
+        };
+        let alu_ii = u64::from(ii("SIMT", cfg.sm.simt_width));
+        let sfu_ii = u64::from(ii("SFU", cfg.sm.sfu_width));
+        let lsu_ii = ii("LSU", cfg.sm.lsu_width);
         let max_warps = cfg.sm.max_warps() as usize;
         let num_sched = cfg.sm.num_schedulers as usize;
         let schedulers: Vec<SchedulerState> = (0..num_sched)
@@ -163,6 +193,9 @@ impl Sm {
             finished_buf: Vec::with_capacity(8),
             // One fill hands back at most the MSHR's merge bound.
             waiter_buf: Vec::with_capacity(cfg.l1.mshr_max_merged.max(1) as usize),
+            alu_ii,
+            sfu_ii,
+            lsu_ii,
             fetch_ptr: 0,
             last_tick: None,
             table: WarpTable::new(max_warps),
@@ -171,6 +204,8 @@ impl Sm {
             lsu_busy_mask: 0,
             horizon: 0,
             horizon_valid: false,
+            live_seen: 0,
+            live_count: 0,
         }
     }
 
@@ -494,10 +529,14 @@ impl Sm {
     }
 
     fn fetch_stage(&mut self, now: u64, descs: &[KernelDesc]) -> bool {
-        let n = self.warps.len();
         // The round-robin pointer advances whether or not anything fetched,
-        // so the fast-forward bulk replay stays bit-exact.
-        self.fetch_ptr = (self.fetch_ptr + 1) % n.max(1);
+        // so the fast-forward bulk replay stays bit-exact. The walk starts
+        // at the pointer before it advances.
+        let start = self.fetch_ptr;
+        self.fetch_ptr += 1;
+        if self.fetch_ptr >= self.warps.len() {
+            self.fetch_ptr = 0;
+        }
         if self.table.resident_mask() == 0 {
             return false;
         }
@@ -520,7 +559,6 @@ impl Sm {
         let mut budget = self.cfg.sm.fetch_width;
         let mut fetched = false;
         // Round-robin over warp slots so no warp starves the shared port.
-        let start = (self.fetch_ptr + n - 1) % n.max(1);
         let mut m = due.rotate_right(start as u32);
         while m != 0 && budget != 0 {
             let slot = (start + m.trailing_zeros() as usize) & 63;
@@ -591,25 +629,22 @@ impl Sm {
         let program = &desc.program;
         let inst = warp.head().expect("non-empty i-buffer"); // xtask-allow: no-unwrap
         let unit = &mut self.units[sched_id];
-        let warp_size = u64::from(crate::config::SmConfig::WARP_SIZE);
         match inst.op {
             OpClass::Alu => {
-                let ii = warp_size / u64::from(sm_cfg.simt_width);
-                unit.alu_busy_until = now + ii;
-                self.stats.alu_busy += ii;
+                unit.alu_busy_until = now + self.alu_ii;
+                self.stats.alu_busy += self.alu_ii;
                 let _ = warp.issue(now, u64::from(sm_cfg.alu_latency), program);
             }
             OpClass::Sfu => {
-                let ii = warp_size / u64::from(sm_cfg.sfu_width);
-                unit.sfu_busy_until = now + ii;
-                self.stats.sfu_busy += ii;
+                unit.sfu_busy_until = now + self.sfu_ii;
+                self.stats.sfu_busy += self.sfu_ii;
                 let _ = warp.issue(now, u64::from(sm_cfg.sfu_latency), program);
             }
             OpClass::SharedMem => {
                 // Bank conflicts serialize the access: both the LSU
                 // occupancy and the result latency scale with the degree.
                 let degree = desc.shmem_conflict_degree.max(1);
-                let base = (warp_size / u64::from(sm_cfg.lsu_width)) as u32;
+                let base = self.lsu_ii;
                 let latency = u64::from(sm_cfg.shmem_latency) + u64::from((degree - 1) * base);
                 let _ = warp.issue(now, latency, program);
                 unit.lsu = Some(LsuOp {
@@ -659,7 +694,7 @@ impl Sm {
                     kind,
                     next: 0,
                     end: n,
-                    cycles_left: (warp_size / u64::from(sm_cfg.lsu_width)) as u32,
+                    cycles_left: self.lsu_ii,
                 });
             }
         }
@@ -862,8 +897,18 @@ impl Sm {
         self.stats.reg_used_acc += u128::from(self.resources.regs.used());
         self.stats.shmem_used_acc += u128::from(self.resources.shmem.used());
         self.stats.threads_used_acc += u128::from(self.resources.threads_used());
-        // One popcount replaces the old per-warp occupancy accumulation.
-        self.stats.warps_active_acc += u128::from(self.table.live().count_ones());
+        self.stats.warps_active_acc += u128::from(self.live_warps());
+    }
+
+    /// Live warps: the popcount of the table's live mask, recounted only
+    /// when the mask changed since the last call.
+    fn live_warps(&mut self) -> u32 {
+        let live = self.table.live();
+        if live != self.live_seen {
+            self.live_seen = live;
+            self.live_count = live.count_ones();
+        }
+        self.live_count
     }
 
     /// The earliest future cycle `>= from` at which this SM can change
@@ -964,8 +1009,7 @@ impl Sm {
         self.stats.threads_used_acc += u128::from(self.resources.threads_used()) * u128::from(span);
         // live() is constant over a dead span: residency and finished bits
         // change only at issue/launch/release, all of which end spans.
-        self.stats.warps_active_acc +=
-            u128::from(self.table.live().count_ones()) * u128::from(span);
+        self.stats.warps_active_acc += u128::from(self.live_warps()) * u128::from(span);
         self.stats.cycles += span;
         self.last_tick = Some(to - 1);
     }
@@ -1037,6 +1081,42 @@ mod tests {
             }
         }
         kernel_insts
+    }
+
+    #[test]
+    fn unit_widths_outside_one_to_the_warp_size_are_rejected() {
+        let warp = crate::config::SmConfig::WARP_SIZE;
+        // A unit's name, its width setter and its initiation interval.
+        type Unit = (&'static str, fn(&mut GpuConfig, u32), fn(&Sm) -> u64);
+        let units: [Unit; 3] = [
+            ("SIMT", |c, w| c.sm.simt_width = w, |sm| sm.alu_ii),
+            ("SFU", |c, w| c.sm.sfu_width = w, |sm| sm.sfu_ii),
+            ("LSU", |c, w| c.sm.lsu_width = w, |sm| u64::from(sm.lsu_ii)),
+        ];
+        for (unit, set_width, ii) in units {
+            for (width, expect) in [(0, None), (1, Some(32)), (12, Some(2)), (warp, Some(1))]
+                .into_iter()
+                .chain([(warp + 1, None), (u32::MAX, None)])
+            {
+                let mut cfg = GpuConfig::isca_baseline();
+                set_width(&mut cfg, width);
+                let built = std::panic::catch_unwind(|| {
+                    ii(&Sm::new(0, &cfg, SchedulerKind::GreedyThenOldest))
+                });
+                match (built, expect) {
+                    (Ok(got), Some(want)) => assert_eq!(got, want, "{unit} width {width}"),
+                    (Err(e), None) => {
+                        let msg = e.downcast_ref::<String>().expect("formatted panic");
+                        assert!(
+                            msg.contains("invalid functional-unit width")
+                                && msg.contains(&format!("{unit} width {width} ")),
+                            "{msg}"
+                        );
+                    }
+                    (built, _) => panic!("{unit} width {width}: {:?}", built.map_err(|_| ())),
+                }
+            }
+        }
     }
 
     #[test]

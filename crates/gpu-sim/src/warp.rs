@@ -23,38 +23,44 @@ pub struct LoadTracker {
 }
 
 /// A resident warp.
+///
+/// `repr(C)` keeps the fields in the order below: the scalars that fetch
+/// and issue read every time (the i-buffer window, the fetch state, the
+/// head instruction, the issue count) share the first two cache lines,
+/// ahead of the register stamps and the cold load and address state.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Warp {
-    /// Owning kernel.
-    pub kernel: KernelId,
-    /// CTA slot within the SM this warp belongs to.
-    pub cta_slot: usize,
-    /// Slot-recycling generation (checked by late memory fills).
-    pub gen: u32,
-    /// Launch order stamp used by the greedy-then-oldest scheduler.
-    pub launch_seq: u64,
-    /// Dynamic warp instructions issued so far.
-    pub insts_issued: u64,
-    /// Whether the warp is parked at a CTA-wide barrier.
-    pub at_barrier: bool,
-    total_insts: u64,
-    /// Body pc of the next instruction to fetch.
-    pc: usize,
-    body_len: usize,
-    iters_left: u32,
     /// The i-buffer is a window onto the program: the `ib_len` body
     /// instructions from `head_pc` on, wrapping at `body_len`. Only its
     /// head is decoded, into `head_inst`, which is stale while the window
     /// is empty.
     ib_len: usize,
     ibuffer_cap: usize,
-    head_inst: Inst,
     head_pc: usize,
+    body_len: usize,
+    /// Body pc of the next instruction to fetch.
+    pc: usize,
     fetch_ready: u64,
+    /// Dynamic warp instructions issued so far.
+    pub insts_issued: u64,
+    head_inst: Inst,
+    /// Whether the warp is parked at a CTA-wide barrier.
+    pub at_barrier: bool,
+    iters_left: u32,
+    /// Slot-recycling generation (checked by late memory fills).
+    pub gen: u32,
     fetch_count: u64,
+    total_insts: u64,
+    /// Launch order stamp used by the greedy-then-oldest scheduler.
+    pub launch_seq: u64,
+    /// Owning kernel.
+    pub kernel: KernelId,
+    /// CTA slot within the SM this warp belongs to.
+    pub cta_slot: usize,
+    next_load_id: u32,
     reg_ready: [u64; NUM_VIRTUAL_REGS],
     loads: Vec<LoadTracker>,
-    next_load_id: u32,
     /// Global-memory address stream for this warp.
     pub stream: AddressStream,
 }
@@ -304,6 +310,9 @@ impl Warp {
 /// the far set.
 const WHEEL: u64 = 64;
 
+/// Warp slots a [`WarpTable`] holds: one bit each of a `u64` mask.
+const SLOTS: usize = 64;
+
 /// Index of the calendar over head readiness (`WarpTable::head_ready`).
 const HEAD: usize = 0;
 /// Index of the calendar over fetch readiness (`WarpTable::fetch_at`).
@@ -375,7 +384,7 @@ impl Calendars {
     /// `WHEEL` later, and far slots within reach of the ring move into
     /// their buckets. A jump of a whole ring or more would alias buckets,
     /// so it rebuilds instead.
-    fn advance(&mut self, stamps: [&[u64]; 2], now: u64) {
+    fn advance(&mut self, stamps: [&[u64; SLOTS]; 2], now: u64) {
         if now - self.clock >= WHEEL {
             self.rebuild(stamps, now);
             return;
@@ -393,7 +402,7 @@ impl Calendars {
 
     /// Moves the far slots whose stamps now lie within the ring into their
     /// buckets.
-    fn migrate(&mut self, stamps: [&[u64]; 2]) {
+    fn migrate(&mut self, stamps: [&[u64; SLOTS]; 2]) {
         let last = self.clock + (WHEEL - 1);
         for k in [HEAD, FETCH] {
             let mut m = self.far[k];
@@ -413,7 +422,7 @@ impl Calendars {
     /// bucketed stamp lies before the old clock plus `WHEEL`, so each of
     /// those slots has woken and only its bucket needs emptying; the far
     /// slots are filed again from their stamps.
-    fn rebuild(&mut self, stamps: [&[u64]; 2], now: u64) {
+    fn rebuild(&mut self, stamps: [&[u64; SLOTS]; 2], now: u64) {
         self.clock = now;
         for k in [HEAD, FETCH] {
             let mut woke = self.pending[k] & !self.far[k];
@@ -478,7 +487,8 @@ impl Calendars {
 /// selection, stall classification, and fetch eligibility are mask
 /// arithmetic — the RAW and fetch-due sets are read off the calendars, as
 /// of the table clock — instead of per-warp pointer chases.
-/// Capacity is one `u64` of slots — `Sm::new` asserts `max_warps <= 64`.
+/// Capacity is one `u64` of slots ([`SLOTS`]); [`WarpTable::new`] rejects
+/// more.
 #[derive(Debug, Clone)]
 pub struct WarpTable {
     /// Occupied slots (whether or not the warp has finished issuing).
@@ -500,12 +510,16 @@ pub struct WarpTable {
     head_barrier: u64,
     /// Slots whose fetch port can open on its own (`fetch_at != u64::MAX`).
     fetch_open: u64,
+    /// Slots in use, `0..n_slots`; the stamp arrays hold [`SLOTS`] inline
+    /// so a stamp read is no pointer hop, and entries past `n_slots` stay
+    /// at their vacant values.
+    n_slots: usize,
     /// Sentinel-encoded head readiness per slot (see [`Warp::head_state`]).
-    head_ready: Vec<u64>,
+    head_ready: [u64; SLOTS],
     /// Sentinel-encoded fetch readiness (see [`Warp::fetch_ready_at`]).
-    fetch_at: Vec<u64>,
+    fetch_at: [u64; SLOTS],
     /// Launch-order stamp per slot (greedy-then-oldest key).
-    launch_seq: Vec<u64>,
+    launch_seq: [u64; SLOTS],
     /// Wakeup calendars over `head_ready` (whose pending set is the RAW
     /// set) and `fetch_at` (the open slots whose fetch port is not yet due).
     cal: Calendars,
@@ -529,26 +543,56 @@ pub struct IssueClasses {
     pub barrier: u64,
 }
 
+/// The Fig. 1 stall classes in priority order, as [`IssueClasses::stall_masks`]
+/// lists their masks.
+const STALL_ORDER: [StallReason; 5] = [
+    StallReason::LongMemoryLatency,
+    StallReason::ShortRawHazard,
+    StallReason::ExecResource,
+    StallReason::IbufferEmpty,
+    StallReason::Barrier,
+];
+
 impl IssueClasses {
+    /// The five stall-class masks in [`STALL_ORDER`].
+    fn stall_masks(&self) -> [u64; 5] {
+        [self.mem, self.raw, self.exec, self.ibuffer, self.barrier]
+    }
+
     /// The reason a cycle that issued nothing is charged to: the class
     /// blocking the most warps, ties broken in the paper's Fig. 1 priority
     /// order (the *first* maximum wins), or `Idle` with no candidate warp.
+    /// Most stalled cycles have one non-empty class, which wins without a
+    /// count; only two or more non-empty classes are counted.
     #[must_use]
     pub fn stall_reason(&self) -> StallReason {
-        let counts = [
-            (self.mem.count_ones(), StallReason::LongMemoryLatency),
-            (self.raw.count_ones(), StallReason::ShortRawHazard),
-            (self.exec.count_ones(), StallReason::ExecResource),
-            (self.ibuffer.count_ones(), StallReason::IbufferEmpty),
-            (self.barrier.count_ones(), StallReason::Barrier),
-        ];
-        let mut best = (0, StallReason::Idle);
-        for c in counts {
-            if c.0 > best.0 {
-                best = c;
-            }
+        let classes = self.stall_masks();
+        // Bit `i` is set when class `i` blocks any warp.
+        let nonempty = classes
+            .iter()
+            .enumerate()
+            .fold(0u32, |acc, (i, &mask)| acc | (u32::from(mask != 0) << i));
+        match nonempty {
+            0 => StallReason::Idle,
+            one if one & (one - 1) == 0 => STALL_ORDER[one.trailing_zeros() as usize],
+            _ => Self::most_blocked(classes),
         }
-        best.1
+    }
+
+    /// The first class of `classes` with the most warps, or `Idle` when
+    /// every class is empty. Branch-free: each class's key is its count
+    /// above its inverted index, so the largest key has the largest count
+    /// and, among equal counts, the first index.
+    fn most_blocked(classes: [u64; 5]) -> StallReason {
+        let mut best = 0;
+        for (i, mask) in (0u32..).zip(classes) {
+            best = best.max(mask.count_ones() << 3 | (7 - i));
+        }
+        if best >> 3 == 0 {
+            StallReason::Idle
+        } else {
+            STALL_ORDER[(7 - (best & 7)) as usize]
+        }
     }
 }
 
@@ -567,7 +611,7 @@ impl WarpTable {
     #[must_use]
     pub fn new(n_slots: usize) -> Self {
         assert!(
-            n_slots <= 64,
+            n_slots <= SLOTS,
             "WarpTable bitmasks hold at most 64 warp slots, got {n_slots}"
         );
         Self {
@@ -580,9 +624,10 @@ impl WarpTable {
             head_sfu: 0,
             head_barrier: 0,
             fetch_open: 0,
-            head_ready: vec![0; n_slots],
-            fetch_at: vec![u64::MAX; n_slots],
-            launch_seq: vec![0; n_slots],
+            n_slots,
+            head_ready: [0; SLOTS],
+            fetch_at: [u64::MAX; SLOTS],
+            launch_seq: [0; SLOTS],
             cal: Calendars::EMPTY,
         }
     }
@@ -764,7 +809,7 @@ impl WarpTable {
     /// Launch-order stamps, one per slot (scheduler selection key).
     #[must_use]
     pub fn launch_seqs(&self) -> &[u64] {
-        &self.launch_seq
+        &self.launch_seq[..self.n_slots]
     }
 
     /// The earliest head readiness over the slots of `mask`, or `u64::MAX`
@@ -860,7 +905,7 @@ impl WarpTable {
     ///
     /// Panics on any divergence between the table and the warp array.
     pub fn assert_matches(&self, warps: &[Option<Warp>]) {
-        assert_eq!(self.head_ready.len(), warps.len(), "slot count mismatch");
+        assert_eq!(self.n_slots, warps.len(), "slot count mismatch");
         for slot in 0..warps.len() {
             self.cal.assert_slot(HEAD, slot, self.head_ready[slot]);
             self.cal.assert_slot(FETCH, slot, self.fetch_at[slot]);
@@ -933,6 +978,7 @@ mod tests {
     }
     use crate::access::AccessPattern;
     use crate::program::{Inst, Program};
+    use crate::rng::SimRng;
 
     fn alu(dst: Reg, src: Reg) -> Inst {
         Inst {
@@ -1270,6 +1316,85 @@ mod tests {
         w.fetch(0, &desc, 1, 0);
         let _ = w.issue(0, 1, &desc.program);
         t.assert_matches(&[Some(w)]);
+    }
+
+    /// The counting `stall_reason` body the one-class fast path replaced:
+    /// every class is counted and the first maximum wins.
+    fn reference_stall_reason(c: &IssueClasses) -> StallReason {
+        let counts = [
+            (c.mem.count_ones(), StallReason::LongMemoryLatency),
+            (c.raw.count_ones(), StallReason::ShortRawHazard),
+            (c.exec.count_ones(), StallReason::ExecResource),
+            (c.ibuffer.count_ones(), StallReason::IbufferEmpty),
+            (c.barrier.count_ones(), StallReason::Barrier),
+        ];
+        let mut best = (0, StallReason::Idle);
+        for c in counts {
+            if c.0 > best.0 {
+                best = c;
+            }
+        }
+        best.1
+    }
+
+    /// Disjoint classes with `counts[i]` slots in stall class `i` (in
+    /// Fig. 1 order) and `issuable` in the issuable set, laid out from the
+    /// slot `rng` picks, or at slot 0 without one.
+    fn classes_with(counts: [u32; 5], issuable: u32, rng: Option<&mut SimRng>) -> IssueClasses {
+        let mut slots: Vec<usize> = (0..64).collect();
+        if let Some(rng) = rng {
+            rng.shuffle(&mut slots);
+        }
+        let mut next = slots.into_iter();
+        let mut take = |n: u32| (0..n).fold(0u64, |m, _| m | 1u64 << next.next().unwrap());
+        let [mem, raw, exec, ibuffer, barrier] = counts.map(&mut take);
+        IssueClasses {
+            issuable: take(issuable),
+            mem,
+            raw,
+            exec,
+            ibuffer,
+            barrier,
+        }
+    }
+
+    #[test]
+    fn stall_reason_is_the_reference_count() {
+        // Every layout of 0-2 warps per class: all-empty, one-class and
+        // every tie among two to five classes, with and without issuable
+        // warps (which no class counts).
+        for code in 0..3u32.pow(6) {
+            let digit = |i: u32| code / 3u32.pow(i) % 3;
+            let counts = [digit(0), digit(1), digit(2), digit(3), digit(4)];
+            let c = classes_with(counts, digit(5), None);
+            assert_eq!(c.stall_reason(), reference_stall_reason(&c), "{counts:?}");
+        }
+        // Random disjoint classes over all 64 slots, sparse to full: ties
+        // at larger counts, one-class masks and empty cycles.
+        let mut rng = SimRng::seed_from_u64(0x5a11);
+        let (mut ties, mut single, mut empty) = (0, 0, 0);
+        for _ in 0..20_000 {
+            let mut budget = 64;
+            let mut counts = [0u32; 5];
+            for n in &mut counts {
+                if rng.range_u64(3) != 0 {
+                    *n = rng.range_u64(u64::from(budget.min(6)) + 1) as u32;
+                    budget -= *n;
+                }
+            }
+            let issuable = rng.range_u64(u64::from(budget) + 1) as u32;
+            let c = classes_with(counts, issuable, Some(&mut rng));
+            let nonempty = counts.iter().filter(|&&n| n > 0).count();
+            let top = counts.iter().max().copied().unwrap_or(0);
+            ties += usize::from(top > 0 && counts.iter().filter(|&&n| n == top).count() > 1);
+            single += usize::from(nonempty == 1);
+            empty += usize::from(nonempty == 0);
+            assert_eq!(c.stall_reason(), reference_stall_reason(&c), "{c:?}");
+        }
+        assert!(
+            ties > 1_000 && single > 1_000 && empty > 100,
+            "{ties} {single} {empty}"
+        );
     }
 
     #[test]

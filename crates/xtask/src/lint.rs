@@ -134,7 +134,7 @@ const JUSTIFIED_RULES: [&str; 2] = ["determinism", "no-global-state"];
 /// asserts it), so the transitive `no-tick-alloc` rule covers at least the
 /// surface the old per-name rule did.
 #[cfg_attr(not(test), allow(dead_code))]
-pub const TICK_PATH_FNS: [&str; 32] = [
+pub const TICK_PATH_FNS: [&str; 37] = [
     "tick",
     "fast_forward",
     "on_fill",
@@ -161,6 +161,11 @@ pub const TICK_PATH_FNS: [&str; 32] = [
     "fetch_due",
     "next_fetch",
     "stall_reason",
+    "stall_masks",
+    "most_blocked",
+    "live_warps",
+    "set_and_tag",
+    "fr_fcfs_pick",
     "refresh_fetch",
     "refresh_head",
     "release_barrier",
