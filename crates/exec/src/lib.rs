@@ -52,6 +52,12 @@
 //! silently discarded; the `no-unchecked-spawn` rule of `cargo xtask lint`
 //! pins both invariants.
 
+// `contain` maps a job's panic to `JobPanic` by unwinding; under
+// `panic = "abort"` that panic would end the whole process instead. Test
+// builds always unwind, so only this guard catches such a release profile.
+#[cfg(panic = "abort")]
+compile_error!("ws-exec contains job panics with catch_unwind: build with panic = \"unwind\"");
+
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -32,13 +32,26 @@ fn main() {
     let mut kb: Option<KernelId> = None;
     let mut last_decision_at = u64::MAX;
     let total = arrival * 3;
-    for now in 0..total {
+    let mut now = 0;
+    while now < total {
         if now == arrival {
             kb = Some(run.add_kernel(b.desc.clone()));
             println!("cycle {now:>6}: {} arrives -> re-profiling", b.abbrev);
         }
-        // One cycle per step, so every decision is seen as it is made.
-        run.advance_to(now + 1);
+        // Step to just past the controller's next intervention (the only
+        // cycles at which it decides), the arrival or the end, whichever is
+        // nearest: each step holds at most one decision, and fast-forward
+        // may skip the dead cycles in between.
+        let mut next = run
+            .controller()
+            .next_intervention()
+            .map_or(total, |at| at.max(now) + 1)
+            .min(total);
+        if now < arrival {
+            next = next.min(arrival);
+        }
+        run.advance_to(next);
+        now = next;
         if let Some(d) = run.controller().decision() {
             if d.decided_at != last_decision_at {
                 last_decision_at = d.decided_at;

@@ -42,23 +42,34 @@ fn main() {
     let total = 80_000u64;
     let step = 4_000u64;
     let mut decided_at = None;
-    for now in 0..total {
-        // One cycle per step, so the first decision is seen as it is made.
-        run.advance_to(now + 1);
+    let mut now = 0;
+    while now < total {
+        // Step to just past the controller's next intervention (the only
+        // cycles at which it decides) or to the next sampling instant,
+        // whichever is nearer: each step holds at most one decision, and
+        // fast-forward may skip the dead cycles in between.
+        let next_row = (now / step + 1) * step;
+        let next = run
+            .controller()
+            .next_intervention()
+            .map_or(next_row, |at| at.max(now) + 1)
+            .min(next_row);
+        run.advance_to(next);
+        now = next;
         if decided_at.is_none() {
             if let Some(d) = run.controller().decision() {
                 decided_at = Some((d.decided_at, d.quotas.clone(), d.spatial_fallback));
             }
         }
-        if now % step == step - 1 {
-            print!("{:>7} ", now + 1);
+        if now % step == 0 {
+            print!("{now:>7} ");
             for s in 0..num_sms {
                 let sm = run.gpu().sm(s);
                 print!("{:>2}:{:<2}", sm.kernel_ctas(0), sm.kernel_ctas(1));
             }
             let phase = match &decided_at {
                 None => "profiling".to_string(),
-                Some((at, q, fallback)) if now < at + step => match (q, fallback) {
+                Some((at, q, fallback)) if now <= at + step => match (q, fallback) {
                     (Some(q), _) => format!("decided {q:?} @ {at}"),
                     (None, true) => format!("spatial fallback @ {at}"),
                     _ => String::new(),
